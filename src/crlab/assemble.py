@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import profiles
-from .exceptions import AssemblyError, FredholmWeightError, ResolutionError
+from .exceptions import AssemblyError, FredholmWeightError, NumericalError, ResolutionError
 from .loops import standard_j
 from .problems import CRProblem, GridSpec, default_grid_for
 
@@ -139,6 +139,10 @@ class DiscreteOperator:
     real rectangular matrix (block diagonal over modes) for export and
     transpose experiments.  cols - rows equals the analytic index candidate
     once the boundary rows are installed; both row groups are recorded.
+
+    Each block is decomposed once per operator, in ``block_singular_values``;
+    the rank decision, the kernel directions and the gluing stability
+    constant all read that cache.
     """
 
     blocks: list
@@ -150,6 +154,7 @@ class DiscreteOperator:
     problem: object = None
     backend: str = "decoupled"
     _matrix: object = field(default=None, repr=False)
+    _svals: object = field(default=None, repr=False)
 
     @property
     def rows(self):
@@ -170,12 +175,24 @@ class DiscreteOperator:
                                          format="csr")
         return self._matrix
 
+    def block_singular_values(self):
+        """Singular values of each block (descending, one array per block).
+
+        Computed by a values-only SVD on first use and cached on the operator.
+        """
+        if self._svals is None:
+            svals = []
+            for b in self.blocks:
+                try:
+                    svals.append(np.linalg.svd(b.matrix, compute_uv=False))
+                except np.linalg.LinAlgError as exc:  # pragma: no cover
+                    raise NumericalError(f"SVD failed on block {b.tag}: {exc}") from exc
+            self._svals = svals
+        return self._svals
+
     def singular_values(self):
         """All singular values with real multiplicities, ascending."""
-        out = []
-        for b in self.blocks:
-            sv = np.linalg.svd(b.matrix, compute_uv=False)
-            out.append(np.repeat(sv, b.mult))
+        out = [np.repeat(sv, b.mult) for b, sv in zip(self.blocks, self.block_singular_values())]
         return np.sort(np.concatenate(out)) if out else np.zeros(0)
 
     def transposed(self):
@@ -297,28 +314,36 @@ def _complex_line_blocks(problem, grid):
     return blocks, s
 
 
+def augmentation_layout(problem):
+    """Ordered (end, component) keys of the shift columns.
+
+    Component 0 is the a-shift, 1 the theta-shift.  The positive end comes
+    first, then the negative end, each with a then theta up to its
+    shift_dims; the reduced pattern {1, 2} identifies the two angular shifts
+    into one ("shared", 1) column after both a-shifts.
+    """
+    if problem.reduced_shifts:
+        return [("positive", 0), ("negative", 0), ("shared", 1)]
+    return [(end.sign, comp)
+            for end in (problem.positive_end, problem.negative_end) if end is not None
+            for comp in range(end.shift_dims)]
+
+
 def _augmentation_shapes(problem, s, prof):
-    """Sampled conjugated shift shapes e^{w} beta_end per augmented end."""
+    """(sampled conjugated shift shape e^{w} beta_end, component) per layout key."""
     npr = problem.truncation.n_prime
     ew = np.exp(prof.w(s))
-    shapes = {}
-    for e in problem.ends:
-        if e.shift_dims == 0:
-            continue
-        if e.sign == "positive":
-            shapes["positive"] = ew * profiles.cutoff(s, npr)
-        else:
-            shapes["negative"] = ew * profiles.cutoff(-s, npr)
-    return shapes
+    shapes = {"positive": ew * profiles.cutoff(s, npr),
+              "negative": ew * profiles.cutoff(-s, npr)}
+    shapes["shared"] = shapes["positive"] + shapes["negative"]
+    return [(shapes[end], comp) for end, comp in augmentation_layout(problem)]
 
 
 def _augmented_mode0_block(problem, grid, D, P, s, mids, prof, cap_left, bc_signs):
     """Realified mode-0 block of the complex-line fiber with shift columns.
 
-    Unknown layout: [a-component nodes, theta-component nodes, parameters].
-    Column order: positive end (a, then theta if shift_dims = 2), negative
-    end likewise, with a single shared theta column appended instead when the
-    reduced pattern {2, 1} identifies the two angular shifts.
+    Unknown layout: [a-component nodes, theta-component nodes, parameters],
+    the parameter columns in ``augmentation_layout`` order.
     """
     N = len(s)
     L = D - prof.wprime(mids)[:, None] * P
@@ -342,7 +367,6 @@ def _augmented_mode0_block(problem, grid, D, P, s, mids, prof, cap_left, bc_sign
             bc += 1
     M = np.vstack(rows)
 
-    shapes = _augmentation_shapes(problem, s, prof)
     npde = N - 1
 
     def column(shape, comp):
@@ -354,19 +378,7 @@ def _augmented_mode0_block(problem, grid, D, P, s, mids, prof, cap_left, bc_sign
             raise AssemblyError("augmentation column vanished")
         return c / nrm
 
-    cols = []
-    if problem.reduced_shifts:
-        cols.append(column(shapes["positive"], 0))
-        cols.append(column(shapes["negative"], 0))
-        cols.append(column(shapes["positive"] + shapes["negative"], 1))
-    else:
-        for sign in ("positive", "negative"):
-            end = next((e for e in problem.ends if e.sign == sign), None)
-            if end is None or end.shift_dims == 0:
-                continue
-            cols.append(column(shapes[sign], 0))
-            if end.shift_dims == 2:
-                cols.append(column(shapes[sign], 1))
+    cols = [column(shape, comp) for shape, comp in _augmentation_shapes(problem, s, prof)]
     M = np.hstack([M] + cols)
     _finite_or_raise(M, "k=0 augmented")
     n_aug = len(cols)
@@ -391,10 +403,10 @@ def _contact_mode_block(problem, grid, k, D, P, s, mids, prof):
     M = M.reshape((N - 1) * F, N * F)
     rows = [M]
     bc = 0
-    for sign, node in (("negative", 0), ("positive", N - 1)):
-        end = next((e for e in problem.ends if e.sign == sign), None)
+    for end, node in ((problem.negative_end, 0), (problem.positive_end, N - 1)):
         if end is None:
             continue
+        sign = end.sign
         s_end = problem.truncation.s_max if sign == "positive" else problem.s_lo
         A_end = base + end.asymptotic.constant_matrix() - float(prof.wprime(s_end)) * np.eye(F)
         lam, V = np.linalg.eigh(A_end)
@@ -482,8 +494,7 @@ def _coupled_block(problem, grid):
             M[i * nfield:(i + 1) * nfield, j * nfield:(j + 1) * nfield] += blockij
     rows = [M]
     bc = 0
-    for sign, node in (("negative", 0), ("positive", N - 1)):
-        end = next((e for e in problem.ends if e.sign == sign), None)
+    for end, node in ((problem.negative_end, 0), (problem.positive_end, N - 1)):
         if end is None:
             if problem.domain_kind == "plane":
                 # cap rows: negative Fourier modes of the complex trace
@@ -503,6 +514,7 @@ def _coupled_block(problem, grid):
                     rows.append(np.vstack(cap))
                     bc += len(cap)
             continue
+        sign = end.sign
         Ss = end.asymptotic.sample(t)
         A_end = Aderiv + _trig_coupling(Ss, T) - float(
             prof.wprime(problem.truncation.s_max if sign == "positive" else problem.s_lo)
@@ -521,10 +533,8 @@ def _coupled_block(problem, grid):
     if n_aug:
         if problem.fiber != "complex_line":
             raise AssemblyError("augmentation requires the complex-line fiber")
-        shapes = _augmentation_shapes(problem, s, prof)
         pde_rows = (N - 1) * nfield
         Lrows = Mfull[:pde_rows]
-        cols = []
 
         def column(shape, comp):
             field = np.zeros((N, nfield))
@@ -534,17 +544,7 @@ def _coupled_block(problem, grid):
             c[:pde_rows, 0] = vec
             return c / np.linalg.norm(c)
 
-        if problem.reduced_shifts:
-            cols = [column(shapes["positive"], 0), column(shapes["negative"], 0),
-                    column(shapes["positive"] + shapes["negative"], 1)]
-        else:
-            for sign in ("positive", "negative"):
-                end = next((e for e in problem.ends if e.sign == sign), None)
-                if end is None or end.shift_dims == 0:
-                    continue
-                cols.append(column(shapes[sign], 0))
-                if end.shift_dims == 2:
-                    cols.append(column(shapes[sign], 1))
+        cols = [column(shape, comp) for shape, comp in _augmentation_shapes(problem, s, prof)]
         Mfull = np.hstack([Mfull] + cols)
     _finite_or_raise(Mfull, "coupled")
     return ModeBlock(k=None, matrix=Mfull, mult=1, pde_rows=(N - 1) * nfield,
@@ -597,23 +597,13 @@ def kernel_vectors(op, threshold):
 
     Returns a list of (block, vectors) where vectors has shape
     (block_cols, n_small); structural kernel directions of wide blocks are
-    included through the rank decision.
+    included through the rank decision.  The rank comes from the operator's
+    cached singular values; only rank-deficient blocks run the full SVD.
     """
     out = []
-    for b in op.blocks:
-        U, sv, Vh = np.linalg.svd(b.matrix)
+    for b, sv in zip(op.blocks, op.block_singular_values()):
         rank = int((sv >= threshold).sum())
         if rank < b.matrix.shape[1]:
+            Vh = np.linalg.svd(b.matrix)[2]
             out.append((b, Vh[rank:].conj().T))
-    return out
-
-
-def cokernel_vectors(op, threshold):
-    """Left-singular directions below threshold, per block."""
-    out = []
-    for b in op.blocks:
-        U, sv, Vh = np.linalg.svd(b.matrix)
-        rank = int((sv >= threshold).sum())
-        if rank < b.matrix.shape[0]:
-            out.append((b, U[:, rank:]))
     return out

@@ -214,7 +214,7 @@ def _run_glue(config, out, grid=None):
     return EXIT_OK, lines
 
 
-def _run_vdim(config, out, seed=0):
+def _run_vdim(config, out, grid=None):
     graphs = [dimension.ConfigurationGraph.from_json(g)
               for g in config.inputs.get("graphs", [])]
     rows = []
@@ -230,7 +230,7 @@ def _run_vdim(config, out, seed=0):
         if "expect_codim" in pair and cd != pair["expect_codim"]:
             lines.append(f"pair {pid}: codim {cd} != expected {pair['expect_codim']}")
             code = EXIT_ERROR
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config.seed)
     for case in config.inputs.get("cases", []):
         n = int(config.inputs.get("variants", 100))
         for deg, smo, want in dimension.randomized_budget_variants(case, rng, n):
@@ -320,6 +320,8 @@ RUNNERS = {
     "index": _run_index,
     "sweep": _run_sweep,
     "glue": _run_glue,
+    "vdim": _run_vdim,
+    "reproduce_all": _run_reproduce_all,
 }
 
 
@@ -328,12 +330,7 @@ def run(config, grid_override=None, out_override=None):
     out = os.path.join(out_override or config.output_dir, config.name)
     os.makedirs(out, exist_ok=True)
     try:
-        if config.kind == "vdim":
-            code, lines = _run_vdim(config, out, seed=config.seed)
-        elif config.kind == "reproduce_all":
-            code, lines = _run_reproduce_all(config, out, grid=grid_override)
-        else:
-            code, lines = RUNNERS[config.kind](config, out, grid=grid_override)
+        code, lines = RUNNERS[config.kind](config, out, grid=grid_override)
     except IndecisiveRankError as exc:
         write_atomic(os.path.join(out, "summary.txt"), f"INDECISIVE: {exc}\n")
         return EXIT_INDECISIVE
@@ -378,15 +375,16 @@ def main(argv=None):
         if args.config:
             with open(args.config) as fh:
                 raw = json.load(fh)
-            if args.smax is not None:
-                for key in ("problem", "problem_u", "problem_w"):
-                    if key in raw.get("inputs", {}):
-                        raw["inputs"][key]["truncation"]["s_max"] = args.smax
             config = ExperimentConfig.from_json(raw)
             if raw["kind"] != names[args.command]:
                 print(f"config kind {raw['kind']!r} does not match subcommand",
                       file=sys.stderr)
                 return EXIT_ERROR
+            # only these kinds have their problems checked by the schema
+            if args.smax is not None and config.kind in ("index", "sweep", "glue"):
+                for key in ("problem", "problem_u", "problem_w"):
+                    if key in config.inputs:
+                        config.inputs[key]["truncation"]["s_max"] = args.smax
         else:
             config = ExperimentConfig(name="reproduce_all", kind="reproduce_all")
         if args.seed is not None:

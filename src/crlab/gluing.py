@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from . import profiles
-from .assemble import assemble, kernel_vectors
+from .assemble import assemble, augmentation_layout, kernel_vectors
 from .exceptions import IncompatibleEndsError
 from .indexing import DEFAULT_POLICY, numerical_index
 from .problems import CRProblem, Truncation, default_grid_for
@@ -138,7 +138,8 @@ class KernelVector:
 
     ``field`` has shape (s_nodes, F) -- complex scalar profile for the
     complex-line fiber (F = 1), real or complex for contact modes.  ``params``
-    maps an end sign to that end's shift coefficients.
+    maps each ``augmentation_layout`` key of the component to its shift
+    coefficient.
     """
 
     k: object
@@ -161,10 +162,9 @@ def component_kernel(problem, grid=None, policy=DEFAULT_POLICY):
         for j in range(Q.shape[1]):
             v = Q[:, j]
             if block.aug_cols:
-                n_aug = block.aug_cols
                 a, th = v[:N], v[N:2 * N]
                 field = (a + 1j * th)[:, None]
-                params = _split_params(problem, v[2 * N:2 * N + n_aug])
+                params = dict(zip(augmentation_layout(problem), v[2 * N:]))
             elif problem.fiber == "complex_line":
                 field = v[:, None]
                 params = {}
@@ -174,24 +174,6 @@ def component_kernel(problem, grid=None, policy=DEFAULT_POLICY):
                 params = {}
             out.append(KernelVector(k=block.k, s=s, field=field, params=params))
     return out, rep
-
-
-def _split_params(problem, p):
-    """Assign augmentation coefficients to their ends, in assembly column order."""
-    params = {}
-    i = 0
-    if problem.reduced_shifts:
-        params["positive"] = np.array([p[0]])
-        params["negative"] = np.array([p[1]])
-        params["shared_theta"] = np.array([p[2]])
-        return params
-    for sign in ("positive", "negative"):
-        end = next((e for e in problem.ends if e.sign == sign), None)
-        if end is None or end.shift_dims == 0:
-            continue
-        params[sign] = p[i:i + end.shift_dims]
-        i += end.shift_dims
-    return params
 
 
 @dataclass
@@ -235,38 +217,23 @@ def _glued_block_vector(glued_op, kv, shift, cutoff, side):
     block = next((b for b in glued_op.blocks if b.k == kv.k), None)
     if block is None:
         raise IncompatibleEndsError(f"glued operator has no mode {kv.k}")
-    vec = np.zeros(block.matrix.shape[1], dtype=complex if np.iscomplexobj(block.matrix)
-                   or block.aug_cols else kv.field.dtype)
     N = len(sg)
     if block.aug_cols:
         vec = np.zeros(block.matrix.shape[1])
         vec[:N] = g[:, 0].real
         vec[N:2 * N] = g[:, 0].imag
-        offs = _glued_param_offsets(problem)
+        # each component keeps only the shifts of its own outer end, in the
+        # glued column that carries the same (end, component) key
         own = "negative" if side == "u" else "positive"
-        if own in kv.params and own in offs:
-            sl = offs[own]
-            vals = kv.params[own]
-            vec[2 * N + sl[0]:2 * N + sl[0] + min(len(vals), sl[1])] = vals[:sl[1]]
+        for col, key in enumerate(augmentation_layout(problem)):
+            if key[0] == own and key in kv.params:
+                vec[2 * N + col] = kv.params[key]
     elif problem.fiber == "complex_line":
         vec = g[:, 0].astype(block.matrix.dtype if np.iscomplexobj(block.matrix) else float)
     else:
         vec = g.reshape(-1)
     nrm = np.linalg.norm(vec)
     return vec / nrm if nrm > 0 else None
-
-
-def _glued_param_offsets(problem):
-    """Column offsets (start, count) of each end's parameters in the glued block."""
-    offs = {}
-    i = 0
-    for sign in ("positive", "negative"):
-        end = next((e for e in problem.ends if e.sign == sign), None)
-        if end is None or end.shift_dims == 0:
-            continue
-        offs[sign] = (i, end.shift_dims)
-        i += end.shift_dims
-    return offs
 
 
 def approximate_kernel(ker_u, ker_w, config, glued_op):
@@ -311,26 +278,25 @@ def stability_constant(glued_op, n_tau):
 
     Computed per mode block: transplant vectors are projected out of the
     block's column space and the smallest singular value of the restricted
-    matrix is minimized over blocks.
+    matrix is minimized over blocks.  A block without transplant vectors is
+    its own restriction and reuses the operator's cached singular values.
     """
     by_mode = {}
     for k, v in n_tau.vectors:
         by_mode.setdefault(k, []).append(v)
     best = np.inf
-    for b in glued_op.blocks:
-        M = b.matrix
+    for b, sv in zip(glued_op.blocks, glued_op.block_singular_values()):
+        T = b.matrix
         vs = by_mode.get(b.k)
         if vs:
             Q, _ = np.linalg.qr(np.stack(vs, axis=1))
-            Z = scipy.linalg.null_space(Q.conj().T)
-            T = M @ Z
-        else:
-            T = M
+            T = T @ scipy.linalg.null_space(Q.conj().T)
         if T.shape[1] > T.shape[0]:
             # more directions than equations: exact null vectors remain in the
             # complement, the restricted operator has no lower bound at all
             return 0.0
-        sv = np.linalg.svd(T, compute_uv=False)
+        if vs:
+            sv = np.linalg.svd(T, compute_uv=False)
         if len(sv):
             best = min(best, float(sv[-1]))
     return best

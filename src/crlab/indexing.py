@@ -1,9 +1,9 @@
 """Numerical and analytic Fredholm indices of assembled operators.
 
-The numerical route decomposes every mode block by SVD, counts singular
-values under a scale-relative threshold, and refuses to guess when the gap
-between kept and discarded values is not decisive.  The analytic route never
-assembles the two-dimensional operator: on the complex-line fiber it anchors
+The numerical route decomposes each mode block once per operator (in
+``DiscreteOperator.block_singular_values``), counts singular values under a
+scale-relative threshold, and refuses to guess when the gap between kept and
+discarded values is not decisive.  The analytic route never assembles the two-dimensional operator: on the complex-line fiber it anchors
 at the invertible mixed-weight cylinder and walks to the requested weights by
 wall-crossing window counts; on the contact fiber it equals minus the
 spectral flow of the interpolation path.
@@ -28,7 +28,6 @@ from .exceptions import (
     FredholmWeightError,
     IndecisiveRankError,
     InstabilityError,
-    NumericalError,
 )
 from .loops import (
     LoopOperatorSpec,
@@ -101,20 +100,11 @@ def numerical_index(op, policy=DEFAULT_POLICY):
     among the singular values.  A report with gap_ratio below policy.gap_min
     is flagged indecisive (or raises, under a strict policy).
     """
-    svs = []
-    per_block = []
-    for b in op.blocks:
-        try:
-            sv = np.linalg.svd(b.matrix, compute_uv=False)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise NumericalError(f"SVD failed on block {b.tag}: {exc}") from exc
-        per_block.append(sv)
-        svs.append(np.repeat(sv, b.mult))
-    merged = np.sort(np.concatenate(svs))
+    merged = op.singular_values()
     sigma_max = float(merged[-1]) if len(merged) else 0.0
     theta = policy.rel_threshold * sigma_max
     ker = coker = 0
-    for b, sv in zip(op.blocks, per_block):
+    for b, sv in zip(op.blocks, op.block_singular_values()):
         rank = int((sv >= theta).sum())
         ker += b.mult * (b.matrix.shape[1] - rank)
         coker += b.mult * (b.matrix.shape[0] - rank)
@@ -243,12 +233,13 @@ def delta_sweep(problem, deltas, grid=None, policy=DEFAULT_POLICY):
             rows.append(SweepRow(delta=d, report=None, skipped=True, reason=str(exc)))
     jumps = []
     valid = [r for r in rows if not r.skipped]
+    end_spectra = [(e, spectrum(assemble_loop_operator(e.asymptotic, 64)))
+                   for e in problem.ends]
     for r1, r2 in zip(valid, valid[1:]):
         jump = r2.report.index - r1.report.index
         lo, hi = sorted((abs(r1.delta), abs(r2.delta)))
         crossed = 0
-        for e in problem.ends:
-            rep = spectrum(assemble_loop_operator(e.asymptotic, 64))
+        for e, rep in end_spectra:
             try:
                 pos_cnt = count_window(rep, lo, hi)
                 neg_cnt = count_window(rep, -hi, -lo)

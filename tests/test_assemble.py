@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from crlab.assemble import assemble, fd_operators, fornberg_weights
+from crlab.assemble import assemble, augmentation_layout, fd_operators, fornberg_weights
 from crlab.exceptions import (
     AssemblyError,
     CoefficientError,
@@ -67,6 +67,45 @@ def test_augmentation_column_counts():
         assert op.augmentation_cols == want
     op = assemble(build_plane(1.0, 2))
     assert op.augmentation_cols == 2
+
+
+def _shift_column_key(column, mids, nfield):
+    """(end, component) of an assembled shift column, read off its support:
+    the component from the residual rows it fills, the end from the sign of
+    the collocation midpoints where it is nonzero (both signs: shared)."""
+    rows = np.flatnonzero(np.abs(column) > 1e-8 * np.abs(column).max())
+    npde = len(mids) * nfield
+    assert rows.max() < npde, "shift columns live in the PDE rows only"
+    if nfield == 2:                  # realified decoupled block: [a rows, theta rows]
+        node, comp = rows % len(mids), rows // len(mids)
+    else:                            # coupled block: rows node-major, field-minor
+        node, comp = rows // nfield, rows % nfield
+    assert len(set(comp)) == 1
+    signs = set(np.sign(mids[node]))
+    end = {frozenset({1.0}): "positive", frozenset({-1.0}): "negative",
+           frozenset({-1.0, 1.0}): "shared"}[frozenset(signs)]
+    return end, int(comp[0])
+
+
+@pytest.mark.parametrize("backend", ["decoupled", "coupled"])
+def test_augmentation_layout_matches_assembled_columns(backend):
+    trunc = Truncation(s_max=6.0, n_prime=2.0)
+    grid = GridSpec(48, 8)
+    problems = [build_trivial_cylinder((1.0, 1.0), sd, truncation=trunc)
+                for sd in ((2, 2), (1, 2), (2, 1), (1, 0), (0, 2), (2, 0), (0, 1), (0, 0))]
+    problems += [build_plane(1.0, sd, truncation=trunc) for sd in (1, 2)]
+    for p in problems:
+        layout = augmentation_layout(p)
+        op = assemble(p, grid, backend=backend)
+        block = next(b for b in op.blocks if b.k in (0, None))
+        assert block.aug_cols == len(layout) == p.augmentation_dims
+        _, _, _, mids = fd_operators(p.s_lo, trunc.s_max, grid.s_nodes)
+        nfield = 2 if backend == "decoupled" else block.pde_rows // len(mids)
+        cols = block.matrix[:, block.matrix.shape[1] - block.aug_cols:]
+        got = [_shift_column_key(cols[:, j], mids, nfield) for j in range(cols.shape[1])]
+        assert got == layout, (p.ends, backend)
+    reduced = build_trivial_cylinder((1.0, 1.0), (2, 1), truncation=trunc)
+    assert augmentation_layout(reduced) == [("positive", 0), ("negative", 0), ("shared", 1)]
 
 
 def test_row_and_column_bookkeeping():

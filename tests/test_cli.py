@@ -191,6 +191,34 @@ def test_main_rejects_mismatched_subcommand(tmp_path):
     assert cli.main(["sweep-delta", "--config", str(path)]) == EXIT_ERROR
 
 
+def _main_with_smax(tmp_path, kind, inputs):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"name": "sm", "kind": kind, "inputs": inputs,
+                                "output_dir": str(tmp_path)}))
+    return cli.main([kind, "--config", str(path), "--smax", "14"])
+
+
+def _problem_without_truncation():
+    p = contact_problem_json([1.0, 1.0], [1.0, 1.0])
+    del p["truncation"]
+    return p
+
+
+@pytest.mark.parametrize("make_problem_u", [_problem_without_truncation, lambda: 5],
+                         ids=["no_truncation", "not_an_object"])
+def test_smax_on_malformed_problem_is_config_error(tmp_path, capsys, make_problem_u):
+    inputs = {"problem_u": make_problem_u(),
+              "problem_w": contact_problem_json([1.0, 1.0], [1.0, 1.0]), "taus": [6.0]}
+    assert _main_with_smax(tmp_path, "glue", inputs) == EXIT_ERROR
+    assert "config error" in capsys.readouterr().err
+
+
+def test_smax_override_reaches_the_problem(tmp_path):
+    inputs = {"problem": trivial_problem_json(), "expect_index": -2}
+    assert _main_with_smax(tmp_path, "index", inputs) == EXIT_OK
+    assert json.loads((tmp_path / "sm" / "index.json").read_text())["grid_tag"].endswith("@S14")
+
+
 def test_float_formatting_fixed_width():
     assert cli.fmt(np.float64(1.0) / 3.0) == "0.33333333333333331"
     assert cli.fmt(7) == "7"

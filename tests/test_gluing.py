@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from crlab.assemble import assemble
+import crlab.gluing as gluing
+from crlab.assemble import assemble, augmentation_layout, kernel_vectors
 from crlab.exceptions import IncompatibleEndsError
 from crlab.gluing import (
     GluingConfig,
@@ -206,3 +207,96 @@ def test_augmented_component_transplants_decay_at_weight_rate():
         ratio = res[t1] / res[t0]
         predicted = np.exp(-delta * (t1 - t0))
         assert predicted / 3.0 <= ratio <= 3.0 * predicted
+
+
+def test_each_block_is_decomposed_once_per_gluing_pass(monkeypatch):
+    pu, pw = flow_pair()
+    ops, kernels = [], []
+    real_svd, real_assemble, real_approx = np.linalg.svd, gluing.assemble, gluing.approximate_kernel
+    calls = []
+
+    def svd(a, *args, **kwargs):
+        calls.append((a, kwargs.get("compute_uv", True)))
+        return real_svd(a, *args, **kwargs)
+
+    def assemble_spy(*args, **kwargs):
+        ops.append(real_assemble(*args, **kwargs))
+        return ops[-1]
+
+    def approx_spy(*args, **kwargs):
+        kernels.append(real_approx(*args, **kwargs))
+        return kernels[-1]
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(gluing, "assemble", assemble_spy)
+    monkeypatch.setattr(gluing, "approximate_kernel", approx_spy)
+    rep = verify_additivity(pu, pw, (8.0, 12.0))
+    monkeypatch.undo()
+    assert rep.passed
+
+    block_ids = [id(b.matrix) for op in ops for b in op.blocks]
+    values_only = [id(a) for a, uv in calls if not uv and id(a) in block_ids]
+    restricted = [a for a, uv in calls if not uv and id(a) not in block_ids]
+    full = [a for a, uv in calls if uv]
+    # every assembled block: exactly one values-only decomposition
+    assert sorted(values_only) == sorted(block_ids)
+
+    def rank_deficient(op):
+        svs = [np.linalg.svd(b.matrix, compute_uv=False) for b in op.blocks]
+        theta = 1e-6 * max(sv.max() for sv in svs)
+        return sum((sv >= theta).sum() < b.matrix.shape[1] for b, sv in zip(op.blocks, svs))
+
+    deficient = sum(rank_deficient(op) for op in ops[:2])      # the two components
+    carrying = sum(len({k for k, _ in n_tau.vectors}) for n_tau in kernels)
+    assert deficient >= 1 and carrying >= 1
+    assert len(full) == deficient
+    assert len(restricted) == carrying
+
+
+@pytest.mark.parametrize("problem", [
+    flow_pair()[0],
+    flow_pair()[1],
+    build_trivial_cylinder((1.0, -1.0), (2, 0), truncation=TRUNC),
+], ids=["flow_u", "flow_w", "augmented"])
+def test_kernel_vectors_match_full_svd_reference(problem):
+    op = assemble(problem)
+    rep = numerical_index(op)
+    found = kernel_vectors(op, rep.threshold)
+    pieces = {id(b): V for b, V in found}
+    for b in op.blocks:
+        _, sv, Vh = np.linalg.svd(b.matrix)
+        rank = int((sv >= rep.threshold).sum())
+        if rank < b.matrix.shape[1]:
+            assert np.array_equal(pieces[id(b)], Vh[rank:].conj().T)
+        else:
+            assert id(b) not in pieces
+    assert sum(b.mult * V.shape[1] for b, V in found) == rep.dim_ker
+
+
+def test_reduced_glued_transplant_keeps_params_in_own_columns():
+    # u's negative end carries one shift, w's positive end two: the glued
+    # problem has the reduced pattern {1, 2} and a shared angular column
+    pu = build_trivial_cylinder((1.0, -1.0), (1, 0), truncation=TRUNC)
+    pw = build_trivial_cylinder((1.0, -1.0), (0, 2), truncation=TRUNC)
+    comp_grid = GridSpec(97, 32)
+    ker_u, _ = component_kernel(pu, comp_grid)
+    ker_w, _ = component_kernel(pw, comp_grid)
+    res_u = {}
+    for tau in (6.0, 8.0):
+        glued, cfg = glue(pu, pw, tau)
+        assert glued.reduced_shifts
+        layout = augmentation_layout(glued)
+        op = assemble(glued, GridSpec(int(8 * (tau + 12)) + 1, 32))
+        n_tau = approximate_kernel(ker_u, ker_w, cfg, op)
+        assert n_tau.size == len(ker_u) + len(ker_w)
+        N = op.grid[0]
+        for i, (_, v) in enumerate(n_tau.vectors):
+            own = "negative" if i < len(ker_u) else "positive"
+            keys = {layout[j] for j in np.flatnonzero(v[2 * N:])}
+            assert all(end == own for end, _ in keys)
+            if own == "negative":
+                assert keys == {("negative", 0)}
+        res_u[tau] = transplant_residuals(op, n_tau)[0]
+    # with the a-shift in its own column, u's transplant decays like e^{-delta rho}
+    predicted = np.exp(-1.0 * 2.0)
+    assert predicted / 3.0 <= res_u[8.0] / res_u[6.0] <= 3.0 * predicted
