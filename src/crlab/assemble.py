@@ -21,13 +21,27 @@ e^{w} L e^{-w} = d/ds + J d/dt + B(s,t) - w'(s), with w the smooth per-end
 weight profile.  Augmentation columns are produced by applying the discrete
 operator rows to the sampled shift shapes e^{w(s)} beta_end(s); this keeps
 the discrete kernel relations exact up to the stencil error on e^{w} alone.
+
+Each block is decomposed once per operator, by one of two routes.  A block
+with more than 512 columns whose Gram matrix has bandwidth kd at most n/16
+(the 8-node stencils give kd = 15 on the 2-dimensional contact fiber) gets
+its singular values as square roots of the Gram eigenvalues from LAPACK's
+banded eigensolver, in O(n^2 kd) instead of O(n^3).  Every other block,
+augmented blocks among them (their shift columns are dense), takes the
+values-only dense SVD, which stays the reference.  A guard sends a banded
+block back to dense SVD when its smallest Gram eigenvalue is below 1e-8
+times its largest (sigma_min < 1e-4 sigma_max), because squaring blurs
+values near the rank threshold; so every rank-deficient or near-deficient
+block is decided by dense SVD.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from . import profiles
@@ -64,21 +78,20 @@ def fornberg_weights(x0, nodes, max_order=1):
     return c
 
 
-_fd_cache = {}
-
-
 def fd_operators(s_lo, s_hi, n_nodes):
     """Midpoint derivative/interpolation matrices on a uniform grid.
 
     Returns (D, P, s, mids): D and P are (n_nodes-1, n_nodes); row i holds the
     8-node stencil differentiating (D) or interpolating (P) at the midpoint
     of interval i.  Stencils shift near the edges but never widen, so every
-    row touches at most 8 consecutive nodes.
+    row touches at most 8 consecutive nodes.  The arrays are cached per grid
+    and shared between callers, so they are read-only.
     """
-    key = (round(float(s_lo), 12), round(float(s_hi), 12), int(n_nodes))
-    if key in _fd_cache:
-        return _fd_cache[key]
-    N = int(n_nodes)
+    return _fd_operators(round(float(s_lo), 12), round(float(s_hi), 12), int(n_nodes))
+
+
+@functools.lru_cache(maxsize=32)
+def _fd_operators(s_lo, s_hi, N):
     if N < _FD_STENCIL + 1:
         raise ResolutionError(f"need at least {_FD_STENCIL + 1} s-nodes, got {N}")
     s = np.linspace(s_lo, s_hi, N)
@@ -90,7 +103,8 @@ def fd_operators(s_lo, s_hi, n_nodes):
         cc = fornberg_weights(m, s[w0:w0 + _FD_STENCIL], 1)
         D[i, w0:w0 + _FD_STENCIL] = cc[:, 1]
         P[i, w0:w0 + _FD_STENCIL] = cc[:, 0]
-    _fd_cache[key] = (D, P, s, mids)
+    for a in (D, P, s, mids):
+        a.flags.writeable = False
     return D, P, s, mids
 
 
@@ -131,6 +145,43 @@ class ModeBlock:
         return M
 
 
+# Blocks of reproduce-all and gluing (at most 384 columns) stay dense, byte for byte.
+_BANDED_MIN_COLS = 512
+# A wider band erodes the O(n^2 kd) gain; dense shift columns fail this test.
+_BANDED_MAX_KD_FRACTION = 1 / 16
+# Squaring blurs values below 1e-4 sigma_max, near the rank threshold: dense SVD there.
+_GRAM_GUARD = 1e-8
+
+
+def _banded_singular_values(M):
+    """Singular values of M from the eigenvalues of its smaller Gram matrix.
+
+    The Gram matrix (M^H M for tall and square M, M M^H for wide M, whose
+    rows are first ordered by their first nonzero column so appended boundary
+    rows sit next to their node) is built from the sparse pattern and handed
+    to LAPACK's banded eigensolver in upper band storage.  Returns None when
+    the bandwidth exceeds n/16 or lambda_min < 1e-8 lambda_max; the caller
+    then decomposes M densely.
+    """
+    wide = M.shape[0] < M.shape[1]
+    if wide:
+        M = M[np.argsort(np.argmax(M != 0, axis=1), kind="stable")]
+    A = sp.csr_matrix(M)
+    G = (A @ A.conj().T if wide else A.conj().T @ A).tocoo()
+    upper = G.row <= G.col
+    r, c = G.row[upper], G.col[upper]
+    kd = int((c - r).max(initial=0))
+    if kd > _BANDED_MAX_KD_FRACTION * G.shape[0]:
+        return None
+    ab = np.zeros((kd + 1, G.shape[0]), dtype=G.dtype)
+    ab[kd + r - c, c] = G.data[upper]
+    lam = scipy.linalg.eig_banded(ab, eigvals_only=True, overwrite_a_band=True,
+                                  check_finite=False)
+    if lam[0] < _GRAM_GUARD * lam[-1]:
+        return None
+    return np.sqrt(lam[::-1])
+
+
 @dataclass
 class DiscreteOperator:
     """Assembled rectangular operator with grid metadata.
@@ -140,9 +191,11 @@ class DiscreteOperator:
     transpose experiments.  cols - rows equals the analytic index candidate
     once the boundary rows are installed; both row groups are recorded.
 
-    Each block is decomposed once per operator, in ``block_singular_values``;
+    Each block is decomposed once per operator, in ``block_singular_values``
+    (banded Gram eigenvalues for large banded blocks, dense SVD otherwise);
     the rank decision, the kernel directions and the gluing stability
-    constant all read that cache.
+    constant all read that cache.  Values from the banded route agree with
+    dense SVD to about eps (sigma_max / sigma)^2 relative, not bit for bit.
     """
 
     blocks: list
@@ -176,17 +229,25 @@ class DiscreteOperator:
         return self._matrix
 
     def block_singular_values(self):
-        """Singular values of each block (descending, one array per block).
+        """Singular values of each block: all min(rows, cols), descending.
 
-        Computed by a values-only SVD on first use and cached on the operator.
+        Computed on first use and cached on the operator.  A block with more
+        than 512 columns whose Gram matrix has bandwidth at most n/16 takes
+        the banded route (``_banded_singular_values``); every other block, and
+        every block the route's accuracy guard rejects, takes the reference
+        values-only ``np.linalg.svd``.
         """
         if self._svals is None:
             svals = []
             for b in self.blocks:
                 try:
-                    svals.append(np.linalg.svd(b.matrix, compute_uv=False))
+                    sv = (_banded_singular_values(b.matrix)
+                          if b.matrix.shape[1] > _BANDED_MIN_COLS else None)
+                    if sv is None:
+                        sv = np.linalg.svd(b.matrix, compute_uv=False)
                 except np.linalg.LinAlgError as exc:  # pragma: no cover
                     raise NumericalError(f"SVD failed on block {b.tag}: {exc}") from exc
+                svals.append(sv)
             self._svals = svals
         return self._svals
 

@@ -264,15 +264,8 @@ def spectrum(op, cluster_tol=None):
         ok &= frac >= 0.5
     if cluster_tol is None:
         cluster_tol = 1e-6 * (1.0 + float(np.abs(lam).max(initial=0.0)))
-    groups = []
-    i = 0
-    while i < len(lam):
-        j = i + 1
-        while j < len(lam) and lam[j] - lam[j - 1] <= cluster_tol:
-            j += 1
-        val = float(lam[i:j].mean())
-        groups.append((val, j - i, bool(ok[i:j].all())))
-        i = j
+    groups = [(float(lam[i:j].mean()), j - i, bool(ok[i:j].all()))
+              for i, j in _clusters(lam, cluster_tol)]
     return SpectrumReport(eigenvalues=groups, dim=op.spec.dim, period=op.spec.period,
                           t_resolution=M, method=op.method, raw=lam)
 
@@ -305,15 +298,17 @@ def is_nondegenerate(spec, t_resolution=64, tol=None):
     return margin > tol, margin
 
 
+def _clusters(lam, tol):
+    """(start, stop) index pairs of the runs of sorted ``lam`` whose
+    consecutive gaps are at most ``tol``."""
+    if len(lam) == 0:
+        return []
+    edges = (np.flatnonzero(~(np.diff(lam) <= tol)) + 1).tolist()
+    return list(zip([0] + edges, edges + [len(lam)]))
+
+
 def _cluster_gap(lam, tol):
-    reps = []
-    i = 0
-    while i < len(lam):
-        j = i + 1
-        while j < len(lam) and lam[j] - lam[j - 1] <= tol:
-            j += 1
-        reps.append(lam[i:j].mean())
-        i = j
+    reps = [lam[i:j].mean() for i, j in _clusters(lam, tol)]
     if len(reps) < 2:
         return np.inf
     return float(np.diff(reps).min())

@@ -37,6 +37,14 @@ def test_stencils_stay_local():
         assert nz[-1] - nz[0] <= 7
 
 
+def test_cached_stencils_are_read_only():
+    D, P, s, mids = fd_operators(-12.0, 12.0, 96)
+    assert fd_operators(-12.0, 12.0, 96)[0] is D
+    for a in (D, P, s, mids):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
 def test_weight_conjugation_equals_shifted_asymptotics():
     # a mixed-sign weight has a linear profile, so conjugation is exactly a
     # constant shift of the coefficient: assembling (S, weights (-d, +d)) must

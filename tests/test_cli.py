@@ -1,6 +1,9 @@
 """Experiment configs, schema validation, output files, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -223,3 +226,28 @@ def test_float_formatting_fixed_width():
     assert cli.fmt(np.float64(1.0) / 3.0) == "0.33333333333333331"
     assert cli.fmt(7) == "7"
     assert cli.fmt(True) == "true"
+
+
+def test_index_files_identical_across_blas_threads(tmp_path):
+    # criterion 6's isomorphism at grid 384x64: every block has 768 columns
+    # and takes the banded route, whose output does not depend on the number
+    # of BLAS threads (dense SVD differs in the low digits)
+    cfg = ExperimentConfig(
+        name="iso", kind="index",
+        inputs={"problem": contact_problem_json([1.0, 1.0], [1.0, 1.0], n_prime=6.0),
+                "grid": {"s_nodes": 384, "t_nodes": 64}})
+    path = tmp_path / "iso.json"
+    path.write_text(json.dumps(cfg.to_json()))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        # the variables must be set before numpy loads: a fresh interpreter
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "crlab.cli", "index", "--config", str(path), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        outputs.append([(out / "iso" / f).read_bytes() for f in ("index.json", "index.csv")])
+    assert outputs[0] == outputs[1]

@@ -1,5 +1,7 @@
 """Index computations against the analytic formulas and the sweep machinery."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -191,3 +193,99 @@ def test_report_json_fields():
     assert d["index"] == -2
     assert len(d["singular_values"]) == 10
     assert d["tolerance_policy"]["rel_threshold"] == 1e-6
+
+
+# ---------------------------------------------------------------------------
+# banded route of block_singular_values (blocks above 512 columns)
+# ---------------------------------------------------------------------------
+
+def banded_cases():
+    from test_gluing import flow_pair
+    S = LoopOperatorSpec(dim=2, coeff=np.diag([1.0, 1.0]))
+    pu, pw = flow_pair()
+    return {
+        # square contact blocks of 576 columns
+        "isomorphism": (build_contact_fiber_cylinder(S, S), GridSpec(288, 32)),
+        # a wide mode-0 block (kernel 2) and an invertible component
+        "flow_u": (pu, GridSpec(288, 16)),
+        "flow_w": (pw, GridSpec(288, 16)),
+        # scalar blocks of 600 columns: wide mode 0 (growth), tall mode 0 (decay)
+        "wide": (build_trivial_cylinder((-D, -D)), GridSpec(600, 8)),
+        "tall": (build_trivial_cylinder((D, D)), GridSpec(600, 8)),
+    }
+
+
+def dense_reference(op):
+    """The same operator with every block decomposed by values-only dense SVD."""
+    return replace(op, _svals=[np.linalg.svd(b.matrix, compute_uv=False) for b in op.blocks])
+
+
+def svd_calls(monkeypatch):
+    calls = []
+    real = np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        calls.append(a)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    return calls
+
+
+def assert_reports_agree(rep, ref):
+    assert (rep.dim_ker, rep.dim_coker, rep.index, rep.decisive) == (
+        ref.dim_ker, ref.dim_coker, ref.index, ref.decisive)
+    np.testing.assert_allclose(rep.singular_values, ref.singular_values, rtol=1e-9)
+    np.testing.assert_allclose([rep.sigma_max, rep.threshold],
+                               [ref.sigma_max, ref.threshold], rtol=1e-9)
+
+
+@pytest.mark.parametrize("case", sorted(banded_cases()))
+def test_banded_route_matches_dense_reference(case):
+    problem, grid = banded_cases()[case]
+    op = assemble(problem, grid)
+    assert all(b.matrix.shape[1] > 512 for b in op.blocks)
+    ref = dense_reference(op)
+    assert_reports_agree(numerical_index(op), numerical_index(ref))
+    for b, sv, sv_ref in zip(op.blocks, op.block_singular_values(), ref.block_singular_values()):
+        assert sv.shape == sv_ref.shape == (min(b.matrix.shape),)
+        np.testing.assert_allclose(sv, sv_ref, rtol=1e-9)
+
+
+def test_isomorphism_large_blocks_make_no_dense_svd(monkeypatch):
+    op = assemble(*banded_cases()["isomorphism"])
+    calls = svd_calls(monkeypatch)
+    op.block_singular_values()
+    assert calls == []
+
+
+def _guard_rejected():
+    # the positive end's boundary row replaced by the negative end's: a
+    # square block with a one-dimensional kernel and cokernel
+    op = assemble(*banded_cases()["isomorphism"])
+    b = op.blocks[1]
+    M = b.matrix.copy()
+    M[-1] = M[-2]
+    return replace(op, blocks=[replace(b, matrix=M)]), 0
+
+
+def _bandwidth_rejected():
+    # the shift columns of the augmented mode-0 block are dense
+    op = assemble(build_trivial_cylinder((D, D), (2, 2)), GridSpec(264, 8))
+    return op, len(op.blocks) - 1
+
+
+@pytest.mark.parametrize("rejected", [_guard_rejected, _bandwidth_rejected],
+                         ids=["guard", "bandwidth"])
+def test_rejected_block_takes_one_dense_svd(rejected, monkeypatch):
+    op, i = rejected()
+    M = op.blocks[i].matrix
+    assert M.shape[1] > 512
+    calls = svd_calls(monkeypatch)
+    sv = op.block_singular_values()[i]
+    assert sum(a is M for a in calls) == 1
+    monkeypatch.undo()
+    assert np.array_equal(sv, np.linalg.svd(M, compute_uv=False))
+    rep = numerical_index(op)
+    assert_reports_agree(rep, numerical_index(dense_reference(op)))
+    assert rep.dim_ker == 2
