@@ -22,6 +22,17 @@ weight profile.  Augmentation columns are produced by applying the discrete
 operator rows to the sampled shift shapes e^{w(s)} beta_end(s); this keeps
 the discrete kernel relations exact up to the stencil error on e^{w} alone.
 
+Every block, scalar, contact, augmented or coupled, is built from the same
+three helpers.  A mode is given by its t-derivative part ``base`` (the 1x1
+[-2 pi k] of a scalar complex-line mode, 2 pi i k J of a contact mode, the
+trig-basis derivative of the coupled block), B at the midpoints, and each
+end's asymptotic matrix.  ``_stencil_rows`` fills the 8-node band of the
+collocated rows, node-major and field-minor; ``_end_rows`` installs the
+spectral projection at an end; ``_shift_columns`` appends the shift columns.
+The disk cap of a plane is one rule: the trace is constrained along the
+positive eigenspace of ``base``, the Fourier modes that do not extend
+holomorphically over the disk.
+
 Each block is decomposed once per operator, by one of two routes.  A block
 with more than 512 columns whose Gram matrix has bandwidth kd at most n/16
 (the 8-node stencils give kd = 15 on the 2-dimensional contact fiber) gets
@@ -90,6 +101,11 @@ def fd_operators(s_lo, s_hi, n_nodes):
     return _fd_operators(round(float(s_lo), 12), round(float(s_hi), 12), int(n_nodes))
 
 
+def _stencil_starts(n_mids, N):
+    """First node of each midpoint's 8-node stencil: centred, shifted at the edges."""
+    return np.clip(np.arange(n_mids) - (_FD_STENCIL // 2 - 1), 0, N - _FD_STENCIL)
+
+
 @functools.lru_cache(maxsize=32)
 def _fd_operators(s_lo, s_hi, N):
     if N < _FD_STENCIL + 1:
@@ -98,8 +114,7 @@ def _fd_operators(s_lo, s_hi, N):
     mids = 0.5 * (s[:-1] + s[1:])
     D = np.zeros((N - 1, N))
     P = np.zeros((N - 1, N))
-    for i, m in enumerate(mids):
-        w0 = min(max(i - (_FD_STENCIL // 2 - 1), 0), N - _FD_STENCIL)
+    for i, (m, w0) in enumerate(zip(mids, _stencil_starts(N - 1, N))):
         cc = fornberg_weights(m, s[w0:w0 + _FD_STENCIL], 1)
         D[i, w0:w0 + _FD_STENCIL] = cc[:, 1]
         P[i, w0:w0 + _FD_STENCIL] = cc[:, 0]
@@ -139,10 +154,7 @@ class ModeBlock:
         if np.iscomplexobj(M):
             R, I = M.real, M.imag
             return np.block([[R, -I], [I, R]])
-        if self.mult == 2:
-            Z = np.zeros_like(M)
-            return np.block([[M, Z], [Z, M]])
-        return M
+        return _real_pair(M) if self.mult == 2 else M
 
 
 # Blocks of reproduce-all and gluing (at most 384 columns) stay dense, byte for byte.
@@ -199,11 +211,7 @@ class DiscreteOperator:
     """
 
     blocks: list
-    grid: tuple                      # (s_nodes, t_nodes, s_max, spacing)
-    weight_conjugated: bool
-    augmentation_cols: int
-    pde_rows: int
-    bc_rows: int
+    grid: tuple                      # (s_nodes, t_nodes, s_max)
     problem: object = None
     backend: str = "decoupled"
     _matrix: object = field(default=None, repr=False)
@@ -216,6 +224,18 @@ class DiscreteOperator:
     @property
     def cols(self):
         return sum(b.real_cols for b in self.blocks)
+
+    @property
+    def pde_rows(self):
+        return sum(b.mult * b.pde_rows for b in self.blocks)
+
+    @property
+    def bc_rows(self):
+        return sum(b.mult * b.bc_rows for b in self.blocks)
+
+    @property
+    def augmentation_cols(self):
+        return sum(b.aug_cols for b in self.blocks)
 
     @property
     def index_candidate(self):
@@ -260,17 +280,15 @@ class DiscreteOperator:
         blocks = [ModeBlock(k=b.k, matrix=b.matrix.conj().T, mult=b.mult,
                             pde_rows=0, bc_rows=0, aug_cols=0, tag=b.tag + "^T")
                   for b in self.blocks]
-        return DiscreteOperator(blocks=blocks, grid=self.grid,
-                                weight_conjugated=self.weight_conjugated,
-                                augmentation_cols=0, pde_rows=0, bc_rows=0,
-                                problem=self.problem, backend=self.backend + "^T")
+        return DiscreteOperator(blocks=blocks, grid=self.grid, problem=self.problem,
+                                backend=self.backend + "^T")
 
     def export_matrix_market(self, path):
         from scipy.io import mmwrite
         mmwrite(str(path), self.matrix)
 
     def grid_tag(self):
-        s_nodes, t_nodes, s_max, _ = self.grid
+        s_nodes, t_nodes, s_max = self.grid
         return f"{s_nodes}x{t_nodes}@S{s_max:g}"
 
 
@@ -317,62 +335,72 @@ def _bc_scale(s):
 
 
 # ---------------------------------------------------------------------------
-# decoupled backend
+# rows shared by every mode block
 # ---------------------------------------------------------------------------
 
-def _scalar_mode_block(k, D, P, s, mids, wprime, cap_left, bc_signs):
-    """Complex-line mode-k block: d/ds - (2 pi k + w'(s)) on the scalar profile."""
-    c_mid = -2.0 * np.pi * k - wprime(mids)
-    M = D + c_mid[:, None] * P
-    rows = [M]
-    bc = 0
+def _stencil_rows(D, P, C):
+    """Collocated rows of d/ds + C(s) on F = C.shape[1] fields.
+
+    Row block i is sum_j D[i, j] I + P[i, j] C[i], node-major and field-minor.
+    Only each row's 8-node band is filled; the band products are the same
+    einsum products as the dense formula, so the bytes agree with it, signed
+    zeros included.
+    """
+    n, F = C.shape[:2]
+    N = D.shape[1]
+    rows = np.arange(n)[:, None]
+    cols = _stencil_starts(n, N)[:, None] + np.arange(_FD_STENCIL)
+    band = (np.einsum("ib,fg->ifbg", D[rows, cols], np.eye(F)).astype(C.dtype)
+            + np.einsum("ib,ifg->ifbg", P[rows, cols], C))
+    M = np.zeros((n, F, N, F), dtype=C.dtype)
+    M[rows, :, cols, :] = band.transpose(0, 2, 1, 3)
+    return M.reshape(n * F, N * F)
+
+
+def _end_rows(A, keep_positive, node, n_nodes, gamma, what=None):
+    """Boundary rows at ``node``: the spectral projection of the Hermitian A.
+
+    One row per eigenvector of A with positive (``keep_positive``) or
+    negative eigenvalue, conjugated and scaled by gamma, in the node-major
+    layout of ``n_nodes`` nodes.  ``what`` names the end for the spectral-gap
+    guard; the disk cap passes None, its zero eigenvalues being exact.
+    """
+    lam, V = np.linalg.eigh(A)
+    if what is not None:
+        _guard_shifted_spectrum(lam, what)
+    sel = lam > 0 if keep_positive else lam < 0
+    F = len(A)
+    r = np.zeros((int(sel.sum()), n_nodes * F), dtype=A.dtype)
+    r[:, node * F:(node + 1) * F] = gamma * V[:, sel].conj().T
+    return r
+
+
+def _mode_rows(problem, base, B_mid, end_matrix, stencil, prof, tag):
+    """Row groups [stencil, negative-end, positive-end] of one mode.
+
+    The mode's operator is d/ds + base + B(s) - w'(s) on F = len(base)
+    fields: ``base`` is its t-derivative part, ``B_mid`` holds B at the
+    collocation midpoints and ``end_matrix(end)`` gives B at a cylindrical
+    end.  An end keeps the trace components along which the weight-shifted
+    asymptotic matrix decays out of the box: positive eigenvalues at the
+    negative end, negative ones at the positive end.  A plane's disk cap
+    keeps the positive eigenspace of ``base``.
+    """
+    D, P, s, mids = stencil
+    N = len(s)
+    eye = np.eye(len(base))
+    C = base[None, :, :] + B_mid - prof.wprime(mids)[:, None, None] * eye[None, :, :]
+    groups = [_stencil_rows(D, P, C)]
     gamma = _bc_scale(s)
-    c_lo = -2.0 * np.pi * k - bc_signs[0]
-    c_hi = -2.0 * np.pi * k - bc_signs[1]
-    _guard_shifted_spectrum(np.array([c_hi]), f"mode {k} at +s_max")
-    if cap_left:
-        if k < 0:
-            r = np.zeros((1, M.shape[1]))
-            r[0, 0] = gamma
-            rows.append(r)
-            bc += 1
-    else:
-        _guard_shifted_spectrum(np.array([c_lo]), f"mode {k} at -s_max")
-        if c_lo > 0:
-            r = np.zeros((1, M.shape[1]))
-            r[0, 0] = gamma
-            rows.append(r)
-            bc += 1
-    if c_hi < 0:
-        r = np.zeros((1, M.shape[1]))
-        r[0, -1] = gamma
-        rows.append(r)
-        bc += 1
-    return np.vstack(rows), bc
-
-
-def _complex_line_blocks(problem, grid):
-    prof = problem.weight_profile()
-    D, P, s, mids = fd_operators(problem.s_lo, problem.truncation.s_max, grid.s_nodes)
-    K = grid.t_nodes // 2 - 1
-    cap_left = problem.domain_kind == "plane"
-    wp_lo = float(prof.wprime(problem.s_lo))
-    wp_hi = float(prof.wprime(problem.truncation.s_max))
-    wprime = prof.wprime
-
-    blocks = []
-    n_aug = problem.augmentation_dims
-    for k in range(-K, K + 1):
-        if k == 0 and n_aug:
+    for end, node, s_end in ((problem.negative_end, 0, problem.s_lo),
+                             (problem.positive_end, N - 1, problem.truncation.s_max)):
+        if end is None:         # a plane's disk cap
+            groups.append(_end_rows(base, True, node, N, gamma))
             continue
-        M, bc = _scalar_mode_block(k, D, P, s, mids, wprime, cap_left, (wp_lo, wp_hi))
-        _finite_or_raise(M, f"k={k}")
-        blocks.append(ModeBlock(k=k, matrix=M, mult=2, pde_rows=M.shape[0] - bc,
-                                bc_rows=bc, tag=f"scalar k={k}"))
-    if n_aug:
-        blocks.append(_augmented_mode0_block(problem, grid, D, P, s, mids, prof, cap_left,
-                                             (wp_lo, wp_hi)))
-    return blocks, s
+        A = base + end_matrix(end) - float(prof.wprime(s_end)) * eye
+        groups.append(_end_rows(A, end.sign == "negative", node, N, gamma,
+                                f"{tag} at {end.sign} end"))
+    return groups
 
 
 def augmentation_layout(problem):
@@ -390,107 +418,99 @@ def augmentation_layout(problem):
             for comp in range(end.shift_dims)]
 
 
-def _augmentation_shapes(problem, s, prof):
-    """(sampled conjugated shift shape e^{w} beta_end, component) per layout key."""
+def _shift_columns(problem, s, prof, n_rows, apply):
+    """Unit shift columns in ``augmentation_layout`` order, (n_rows, n_aug).
+
+    ``apply(shape, comp)`` returns (first row, values): the operator's
+    residual rows applied to the sampled conjugated shift shape e^{w} beta_end
+    placed in field component comp.  The rest of each column is zero.
+    """
     npr = problem.truncation.n_prime
     ew = np.exp(prof.w(s))
     shapes = {"positive": ew * profiles.cutoff(s, npr),
               "negative": ew * profiles.cutoff(-s, npr)}
     shapes["shared"] = shapes["positive"] + shapes["negative"]
-    return [(shapes[end], comp) for end, comp in augmentation_layout(problem)]
-
-
-def _augmented_mode0_block(problem, grid, D, P, s, mids, prof, cap_left, bc_signs):
-    """Realified mode-0 block of the complex-line fiber with shift columns.
-
-    Unknown layout: [a-component nodes, theta-component nodes, parameters],
-    the parameter columns in ``augmentation_layout`` order.
-    """
-    N = len(s)
-    L = D - prof.wprime(mids)[:, None] * P
-    Z = np.zeros_like(L)
-    pde = np.block([[L, Z], [Z, L]])
-    rows = [pde]
-    bc = 0
-    gamma = _bc_scale(s)
-    wp_lo, wp_hi = bc_signs
-    if not cap_left and -wp_lo > 0:
-        for comp in range(2):
-            r = np.zeros((1, 2 * N))
-            r[0, comp * N] = gamma
-            rows.append(r)
-            bc += 1
-    if -wp_hi < 0:
-        for comp in range(2):
-            r = np.zeros((1, 2 * N))
-            r[0, comp * N + N - 1] = gamma
-            rows.append(r)
-            bc += 1
-    M = np.vstack(rows)
-
-    npde = N - 1
-
-    def column(shape, comp):
-        v = L @ shape
-        c = np.zeros((M.shape[0], 1))
-        c[comp * npde:(comp + 1) * npde, 0] = v
+    layout = augmentation_layout(problem)
+    out = np.empty((n_rows, len(layout)))
+    for j, (end, comp) in enumerate(layout):
+        row, v = apply(shapes[end], comp)
+        c = np.zeros(n_rows)
+        c[row:row + len(v)] = v
         nrm = np.linalg.norm(c)
         if nrm == 0:
             raise AssemblyError("augmentation column vanished")
-        return c / nrm
-
-    cols = [column(shape, comp) for shape, comp in _augmentation_shapes(problem, s, prof)]
-    M = np.hstack([M] + cols)
-    _finite_or_raise(M, "k=0 augmented")
-    n_aug = len(cols)
-    return ModeBlock(k=0, matrix=M, mult=1, pde_rows=pde.shape[0], bc_rows=bc,
-                     aug_cols=n_aug, tag="realified k=0 + shifts")
+        out[:, j] = c / nrm
+    return out
 
 
-def _contact_mode_block(problem, grid, k, D, P, s, mids, prof):
+def _real_pair(M):
+    """Two uncoupled copies of M: [[M, 0], [0, M]]."""
+    Z = np.zeros_like(M)
+    return np.block([[M, Z], [Z, M]])
+
+
+def _mode_block(k, groups, mult, tag, shifts=None):
+    """The block of the stacked row groups, with the shift columns appended."""
+    M = np.vstack(groups)
+    if shifts is not None:
+        M = np.hstack([M, shifts])
+    _finite_or_raise(M, tag)
+    return ModeBlock(k=k, matrix=M, mult=mult, pde_rows=len(groups[0]),
+                     bc_rows=sum(len(g) for g in groups[1:]),
+                     aug_cols=0 if shifts is None else shifts.shape[1], tag=tag)
+
+
+# ---------------------------------------------------------------------------
+# decoupled backend
+# ---------------------------------------------------------------------------
+
+def _complex_line_blocks(problem, grid, stencil, prof):
+    """Scalar modes d/ds - 2 pi k - w'(s), k = -K..K; with shifts, mode 0 is
+    realified, carries the shift columns and comes last.
+
+    The realified unknowns are [a-component nodes, theta-component nodes,
+    parameters], the parameter columns in ``augmentation_layout`` order.
+    """
+    K = grid.t_nodes // 2 - 1
+    n_aug = problem.augmentation_dims
+
+    def rows(k, tag):
+        return _mode_rows(problem, np.array([[-2.0 * np.pi * k]]), 0.0, lambda end: 0.0,
+                          stencil, prof, tag)
+
+    blocks = []
+    for k in range(-K, K + 1):
+        if k == 0 and n_aug:
+            continue
+        tag = f"scalar k={k}"
+        blocks.append(_mode_block(k, rows(k, tag), 2, tag))
+    if n_aug:
+        tag = "realified k=0 + shifts"
+        scalar = rows(0, tag)
+        L = scalar[0]
+        groups = [_real_pair(g) for g in scalar]
+        cols = _shift_columns(problem, stencil[2], prof, sum(map(len, groups)),
+                              lambda shape, comp: (comp * len(L), L @ shape))
+        blocks.append(_mode_block(0, groups, 1, tag, cols))
+    return blocks
+
+
+def _contact_blocks(problem, grid, stencil, prof):
+    """Complex modes d/ds + 2 pi i k J + B(s) - w'(s), k = 0..K; mode k >= 1
+    stands for the conjugate pair +-k."""
     F = problem.fiber_dim
     J = standard_j(F)
-    N = len(s)
-    dtype = float if k == 0 else complex
-    base = (2.0j * np.pi * k * J).astype(complex) if k else np.zeros((F, F))
-    wp = prof.wprime(mids)
-    Bm = np.empty((N - 1, F, F))
-    for i, m in enumerate(mids):
-        Bm[i] = problem.coefficient(m)
-    C = base[None, :, :] + Bm - wp[:, None, None] * np.eye(F)[None, :, :]
-    # rows: kron of the stencil with identity plus interpolated coefficient
-    M = (np.einsum("ij,fg->ifjg", D, np.eye(F)).astype(dtype)
-         + np.einsum("ij,ifg->ifjg", P, C.astype(dtype)))
-    M = M.reshape((N - 1) * F, N * F)
-    rows = [M]
-    bc = 0
-    for end, node in ((problem.negative_end, 0), (problem.positive_end, N - 1)):
-        if end is None:
-            continue
-        sign = end.sign
-        s_end = problem.truncation.s_max if sign == "positive" else problem.s_lo
-        A_end = base + end.asymptotic.constant_matrix() - float(prof.wprime(s_end)) * np.eye(F)
-        lam, V = np.linalg.eigh(A_end)
-        _guard_shifted_spectrum(lam, f"contact mode {k} at {sign} end")
-        sel = lam > 0 if sign == "negative" else lam < 0
-        if sel.any():
-            r = np.zeros((int(sel.sum()), N * F), dtype=dtype)
-            r[:, node * F:(node + 1) * F] = _bc_scale(s) * V[:, sel].conj().T
-            rows.append(r)
-            bc += int(sel.sum())
-    M = np.vstack(rows)
-    _finite_or_raise(M, f"contact k={k}")
-    return ModeBlock(k=k, matrix=M, mult=1 if k == 0 else 2,
-                     pde_rows=(N - 1) * F, bc_rows=bc, tag=f"contact k={k}")
+    B_mid = np.array([problem.coefficient(m) for m in stencil[3]])
 
+    def block(k):
+        # a function scope, so each mode's stencil rows are freed before the next
+        base = (2.0j * np.pi * k * J).astype(complex) if k else np.zeros((F, F))
+        tag = f"contact k={k}"
+        rows = _mode_rows(problem, base, B_mid, lambda end: end.asymptotic.constant_matrix(),
+                          stencil, prof, tag)
+        return _mode_block(k, rows, 1 if k == 0 else 2, tag)
 
-def _contact_blocks(problem, grid):
-    prof = problem.weight_profile()
-    D, P, s, mids = fd_operators(problem.s_lo, problem.truncation.s_max, grid.s_nodes)
-    K = grid.t_nodes // 2 - 1
-    blocks = [_contact_mode_block(problem, grid, k, D, P, s, mids, prof)
-              for k in range(0, K + 1)]
-    return blocks, s
+    return [block(k) for k in range(grid.t_nodes // 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -527,89 +547,33 @@ def _trig_coupling(B_samples, T):
     return C.reshape(nb * F, nb * F)
 
 
-def _coupled_block(problem, grid):
-    F = problem.fiber_dim
+def _coupled_block(problem, grid, stencil, prof):
+    """All trig modes at once: fields are the coefficients of the orthonormal
+    sampled trig basis, node-major; B(s, t) couples the modes."""
     K = grid.t_nodes // 2 - 1
-    nb = 2 * K + 1
-    nfield = nb * F
-    prof = problem.weight_profile()
-    D, P, s, mids = fd_operators(problem.s_lo, problem.truncation.s_max, grid.s_nodes)
+    nfield = (2 * K + 1) * problem.fiber_dim
+    s, mids = stencil[2:]
     N = len(s)
     if N * nfield > 12000:
         raise ResolutionError(
             f"coupled backend size {N * nfield} too large; reduce the grid "
             "or use a t-independent coefficient")
     T, t = _trig_basis(grid.t_nodes, K)
-    Aderiv = _trig_derivative(K, F)
+    B_mid = np.array([_trig_coupling(np.stack([problem.coefficient(m, tj) for tj in t]), T)
+                      for m in mids])
+    groups = _mode_rows(problem, _trig_derivative(K, problem.fiber_dim), B_mid,
+                        lambda end: _trig_coupling(end.asymptotic.sample(t), T),
+                        stencil, prof, "coupled")
+    if not problem.augmentation_dims:
+        return _mode_block(None, groups, 1, "coupled")
 
-    def coeff_op(s_val):
-        Bs = np.stack([problem.coefficient(s_val, tj) for tj in t])
-        return Aderiv + _trig_coupling(Bs, T) - float(prof.wprime(s_val)) * np.eye(nfield)
+    def apply(shape, comp):
+        field = np.zeros((N, nfield))
+        field[:, comp] = shape          # mode-0 basis entry of component comp
+        return 0, groups[0] @ field.reshape(-1)
 
-    M = np.zeros(((N - 1) * nfield, N * nfield))
-    for i, m in enumerate(mids):
-        Ct = coeff_op(m)
-        j0 = np.flatnonzero(D[i])[0]
-        for j in range(j0, j0 + _FD_STENCIL):
-            blockij = D[i, j] * np.eye(nfield) + P[i, j] * Ct
-            M[i * nfield:(i + 1) * nfield, j * nfield:(j + 1) * nfield] += blockij
-    rows = [M]
-    bc = 0
-    for end, node in ((problem.negative_end, 0), (problem.positive_end, N - 1)):
-        if end is None:
-            if problem.domain_kind == "plane":
-                # cap rows: negative Fourier modes of the complex trace
-                cap = []
-                gamma = _bc_scale(s)
-                for k in range(1, K + 1):
-                    c = (2 * k - 1) * F
-                    sgn = 2 * k * F
-                    r1 = np.zeros(N * nfield)
-                    r1[node * nfield + c] = gamma / np.sqrt(2.0)
-                    r1[node * nfield + sgn + 1] = -gamma / np.sqrt(2.0)
-                    r2 = np.zeros(N * nfield)
-                    r2[node * nfield + sgn] = gamma / np.sqrt(2.0)
-                    r2[node * nfield + c + 1] = gamma / np.sqrt(2.0)
-                    cap.extend([r1, r2])
-                if cap:
-                    rows.append(np.vstack(cap))
-                    bc += len(cap)
-            continue
-        sign = end.sign
-        Ss = end.asymptotic.sample(t)
-        A_end = Aderiv + _trig_coupling(Ss, T) - float(
-            prof.wprime(problem.truncation.s_max if sign == "positive" else problem.s_lo)
-        ) * np.eye(nfield)
-        lam, V = np.linalg.eigh(0.5 * (A_end + A_end.T))
-        _guard_shifted_spectrum(lam, f"coupled {sign} end")
-        sel = lam > 0 if sign == "negative" else lam < 0
-        if sel.any():
-            r = np.zeros((int(sel.sum()), N * nfield))
-            r[:, node * nfield:(node + 1) * nfield] = _bc_scale(s) * V[:, sel].T
-            rows.append(r)
-            bc += int(sel.sum())
-    Mfull = np.vstack(rows)
-
-    n_aug = problem.augmentation_dims
-    if n_aug:
-        if problem.fiber != "complex_line":
-            raise AssemblyError("augmentation requires the complex-line fiber")
-        pde_rows = (N - 1) * nfield
-        Lrows = Mfull[:pde_rows]
-
-        def column(shape, comp):
-            field = np.zeros((N, nfield))
-            field[:, comp] = shape          # mode-0 basis entry of component comp
-            vec = Lrows @ field.reshape(-1)
-            c = np.zeros((Mfull.shape[0], 1))
-            c[:pde_rows, 0] = vec
-            return c / np.linalg.norm(c)
-
-        cols = [column(shape, comp) for shape, comp in _augmentation_shapes(problem, s, prof)]
-        Mfull = np.hstack([Mfull] + cols)
-    _finite_or_raise(Mfull, "coupled")
-    return ModeBlock(k=None, matrix=Mfull, mult=1, pde_rows=(N - 1) * nfield,
-                     bc_rows=bc, aug_cols=n_aug, tag="coupled"), s
+    cols = _shift_columns(problem, s, prof, sum(map(len, groups)), apply)
+    return _mode_block(None, groups, 1, "coupled", cols)
 
 
 # ---------------------------------------------------------------------------
@@ -627,30 +591,21 @@ def assemble(problem: CRProblem, grid: GridSpec = None, backend: str = None):
     problem.check_end_decay()
     if backend is None:
         backend = "coupled" if problem.t_dependent else "decoupled"
-    if backend == "decoupled":
-        if problem.t_dependent:
-            raise AssemblyError("t-dependent coefficients cannot decouple")
-        if problem.fiber == "complex_line":
-            blocks, s = _complex_line_blocks(problem, grid)
-        else:
-            blocks, s = _contact_blocks(problem, grid)
-    elif backend == "coupled":
-        block, s = _coupled_block(problem, grid)
-        blocks = [block]
-    else:
+    if backend not in ("decoupled", "coupled"):
         raise ValueError(f"unknown backend {backend!r}")
-    spacing = (s[-1] - s[0]) / (len(s) - 1)
-    op = DiscreteOperator(
-        blocks=blocks,
-        grid=(grid.s_nodes, grid.t_nodes, problem.truncation.s_max, spacing),
-        weight_conjugated=True,
-        augmentation_cols=sum(b.aug_cols for b in blocks),
-        pde_rows=sum(b.mult * b.pde_rows for b in blocks),
-        bc_rows=sum(b.mult * b.bc_rows for b in blocks),
-        problem=problem,
-        backend=backend,
-    )
-    return op
+    if backend == "decoupled" and problem.t_dependent:
+        raise AssemblyError("t-dependent coefficients cannot decouple")
+    args = (problem, grid, fd_operators(problem.s_lo, problem.truncation.s_max, grid.s_nodes),
+            problem.weight_profile())
+    if backend == "coupled":
+        blocks = [_coupled_block(*args)]
+    elif problem.fiber == "complex_line":
+        blocks = _complex_line_blocks(*args)
+    else:
+        blocks = _contact_blocks(*args)
+    return DiscreteOperator(blocks=blocks,
+                            grid=(grid.s_nodes, grid.t_nodes, problem.truncation.s_max),
+                            problem=problem, backend=backend)
 
 
 def kernel_vectors(op, threshold):

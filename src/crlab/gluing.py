@@ -165,12 +165,8 @@ def component_kernel(problem, grid=None, policy=DEFAULT_POLICY):
                 a, th = v[:N], v[N:2 * N]
                 field = (a + 1j * th)[:, None]
                 params = dict(zip(augmentation_layout(problem), v[2 * N:]))
-            elif problem.fiber == "complex_line":
-                field = v[:, None]
-                params = {}
             else:
-                F = problem.fiber_dim
-                field = v.reshape(N, F)
+                field = v.reshape(N, -1)    # node-major, field-minor
                 params = {}
             out.append(KernelVector(k=block.k, s=s, field=field, params=params))
     return out, rep
@@ -228,8 +224,6 @@ def _glued_block_vector(glued_op, kv, shift, cutoff, side):
         for col, key in enumerate(augmentation_layout(problem)):
             if key[0] == own and key in kv.params:
                 vec[2 * N + col] = kv.params[key]
-    elif problem.fiber == "complex_line":
-        vec = g[:, 0].astype(block.matrix.dtype if np.iscomplexobj(block.matrix) else float)
     else:
         vec = g.reshape(-1)
     nrm = np.linalg.norm(vec)

@@ -104,6 +104,8 @@ class LoopOperatorSpec:
         return out
 
     def sup_norm(self, samples=64):
+        if self.is_constant:
+            return float(np.linalg.norm(self.constant_matrix(), 2))
         ts = np.arange(samples) / samples
         return float(max(np.linalg.norm(S, 2) for S in self.sample(ts)))
 
@@ -323,23 +325,19 @@ def spectral_flow(path, steps=32, t_resolution=64, max_refinements=2000):
     spectrum moves more than half the minimal cluster gap in one step, so no
     crossing can be missed.
     """
-    ok0, m0 = is_nondegenerate(path(0.0), t_resolution)
-    ok1, m1 = is_nondegenerate(path(1.0), t_resolution)
-    if not ok0 or not ok1:
-        raise DegenerateEndError(
-            f"path endpoints must be nondegenerate (margins {m0:.2e}, {m1:.2e})")
-
-    def eigs(s):
-        op = assemble_loop_operator(path(s), t_resolution)
-        return np.linalg.eigvalsh(op.matrix)
-
     cache = {}
 
     def lam(s):
         key = round(s, 14)
         if key not in cache:
-            cache[key] = eigs(s)
+            cache[key] = np.linalg.eigvalsh(assemble_loop_operator(path(s), t_resolution).matrix)
         return cache[key]
+
+    # the endpoint test of is_nondegenerate, on the cached spectra
+    m0, m1 = (float(np.abs(lam(u)).min()) for u in (0.0, 1.0))
+    if not (m0 > path(0.0).degeneracy_tol() and m1 > path(1.0).degeneracy_tol()):
+        raise DegenerateEndError(
+            f"path endpoints must be nondegenerate (margins {m0:.2e}, {m1:.2e})")
 
     flow = 0
     budget = max_refinements

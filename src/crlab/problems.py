@@ -57,15 +57,15 @@ class EndSpec:
                 raise FredholmWeightError(
                     f"|weight| = {abs(self.weight)} outside (0, 2*pi) on a complex-line end")
             return
-        ok, margin = is_nondegenerate(self.asymptotic, t_resolution)
-        if not ok:
+        lam = np.linalg.eigvalsh(assemble_loop_operator(self.asymptotic, t_resolution).matrix)
+        tol = self.asymptotic.degeneracy_tol()
+        margin = float(np.abs(lam).min())
+        if not margin > tol:
             raise DegenerateEndError(
                 f"contact-fiber end has degenerate asymptotic operator (margin {margin:.2e})")
         shift = -self.weight if self.sign == "negative" else self.weight
-        op = assemble_loop_operator(self.asymptotic, t_resolution)
-        lam = np.linalg.eigvalsh(op.matrix)
         shifted_margin = float(np.abs(lam - shift).min())
-        if shifted_margin <= self.asymptotic.degeneracy_tol():
+        if shifted_margin <= tol:
             raise FredholmWeightError(
                 f"weight {self.weight} hits the asymptotic spectrum "
                 f"(shifted margin {shifted_margin:.2e})")
@@ -111,10 +111,6 @@ class GridSpec:
             raise ValueError(f"s_nodes must be >= 16, got {self.s_nodes}")
         if self.t_nodes < 8 or self.t_nodes % 2 != 0:
             raise ValueError(f"t_nodes must be even and >= 8, got {self.t_nodes}")
-
-    def scaled(self, factor):
-        return GridSpec(s_nodes=int(round(self.s_nodes * factor)),
-                        t_nodes=max(8, 2 * (int(round(self.t_nodes * factor)) // 2)))
 
     def to_json(self):
         return {"s_nodes": self.s_nodes, "t_nodes": self.t_nodes}
@@ -164,6 +160,8 @@ class CRProblem:
         else:
             if len(ends) != 1 or ends[0].sign != "positive":
                 raise ValueError("a plane needs exactly one positive end")
+            if self.fiber != "complex_line":
+                raise ValueError("a plane needs the complex-line fiber")
         if self.fiber == "contact_fiber" and any(e.shift_dims for e in ends):
             raise ValueError("augmentation shifts live on the complex-line part only")
         for e in ends:
@@ -233,12 +231,6 @@ class CRProblem:
     def t_dependent(self):
         return self.coeff_st is not None or any(
             not e.asymptotic.is_constant for e in self.ends)
-
-    def end_matrix(self, sign):
-        for e in self.ends:
-            if e.sign == sign:
-                return e.asymptotic.constant_matrix() if e.asymptotic.is_constant else None
-        return None
 
     def check_end_decay(self):
         """Coefficient at |s| = s_max must match the end data to e^{-kappa (s_max - n_prime)}."""
@@ -347,7 +339,16 @@ def problem_from_json(d):
     trunc = Truncation.from_json(d["truncation"])
     fiber = d["fiber"]
     kind = d["domain_kind"]
+    # the complex-line builders install i d/dt themselves: refuse other data
+    if fiber == "complex_line":
+        for e in ends:
+            if e.asymptotic.dim != 2 or np.any(e.asymptotic.constant_matrix()):
+                raise CoefficientError(
+                    f"{e.sign} end: a complex-line end's asymptotic operator is i d/dt "
+                    "(dim 2, zero coefficient)")
     if kind == "plane":
+        if fiber != "complex_line":
+            raise ValueError("a plane needs the complex-line fiber")
         (e,) = ends
         return build_plane(e.weight, e.shift_dims, trunc, label=d.get("label", ""))
     if fiber == "complex_line":

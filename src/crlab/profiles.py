@@ -21,21 +21,9 @@ def smoothstep(x):
     return y * y * y * (10.0 + y * (-15.0 + 6.0 * y))
 
 
-def smoothstep_d(x):
-    """Derivative of :func:`smoothstep`."""
-    y = np.clip(x, 0.0, 1.0)
-    inside = (np.asarray(x) > 0.0) & (np.asarray(x) < 1.0)
-    return np.where(inside, 30.0 * y * y * (1.0 - y) ** 2, 0.0)
-
-
 def cutoff(s, n_prime):
     """Cutoff beta(s): identically 0 for s <= n_prime, 1 for s >= n_prime + 1."""
     return smoothstep(np.asarray(s) - n_prime)
-
-
-def cutoff_d(s, n_prime):
-    """Derivative of :func:`cutoff`, supported on (n_prime, n_prime + 1)."""
-    return smoothstep_d(np.asarray(s) - n_prime)
 
 
 def _phi(x):

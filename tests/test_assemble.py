@@ -3,16 +3,24 @@
 import numpy as np
 import pytest
 
-from crlab.assemble import assemble, augmentation_layout, fd_operators, fornberg_weights
+from crlab.assemble import (
+    _stencil_rows,
+    assemble,
+    augmentation_layout,
+    fd_operators,
+    fornberg_weights,
+)
 from crlab.exceptions import (
     AssemblyError,
     CoefficientError,
     FredholmWeightError,
     ResolutionError,
 )
-from crlab.indexing import index_of, numerical_index
+from crlab.indexing import analytic_index, index_of, numerical_index
 from crlab.loops import LoopOperatorSpec
 from crlab.problems import (
+    CRProblem,
+    EndSpec,
     GridSpec,
     Truncation,
     build_contact_fiber_cylinder,
@@ -156,14 +164,55 @@ def test_cap_condition_matches_laurent_oracle():
         assert rep.dim_ker == 2 * len(admissible)
 
 
-def test_full_and_decoupled_backends_agree():
-    S = LoopOperatorSpec(dim=2, coeff=np.diag([1.0, 1.0]))
-    p = build_contact_fiber_cylinder(S, S, truncation=Truncation(6.0, 3.0))
+_SMALL = Truncation(6.0, 3.0)
+_S1 = LoopOperatorSpec(dim=2, coeff=np.diag([1.0, 1.0]))
+_BACKEND_CASES = {
+    "contact": build_contact_fiber_cylinder(_S1, _S1, truncation=_SMALL),
+    **{f"plane{w:+g}_sd{sd}": build_plane(w, sd, truncation=_SMALL)
+       for w in (1.0, -1.0) for sd in (0, 1, 2)},
+    **{f"cylinder{w}_sd{sd}": build_trivial_cylinder(w, sd, truncation=_SMALL)
+       for w, sd in (((1.0, 1.0), (2, 2)), ((1.0, 1.0), (1, 2)), ((1.0, -1.0), (2, 0)))},
+}
+
+
+@pytest.mark.parametrize("p", _BACKEND_CASES.values(), ids=_BACKEND_CASES.keys())
+def test_full_and_decoupled_backends_agree(p):
+    # capped planes and shift columns included: the coupled backend realizes
+    # the cap and the augmentation in the trig basis, the decoupled per mode
     grid = GridSpec(48, 16)
     rep_d = index_of(p, grid, backend="decoupled")
     rep_c = index_of(p, grid, backend="coupled")
-    assert rep_d.index == rep_c.index == 0
+    assert (rep_c.index, rep_c.dim_ker, rep_c.dim_coker, rep_c.decisive) == \
+        (rep_d.index, rep_d.dim_ker, rep_d.dim_coker, rep_d.decisive)
+    assert rep_d.index == analytic_index(p)
+    assert abs(rep_d.sigma_max - rep_c.sigma_max) < 1e-8 * rep_d.sigma_max
+    assert np.allclose(rep_c.singular_values, rep_d.singular_values, rtol=0, atol=1e-8)
     assert abs(rep_d.min_singular_value - rep_c.min_singular_value) < 1e-8
+
+
+@pytest.mark.parametrize("F", [1, 2, 4])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_stencil_rows_match_dense_formula(F, dtype):
+    # byte for byte, signed zeros included: the rank decisions downstream
+    # read the signs through LAPACK's Householder reflections
+    rng = np.random.default_rng(F)
+    D, P, _, _ = fd_operators(-3.0, 3.0, 24)
+    C = rng.normal(size=(23, F, F)).astype(dtype)
+    if dtype is complex:
+        C += 1j * rng.normal(size=C.shape)
+    C[::3] = 0.0
+    C[1::5] = -0.0
+    dense = (np.einsum("ij,fg->ifjg", D, np.eye(F)).astype(dtype)
+             + np.einsum("ij,ifg->ifjg", P, C)).reshape(23 * F, 24 * F)
+    M = _stencil_rows(D, P, C)
+    assert M.dtype == dense.dtype and M.shape == dense.shape
+    assert M.tobytes() == dense.tobytes()
+
+
+def test_contact_fiber_plane_rejected():
+    with pytest.raises(ValueError, match="complex-line"):
+        CRProblem(domain_kind="plane", ends=(EndSpec("positive", _S1, 0.5),),
+                  fiber="contact_fiber")
 
 
 def test_coupled_backend_handles_t_dependent_coefficients():

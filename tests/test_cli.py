@@ -174,6 +174,37 @@ def test_error_exit_and_summary(tmp_path):
     assert "ERROR" in (tmp_path / "boom" / "summary.txt").read_text()
 
 
+def _contact_fiber_plane_json():
+    return {"domain_kind": "plane",
+            "ends": [{"sign": "positive", "weight": 0.5, "shift_dims": 0,
+                      "asymptotic": {"dim": 4, "coeff": {"kind": "diag",
+                                                         "values": [1.0, 2.0, 3.0, 4.0]}}}],
+            "fiber": "contact_fiber",
+            "truncation": {"s_max": 12.0, "n_prime": 6.0}}
+
+
+def _complex_line_with_asymptotics_json():
+    p = trivial_problem_json()
+    for end, vals in zip(p["ends"], ([3.0, 3.0], [-5.0, -5.0])):
+        end["asymptotic"]["coeff"] = {"kind": "diag", "values": vals}
+    return p
+
+
+@pytest.mark.parametrize("make_problem", [_contact_fiber_plane_json,
+                                          _complex_line_with_asymptotics_json],
+                         ids=["contact_fiber_plane", "complex_line_with_asymptotics"])
+def test_config_the_builders_cannot_honour_is_an_error(tmp_path, make_problem):
+    # the builders would index another problem: the complex-line plane, or
+    # the trivial cylinder with i d/dt at both ends
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"name": "other", "kind": "index",
+                                "inputs": {"problem": make_problem()},
+                                "output_dir": str(tmp_path)}))
+    assert cli.main(["index", "--config", str(path)]) == EXIT_ERROR
+    assert (tmp_path / "other" / "summary.txt").read_text().startswith("ERROR:")
+    assert not (tmp_path / "other" / "index.json").exists()
+
+
 def test_main_entry_with_config_file(tmp_path):
     cfg = {"name": "fromfile", "kind": "index",
            "inputs": {"problem": trivial_problem_json(), "expect_index": -2},

@@ -176,6 +176,28 @@ def test_spectral_flow_degenerate_endpoint_rejected():
         spectral_flow(path)
 
 
+def test_each_loop_operator_is_solved_once(monkeypatch):
+    import crlab.loops as loops
+    import crlab.problems as problems
+    calls = []
+    real = loops.assemble_loop_operator
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(loops, "assemble_loop_operator", counting)
+    monkeypatch.setattr(problems, "assemble_loop_operator", counting)
+    S = LoopOperatorSpec(dim=2, coeff=np.diag([1.0, 1.0]))
+    path = linear_path(S, LoopOperatorSpec(dim=2, coeff=np.diag([1.2, 1.2])))
+    assert spectral_flow(path, steps=1) == 0
+    assert len(calls) == 2            # the two endpoints, no refinement
+    calls.clear()
+    problems.EndSpec("positive", S, 0.5).validate_weight("contact_fiber")
+    assert len(calls) == 1
+    assert S.sup_norm() == np.linalg.norm(np.diag([1.0, 1.0]), 2)
+
+
 def test_spectral_flow_refinement_budget():
     from crlab.exceptions import TrackingError
     path = linear_path(LoopOperatorSpec(dim=2, coeff=np.diag([-3.0, -3.0])),
