@@ -225,6 +225,9 @@ def _run_vdim(config, out, grid=None):
     lines = [f"vdim: {len(graphs)} graphs"]
     pair_rows = []
     for pid, pair in enumerate(config.inputs.get("pairs", [])):
+        if max(pair["degenerate"], pair["smooth"]) >= len(graphs):
+            raise ConfigError(f"names a graph beyond the {len(graphs)} given",
+                              f"/inputs/pairs/{pid}")
         cd = dimension.codimension(graphs[pair["degenerate"]], graphs[pair["smooth"]])
         pair_rows.append((pid, cd))
         if "expect_codim" in pair and cd != pair["expect_codim"]:
@@ -366,10 +369,10 @@ def main(argv=None):
     if args.grid:
         try:
             s_nodes, t_nodes = (int(x) for x in args.grid.lower().split("x"))
-        except Exception:
-            print(f"bad --grid value {args.grid!r}; expected SxT", file=sys.stderr)
+            grid = GridSpec(s_nodes=s_nodes, t_nodes=t_nodes)
+        except ValueError as exc:
+            print(f"bad --grid value {args.grid!r}; expected SxT ({exc})", file=sys.stderr)
             return EXIT_ERROR
-        grid = GridSpec(s_nodes=s_nodes, t_nodes=t_nodes)
 
     try:
         if args.config:

@@ -25,10 +25,6 @@ class DegenerateEndError(CRLabError):
     """An asymptotic operator required to be nondegenerate has a zero eigenvalue."""
 
 
-class TrackingError(CRLabError):
-    """Adaptive eigenvalue tracking exceeded its refinement budget."""
-
-
 class AssemblyError(CRLabError):
     """Discrete operator assembly failed an internal consistency check."""
 

@@ -14,7 +14,8 @@ blocks of criterion 6).
 The analytic route never assembles the two-dimensional operator: on the
 complex-line fiber it anchors at the invertible mixed-weight cylinder and
 walks to the requested weights by wall-crossing window counts; on the
-contact fiber it equals minus the spectral flow of the interpolation path.
+contact fiber it equals minus the spectral flow of the interpolation path,
+read off the negative-eigenvalue counts of its two end operators alone.
 
 Orientation convention for the analytic contact-fiber index: the interpolation
 path is traversed from the positive end to the negative end.  With the
@@ -157,7 +158,7 @@ def _integer_multiples_between(lo, hi, t_resolution=64):
     return count_window(rep, lo, hi)
 
 
-def analytic_index(problem, t_resolution=64, flow_steps=32):
+def analytic_index(problem, t_resolution=64):
     """Integer index without assembling the 2-D operator.
 
     Complex-line fiber: the count of trivial-spectrum points between the
@@ -184,7 +185,7 @@ def analytic_index(problem, t_resolution=64, flow_steps=32):
         B = problem.coefficient(s_phys) - float(prof.wprime(s_phys)) * np.eye(dim)
         return LoopOperatorSpec(dim=dim, coeff=0.5 * (B + B.T))
 
-    return -spectral_flow(path, steps=flow_steps, t_resolution=t_resolution)
+    return -spectral_flow(path, t_resolution=t_resolution)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 The operators analyzed here have the form A(z) = J0 dz/dt + S(t) z acting on
 loops z: S^1 = R/Z -> R^{2n}, with J0 the standard complex structure in block
 form and S(t) a symmetric coefficient loop.  Their spectra control Fredholm
-weights, window counts control wall-crossing jumps, and the signed count of
-eigenvalue crossings along a path of such operators (the spectral flow)
-computes indices of the cylinder operators built in :mod:`crlab.assemble`.
+weights, window counts control wall-crossing jumps, and the spectral flow of
+a path of such operators computes indices of the cylinder operators built in
+:mod:`crlab.assemble`.  On the discrete operators the flow is the drop in the
+number of negative eigenvalues between the endpoints: only those are solved.
 
 Sign convention, fixed once for the whole package:
 
@@ -28,7 +29,6 @@ from .exceptions import (
     DegenerateEndError,
     NumericalError,
     ResolutionError,
-    TrackingError,
 )
 
 SYMMETRY_TOL = 1e-12
@@ -309,56 +309,21 @@ def _clusters(lam, tol):
     return list(zip([0] + edges, edges + [len(lam)]))
 
 
-def _cluster_gap(lam, tol):
-    reps = [lam[i:j].mean() for i, j in _clusters(lam, tol)]
-    if len(reps) < 2:
-        return np.inf
-    return float(np.diff(reps).min())
-
-
-def spectral_flow(path, steps=32, t_resolution=64, max_refinements=2000):
+def spectral_flow(path, t_resolution=64):
     """Signed count of eigenvalue crossings through zero along a spec path.
 
-    ``path`` maps s in [0, 1] to a :class:`LoopOperatorSpec`.  Both endpoints
-    must be nondegenerate.  The flow is accumulated as the per-step drop of
-    the negative-eigenvalue count, with adaptive bisection whenever the
-    spectrum moves more than half the minimal cluster gap in one step, so no
-    crossing can be missed.
+    ``path`` maps s in [0, 1] to a :class:`LoopOperatorSpec`; both endpoints
+    must be nondegenerate.  On one circle grid every operator of the path is a
+    symmetric matrix of one size, so the crossings sum to the drop of the
+    negative-eigenvalue count between the endpoints (Robbin & Salamon, 1995).
     """
-    cache = {}
-
-    def lam(s):
-        key = round(s, 14)
-        if key not in cache:
-            cache[key] = np.linalg.eigvalsh(assemble_loop_operator(path(s), t_resolution).matrix)
-        return cache[key]
-
-    # the endpoint test of is_nondegenerate, on the cached spectra
-    m0, m1 = (float(np.abs(lam(u)).min()) for u in (0.0, 1.0))
-    if not (m0 > path(0.0).degeneracy_tol() and m1 > path(1.0).degeneracy_tol()):
+    specs = (path(0.0), path(1.0))
+    lams = [np.linalg.eigvalsh(assemble_loop_operator(sp, t_resolution).matrix) for sp in specs]
+    m0, m1 = (float(np.abs(lam).min()) for lam in lams)
+    if not (m0 > specs[0].degeneracy_tol() and m1 > specs[1].degeneracy_tol()):
         raise DegenerateEndError(
             f"path endpoints must be nondegenerate (margins {m0:.2e}, {m1:.2e})")
-
-    flow = 0
-    budget = max_refinements
-    stack = [(i / steps, (i + 1) / steps) for i in reversed(range(steps))]
-    while stack:
-        a, b = stack.pop()
-        la, lb = lam(a), lam(b)
-        scale = 1.0 + max(np.abs(la).max(), np.abs(lb).max())
-        ctol = 1e-6 * scale
-        movement = float(np.abs(la - lb).max())
-        gap = min(_cluster_gap(la, ctol), _cluster_gap(lb, ctol))
-        if movement > 0.5 * gap and movement > 1e-9 * scale:
-            budget -= 1
-            if budget < 0:
-                raise TrackingError("adaptive refinement exceeded the step budget")
-            m = 0.5 * (a + b)
-            stack.append((m, b))
-            stack.append((a, m))
-            continue
-        flow += int(np.count_nonzero(la < 0.0)) - int(np.count_nonzero(lb < 0.0))
-    return flow
+    return int(np.count_nonzero(lams[0] < 0.0)) - int(np.count_nonzero(lams[1] < 0.0))
 
 
 def linear_path(spec0, spec1):

@@ -351,14 +351,13 @@ def problem_from_json(d):
             raise ValueError("a plane needs the complex-line fiber")
         (e,) = ends
         return build_plane(e.weight, e.shift_dims, trunc, label=d.get("label", ""))
+    if sorted(e.sign for e in ends) != ["negative", "positive"]:
+        raise ValueError("a cylinder needs one negative and one positive end")
+    neg, pos = sorted(ends, key=lambda e: e.sign)
     if fiber == "complex_line":
-        neg = next(e for e in ends if e.sign == "negative")
-        pos = next(e for e in ends if e.sign == "positive")
         return build_trivial_cylinder((neg.weight, pos.weight),
                                       (neg.shift_dims, pos.shift_dims), trunc,
                                       label=d.get("label", ""))
-    neg = next(e for e in ends if e.sign == "negative")
-    pos = next(e for e in ends if e.sign == "positive")
     return build_contact_fiber_cylinder(neg.asymptotic, pos.asymptotic,
                                         truncation=trunc,
                                         weights=(neg.weight, pos.weight),

@@ -25,6 +25,17 @@ def mode_oracle_eigenvalues(S, kmax=24):
     return np.sort(np.array(out))
 
 
+# dim-4 endpoints with margins 1.148 and 1.305 and spectral flow 0 along the
+# linear path, on which two eigenvalues come within 7e-5 of each other near
+# s = 0.09
+NEAR_COLLISION_ENDPOINTS = (
+    [[-5.1, 0.4, -0.4, -4.6], [0.4, -4.4, 2.2, -3.6], [-0.4, 2.2, 0.4, 1.7],
+     [-4.6, -3.6, 1.7, -3.4]],
+    [[-0.9, -0.6, 0.5, 3.1], [-0.6, 1.7, -2.6, 2.5], [0.5, -2.6, 0.9, -1.0],
+     [3.1, 2.5, -1.0, 3.2]],
+)
+
+
 def oracle_min_abs_eigenvalue(S, kmax=8):
     return float(np.abs(mode_oracle_eigenvalues(S, kmax)).min())
 

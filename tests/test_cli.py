@@ -8,6 +8,8 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import NEAR_COLLISION_ENDPOINTS
+
 import crlab.cli as cli
 from crlab.cli import EXIT_ERROR, EXIT_INDECISIVE, EXIT_OK, ExperimentConfig, run
 from crlab.exceptions import ConfigError
@@ -203,6 +205,56 @@ def test_config_the_builders_cannot_honour_is_an_error(tmp_path, make_problem):
     assert cli.main(["index", "--config", str(path)]) == EXIT_ERROR
     assert (tmp_path / "other" / "summary.txt").read_text().startswith("ERROR:")
     assert not (tmp_path / "other" / "index.json").exists()
+
+
+def test_index_on_near_collision_cylinder(tmp_path):
+    # the interpolation path between these ends carries two eigenvalues that
+    # nearly collide; the analytic index must still come out
+    p = contact_problem_json([1.0, 1.0], [1.0, 1.0])
+    for end, S in zip(p["ends"], NEAR_COLLISION_ENDPOINTS):
+        end["asymptotic"] = {"dim": 4, "coeff": {"kind": "constant", "matrix": S}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"name": "near", "kind": "index",
+                                "inputs": {"problem": p, "grid": {"s_nodes": 96, "t_nodes": 16}},
+                                "output_dir": str(tmp_path)}))
+    assert cli.main(["index", "--config", str(path)]) == EXIT_OK
+    assert "analytic index = 0: PASS" in (tmp_path / "near" / "summary.txt").read_text()
+
+
+def _odd_grid(tmp_path):
+    return ["reproduce-all", "--out", str(tmp_path), "--grid", "96x33"]
+
+
+def _pair_of_missing_graph(tmp_path):
+    from crlab.dimension import broken_pair
+    return _config_argv(tmp_path, "vdim", {"graphs": [broken_pair(1, 1).to_json()],
+                                           "pairs": [{"degenerate": 0, "smooth": 1}]})
+
+
+def _cylinder_without_negative_end(tmp_path):
+    p = trivial_problem_json()
+    p["ends"][0]["sign"] = "positive"
+    return _config_argv(tmp_path, "index", {"problem": p})
+
+
+def _config_argv(tmp_path, kind, inputs):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"name": "bad", "kind": kind, "inputs": inputs,
+                                "output_dir": str(tmp_path)}))
+    return [kind, "--config", str(path)]
+
+
+@pytest.mark.parametrize("make_argv, message", [
+    (_odd_grid, "bad --grid value '96x33'"),
+    (_pair_of_missing_graph, "ERROR: ConfigError: /inputs/pairs/0: names a graph beyond the 1 given"),
+    (_cylinder_without_negative_end,
+     "ERROR: ValueError: a cylinder needs one negative and one positive end"),
+], ids=["odd_grid", "pair_of_missing_graph", "cylinder_without_negative_end"])
+def test_malformed_input_is_a_clean_error(tmp_path, capsys, make_argv, message):
+    assert cli.main(make_argv(tmp_path)) == EXIT_ERROR
+    summary = tmp_path / "bad" / "summary.txt"
+    reported = summary.read_text() if summary.exists() else capsys.readouterr().err
+    assert reported.startswith(message)
 
 
 def test_main_entry_with_config_file(tmp_path):

@@ -2,8 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from conftest import mode_oracle_eigenvalues, oracle_min_abs_eigenvalue, random_symmetric
+from conftest import (
+    NEAR_COLLISION_ENDPOINTS,
+    mode_oracle_eigenvalues,
+    oracle_min_abs_eigenvalue,
+    random_symmetric,
+)
 
 from crlab.exceptions import (
     AmbiguousWindowError,
@@ -140,7 +147,7 @@ def test_nondegeneracy_margins():
 
 def test_spectral_flow_constant_path_is_zero():
     spec = LoopOperatorSpec(dim=2, coeff=np.diag([1.0, 1.0]))
-    assert spectral_flow(lambda s: spec, steps=4) == 0
+    assert spectral_flow(lambda s: spec) == 0
 
 
 def test_spectral_flow_double_crossing():
@@ -176,6 +183,36 @@ def test_spectral_flow_degenerate_endpoint_rejected():
         spectral_flow(path)
 
 
+def _symmetric_matrices(dim):
+    # entries in [-6, 6] on a 0.1 grid; the upper triangle is mirrored
+    upper = np.triu_indices(dim)
+
+    def mirror(vals):
+        S = np.zeros((dim, dim))
+        S[upper] = np.array(vals) / 10.0
+        return (S + np.triu(S, 1).T).tolist()
+
+    n = len(upper[0])
+    return st.lists(st.integers(-60, 60), min_size=n, max_size=n).map(mirror)
+
+
+ENDPOINT_PAIRS = st.sampled_from([2, 4]).flatmap(
+    lambda dim: st.tuples(_symmetric_matrices(dim), _symmetric_matrices(dim)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(pair=ENDPOINT_PAIRS)
+@example(pair=NEAR_COLLISION_ENDPOINTS)
+def test_spectral_flow_matches_mode_oracle(pair):
+    S0, S1 = (np.array(S) for S in pair)
+    assume(oracle_min_abs_eigenvalue(S0) >= 0.2 and oracle_min_abs_eigenvalue(S1) >= 0.2)
+    dim = S0.shape[0]
+    path = linear_path(LoopOperatorSpec(dim=dim, coeff=S0), LoopOperatorSpec(dim=dim, coeff=S1))
+    lam0, lam1 = (mode_oracle_eigenvalues(S, kmax=24) for S in (S0, S1))
+    want = int(np.count_nonzero(lam0 < 0)) - int(np.count_nonzero(lam1 < 0))
+    assert spectral_flow(path) == want
+
+
 def test_each_loop_operator_is_solved_once(monkeypatch):
     import crlab.loops as loops
     import crlab.problems as problems
@@ -190,20 +227,12 @@ def test_each_loop_operator_is_solved_once(monkeypatch):
     monkeypatch.setattr(problems, "assemble_loop_operator", counting)
     S = LoopOperatorSpec(dim=2, coeff=np.diag([1.0, 1.0]))
     path = linear_path(S, LoopOperatorSpec(dim=2, coeff=np.diag([1.2, 1.2])))
-    assert spectral_flow(path, steps=1) == 0
+    assert spectral_flow(path) == 0
     assert len(calls) == 2            # the two endpoints, no refinement
     calls.clear()
     problems.EndSpec("positive", S, 0.5).validate_weight("contact_fiber")
     assert len(calls) == 1
     assert S.sup_norm() == np.linalg.norm(np.diag([1.0, 1.0]), 2)
-
-
-def test_spectral_flow_refinement_budget():
-    from crlab.exceptions import TrackingError
-    path = linear_path(LoopOperatorSpec(dim=2, coeff=np.diag([-3.0, -3.0])),
-                       LoopOperatorSpec(dim=2, coeff=np.diag([3.0, 3.0])))
-    with pytest.raises(TrackingError):
-        spectral_flow(path, steps=1, max_refinements=0)
 
 
 def test_fourier_and_fd_methods_agree_on_low_spectrum():
