@@ -33,12 +33,15 @@ The disk cap of a plane is one rule: the trace is constrained along the
 positive eigenspace of ``base``, the Fourier modes that do not extend
 holomorphically over the disk.
 
-Each block is decomposed once per operator, by one of two routes.  A block
-with more than 512 columns whose Gram matrix has bandwidth kd at most n/16
-(the 8-node stencils give kd = 15 on the 2-dimensional contact fiber) gets
-its singular values as square roots of the Gram eigenvalues from LAPACK's
-banded eigensolver, in O(n^2 kd) instead of O(n^3).  Every other block,
-augmented blocks among them (their shift columns are dense), takes the
+Each block is decomposed once per operator, by one of two routes chosen by
+the block's structure alone.  A block without shift columns from the
+decoupled backend keeps the stencil row layout: every row lives in an
+8-node window (8F columns on F fields), so its Gram matrix is banded, with
+bandwidth 8F - 1 for tall and square blocks (7 on a scalar mode, 15 on the
+2-dimensional contact fiber).  Such a block gets its singular values as
+square roots of the Gram eigenvalues from LAPACK's banded eigensolver, the
+band built straight from the row windows, in O(n^2 kd) instead of O(n^3).
+Blocks with shift columns (dense columns) and the coupled block take the
 values-only dense SVD, which stays the reference.  A guard sends a banded
 block back to dense SVD when its smallest Gram eigenvalue is below 1e-8
 times its largest (sigma_min < 1e-4 sigma_max), because squaring blurs
@@ -139,6 +142,10 @@ class ModeBlock:
     bc_rows: int
     aug_cols: int = 0
     tag: str = ""
+    # unknowns per s-node when the rows are 8-node stencil rows followed by end
+    # rows at the first or last node (unshifted decoupled blocks, which take
+    # the banded route); 0 for blocks without that layout
+    fields: int = 0
 
     @property
     def real_rows(self):
@@ -157,37 +164,65 @@ class ModeBlock:
         return _real_pair(M) if self.mult == 2 else M
 
 
-# Blocks of reproduce-all and gluing (at most 384 columns) stay dense, byte for byte.
-_BANDED_MIN_COLS = 512
-# A wider band erodes the O(n^2 kd) gain; dense shift columns fail this test.
-_BANDED_MAX_KD_FRACTION = 1 / 16
 # Squaring blurs values below 1e-4 sigma_max, near the rank threshold: dense SVD there.
 _GRAM_GUARD = 1e-8
 
 
-def _banded_singular_values(M):
-    """Singular values of M from the eigenvalues of its smaller Gram matrix.
+def _gram_band(b):
+    """Upper band storage of the smaller Gram matrix of a stencil-layout block.
 
-    The Gram matrix (M^H M for tall and square M, M M^H for wide M, whose
-    rows are first ordered by their first nonzero column so appended boundary
-    rows sit next to their node) is built from the sparse pattern and handed
-    to LAPACK's banded eigensolver in upper band storage.  Returns None when
-    the bandwidth exceeds n/16 or lambda_min < 1e-8 lambda_max; the caller
-    then decomposes M densely.
+    Every row of the block lives in a window of 8F columns: stencil row group
+    i starts at column ``_stencil_starts(...)[i] * F``, a negative-end row at
+    node 0 takes the first window and a positive-end row at node N-1 the
+    last.  For tall and square M the band of M^H M sums each row's window
+    outer product (bandwidth 8F - 1); for wide M the band of M M^H pairs
+    each row with the rows after it over its own window, the negative-end
+    rows moved to the front so the rows follow their windows.
     """
-    wide = M.shape[0] < M.shape[1]
-    if wide:
-        M = M[np.argsort(np.argmax(M != 0, axis=1), kind="stable")]
-    A = sp.csr_matrix(M)
-    G = (A @ A.conj().T if wide else A.conj().T @ A).tocoo()
-    upper = G.row <= G.col
-    r, c = G.row[upper], G.col[upper]
-    kd = int((c - r).max(initial=0))
-    if kd > _BANDED_MAX_KD_FRACTION * G.shape[0]:
-        return None
-    ab = np.zeros((kd + 1, G.shape[0]), dtype=G.dtype)
-    ab[kd + r - c, c] = G.data[upper]
-    lam = scipy.linalg.eig_banded(ab, eigvals_only=True, overwrite_a_band=True,
+    M, F = b.matrix, b.fields
+    n_rows, n_cols = M.shape
+    N = n_cols // F
+    width = _FD_STENCIL * F
+    negative = M[b.pde_rows:, :F].any(axis=1)
+    ends = b.pde_rows + np.arange(len(negative))
+    order = np.concatenate([ends[negative], np.arange(b.pde_rows), ends[~negative]])
+    starts = np.concatenate([np.zeros(negative.sum(), dtype=int),
+                             np.repeat(_stencil_starts(N - 1, N) * F, F),
+                             np.full(len(negative) - negative.sum(), n_cols - width)])
+    window = starts[:, None] + np.arange(width)
+    V = M[order[:, None], window]
+    if n_rows >= n_cols:
+        kd = width - 1
+        p, q = np.triu_indices(width)
+        idx = ((kd + p - q) * n_cols + window[:, q]).ravel()
+        prod = (V[:, p].conj() * V[:, q]).ravel()
+        size = (kd + 1) * n_cols
+        if np.iscomplexobj(prod):
+            band = (np.bincount(idx, prod.real, size)
+                    + 1j * np.bincount(idx, prod.imag, size))
+        else:
+            band = np.bincount(idx, prod, size)
+        return band.reshape(kd + 1, n_cols)
+    rows = np.arange(n_rows)
+    # row r meets the rows after it up to the last one whose window starts inside its own
+    kd = int((np.searchsorted(starts, starts + width) - 1 - rows).max())
+    partner = rows[:, None] + np.arange(kd + 1)
+    P = M[order[np.minimum(partner, n_rows - 1)][:, :, None], window[:, None, :]]
+    G = np.einsum("rx,rex->re", V, P.conj())
+    r, e = np.nonzero(partner < n_rows)
+    ab = np.zeros((kd + 1, n_rows), dtype=M.dtype)
+    ab[kd - e, r + e] = G[r, e]
+    return ab
+
+
+def _banded_singular_values(b):
+    """Singular values of a stencil-layout block from the eigenvalues of its
+    smaller Gram matrix (``_gram_band``), by LAPACK's banded eigensolver.
+
+    Returns None when lambda_min < 1e-8 lambda_max; the caller then
+    decomposes the block densely.
+    """
+    lam = scipy.linalg.eig_banded(_gram_band(b), eigvals_only=True, overwrite_a_band=True,
                                   check_finite=False)
     if lam[0] < _GRAM_GUARD * lam[-1]:
         return None
@@ -204,10 +239,12 @@ class DiscreteOperator:
     once the boundary rows are installed; both row groups are recorded.
 
     Each block is decomposed once per operator, in ``block_singular_values``
-    (banded Gram eigenvalues for large banded blocks, dense SVD otherwise);
-    the rank decision, the kernel directions and the gluing stability
-    constant all read that cache.  Values from the banded route agree with
-    dense SVD to about eps (sigma_max / sigma)^2 relative, not bit for bit.
+    (banded Gram eigenvalues for unshifted decoupled blocks, dense SVD for
+    the others and for the blocks the guard rejects); the rank decision, the
+    kernel directions and the gluing stability constant all read that cache,
+    and ``block_routes`` says which route computed each block.  Values from
+    the banded route agree with dense SVD to about eps (sigma_max / sigma)^2
+    relative, not bit for bit.
     """
 
     blocks: list
@@ -216,6 +253,7 @@ class DiscreteOperator:
     backend: str = "decoupled"
     _matrix: object = field(default=None, repr=False)
     _svals: object = field(default=None, repr=False)
+    _routes: object = field(default=None, repr=False)
 
     @property
     def rows(self):
@@ -251,25 +289,30 @@ class DiscreteOperator:
     def block_singular_values(self):
         """Singular values of each block: all min(rows, cols), descending.
 
-        Computed on first use and cached on the operator.  A block with more
-        than 512 columns whose Gram matrix has bandwidth at most n/16 takes
-        the banded route (``_banded_singular_values``); every other block, and
-        every block the route's accuracy guard rejects, takes the reference
-        values-only ``np.linalg.svd``.
+        Computed on first use and cached on the operator.  A block with the
+        stencil row layout (``ModeBlock.fields``) takes the banded route
+        (``_banded_singular_values``); every other block, and every block the
+        route's accuracy guard rejects, takes the reference values-only
+        ``np.linalg.svd``.
         """
         if self._svals is None:
-            svals = []
+            svals, routes = [], []
             for b in self.blocks:
                 try:
-                    sv = (_banded_singular_values(b.matrix)
-                          if b.matrix.shape[1] > _BANDED_MIN_COLS else None)
+                    sv = _banded_singular_values(b) if b.fields else None
+                    routes.append("direct_svd" if sv is None else "banded_gram")
                     if sv is None:
                         sv = np.linalg.svd(b.matrix, compute_uv=False)
                 except np.linalg.LinAlgError as exc:  # pragma: no cover
                     raise NumericalError(f"SVD failed on block {b.tag}: {exc}") from exc
                 svals.append(sv)
-            self._svals = svals
+            self._svals, self._routes = svals, routes
         return self._svals
+
+    def block_routes(self):
+        """How each block's singular values were computed: "banded_gram" or "direct_svd"."""
+        self.block_singular_values()
+        return self._routes
 
     def singular_values(self):
         """All singular values with real multiplicities, ascending."""
@@ -449,15 +492,20 @@ def _real_pair(M):
     return np.block([[M, Z], [Z, M]])
 
 
-def _mode_block(k, groups, mult, tag, shifts=None):
-    """The block of the stacked row groups, with the shift columns appended."""
+def _mode_block(k, groups, mult, tag, shifts=None, fields=0):
+    """The block of the stacked row groups, with the shift columns appended.
+
+    ``fields`` is given for the unshifted decoupled blocks, whose rows keep
+    the stencil layout the banded route reads.
+    """
     M = np.vstack(groups)
     if shifts is not None:
         M = np.hstack([M, shifts])
     _finite_or_raise(M, tag)
     return ModeBlock(k=k, matrix=M, mult=mult, pde_rows=len(groups[0]),
                      bc_rows=sum(len(g) for g in groups[1:]),
-                     aug_cols=0 if shifts is None else shifts.shape[1], tag=tag)
+                     aug_cols=0 if shifts is None else shifts.shape[1], tag=tag,
+                     fields=fields)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +531,7 @@ def _complex_line_blocks(problem, grid, stencil, prof):
         if k == 0 and n_aug:
             continue
         tag = f"scalar k={k}"
-        blocks.append(_mode_block(k, rows(k, tag), 2, tag))
+        blocks.append(_mode_block(k, rows(k, tag), 2, tag, fields=1))
     if n_aug:
         tag = "realified k=0 + shifts"
         scalar = rows(0, tag)
@@ -508,7 +556,7 @@ def _contact_blocks(problem, grid, stencil, prof):
         tag = f"contact k={k}"
         rows = _mode_rows(problem, base, B_mid, lambda end: end.asymptotic.constant_matrix(),
                           stencil, prof, tag)
-        return _mode_block(k, rows, 1 if k == 0 else 2, tag)
+        return _mode_block(k, rows, 1 if k == 0 else 2, tag, fields=F)
 
     return [block(k) for k in range(grid.t_nodes // 2)]
 

@@ -3,13 +3,14 @@
 The numerical route decomposes each mode block once per operator (in
 ``DiscreteOperator.block_singular_values``), counts singular values under a
 scale-relative threshold, and refuses to guess when the gap between kept and
-discarded values is not decisive.  Blocks with more than 512 columns and a
-Gram bandwidth of at most n/16 get their singular values from the banded
-eigenvalues of the Gram matrix; all others, and any such block with
-sigma_min < 1e-4 sigma_max (the accuracy guard), from dense SVD.  Every
-rank-deficient block is therefore decided by dense SVD, and a banded value
-carries a relative error of order 1e-8 at worst (below 1e-12 on the contact
-blocks of criterion 6).
+discarded values is not decisive.  Every block without shift columns from
+the decoupled backend gets its singular values from the banded eigenvalues
+of its Gram matrix; blocks with shift columns, the coupled block, and any
+block with sigma_min < 1e-4 sigma_max (the accuracy guard), from dense SVD.
+Every rank-deficient block is therefore decided by dense SVD, and a banded
+value carries a relative error of order 1e-8 at worst (below 1e-11 on the
+operators of ``reproduce-all``).  The report's ``method`` names the routes
+that decided.
 
 The analytic route never assembles the two-dimensional operator: on the
 complex-line fiber it anchors at the invertible mixed-weight cylinder and
@@ -69,6 +70,10 @@ DEFAULT_POLICY = TolerancePolicy()
 
 @dataclass
 class IndexReport:
+    """Rank decision of one operator.  ``method`` names the routes that
+    computed its blocks' singular values: ``banded_gram``, ``direct_svd``, or
+    ``banded_gram+direct_svd`` when the blocks took both."""
+
     dim_ker: int
     dim_coker: int
     index: int
@@ -134,7 +139,7 @@ def numerical_index(op, policy=DEFAULT_POLICY):
     return IndexReport(
         dim_ker=ker, dim_coker=coker, index=index,
         singular_values=[float(x) for x in merged[:10]],
-        gap_ratio=gap_ratio, decisive=decisive, method="direct_svd",
+        gap_ratio=gap_ratio, decisive=decisive, method="+".join(sorted(set(op.block_routes()))),
         grid_tag=op.grid_tag(), tolerance_policy=policy,
         threshold=theta, sigma_max=sigma_max)
 

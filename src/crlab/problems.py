@@ -349,6 +349,8 @@ def problem_from_json(d):
     if kind == "plane":
         if fiber != "complex_line":
             raise ValueError("a plane needs the complex-line fiber")
+        if [e.sign for e in ends] != ["positive"]:
+            raise ValueError("a plane needs exactly one positive end")
         (e,) = ends
         return build_plane(e.weight, e.shift_dims, trunc, label=d.get("label", ""))
     if sorted(e.sign for e in ends) != ["negative", "positive"]:

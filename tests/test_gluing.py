@@ -1,5 +1,7 @@
 """Gluing: neck construction, approximate kernels, stability, additivity."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,9 @@ from crlab.gluing import (
 from crlab.indexing import index_of, numerical_index
 from crlab.loops import LoopOperatorSpec
 from crlab.problems import GridSpec, Truncation, build_contact_fiber_cylinder, build_trivial_cylinder
+
+# the package's ``assemble`` attribute is the function, not the module
+assemble_module = importlib.import_module("crlab.assemble")
 
 TRUNC = Truncation(s_max=12.0, n_prime=3.0)
 
@@ -111,7 +116,9 @@ def test_iso_pair_has_empty_approximate_kernel():
     assert n_tau.size == 0
     # the constant equals the global minimum singular value, positive
     c = stability_constant(op, n_tau)
-    assert c == min(np.linalg.svd(b.matrix, compute_uv=False)[-1] for b in op.blocks)
+    assert c == min(sv[-1] for sv in op.block_singular_values())
+    dense = min(np.linalg.svd(b.matrix, compute_uv=False)[-1] for b in op.blocks)
+    np.testing.assert_allclose(c, dense, rtol=1e-9)
     assert c > 0.3
 
 
@@ -213,7 +220,8 @@ def test_each_block_is_decomposed_once_per_gluing_pass(monkeypatch):
     pu, pw = flow_pair()
     ops, kernels = [], []
     real_svd, real_assemble, real_approx = np.linalg.svd, gluing.assemble, gluing.approximate_kernel
-    calls = []
+    real_banded = assemble_module._banded_singular_values
+    calls, banded = [], []
 
     def svd(a, *args, **kwargs):
         calls.append((a, kwargs.get("compute_uv", True)))
@@ -227,7 +235,14 @@ def test_each_block_is_decomposed_once_per_gluing_pass(monkeypatch):
         kernels.append(real_approx(*args, **kwargs))
         return kernels[-1]
 
+    def banded_spy(b):
+        sv = real_banded(b)
+        if sv is not None:
+            banded.append(id(b.matrix))
+        return sv
+
     monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(assemble_module, "_banded_singular_values", banded_spy)
     monkeypatch.setattr(gluing, "assemble", assemble_spy)
     monkeypatch.setattr(gluing, "approximate_kernel", approx_spy)
     rep = verify_additivity(pu, pw, (8.0, 12.0))
@@ -238,8 +253,8 @@ def test_each_block_is_decomposed_once_per_gluing_pass(monkeypatch):
     values_only = [id(a) for a, uv in calls if not uv and id(a) in block_ids]
     restricted = [a for a, uv in calls if not uv and id(a) not in block_ids]
     full = [a for a, uv in calls if uv]
-    # every assembled block: exactly one values-only decomposition
-    assert sorted(values_only) == sorted(block_ids)
+    # every assembled block: exactly one decomposition, banded or values-only dense
+    assert sorted(values_only + banded) == sorted(block_ids)
 
     def rank_deficient(op):
         svs = [np.linalg.svd(b.matrix, compute_uv=False) for b in op.blocks]

@@ -1,5 +1,6 @@
 """Index computations against the analytic formulas and the sweep machinery."""
 
+import importlib
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +27,9 @@ from crlab.problems import (
     build_plane,
     build_trivial_cylinder,
 )
+
+# the package's ``assemble`` attribute is the function, not the module
+assemble_module = importlib.import_module("crlab.assemble")
 
 D = 1.0
 
@@ -217,7 +221,8 @@ def banded_cases():
 
 def dense_reference(op):
     """The same operator with every block decomposed by values-only dense SVD."""
-    return replace(op, _svals=[np.linalg.svd(b.matrix, compute_uv=False) for b in op.blocks])
+    return replace(op, _svals=[np.linalg.svd(b.matrix, compute_uv=False) for b in op.blocks],
+                   _routes=["direct_svd"] * len(op.blocks))
 
 
 def svd_calls(monkeypatch):
@@ -289,3 +294,63 @@ def test_rejected_block_takes_one_dense_svd(rejected, monkeypatch):
     rep = numerical_index(op)
     assert_reports_agree(rep, numerical_index(dense_reference(op)))
     assert rep.dim_ker == 2
+
+
+def test_reproduce_all_operators_match_dense_reference(tmp_path, monkeypatch):
+    import crlab.cli as cli
+    import crlab.gluing as gluing
+    import crlab.indexing as indexing
+    ops, rejected, values_only = [], [], []
+    real_assemble, real_banded, real_svd = (indexing.assemble,
+                                            assemble_module._banded_singular_values,
+                                            np.linalg.svd)
+
+    def assemble_spy(*args, **kwargs):
+        ops.append(real_assemble(*args, **kwargs))
+        return ops[-1]
+
+    def banded_spy(b):
+        sv = real_banded(b)
+        if sv is None:
+            rejected.append(b)
+        return sv
+
+    def svd(a, *args, **kwargs):
+        if not kwargs.get("compute_uv", True):
+            values_only.append(a)
+        return real_svd(a, *args, **kwargs)
+
+    for module in (indexing, gluing):
+        monkeypatch.setattr(module, "assemble", assemble_spy)
+    monkeypatch.setattr(assemble_module, "_banded_singular_values", banded_spy)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    assert cli.main(["reproduce-all", "--out", str(tmp_path)]) == cli.EXIT_OK
+    monkeypatch.undo()
+
+    blocks = [b for op in ops for b in op.blocks]
+    # 8 index rows, the two gluing components and the glued problems at 4 taus
+    assert len(ops) == 14 and sum(op.problem.label.startswith("glue(") for op in ops) == 4
+    block_ids = {id(b.matrix) for b in blocks}
+    dense = [a for a in values_only if id(a) in block_ids]
+    assert len(dense) == sum(b.aug_cols > 0 for b in blocks) + len(rejected)
+    for op in ops:
+        ref = dense_reference(op)
+        rep, rep_ref = numerical_index(op), numerical_index(ref)
+        assert_reports_agree(rep, rep_ref)
+        np.testing.assert_allclose(rep.gap_ratio, rep_ref.gap_ratio, rtol=1e-9)
+        for sv, sv_ref in zip(op.block_singular_values(), ref.block_singular_values()):
+            np.testing.assert_allclose(sv, sv_ref, rtol=1e-9)
+
+
+def _isomorphism():
+    S = LoopOperatorSpec(dim=2, coeff=np.diag([1.0, 1.0]))
+    return assemble(build_contact_fiber_cylinder(S, S))
+
+
+@pytest.mark.parametrize("make_op, method", [
+    (_isomorphism, "banded_gram"),
+    (lambda: assemble(build_trivial_cylinder((D, D), (2, 2))), "banded_gram+direct_svd"),
+    (lambda: _guard_rejected()[0], "direct_svd"),
+], ids=["isomorphism", "augmented", "guard_rejected"])
+def test_report_method_names_the_routes(make_op, method):
+    assert numerical_index(make_op()).method == method
