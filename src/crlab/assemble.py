@@ -358,9 +358,9 @@ def required_s_nodes(problem):
     return max(base, need)
 
 
-def _guard_shifted_spectrum(values, what, tol=1e-9):
+def _guard_shifted_spectrum(values, what):
     m = float(np.abs(values).min())
-    if m <= tol:
+    if m <= 1e-9:
         raise FredholmWeightError(
             f"{what}: weight-shifted asymptotic spectrum within {m:.2e} of zero")
 

@@ -23,9 +23,9 @@ from jsonschema import Draft202012Validator
 
 from . import dimension, gluing
 from .assemble import assemble
-from .exceptions import ConfigError, CRLabError, IndecisiveRankError
+from .exceptions import ConfigError, CRLabError
 from .indexing import analytic_index, delta_sweep, index_of, numerical_index
-from .loops import LoopOperatorSpec, assemble_loop_operator, count_window, spectrum
+from .loops import T_RESOLUTION, LoopOperatorSpec, assemble_loop_operator, count_window, spectrum
 from .problems import (
     GridSpec,
     Truncation,
@@ -138,7 +138,7 @@ def _grid_from_inputs(inputs, override=None):
 
 def _run_spectrum(config, out, grid=None):
     spec = LoopOperatorSpec.from_json(config.inputs["spec"])
-    res = int(config.inputs.get("t_resolution", 64))
+    res = int(config.inputs.get("t_resolution", T_RESOLUTION))
     method = config.inputs.get("method", "fourier")
     rep = spectrum(assemble_loop_operator(spec, res, method))
     write_json(os.path.join(out, "spectrum.json"), rep.to_json())
@@ -200,7 +200,10 @@ def _run_glue(config, out, grid=None):
     pu = problem_from_json(config.inputs["problem_u"])
     pw = problem_from_json(config.inputs["problem_w"])
     taus = config.inputs["taus"]
-    rep = gluing.verify_additivity(pu, pw, taus)
+    # --grid sets both component grids and the circle resolution of the
+    # glued assemblies; their s-resolution follows the glued truncation
+    rep = gluing.verify_additivity(pu, pw, taus, grid, grid,
+                                   t_nodes=grid.t_nodes if grid else None)
     write_csv(os.path.join(out, "glue.csv"),
               ("tau", "ind_u", "ind_w", "ind_glued", "decisive",
                "stability_constant", "max_residual"),
@@ -271,8 +274,8 @@ def _run_reproduce_all(config, out, grid=None):
     rep_mixed = index_of(build_trivial_cylinder((-d, d)), grid)
     check("mixed_weight_index", rep_mixed.index, 0)
     check("mixed_weight_invertible", rep_mixed.min_singular_value > 0.05, True)
-    win = count_window(spectrum(assemble_loop_operator(LoopOperatorSpec(dim=2), 64)),
-                       -d, d)
+    win = count_window(
+        spectrum(assemble_loop_operator(LoopOperatorSpec(dim=2), T_RESOLUTION)), -d, d)
     check("wall_crossing_jump", rep_mixed.index - rep.index, 2)
     check("wall_crossing_window", win, 2)
     rep_pg = index_of(build_plane(-d), grid)
@@ -334,9 +337,6 @@ def run(config, grid_override=None, out_override=None):
     os.makedirs(out, exist_ok=True)
     try:
         code, lines = RUNNERS[config.kind](config, out, grid=grid_override)
-    except IndecisiveRankError as exc:
-        write_atomic(os.path.join(out, "summary.txt"), f"INDECISIVE: {exc}\n")
-        return EXIT_INDECISIVE
     except (CRLabError, ValueError, KeyError) as exc:
         write_atomic(os.path.join(out, "summary.txt"),
                      f"ERROR: {type(exc).__name__}: {exc}\n")

@@ -197,11 +197,9 @@ def configuration_dim(g):
 
 def target_symmetry_count(g):
     """One translation per map component on each target level: levels are
-    counted as many times as they carry components."""
-    count = 0
-    for lvl in range(g.levels):
-        count += sum(1 for c in g.components if c.target_level == lvl)
-    return count
+    counted as many times as they carry components, and every component sits
+    on one of the graph's levels."""
+    return len(g.components)
 
 
 def unparameterized_dim(g):
@@ -241,15 +239,15 @@ def _pin_rotations(symmetries, components, seams):
     out = list(symmetries)
     for (ci, pi, cj, nj) in seams:
         for idx in (ci, cj):
-            if components[idx].has_rotation and out[idx] > -10**9:
+            if components[idx].has_rotation:
                 out[idx] -= 1
                 break
     return out
 
 
-def _mk(neg, pos, ind, trivial=False, level=0, sym=None):
+def _mk(neg, pos, ind, trivial=False, level=0):
     return Component(neg_ends=neg, pos_ends=pos, ind_L2=ind, trivial=trivial,
-                     domain_symmetry_dim=sym, target_level=level)
+                     target_level=level)
 
 
 def _with_presets(components, seams, levels):
@@ -260,9 +258,8 @@ def _with_presets(components, seams, levels):
 
 
 def single_cylinder(ind=0, x_minus="x-", x_plus="x+"):
-    c = _mk((OrbitLabel(x_minus),), (OrbitLabel(x_plus),), ind, level=0,
-            sym=aut_minus_moduli(2))
-    return ConfigurationGraph(components=(c,), seams=(), levels=1)
+    c = _mk((OrbitLabel(x_minus),), (OrbitLabel(x_plus),), ind)
+    return _with_presets((c,), (), levels=1)
 
 
 def one_bubble_pair(ind_bubble=0, ind_w=0):
@@ -304,8 +301,7 @@ def multi_end_bubble_pair(m=4, ind_bubble=0, ind_w=0):
 def multi_end_bubble_glued(m=4, ind=0):
     neg = (OrbitLabel("y-0"),)
     pos = tuple(OrbitLabel(f"y+{i}") for i in range(m - 2))
-    c = _mk(neg, pos, ind, level=0, sym=aut_minus_moduli(m - 1))
-    return ConfigurationGraph(components=(c,), seams=(), levels=1)
+    return _with_presets((_mk(neg, pos, ind),), (), levels=1)
 
 
 def multi_end_split_pair(m=3, ind_u=0, ind_w=0):
@@ -323,8 +319,7 @@ def multi_end_split_pair(m=3, ind_u=0, ind_w=0):
 def multi_end_split_glued(m=3, ind=0):
     neg = (OrbitLabel("z-"), OrbitLabel("y-0"))
     pos = tuple(OrbitLabel(f"y+{i}") for i in range(m - 2))
-    c = _mk(neg, pos, ind, level=0, sym=aut_minus_moduli(m))
-    return ConfigurationGraph(components=(c,), seams=(), levels=1)
+    return _with_presets((_mk(neg, pos, ind),), (), levels=1)
 
 
 def double_multi_split_pair(m1=3, m2=3, ind_u=0, ind_w=0):
@@ -342,8 +337,7 @@ def double_multi_split_pair(m1=3, m2=3, ind_u=0, ind_w=0):
 def double_multi_split_glued(m1=3, m2=3, ind=0):
     neg = tuple(OrbitLabel(f"u-{i}") for i in range(m1 - 1))
     pos = tuple(OrbitLabel(f"w+{i}") for i in range(m2 - 1))
-    c = _mk(neg, pos, ind, level=0, sym=aut_minus_moduli(m1 + m2 - 2))
-    return ConfigurationGraph(components=(c,), seams=(), levels=1)
+    return _with_presets((_mk(neg, pos, ind),), (), levels=1)
 
 
 # ---------------------------------------------------------------------------
@@ -359,15 +353,12 @@ def splice_trivial(graph, seam_index):
     """
     (ci, pi, cj, nj) = graph.seams[seam_index]
     orbit = graph.components[ci].pos_ends[pi]
-    t = Component(neg_ends=(orbit,), pos_ends=(orbit,), ind_L2=0, trivial=True,
-                  domain_symmetry_dim=None, target_level=graph.levels)
+    t = _mk((orbit,), (orbit,), 0, trivial=True, level=graph.levels)
     comps = graph.components + (t,)
     t_idx = len(comps) - 1
     seams = tuple(s for i, s in enumerate(graph.seams) if i != seam_index)
     seams += ((ci, pi, t_idx, 0), (t_idx, 0, cj, nj))
-    pinned = _pin_rotations([aut_minus_moduli(c.n_ends) for c in comps], comps, seams)
-    comps = tuple(replace(c, domain_symmetry_dim=s) for c, s in zip(comps, pinned))
-    return ConfigurationGraph(components=comps, seams=seams, levels=graph.levels + 1)
+    return _with_presets(comps, seams, graph.levels + 1)
 
 
 def splice_consistency(graph, seam_index):

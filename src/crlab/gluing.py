@@ -27,8 +27,8 @@ import scipy.linalg
 from . import profiles
 from .assemble import assemble, augmentation_layout, kernel_vectors
 from .exceptions import IncompatibleEndsError
-from .indexing import DEFAULT_POLICY, numerical_index
-from .problems import CRProblem, Truncation, default_grid_for
+from .indexing import numerical_index
+from .problems import CRProblem, GridSpec, Truncation, default_grid_for
 
 _END_MATCH_SAMPLES = 16
 _END_MATCH_TOL = 1e-10
@@ -148,11 +148,11 @@ class KernelVector:
     params: dict
 
 
-def component_kernel(problem, grid=None, policy=DEFAULT_POLICY):
+def component_kernel(problem, grid=None):
     """Orthonormalized kernel vectors of a component, with the index report."""
     grid = grid or default_grid_for(problem.truncation)
     op = assemble(problem, grid)
-    rep = numerical_index(op, policy)
+    rep = numerical_index(op)
     s = np.linspace(problem.s_lo, problem.truncation.s_max, grid.s_nodes)
     out = []
     for block, V in kernel_vectors(op, rep.threshold):
@@ -334,24 +334,22 @@ class AdditivityReport:
                          for r in self.rows]}
 
 
-def verify_additivity(problem_u, problem_w, taus, grid_u=None, grid_w=None,
-                      policy=DEFAULT_POLICY, t_nodes=None):
+def verify_additivity(problem_u, problem_w, taus, grid_u=None, grid_w=None, t_nodes=None):
     """Index additivity across the tau sweep, with kernel-transplant metrics.
 
     Passes when index(glued) == index(u) + index(w) at every decisive tau.
     ``t_nodes`` overrides the circle resolution of the glued assemblies.
     """
-    ker_u, rep_u = component_kernel(problem_u, grid_u, policy)
-    ker_w, rep_w = component_kernel(problem_w, grid_w, policy)
+    ker_u, rep_u = component_kernel(problem_u, grid_u)
+    ker_w, rep_w = component_kernel(problem_w, grid_w)
     rows = []
     for tau in taus:
         glued, config = glue(problem_u, problem_w, tau)
         grid_g = default_grid_for(glued.truncation)
         if t_nodes is not None:
-            from .problems import GridSpec
             grid_g = GridSpec(s_nodes=grid_g.s_nodes, t_nodes=t_nodes)
         op = assemble(glued, grid_g)
-        rep = numerical_index(op, policy)
+        rep = numerical_index(op)
         n_tau = approximate_kernel(ker_u, ker_w, config, op)
         res = transplant_residuals(op, n_tau)
         rows.append(AdditivityRow(

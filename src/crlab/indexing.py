@@ -40,6 +40,7 @@ from .exceptions import (
     InstabilityError,
 )
 from .loops import (
+    T_RESOLUTION,
     LoopOperatorSpec,
     assemble_loop_operator,
     count_window,
@@ -144,26 +145,26 @@ def numerical_index(op, policy=DEFAULT_POLICY):
         threshold=theta, sigma_max=sigma_max)
 
 
-def index_of(problem, grid=None, policy=DEFAULT_POLICY, backend=None):
-    """Assemble and decompose in one step."""
-    return numerical_index(assemble(problem, grid, backend=backend), policy)
+def index_of(problem, grid=None, backend=None):
+    """Assemble and decompose in one step, under ``DEFAULT_POLICY``."""
+    return numerical_index(assemble(problem, grid, backend=backend))
 
 
 # ---------------------------------------------------------------------------
 # analytic route
 # ---------------------------------------------------------------------------
 
-def _integer_multiples_between(lo, hi, t_resolution=64):
+def _integer_multiples_between(lo, hi):
     """Real multiplicity of the trivial asymptotic spectrum 2 pi Z in (lo, hi),
     counted through the loop-operator window machinery."""
     if not lo < hi:
         return 0
     spec2 = LoopOperatorSpec(dim=2)
-    rep = spectrum(assemble_loop_operator(spec2, t_resolution))
+    rep = spectrum(assemble_loop_operator(spec2, T_RESOLUTION))
     return count_window(rep, lo, hi)
 
 
-def analytic_index(problem, t_resolution=64):
+def analytic_index(problem):
     """Integer index without assembling the 2-D operator.
 
     Complex-line fiber: the count of trivial-spectrum points between the
@@ -177,8 +178,8 @@ def analytic_index(problem, t_resolution=64):
         if problem.domain_kind == "plane":
             base = 2 if dp < 0 else 0
             return base + problem.augmentation_dims
-        plus = _integer_multiples_between(dm, -dp, t_resolution)
-        minus = _integer_multiples_between(-dp, dm, t_resolution)
+        plus = _integer_multiples_between(dm, -dp)
+        minus = _integer_multiples_between(-dp, dm)
         return plus - minus + problem.augmentation_dims
 
     prof = problem.weight_profile()
@@ -190,7 +191,7 @@ def analytic_index(problem, t_resolution=64):
         B = problem.coefficient(s_phys) - float(prof.wprime(s_phys)) * np.eye(dim)
         return LoopOperatorSpec(dim=dim, coeff=0.5 * (B + B.T))
 
-    return -spectral_flow(path, t_resolution=t_resolution)
+    return -spectral_flow(path)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +222,7 @@ class SweepReport:
         return out
 
 
-def delta_sweep(problem, deltas, grid=None, policy=DEFAULT_POLICY):
+def delta_sweep(problem, deltas, grid=None):
     """Recompute the index across weight magnitudes, recording index jumps.
 
     Each sample keeps the sign pattern of the problem's weights and replaces
@@ -242,12 +243,12 @@ def delta_sweep(problem, deltas, grid=None, policy=DEFAULT_POLICY):
             g = grid or default_grid_for(p.truncation)
             if g.s_nodes < required_s_nodes(p):
                 g = GridSpec(s_nodes=required_s_nodes(p), t_nodes=g.t_nodes)
-            rows.append(SweepRow(delta=d, report=index_of(p, g, policy)))
-        except (FredholmWeightError, ValueError, IndecisiveRankError) as exc:
+            rows.append(SweepRow(delta=d, report=index_of(p, g)))
+        except (FredholmWeightError, ValueError) as exc:
             rows.append(SweepRow(delta=d, report=None, skipped=True, reason=str(exc)))
     jumps = []
     valid = [r for r in rows if not r.skipped]
-    end_spectra = [(e, spectrum(assemble_loop_operator(e.asymptotic, 64)))
+    end_spectra = [(e, spectrum(assemble_loop_operator(e.asymptotic, T_RESOLUTION)))
                    for e in problem.ends]
     for r1, r2 in zip(valid, valid[1:]):
         jump = r2.report.index - r1.report.index
@@ -280,11 +281,11 @@ class ConvergenceReport:
         return [r.index for r in self.reports]
 
 
-def convergence_study(problem, grids, policy=DEFAULT_POLICY):
+def convergence_study(problem, grids):
     """Index must stabilize over the finest two grids; else InstabilityError."""
     if len(grids) < 3:
         raise ValueError("need at least 3 grids of increasing resolution")
-    reports = [index_of(problem, g, policy) for g in grids]
+    reports = [index_of(problem, g) for g in grids]
     stable = (reports[-1].index == reports[-2].index
               and reports[-1].decisive and reports[-2].decisive)
     rep = ConvergenceReport(grids=list(grids), reports=reports, stable=stable)
@@ -295,7 +296,7 @@ def convergence_study(problem, grids, policy=DEFAULT_POLICY):
     return rep
 
 
-def adjoint_check(problem, grid=None, policy=DEFAULT_POLICY):
+def adjoint_check(problem, grid=None):
     """Duality: index(weights) == -index(negated weights), checked two ways.
 
     The adjoint side is computed both as the transpose of the assembled
@@ -303,11 +304,11 @@ def adjoint_check(problem, grid=None, policy=DEFAULT_POLICY):
     assembly of the problem with negated weights.
     """
     op = assemble(problem, grid)
-    rep = numerical_index(op, policy)
-    rep_t = numerical_index(op.transposed(), policy)
+    rep = numerical_index(op)
+    rep_t = numerical_index(op.transposed())
     dm, dp = problem.weights()
     p_neg = with_weights(problem, (None if dm is None else -dm, -dp))
-    rep_neg = index_of(p_neg, grid, policy)
+    rep_neg = index_of(p_neg, grid)
     return {
         "index": rep.index,
         "index_transposed": rep_t.index,

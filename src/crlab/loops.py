@@ -32,6 +32,9 @@ from .exceptions import (
 )
 
 SYMMETRY_TOL = 1e-12
+# the circle grid of every weight check, window count and spectral flow
+# (rounded up to 65 nodes by assemble_loop_operator)
+T_RESOLUTION = 64
 
 
 def standard_j(dim):
@@ -103,23 +106,23 @@ class LoopOperatorSpec:
             out[i] = S
         return out
 
-    def sup_norm(self, samples=64):
+    def sup_norm(self):
         if self.is_constant:
             return float(np.linalg.norm(self.constant_matrix(), 2))
-        ts = np.arange(samples) / samples
+        ts = np.arange(T_RESOLUTION) / T_RESOLUTION
         return float(max(np.linalg.norm(S, 2) for S in self.sample(ts)))
 
     def degeneracy_tol(self):
         """Scale-aware zero-eigenvalue tolerance: 1e-8 * (1 + ||S||_inf)."""
         return 1e-8 * (1.0 + self.sup_norm())
 
-    def check_periodicity(self, t_resolution, tol=1e-8):
+    def check_periodicity(self, t_resolution):
         if self.is_constant:
             return
         S0 = self.sample([0.0])[0]
         S1 = self.sample([1.0 - 1.0 / t_resolution])[0]
         Sm = self.sample([-1.0 / t_resolution])[0]
-        if np.abs(S1 - Sm).max() > tol * (1.0 + np.abs(S0).max()):
+        if np.abs(S1 - Sm).max() > 1e-8 * (1.0 + np.abs(S0).max()):
             raise CoefficientError("coefficient loop is not 1-periodic within tolerance")
 
     def to_json(self):
@@ -240,9 +243,10 @@ class SpectrumReport:
         }
 
 
-def spectrum(op, cluster_tol=None):
+def spectrum(op):
     """All eigenvalues of the assembled operator, sorted, with multiplicities.
 
+    Eigenvalues within 1e-6 (1 + max |lambda|) of each other form one group.
     Eigenvalues outside the resolvable band |lambda| > (pi/2) * resolution are
     reported but flagged unreliable.  For the finite-difference method,
     eigenvectors dominated by near-Nyquist modes are also flagged: centered
@@ -264,25 +268,24 @@ def spectrum(op, cluster_tol=None):
         energy = np.abs(modes) ** 2
         frac = energy[low].sum(axis=(0, 1)) / energy.sum(axis=(0, 1))
         ok &= frac >= 0.5
-    if cluster_tol is None:
-        cluster_tol = 1e-6 * (1.0 + float(np.abs(lam).max(initial=0.0)))
+    cluster_tol = 1e-6 * (1.0 + float(np.abs(lam).max(initial=0.0)))
     groups = [(float(lam[i:j].mean()), j - i, bool(ok[i:j].all()))
               for i, j in _clusters(lam, cluster_tol)]
     return SpectrumReport(eigenvalues=groups, dim=op.spec.dim, period=op.spec.period,
                           t_resolution=M, method=op.method, raw=lam)
 
 
-def count_window(report, lo, hi, tol=None):
+def count_window(report, lo, hi):
     """Total multiplicity of eigenvalues strictly inside (lo, hi).
 
-    Raises :class:`AmbiguousWindowError` when an endpoint sits on an
-    eigenvalue within tolerance; the caller must perturb the window.
+    Raises :class:`AmbiguousWindowError` when an endpoint sits within
+    1e-8 (1 + max |lambda|) of an eigenvalue; the caller must perturb the
+    window.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got ({lo}, {hi})")
     lam = report.raw if report.raw is not None else report.values()
-    if tol is None:
-        tol = 1e-8 * (1.0 + float(np.abs(lam).max(initial=0.0)))
+    tol = 1e-8 * (1.0 + float(np.abs(lam).max(initial=0.0)))
     for edge in (lo, hi):
         if np.any(np.abs(lam - edge) <= tol):
             raise AmbiguousWindowError(
@@ -290,14 +293,16 @@ def count_window(report, lo, hi, tol=None):
     return int(np.count_nonzero((lam > lo) & (lam < hi)))
 
 
-def is_nondegenerate(spec, t_resolution=64, tol=None):
-    """Whether 0 is separated from the spectrum of A; returns (flag, margin)."""
-    if tol is None:
-        tol = spec.degeneracy_tol()
-    op = assemble_loop_operator(spec, t_resolution)
-    lam = np.linalg.eigvalsh(op.matrix)
-    margin = float(np.abs(lam).min())
-    return margin > tol, margin
+def _eigenvalues(spec):
+    """Sorted eigenvalues of A on the T_RESOLUTION circle grid."""
+    return np.linalg.eigvalsh(assemble_loop_operator(spec, T_RESOLUTION).matrix)
+
+
+def is_nondegenerate(spec):
+    """Whether 0 is separated from the spectrum of A by more than
+    ``spec.degeneracy_tol()``; returns (flag, margin)."""
+    margin = float(np.abs(_eigenvalues(spec)).min())
+    return margin > spec.degeneracy_tol(), margin
 
 
 def _clusters(lam, tol):
@@ -309,7 +314,7 @@ def _clusters(lam, tol):
     return list(zip([0] + edges, edges + [len(lam)]))
 
 
-def spectral_flow(path, t_resolution=64):
+def spectral_flow(path):
     """Signed count of eigenvalue crossings through zero along a spec path.
 
     ``path`` maps s in [0, 1] to a :class:`LoopOperatorSpec`; both endpoints
@@ -318,7 +323,7 @@ def spectral_flow(path, t_resolution=64):
     negative-eigenvalue count between the endpoints (Robbin & Salamon, 1995).
     """
     specs = (path(0.0), path(1.0))
-    lams = [np.linalg.eigvalsh(assemble_loop_operator(sp, t_resolution).matrix) for sp in specs]
+    lams = [_eigenvalues(sp) for sp in specs]
     m0, m1 = (float(np.abs(lam).min()) for lam in lams)
     if not (m0 > specs[0].degeneracy_tol() and m1 > specs[1].degeneracy_tol()):
         raise DegenerateEndError(
@@ -337,19 +342,3 @@ def linear_path(spec0, spec1):
                                 coeff=(1.0 - s) * S0 + s * S1)
 
     return path
-
-
-def concatenate_paths(path_a, path_b):
-    """Path traversing path_a on [0, 1/2] and path_b on [1/2, 1]."""
-
-    def path(s):
-        return path_a(2.0 * s) if s <= 0.5 else path_b(2.0 * s - 1.0)
-
-    return path
-
-
-def reversed_path(path):
-    def rev(s):
-        return path(1.0 - s)
-
-    return rev

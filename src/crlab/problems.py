@@ -17,7 +17,7 @@ import numpy as np
 
 from . import profiles
 from .exceptions import CoefficientError, DegenerateEndError, FredholmWeightError
-from .loops import LoopOperatorSpec, assemble_loop_operator, is_nondegenerate
+from .loops import LoopOperatorSpec, _eigenvalues, is_nondegenerate
 
 FIRST_TRIVIAL_EIGENVALUE = 2.0 * np.pi   # first positive eigenvalue of i d/dt
 
@@ -43,7 +43,7 @@ class EndSpec:
         if self.shift_dims not in (0, 1, 2):
             raise ValueError(f"shift_dims must be 0, 1 or 2, got {self.shift_dims}")
 
-    def validate_weight(self, fiber, t_resolution=64):
+    def validate_weight(self, fiber):
         """Fredholm criterion: the weight must avoid the asymptotic spectrum.
 
         For the complex-line fiber the asymptotic operator is i d/dt, whose
@@ -57,7 +57,7 @@ class EndSpec:
                 raise FredholmWeightError(
                     f"|weight| = {abs(self.weight)} outside (0, 2*pi) on a complex-line end")
             return
-        lam = np.linalg.eigvalsh(assemble_loop_operator(self.asymptotic, t_resolution).matrix)
+        lam = _eigenvalues(self.asymptotic)
         tol = self.asymptotic.degeneracy_tol()
         margin = float(np.abs(lam).min())
         if not margin > tol:

@@ -6,13 +6,16 @@ on the other, which several structural invariants rely on.  Weight profiles
 are built from the error function instead; they are entire, so the high-order
 finite-difference stencils differentiate the conjugation factor e^{w(s)} to
 near round-off, at the price of plateaus that are only exact to ~1e-28 beyond
-a few transition widths.
+a few transition widths.  Every weight profile, and the bridge of a glued
+one, uses the same transition: width ``TRANSITION_WIDTH`` centred at s = 0.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.special import erf
+
+TRANSITION_WIDTH = 0.75
 
 
 def smoothstep(x):
@@ -43,45 +46,39 @@ class WeightProfile:
     ``delta_plus * |s|`` near the positive end, so that multiplication by
     e^{w} maps the weighted norm to the flat one.  Consequently
     ``w'(s) -> -delta_minus`` as s -> s_lo and ``w'(s) -> +delta_plus`` as
-    s -> s_hi, with an erf transition of scale ``sigma`` at ``center``.
+    s -> s_hi, with an erf transition of scale ``TRANSITION_WIDTH`` at
+    s = 0.  When the slopes agree (delta_minus = -delta_plus) the transition
+    term vanishes and w is exactly linear.
 
     For a single-ended domain (``delta_minus is None``) the profile is the
     exact linear w(s) = delta_plus * s.
     """
 
-    def __init__(self, delta_minus, delta_plus, center=0.0, sigma=0.75):
+    def __init__(self, delta_minus, delta_plus):
         self.delta_minus = delta_minus
         self.delta_plus = float(delta_plus)
-        self.center = float(center)
-        self.sigma = float(sigma)
 
     def wprime(self, s):
         s = np.asarray(s, dtype=float)
         if self.delta_minus is None:
             return np.broadcast_to(self.delta_plus, s.shape).copy() if s.shape else np.float64(self.delta_plus)
         dm, dp = self.delta_minus, self.delta_plus
-        if dm == -dp:
-            # slopes already agree: w is exactly linear, no transition needed
-            return np.broadcast_to(np.float64(dp), s.shape).copy() if s.shape else np.float64(dp)
-        return -dm + (dm + dp) * _phi((s - self.center) / self.sigma)
+        return -dm + (dm + dp) * _phi(s / TRANSITION_WIDTH)
 
     def w(self, s):
         s = np.asarray(s, dtype=float)
         if self.delta_minus is None:
             return self.delta_plus * s
         dm, dp = self.delta_minus, self.delta_plus
-        if dm == -dp:
-            return dp * s
-        u = (s - self.center) / self.sigma
-        out = -dm * (s - self.center) + (dm + dp) * self.sigma * _int_phi(u)
-        # normalize so w(center) = 0
-        return out - (dm + dp) * self.sigma * _int_phi(0.0)
+        out = -dm * s + (dm + dp) * TRANSITION_WIDTH * _int_phi(s / TRANSITION_WIDTH)
+        # normalize so w(0) = 0
+        return out - (dm + dp) * TRANSITION_WIDTH * _int_phi(0.0)
 
     def __repr__(self):
         return f"WeightProfile(delta_minus={self.delta_minus}, delta_plus={self.delta_plus})"
 
 
-def glued_weight_profile(profile_u, profile_w, tau, sigma=0.75):
+def glued_weight_profile(profile_u, profile_w, tau):
     """Weight profile of a glued cylinder, inheriting the component profiles.
 
     On the u-side (s <= 0 in glued coordinates) the profile continues
@@ -110,6 +107,8 @@ def glued_weight_profile(profile_u, profile_w, tau, sigma=0.75):
     # bridge the slopes over the neck middle; the component profiles are flat
     # (erf tails < 1e-17) beyond |s| = a for tau > n_prime + 2
     a = 0.45 * tau
+
+    sigma = TRANSITION_WIDTH
 
     def bridge(s):
         return slope_u + (slope_w - slope_u) * _phi(s / sigma)

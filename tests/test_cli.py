@@ -148,6 +148,24 @@ def test_glue_experiment(tmp_path):
     assert len(rows) == 3
 
 
+@pytest.mark.parametrize("grid, code", [("48x8", EXIT_ERROR), ("97x16", EXIT_OK)])
+def test_glue_grid_override_reaches_the_components(tmp_path, grid, code):
+    # 48 s-nodes on |s| <= 12 break the weight-resolution rule at |delta| = 1.5
+    cfg = {"name": "glg", "kind": "glue",
+           "inputs": {"problem_u": contact_problem_json([-2.0, -2.0], [1.0, 1.0], (1.0, 0.5)),
+                      "problem_w": contact_problem_json([1.0, 1.0], [3.0, 3.0], (-0.5, 1.5)),
+                      "taus": [6.0, 8.0]},
+           "output_dir": str(tmp_path)}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["glue", "--config", str(path), "--grid", grid]) == code
+    summary = (tmp_path / "glg" / "summary.txt").read_text()
+    if code == EXIT_ERROR:
+        assert summary.startswith("ERROR: ResolutionError")
+    else:
+        assert "additivity: PASS" in summary
+
+
 def test_vdim_experiment(tmp_path):
     from crlab.dimension import broken_glued, broken_pair
     cfg = ExperimentConfig(

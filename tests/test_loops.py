@@ -21,11 +21,9 @@ from crlab.exceptions import (
 from crlab.loops import (
     LoopOperatorSpec,
     assemble_loop_operator,
-    concatenate_paths,
     count_window,
     is_nondegenerate,
     linear_path,
-    reversed_path,
     spectral_flow,
     spectrum,
     standard_j,
@@ -158,25 +156,6 @@ def test_spectral_flow_double_crossing():
     assert spectral_flow(path) == 2
 
 
-def test_spectral_flow_reversal_cancels():
-    path = linear_path(LoopOperatorSpec(dim=2, coeff=np.diag([-1.0, -1.0])),
-                       LoopOperatorSpec(dim=2, coeff=np.diag([1.0, 1.0])))
-    loop = concatenate_paths(path, reversed_path(path))
-    assert spectral_flow(loop) == 0
-
-
-def test_spectral_flow_concatenation_additive(rng):
-    from conftest import random_nondegenerate_symmetric
-    for _ in range(3):
-        S0 = random_nondegenerate_symmetric(rng, 2)
-        S1 = random_nondegenerate_symmetric(rng, 2)
-        S2 = random_nondegenerate_symmetric(rng, 2)
-        a = linear_path(LoopOperatorSpec(dim=2, coeff=S0), LoopOperatorSpec(dim=2, coeff=S1))
-        b = linear_path(LoopOperatorSpec(dim=2, coeff=S1), LoopOperatorSpec(dim=2, coeff=S2))
-        whole = concatenate_paths(a, b)
-        assert spectral_flow(whole) == spectral_flow(a) + spectral_flow(b)
-
-
 def test_spectral_flow_degenerate_endpoint_rejected():
     path = linear_path(LoopOperatorSpec(dim=2), LoopOperatorSpec(dim=2, coeff=np.diag([1.0, 1.0])))
     with pytest.raises(DegenerateEndError):
@@ -224,7 +203,6 @@ def test_each_loop_operator_is_solved_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(loops, "assemble_loop_operator", counting)
-    monkeypatch.setattr(problems, "assemble_loop_operator", counting)
     S = LoopOperatorSpec(dim=2, coeff=np.diag([1.0, 1.0]))
     path = linear_path(S, LoopOperatorSpec(dim=2, coeff=np.diag([1.2, 1.2])))
     assert spectral_flow(path) == 0
