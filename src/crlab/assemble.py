@@ -26,27 +26,37 @@ Every block, scalar, contact, augmented or coupled, is built from the same
 three helpers.  A mode is given by its t-derivative part ``base`` (the 1x1
 [-2 pi k] of a scalar complex-line mode, 2 pi i k J of a contact mode, the
 trig-basis derivative of the coupled block), B at the midpoints, and each
-end's asymptotic matrix.  ``_stencil_rows`` fills the 8-node band of the
-collocated rows, node-major and field-minor; ``_end_rows`` installs the
-spectral projection at an end; ``_shift_columns`` appends the shift columns.
-The disk cap of a plane is one rule: the trace is constrained along the
-positive eigenspace of ``base``, the Fourier modes that do not extend
-holomorphically over the disk.
+end's asymptotic matrix.  ``_stencil_rows`` computes the 8-node band of the
+collocated rows, node-major and field-minor; ``_end_rows`` the spectral
+projection at an end, in the first or last window; ``_shift_columns`` the
+shift columns.  The disk cap of a plane is one rule: the trace is
+constrained along the positive eigenspace of ``base``, the Fourier modes
+that do not extend holomorphically over the disk.
+
+Storage.  Every row of a mode lives in an 8-node window (8F columns on F
+fields), so a mode block is stored as row windows: the 8F values of each
+row and the column its window starts at, negative-end rows first, then the
+stencil rows, then the positive-end rows (``ModeBlock.windows``).  On the
+2-dimensional contact fiber that is 16 columns per row against 2N, about
+1/48 of the dense bytes at N = 384.  The blocks that carry shift columns
+and the coupled block are written out dense once and stored dense.
+``ModeBlock.matrix`` materializes a row-window block on first read and
+keeps it; only the dense fallback below, ``kernel_vectors`` on
+rank-deficient blocks, the gluing restrictions of blocks that carry
+transplant vectors, ``transposed``, ``DiscreteOperator.matrix`` and its
+Matrix Market export read it.  The rank decision reads ``ModeBlock.shape``.
 
 Each block is decomposed once per operator, by one of two routes chosen by
-the block's structure alone.  A block without shift columns from the
-decoupled backend keeps the stencil row layout: every row lives in an
-8-node window (8F columns on F fields), so its Gram matrix is banded, with
-bandwidth 8F - 1 for tall and square blocks (7 on a scalar mode, 15 on the
-2-dimensional contact fiber).  Such a block gets its singular values as
-square roots of the Gram eigenvalues from LAPACK's banded eigensolver, the
-band built straight from the row windows, in O(n^2 kd) instead of O(n^3).
-Blocks with shift columns (dense columns) and the coupled block take the
-values-only dense SVD, which stays the reference.  A guard sends a banded
-block back to dense SVD when its smallest Gram eigenvalue is below 1e-8
-times its largest (sigma_min < 1e-4 sigma_max), because squaring blurs
-values near the rank threshold; so every rank-deficient or near-deficient
-block is decided by dense SVD.
+the block's storage alone.  A row-window block has a banded Gram matrix,
+with bandwidth 8F - 1 for tall and square blocks (7 on a scalar mode, 15 on
+the 2-dimensional contact fiber).  It gets its singular values as square
+roots of the Gram eigenvalues from LAPACK's banded eigensolver, the band
+built straight from the stored windows, in O(n^2 kd) instead of O(n^3).
+Dense blocks take the values-only dense SVD, which stays the reference.  A
+guard sends a row-window block to dense SVD when its smallest Gram
+eigenvalue is below 1e-8 times its largest (sigma_min < 1e-4 sigma_max),
+because squaring blurs values near the rank threshold; so every
+rank-deficient or near-deficient block is decided by dense SVD.
 """
 
 from __future__ import annotations
@@ -126,34 +136,73 @@ def _fd_operators(s_lo, s_hi, N):
     return D, P, s, mids
 
 
-@dataclass
+class _DenseView:
+    """``ModeBlock.matrix``: the dense block as given, or else materialized
+    from the row windows on first read and cached on the block."""
+
+    def __get__(self, b, owner=None):
+        if b is None:
+            return None             # the field's default: no dense matrix given
+        if b._dense is None:
+            b._dense = _materialize(b)
+        return b._dense
+
+    def __set__(self, b, M):
+        b._dense = M
+
+
+@dataclass(eq=False)
 class ModeBlock:
     """One decoupled (or the single coupled) factor of the discrete operator.
 
     ``mult`` is the real multiplicity each matrix dimension carries: 2 for a
     scalar complex-line mode (identical real and imaginary copies) and for a
     contact-fiber mode k >= 1 (conjugate pair +-k), 1 for realified blocks.
+
+    A block with the stencil row layout (every unshifted decoupled block) is
+    stored as row windows: ``windows[r]`` holds the 8F entries of row r from
+    column ``starts[r]`` on, F being the fields per s-node.  The rows are
+    stored negative-end rows first (``neg_rows`` of them), then the stencil
+    rows, then the positive-end rows, so the windows start in nondecreasing
+    order.  Every other block, and a block given an explicit ``matrix``, is
+    stored dense and has no windows.  ``matrix`` is the dense view in the
+    layout stencil rows, negative-end rows, positive-end rows; a row-window
+    block materializes it on first read and keeps it, so only the readers
+    that need the dense entries pay for them.  ``shape`` never materializes.
     """
 
     k: object
-    matrix: np.ndarray
     mult: int
     pde_rows: int
     bc_rows: int
     aug_cols: int = 0
     tag: str = ""
-    # unknowns per s-node when the rows are 8-node stencil rows followed by end
-    # rows at the first or last node (unshifted decoupled blocks, which take
-    # the banded route); 0 for blocks without that layout
-    fields: int = 0
+    matrix: np.ndarray = _DenseView()
+    windows: np.ndarray = None
+    starts: np.ndarray = None
+    neg_rows: int = 0
+
+    def __post_init__(self):
+        if self._dense is not None:     # a given dense matrix decides the block
+            self.windows = self.starts = None
+
+    def __repr__(self):         # the generated repr would materialize ``matrix``
+        return f"ModeBlock({self.tag!r}, shape={self.shape})"
+
+    @property
+    def shape(self):
+        if self.windows is None:
+            return self.matrix.shape
+        # the last window ends at the last column
+        return len(self.windows), int(self.starts[-1]) + self.windows.shape[1]
 
     @property
     def real_rows(self):
-        return self.mult * self.matrix.shape[0]
+        return self.mult * self.shape[0]
 
     @property
     def real_cols(self):
-        return self.mult * self.matrix.shape[1]
+        return self.mult * self.shape[1]
 
     def realified(self):
         """Real matrix carrying this block's full real multiplicity."""
@@ -164,33 +213,33 @@ class ModeBlock:
         return _real_pair(M) if self.mult == 2 else M
 
 
+def _materialize(b):
+    """Dense matrix of a row-window block, rows in the order stencil,
+    negative-end, positive-end."""
+    n, width = b.windows.shape
+    p, q = b.pde_rows, b.neg_rows
+    dest = np.r_[p:p + q, :p, p + q:n]
+    M = np.zeros(b.shape, dtype=b.windows.dtype)
+    M[dest[:, None], b.starts[:, None] + np.arange(width)] = b.windows
+    return M
+
+
 # Squaring blurs values below 1e-4 sigma_max, near the rank threshold: dense SVD there.
 _GRAM_GUARD = 1e-8
 
 
 def _gram_band(b):
-    """Upper band storage of the smaller Gram matrix of a stencil-layout block.
+    """Upper band storage of the smaller Gram matrix of a row-window block.
 
-    Every row of the block lives in a window of 8F columns: stencil row group
-    i starts at column ``_stencil_starts(...)[i] * F``, a negative-end row at
-    node 0 takes the first window and a positive-end row at node N-1 the
-    last.  For tall and square M the band of M^H M sums each row's window
-    outer product (bandwidth 8F - 1); for wide M the band of M M^H pairs
-    each row with the rows after it over its own window, the negative-end
-    rows moved to the front so the rows follow their windows.
+    Every row lives in its window of 8F columns, and the windows start in
+    nondecreasing order.  For tall and square M the band of M^H M sums each
+    row's window outer product (bandwidth 8F - 1); for wide M the band of
+    M M^H pairs each row with the rows after it over its own window.
     """
-    M, F = b.matrix, b.fields
-    n_rows, n_cols = M.shape
-    N = n_cols // F
-    width = _FD_STENCIL * F
-    negative = M[b.pde_rows:, :F].any(axis=1)
-    ends = b.pde_rows + np.arange(len(negative))
-    order = np.concatenate([ends[negative], np.arange(b.pde_rows), ends[~negative]])
-    starts = np.concatenate([np.zeros(negative.sum(), dtype=int),
-                             np.repeat(_stencil_starts(N - 1, N) * F, F),
-                             np.full(len(negative) - negative.sum(), n_cols - width)])
+    V, starts = b.windows, b.starts
+    n_rows, width = V.shape
+    n_cols = b.shape[1]
     window = starts[:, None] + np.arange(width)
-    V = M[order[:, None], window]
     if n_rows >= n_cols:
         kd = width - 1
         p, q = np.triu_indices(width)
@@ -207,16 +256,19 @@ def _gram_band(b):
     # row r meets the rows after it up to the last one whose window starts inside its own
     kd = int((np.searchsorted(starts, starts + width) - 1 - rows).max())
     partner = rows[:, None] + np.arange(kd + 1)
-    P = M[order[np.minimum(partner, n_rows - 1)][:, :, None], window[:, None, :]]
+    pr = np.minimum(partner, n_rows - 1)
+    # a partner's entries on row r's window: its own window, shifted by the start offset
+    shift = np.arange(width) - (starts[pr] - starts[:, None])[:, :, None]
+    P = np.where(shift >= 0, V[pr[:, :, None], np.maximum(shift, 0)], 0)
     G = np.einsum("rx,rex->re", V, P.conj())
     r, e = np.nonzero(partner < n_rows)
-    ab = np.zeros((kd + 1, n_rows), dtype=M.dtype)
+    ab = np.zeros((kd + 1, n_rows), dtype=V.dtype)
     ab[kd - e, r + e] = G[r, e]
     return ab
 
 
 def _banded_singular_values(b):
-    """Singular values of a stencil-layout block from the eigenvalues of its
+    """Singular values of a row-window block from the eigenvalues of its
     smaller Gram matrix (``_gram_band``), by LAPACK's banded eigensolver.
 
     Returns None when lambda_min < 1e-8 lambda_max; the caller then
@@ -233,17 +285,19 @@ def _banded_singular_values(b):
 class DiscreteOperator:
     """Assembled rectangular operator with grid metadata.
 
-    ``blocks`` hold the per-mode factors; ``matrix`` materializes the full
-    real rectangular matrix (block diagonal over modes) for export and
-    transpose experiments.  cols - rows equals the analytic index candidate
-    once the boundary rows are installed; both row groups are recorded.
+    ``blocks`` hold the per-mode factors, as row windows or dense
+    (``ModeBlock``); ``matrix`` materializes the full real rectangular
+    matrix (block diagonal over modes, every block made dense) for export
+    and transpose experiments.  cols - rows equals the analytic index
+    candidate once the boundary rows are installed; both row groups are
+    recorded.
 
     Each block is decomposed once per operator, in ``block_singular_values``
-    (banded Gram eigenvalues for unshifted decoupled blocks, dense SVD for
-    the others and for the blocks the guard rejects); the rank decision, the
-    kernel directions and the gluing stability constant all read that cache,
-    and ``block_routes`` says which route computed each block.  Values from
-    the banded route agree with dense SVD to about eps (sigma_max / sigma)^2
+    (banded Gram eigenvalues for row-window blocks, dense SVD for the others
+    and for the blocks the guard rejects); the rank decision, the kernel
+    directions and the gluing stability constant all read that cache, and
+    ``block_routes`` says which route computed each block.  Values from the
+    banded route agree with dense SVD to about eps (sigma_max / sigma)^2
     relative, not bit for bit.
     """
 
@@ -289,17 +343,17 @@ class DiscreteOperator:
     def block_singular_values(self):
         """Singular values of each block: all min(rows, cols), descending.
 
-        Computed on first use and cached on the operator.  A block with the
-        stencil row layout (``ModeBlock.fields``) takes the banded route
-        (``_banded_singular_values``); every other block, and every block the
+        Computed on first use and cached on the operator.  A row-window block
+        (``ModeBlock.windows``) takes the banded route
+        (``_banded_singular_values``); every dense block, and every block the
         route's accuracy guard rejects, takes the reference values-only
-        ``np.linalg.svd``.
+        ``np.linalg.svd`` of ``ModeBlock.matrix``.
         """
         if self._svals is None:
             svals, routes = [], []
             for b in self.blocks:
                 try:
-                    sv = _banded_singular_values(b) if b.fields else None
+                    sv = _banded_singular_values(b) if b.windows is not None else None
                     routes.append("direct_svd" if sv is None else "banded_gram")
                     if sv is None:
                         sv = np.linalg.svd(b.matrix, compute_uv=False)
@@ -320,8 +374,8 @@ class DiscreteOperator:
         return np.sort(np.concatenate(out)) if out else np.zeros(0)
 
     def transposed(self):
-        blocks = [ModeBlock(k=b.k, matrix=b.matrix.conj().T, mult=b.mult,
-                            pde_rows=0, bc_rows=0, aug_cols=0, tag=b.tag + "^T")
+        blocks = [ModeBlock(k=b.k, mult=b.mult, pde_rows=0, bc_rows=0,
+                            tag=b.tag + "^T", matrix=b.matrix.conj().T)
                   for b in self.blocks]
         return DiscreteOperator(blocks=blocks, grid=self.grid, problem=self.problem,
                                 backend=self.backend + "^T")
@@ -382,44 +436,45 @@ def _bc_scale(s):
 # ---------------------------------------------------------------------------
 
 def _stencil_rows(D, P, C):
-    """Collocated rows of d/ds + C(s) on F = C.shape[1] fields.
+    """Row windows of the collocated rows of d/ds + C(s) on F = C.shape[1] fields.
 
-    Row block i is sum_j D[i, j] I + P[i, j] C[i], node-major and field-minor.
-    Only each row's 8-node band is filled; the band products are the same
-    einsum products as the dense formula, so the bytes agree with it, signed
-    zeros included.
+    Row block i is sum_j D[i, j] I + P[i, j] C[i], node-major and field-minor;
+    it is nonzero only on its 8-node stencil.  Returns the (n F, 8F) windows
+    and the first column of each: the band products are the same einsum
+    products as the dense formula, so the bytes agree with it, signed zeros
+    included.
     """
     n, F = C.shape[:2]
     N = D.shape[1]
     rows = np.arange(n)[:, None]
-    cols = _stencil_starts(n, N)[:, None] + np.arange(_FD_STENCIL)
+    first = _stencil_starts(n, N)
+    cols = first[:, None] + np.arange(_FD_STENCIL)
     band = (np.einsum("ib,fg->ifbg", D[rows, cols], np.eye(F)).astype(C.dtype)
             + np.einsum("ib,ifg->ifbg", P[rows, cols], C))
-    M = np.zeros((n, F, N, F), dtype=C.dtype)
-    M[rows, :, cols, :] = band.transpose(0, 2, 1, 3)
-    return M.reshape(n * F, N * F)
+    return band.reshape(n * F, _FD_STENCIL * F), np.repeat(first * F, F)
 
 
-def _end_rows(A, keep_positive, node, n_nodes, gamma, what=None):
-    """Boundary rows at ``node``: the spectral projection of the Hermitian A.
+def _end_rows(A, keep_positive, first, gamma, what=None):
+    """Boundary row windows at the first (``first``) or last s-node.
 
-    One row per eigenvector of A with positive (``keep_positive``) or
-    negative eigenvalue, conjugated and scaled by gamma, in the node-major
-    layout of ``n_nodes`` nodes.  ``what`` names the end for the spectral-gap
-    guard; the disk cap passes None, its zero eigenvalues being exact.
+    One row per eigenvector of the Hermitian A with positive
+    (``keep_positive``) or negative eigenvalue, conjugated and scaled by
+    gamma, in the first or last 8-node window.  ``what`` names the end for
+    the spectral-gap guard; the disk cap passes None, its zero eigenvalues
+    being exact.
     """
     lam, V = np.linalg.eigh(A)
     if what is not None:
         _guard_shifted_spectrum(lam, what)
     sel = lam > 0 if keep_positive else lam < 0
     F = len(A)
-    r = np.zeros((int(sel.sum()), n_nodes * F), dtype=A.dtype)
-    r[:, node * F:(node + 1) * F] = gamma * V[:, sel].conj().T
+    r = np.zeros((int(sel.sum()), _FD_STENCIL * F), dtype=A.dtype)
+    r[:, slice(0, F) if first else slice(-F, None)] = gamma * V[:, sel].conj().T
     return r
 
 
-def _mode_rows(problem, base, B_mid, end_matrix, stencil, prof, tag):
-    """Row groups [stencil, negative-end, positive-end] of one mode.
+def _mode_block(k, mult, tag, problem, base, B_mid, end_matrix, stencil, prof):
+    """Row-window block of one mode.
 
     The mode's operator is d/ds + base + B(s) - w'(s) on F = len(base)
     fields: ``base`` is its t-derivative part, ``B_mid`` holds B at the
@@ -430,20 +485,31 @@ def _mode_rows(problem, base, B_mid, end_matrix, stencil, prof, tag):
     keeps the positive eigenspace of ``base``.
     """
     D, P, s, mids = stencil
-    N = len(s)
     eye = np.eye(len(base))
     C = base[None, :, :] + B_mid - prof.wprime(mids)[:, None, None] * eye[None, :, :]
-    groups = [_stencil_rows(D, P, C)]
+    pde, pde_starts = _stencil_rows(D, P, C)
     gamma = _bc_scale(s)
-    for end, node, s_end in ((problem.negative_end, 0, problem.s_lo),
-                             (problem.positive_end, N - 1, problem.truncation.s_max)):
+    ends = []
+    for end, first, s_end in ((problem.negative_end, True, problem.s_lo),
+                              (problem.positive_end, False, problem.truncation.s_max)):
         if end is None:         # a plane's disk cap
-            groups.append(_end_rows(base, True, node, N, gamma))
+            ends.append(_end_rows(base, True, first, gamma))
             continue
         A = base + end_matrix(end) - float(prof.wprime(s_end)) * eye
-        groups.append(_end_rows(A, end.sign == "negative", node, N, gamma,
-                                f"{tag} at {end.sign} end"))
-    return groups
+        ends.append(_end_rows(A, end.sign == "negative", first, gamma,
+                              f"{tag} at {end.sign} end"))
+    neg, pos = ends
+    windows = np.vstack([neg, pde, pos])
+    _finite_or_raise(windows, tag)
+    starts = np.concatenate([np.zeros(len(neg), dtype=int), pde_starts,
+                             np.full(len(pos), pde_starts[-1])])
+    return ModeBlock(k=k, mult=mult, pde_rows=len(pde), bc_rows=len(neg) + len(pos), tag=tag,
+                     windows=windows, starts=starts, neg_rows=len(neg))
+
+
+def _row_groups(b):
+    """Dense row groups [stencil, negative-end, positive-end] of a row-window block."""
+    return np.split(b.matrix, [b.pde_rows, b.pde_rows + b.neg_rows])
 
 
 def augmentation_layout(problem):
@@ -492,20 +558,15 @@ def _real_pair(M):
     return np.block([[M, Z], [Z, M]])
 
 
-def _mode_block(k, groups, mult, tag, shifts=None, fields=0):
-    """The block of the stacked row groups, with the shift columns appended.
-
-    ``fields`` is given for the unshifted decoupled blocks, whose rows keep
-    the stencil layout the banded route reads.
-    """
+def _dense_block(k, groups, mult, tag, shifts=None):
+    """The dense block of the stacked row groups, with the shift columns appended."""
     M = np.vstack(groups)
     if shifts is not None:
         M = np.hstack([M, shifts])
     _finite_or_raise(M, tag)
-    return ModeBlock(k=k, matrix=M, mult=mult, pde_rows=len(groups[0]),
+    return ModeBlock(k=k, mult=mult, pde_rows=len(groups[0]),
                      bc_rows=sum(len(g) for g in groups[1:]),
-                     aug_cols=0 if shifts is None else shifts.shape[1], tag=tag,
-                     fields=fields)
+                     aug_cols=0 if shifts is None else shifts.shape[1], tag=tag, matrix=M)
 
 
 # ---------------------------------------------------------------------------
@@ -522,24 +583,19 @@ def _complex_line_blocks(problem, grid, stencil, prof):
     K = grid.t_nodes // 2 - 1
     n_aug = problem.augmentation_dims
 
-    def rows(k, tag):
-        return _mode_rows(problem, np.array([[-2.0 * np.pi * k]]), 0.0, lambda end: 0.0,
-                          stencil, prof, tag)
+    def block(k, tag):
+        return _mode_block(k, 2, tag, problem, np.array([[-2.0 * np.pi * k]]), 0.0,
+                           lambda end: 0.0, stencil, prof)
 
-    blocks = []
-    for k in range(-K, K + 1):
-        if k == 0 and n_aug:
-            continue
-        tag = f"scalar k={k}"
-        blocks.append(_mode_block(k, rows(k, tag), 2, tag, fields=1))
+    blocks = [block(k, f"scalar k={k}") for k in range(-K, K + 1) if k or not n_aug]
     if n_aug:
         tag = "realified k=0 + shifts"
-        scalar = rows(0, tag)
+        scalar = _row_groups(block(0, tag))
         L = scalar[0]
         groups = [_real_pair(g) for g in scalar]
         cols = _shift_columns(problem, stencil[2], prof, sum(map(len, groups)),
                               lambda shape, comp: (comp * len(L), L @ shape))
-        blocks.append(_mode_block(0, groups, 1, tag, cols))
+        blocks.append(_dense_block(0, groups, 1, tag, cols))
     return blocks
 
 
@@ -551,12 +607,9 @@ def _contact_blocks(problem, grid, stencil, prof):
     B_mid = np.array([problem.coefficient(m) for m in stencil[3]])
 
     def block(k):
-        # a function scope, so each mode's stencil rows are freed before the next
         base = (2.0j * np.pi * k * J).astype(complex) if k else np.zeros((F, F))
-        tag = f"contact k={k}"
-        rows = _mode_rows(problem, base, B_mid, lambda end: end.asymptotic.constant_matrix(),
-                          stencil, prof, tag)
-        return _mode_block(k, rows, 1 if k == 0 else 2, tag, fields=F)
+        return _mode_block(k, 1 if k == 0 else 2, f"contact k={k}", problem, base, B_mid,
+                           lambda end: end.asymptotic.constant_matrix(), stencil, prof)
 
     return [block(k) for k in range(grid.t_nodes // 2)]
 
@@ -609,11 +662,12 @@ def _coupled_block(problem, grid, stencil, prof):
     T, t = _trig_basis(grid.t_nodes, K)
     B_mid = np.array([_trig_coupling(np.stack([problem.coefficient(m, tj) for tj in t]), T)
                       for m in mids])
-    groups = _mode_rows(problem, _trig_derivative(K, problem.fiber_dim), B_mid,
-                        lambda end: _trig_coupling(end.asymptotic.sample(t), T),
-                        stencil, prof, "coupled")
+    groups = _row_groups(_mode_block(None, 1, "coupled", problem,
+                                     _trig_derivative(K, problem.fiber_dim), B_mid,
+                                     lambda end: _trig_coupling(end.asymptotic.sample(t), T),
+                                     stencil, prof))
     if not problem.augmentation_dims:
-        return _mode_block(None, groups, 1, "coupled")
+        return _dense_block(None, groups, 1, "coupled")
 
     def apply(shape, comp):
         field = np.zeros((N, nfield))
@@ -621,7 +675,7 @@ def _coupled_block(problem, grid, stencil, prof):
         return 0, groups[0] @ field.reshape(-1)
 
     cols = _shift_columns(problem, s, prof, sum(map(len, groups)), apply)
-    return _mode_block(None, groups, 1, "coupled", cols)
+    return _dense_block(None, groups, 1, "coupled", cols)
 
 
 # ---------------------------------------------------------------------------
@@ -662,12 +716,13 @@ def kernel_vectors(op, threshold):
     Returns a list of (block, vectors) where vectors has shape
     (block_cols, n_small); structural kernel directions of wide blocks are
     included through the rank decision.  The rank comes from the operator's
-    cached singular values; only rank-deficient blocks run the full SVD.
+    cached singular values; only rank-deficient blocks are made dense and run
+    the full SVD.
     """
     out = []
     for b, sv in zip(op.blocks, op.block_singular_values()):
         rank = int((sv >= threshold).sum())
-        if rank < b.matrix.shape[1]:
+        if rank < b.shape[1]:
             Vh = np.linalg.svd(b.matrix)[2]
             out.append((b, Vh[rank:].conj().T))
     return out

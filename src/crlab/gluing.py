@@ -215,7 +215,7 @@ def _glued_block_vector(glued_op, kv, shift, cutoff, side):
         raise IncompatibleEndsError(f"glued operator has no mode {kv.k}")
     N = len(sg)
     if block.aug_cols:
-        vec = np.zeros(block.matrix.shape[1])
+        vec = np.zeros(block.shape[1])
         vec[:N] = g[:, 0].real
         vec[N:2 * N] = g[:, 0].imag
         # each component keeps only the shifts of its own outer end, in the
@@ -280,12 +280,13 @@ def stability_constant(glued_op, n_tau):
         by_mode.setdefault(k, []).append(v)
     best = np.inf
     for b, sv in zip(glued_op.blocks, glued_op.block_singular_values()):
-        T = b.matrix
+        shape = b.shape
         vs = by_mode.get(b.k)
         if vs:
             Q, _ = np.linalg.qr(np.stack(vs, axis=1))
-            T = T @ scipy.linalg.null_space(Q.conj().T)
-        if T.shape[1] > T.shape[0]:
+            T = b.matrix @ scipy.linalg.null_space(Q.conj().T)
+            shape = T.shape
+        if shape[1] > shape[0]:
             # more directions than equations: exact null vectors remain in the
             # complement, the restricted operator has no lower bound at all
             return 0.0

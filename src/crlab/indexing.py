@@ -121,8 +121,8 @@ def numerical_index(op, policy=DEFAULT_POLICY):
     ker = coker = 0
     for b, sv in zip(op.blocks, op.block_singular_values()):
         rank = int((sv >= theta).sum())
-        ker += b.mult * (b.matrix.shape[1] - rank)
-        coker += b.mult * (b.matrix.shape[0] - rank)
+        ker += b.mult * (b.shape[1] - rank)
+        coker += b.mult * (b.shape[0] - rank)
     discarded = merged[merged < theta]
     kept = merged[merged >= theta]
     if len(discarded) == 0 or len(kept) == 0:

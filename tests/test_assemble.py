@@ -1,9 +1,13 @@
 """Discretization properties: conjugation, boundary rows, augmentation, locality."""
 
+import importlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from crlab.assemble import (
+    ModeBlock,
     _stencil_rows,
     assemble,
     augmentation_layout,
@@ -17,7 +21,7 @@ from crlab.exceptions import (
     ResolutionError,
 )
 from crlab.indexing import analytic_index, index_of, numerical_index
-from crlab.loops import LoopOperatorSpec
+from crlab.loops import LoopOperatorSpec, standard_j
 from crlab.problems import (
     CRProblem,
     EndSpec,
@@ -204,9 +208,81 @@ def test_stencil_rows_match_dense_formula(F, dtype):
     C[1::5] = -0.0
     dense = (np.einsum("ij,fg->ifjg", D, np.eye(F)).astype(dtype)
              + np.einsum("ij,ifg->ifjg", P, C)).reshape(23 * F, 24 * F)
-    M = _stencil_rows(D, P, C)
-    assert M.dtype == dense.dtype and M.shape == dense.shape
+    windows, starts = _stencil_rows(D, P, C)
+    assert windows.dtype == dense.dtype and windows.shape == (23 * F, 8 * F)
+    M = np.zeros_like(dense)
+    M[np.arange(23 * F)[:, None], starts[:, None] + np.arange(8 * F)] = windows
     assert M.tobytes() == dense.tobytes()
+
+
+def _dense_contact_block(p, grid, k):
+    """Contact mode k written out densely from the formulas: the stencil rows
+    of d/ds + 2 pi i k J + B - w', then the negative-end and the positive-end
+    spectral rows at the first and last node."""
+    F = p.fiber_dim
+    D, P, s, mids = fd_operators(p.s_lo, p.truncation.s_max, grid.s_nodes)
+    N, prof, eye = len(s), p.weight_profile(), np.eye(F)
+    base = (2.0j * np.pi * k * standard_j(F)).astype(complex) if k else np.zeros((F, F))
+    C = (base + np.array([p.coefficient(m) for m in mids])
+         - prof.wprime(mids)[:, None, None] * eye)
+    rows = [(np.einsum("ij,fg->ifjg", D, eye).astype(C.dtype)
+             + np.einsum("ij,ifg->ifjg", P, C)).reshape((N - 1) * F, N * F)]
+    for end, node, s_end in ((p.negative_end, 0, p.s_lo),
+                             (p.positive_end, N - 1, p.truncation.s_max)):
+        A = base + end.asymptotic.constant_matrix() - float(prof.wprime(s_end)) * eye
+        lam, V = np.linalg.eigh(A)
+        sel = lam > 0 if end.sign == "negative" else lam < 0
+        r = np.zeros((int(sel.sum()), N * F), dtype=A.dtype)
+        r[:, node * F:(node + 1) * F] = 1.0 / np.sqrt(s[1] - s[0]) * V[:, sel].conj().T
+        rows.append(r)
+    return np.vstack(rows)
+
+
+def test_materialized_block_is_the_dense_layout():
+    # byte for byte: stencil rows, negative-end rows, positive-end rows
+    S = LoopOperatorSpec(dim=2, coeff=np.diag([-2.0, 3.0]))
+    p = build_contact_fiber_cylinder(S, _S1, weights=(1.0, 0.5))
+    grid = GridSpec(64, 8)
+    op = assemble(p, grid)
+    for b in op.blocks:
+        assert b.windows is not None and b.neg_rows > 0
+        dense = _dense_contact_block(p, grid, b.k)
+        assert b.shape == dense.shape
+        assert b.matrix.dtype == dense.dtype and b.matrix.tobytes() == dense.tobytes()
+
+
+def test_dense_view_is_materialized_once(monkeypatch):
+    # the package's ``assemble`` attribute is the function, not the module
+    assemble_module = importlib.import_module("crlab.assemble")
+    calls = []
+    real = assemble_module._materialize
+
+    def spy(b):
+        calls.append(b)
+        return real(b)
+
+    monkeypatch.setattr(assemble_module, "_materialize", spy)
+    b = assemble(build_contact_fiber_cylinder(_S1, _S1), GridSpec(64, 8)).blocks[1]
+    assert b.shape == (128, 128) and b.real_cols == 256
+    assert calls == []
+    assert b.matrix is b.matrix
+    assert calls == [b]
+
+
+def test_block_given_a_dense_matrix_is_decided_from_it():
+    op = assemble(build_contact_fiber_cylinder(_S1, _S1), GridSpec(64, 8))
+    b = op.blocks[1]
+    M = b.matrix.copy()
+    M[0] *= 3.0
+    given = [replace(b, matrix=M),
+             ModeBlock(k=b.k, mult=b.mult, pde_rows=b.pde_rows, bc_rows=b.bc_rows, matrix=M)]
+    for g in given:
+        assert g.matrix is M and g.windows is None and g.shape == M.shape
+        dec = replace(op, blocks=[g])
+        assert dec.block_routes() == ["direct_svd"]
+        assert np.array_equal(dec.block_singular_values()[0],
+                              np.linalg.svd(M, compute_uv=False))
+    assert b.windows is not None
 
 
 def test_contact_fiber_plane_rejected():

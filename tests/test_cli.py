@@ -262,6 +262,17 @@ def _plane_with_negative_end(tmp_path):
     return _config_argv(tmp_path, "index", {"problem": p})
 
 
+def _index_with_misspelt_grid(tmp_path):
+    return _config_argv(tmp_path, "index", {"problem": trivial_problem_json(),
+                                            "grdi": {"s_nodes": 48, "t_nodes": 8}})
+
+
+def _glue_with_grid(tmp_path):
+    p = contact_problem_json([1.0, 1.0], [1.0, 1.0])
+    return _config_argv(tmp_path, "glue", {"problem_u": p, "problem_w": p, "taus": [6.0],
+                                           "grid": {"s_nodes": 48, "t_nodes": 8}})
+
+
 def _config_argv(tmp_path, kind, inputs):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"name": "bad", "kind": kind, "inputs": inputs,
@@ -275,8 +286,12 @@ def _config_argv(tmp_path, kind, inputs):
     (_cylinder_without_negative_end,
      "ERROR: ValueError: a cylinder needs one negative and one positive end"),
     (_plane_with_negative_end, "ERROR: ValueError: a plane needs exactly one positive end"),
+    (_index_with_misspelt_grid,
+     "config error: /inputs: Additional properties are not allowed ('grdi' was unexpected)"),
+    (_glue_with_grid,
+     "config error: /inputs: Additional properties are not allowed ('grid' was unexpected)"),
 ], ids=["odd_grid", "pair_of_missing_graph", "cylinder_without_negative_end",
-        "plane_with_negative_end"])
+        "plane_with_negative_end", "index_with_misspelt_grid", "glue_with_grid"])
 def test_malformed_input_is_a_clean_error(tmp_path, capsys, make_argv, message):
     assert cli.main(make_argv(tmp_path)) == EXIT_ERROR
     summary = tmp_path / "bad" / "summary.txt"

@@ -1,6 +1,7 @@
 """Index computations against the analytic formulas and the sweep machinery."""
 
 import importlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -264,14 +265,47 @@ def test_isomorphism_large_blocks_make_no_dense_svd(monkeypatch):
     assert calls == []
 
 
+def test_criterion_6_is_decided_from_row_windows(monkeypatch):
+    # 32 blocks of 768x768, 31 of them complex: 297 MB dense against 6 MB of row windows
+    materialized = []
+    real = assemble_module._materialize
+
+    def spy(b):
+        materialized.append(b.tag)
+        return real(b)
+
+    monkeypatch.setattr(assemble_module, "_materialize", spy)
+    S = LoopOperatorSpec(dim=2, coeff=np.diag([1.0, 1.0]))
+    problem = build_contact_fiber_cylinder(S, S)
+    tracemalloc.start()
+    try:
+        rep = index_of(problem, GridSpec(384, 64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.index, rep.dim_ker, rep.decisive) == (0, 0, True)
+    assert materialized == []
+    assert peak < 64 * 2**20
+
+
 def _guard_rejected():
     # the positive end's boundary row replaced by the negative end's: a
-    # square block with a one-dimensional kernel and cokernel
+    # square block with a one-dimensional kernel and cokernel, given as an
+    # explicit dense matrix and so decided from it
     op = assemble(*banded_cases()["isomorphism"])
     b = op.blocks[1]
     M = b.matrix.copy()
     M[-1] = M[-2]
     return replace(op, blocks=[replace(b, matrix=M)]), 0
+
+
+def _guard_rejected_windows():
+    # the positive end's boundary row zeroed in the row windows: the banded
+    # route's guard sends the square block with a kernel to dense SVD
+    op = assemble(*banded_cases()["isomorphism"])
+    b = op.blocks[1]
+    b.windows[-1] = 0.0
+    return replace(op, blocks=[b]), 0
 
 
 def _bandwidth_rejected():
@@ -280,8 +314,9 @@ def _bandwidth_rejected():
     return op, len(op.blocks) - 1
 
 
-@pytest.mark.parametrize("rejected", [_guard_rejected, _bandwidth_rejected],
-                         ids=["guard", "bandwidth"])
+@pytest.mark.parametrize("rejected", [_guard_rejected, _guard_rejected_windows,
+                                      _bandwidth_rejected],
+                         ids=["guard", "guard_windows", "bandwidth"])
 def test_rejected_block_takes_one_dense_svd(rejected, monkeypatch):
     op, i = rejected()
     M = op.blocks[i].matrix
