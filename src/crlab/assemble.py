@@ -46,17 +46,25 @@ rank-deficient blocks, the gluing restrictions of blocks that carry
 transplant vectors, ``transposed``, ``DiscreteOperator.matrix`` and its
 Matrix Market export read it.  The rank decision reads ``ModeBlock.shape``.
 
-Each block is decomposed once per operator, by one of two routes chosen by
-the block's storage alone.  A row-window block has a banded Gram matrix,
-with bandwidth 8F - 1 for tall and square blocks (7 on a scalar mode, 15 on
-the 2-dimensional contact fiber).  It gets its singular values as square
-roots of the Gram eigenvalues from LAPACK's banded eigensolver, the band
-built straight from the stored windows, in O(n^2 kd) instead of O(n^3).
-Dense blocks take the values-only dense SVD, which stays the reference.  A
-guard sends a row-window block to dense SVD when its smallest Gram
-eigenvalue is below 1e-8 times its largest (sigma_min < 1e-4 sigma_max),
-because squaring blurs values near the rank threshold; so every
+Each block is decomposed at most once per operator, lazily, by one of two
+routes chosen by the block's storage alone.  A row-window block has a banded
+Gram matrix, with bandwidth 8F - 1 for tall and square blocks (7 on a scalar
+mode, 15 on the 2-dimensional contact fiber).  It gets its singular values
+as square roots of the Gram eigenvalues from LAPACK's banded eigensolver,
+the band built straight from the stored windows, in O(n^2 kd) instead of
+O(n^3).  Dense blocks take the values-only dense SVD, which stays the
+reference.  A guard sends a row-window block to dense SVD when its smallest
+Gram eigenvalue is below 1e-8 times its largest (sigma_min < 1e-4
+sigma_max), because squaring blurs values near the rank threshold; so every
 rank-deficient or near-deficient block is decided by dense SVD.
+
+A row-window block whose values cannot reach a report is not decomposed at
+all but certified: a banded Cholesky factorization of its Gram matrix
+shifted by x I succeeds only when every Gram eigenvalue lies above x (of
+x I - G: below x), up to rounding, in O(n kd^2).  The operator keeps, per
+block, either its values or a certified floor with all its values strictly
+between the floor and sigma_max (``DiscreteOperator.certify_floor``); the
+rank decision in ``crlab.indexing`` chooses the cuts.
 """
 
 from __future__ import annotations
@@ -239,12 +247,11 @@ def _gram_band(b):
     V, starts = b.windows, b.starts
     n_rows, width = V.shape
     n_cols = b.shape[1]
-    window = starts[:, None] + np.arange(width)
     if n_rows >= n_cols:
         kd = width - 1
         p, q = np.triu_indices(width)
-        idx = ((kd + p - q) * n_cols + window[:, q]).ravel()
-        prod = (V[:, p].conj() * V[:, q]).ravel()
+        idx = (starts[:, None] + ((kd + p - q) * n_cols + q)).ravel()
+        prod = (np.take(V.conj(), p, axis=1) * np.take(V, q, axis=1)).ravel()
         size = (kd + 1) * n_cols
         if np.iscomplexobj(prod):
             band = (np.bincount(idx, prod.real, size)
@@ -281,6 +288,36 @@ def _banded_singular_values(b):
     return np.sqrt(lam[::-1])
 
 
+# Relative room a certificate leaves for the rounding of the Cholesky
+# factorization and of the eigensolver, both of order kd eps ||G||.
+_CERT_MARGIN = 1e-12
+
+
+def _gram_certified(b, shift, below):
+    """Whether every eigenvalue of the smaller Gram matrix G of a row-window
+    block lies below (``below``) or above ``shift``.
+
+    LAPACK's banded Cholesky factorization of shift I - G (or G - shift I)
+    succeeds exactly when that matrix is positive definite, up to rounding
+    (the inertia argument), in O(n kd^2) against the eigensolver's O(n^2 kd).
+    """
+    ab = _gram_band(b)
+    if below:
+        np.negative(ab, out=ab)
+        ab[-1] += shift
+    else:
+        ab[-1] -= shift
+    pbtrf, = scipy.linalg.get_lapack_funcs(("pbtrf",), (ab,))
+    return pbtrf(ab, lower=0, overwrite_ab=1)[1] == 0
+
+
+def _norm_bound(b):
+    """||M||_1 ||M||_inf of a row-window block, an upper bound on sigma_max^2."""
+    A = np.abs(b.windows)
+    cols = np.bincount((b.starts[:, None] + np.arange(A.shape[1])).ravel(), A.ravel())
+    return float(A.sum(axis=1).max() * cols.max())
+
+
 @dataclass
 class DiscreteOperator:
     """Assembled rectangular operator with grid metadata.
@@ -292,13 +329,17 @@ class DiscreteOperator:
     candidate once the boundary rows are installed; both row groups are
     recorded.
 
-    Each block is decomposed once per operator, in ``block_singular_values``
+    Each block is decomposed at most once per operator, in ``block_values``
     (banded Gram eigenvalues for row-window blocks, dense SVD for the others
-    and for the blocks the guard rejects); the rank decision, the kernel
-    directions and the gluing stability constant all read that cache, and
-    ``block_routes`` says which route computed each block.  Values from the
-    banded route agree with dense SVD to about eps (sigma_max / sigma)^2
-    relative, not bit for bit.
+    and for the blocks the guard rejects).  The evidence on a block is its
+    cached values or a certified floor: ``sigma_max`` settles the top of the
+    spectrum and ``certify_floor`` proves a row-window block's values above
+    a cut without decomposing it.  The rank decision, the kernel directions
+    (``block_rank``) and the gluing stability constant read that evidence;
+    ``block_singular_values`` decomposes every block and stays the full
+    reference.  ``block_routes`` says which route computed each block.
+    Values from the banded route agree with dense SVD to about
+    eps (sigma_max / sigma)^2 relative, not bit for bit.
     """
 
     blocks: list
@@ -308,6 +349,8 @@ class DiscreteOperator:
     _matrix: object = field(default=None, repr=False)
     _svals: object = field(default=None, repr=False)
     _routes: object = field(default=None, repr=False)
+    _floors: object = field(default=None, repr=False)
+    _settled: bool = field(default=False, repr=False)
 
     @property
     def rows(self):
@@ -340,33 +383,122 @@ class DiscreteOperator:
                                          format="csr")
         return self._matrix
 
-    def block_singular_values(self):
-        """Singular values of each block: all min(rows, cols), descending.
-
-        Computed on first use and cached on the operator.  A row-window block
-        (``ModeBlock.windows``) takes the banded route
-        (``_banded_singular_values``); every dense block, and every block the
-        route's accuracy guard rejects, takes the reference values-only
-        ``np.linalg.svd`` of ``ModeBlock.matrix``.
-        """
+    def _evidence(self):
+        """Per-block (values, routes, floors); a block holds values once
+        decomposed, a floor once certified, or neither."""
+        n = len(self.blocks)
         if self._svals is None:
-            svals, routes = [], []
-            for b in self.blocks:
-                try:
-                    sv = _banded_singular_values(b) if b.windows is not None else None
-                    routes.append("direct_svd" if sv is None else "banded_gram")
-                    if sv is None:
-                        sv = np.linalg.svd(b.matrix, compute_uv=False)
-                except np.linalg.LinAlgError as exc:  # pragma: no cover
-                    raise NumericalError(f"SVD failed on block {b.tag}: {exc}") from exc
-                svals.append(sv)
-            self._svals, self._routes = svals, routes
-        return self._svals
+            self._svals = [None] * n
+        if self._routes is None:
+            self._routes = [None] * n
+        if self._floors is None:
+            self._floors = [None] * n
+        return self._svals, self._routes, self._floors
+
+    def block_values(self, i):
+        """Singular values of block i: all min(rows, cols), descending.
+
+        Computed on first use and cached on the operator, so each block is
+        decomposed at most once.  A row-window block (``ModeBlock.windows``)
+        takes the banded route (``_banded_singular_values``); every dense
+        block, and every block the route's accuracy guard rejects, takes the
+        reference values-only ``np.linalg.svd`` of ``ModeBlock.matrix``.
+        """
+        svals, routes, _ = self._evidence()
+        if svals[i] is None:
+            b = self.blocks[i]
+            try:
+                sv = _banded_singular_values(b) if b.windows is not None else None
+                routes[i] = "direct_svd" if sv is None else "banded_gram"
+                if sv is None:
+                    sv = np.linalg.svd(b.matrix, compute_uv=False)
+            except np.linalg.LinAlgError as exc:  # pragma: no cover
+                raise NumericalError(f"SVD failed on block {b.tag}: {exc}") from exc
+            svals[i] = sv
+        return svals[i]
+
+    def known_values(self, i):
+        """Block i's singular values if it has been decomposed, else None."""
+        return self._evidence()[0][i]
+
+    def certified_floor(self, i):
+        """The floor certified for block i while it is not decomposed, else None:
+        all its singular values lie strictly between the floor and sigma_max."""
+        svals, _, floors = self._evidence()
+        return floors[i] if svals[i] is None else None
+
+    def sigma_max(self):
+        """Largest singular value of the operator.
+
+        Settled once per operator.  Dense blocks are decomposed.  Among the
+        row-window blocks, the one with the largest bound ||M||_1 ||M||_inf
+        on sigma_max^2 is decomposed.  Every other one is certified to have
+        its Gram eigenvalues below lambda_top (1 - 1e-12), lambda_top the
+        largest found so far, by its bound where that suffices and by a
+        banded Cholesky factorization otherwise; a block whose certificate
+        fails is decomposed and raises lambda_top.
+        """
+        svals, _, _ = self._evidence()
+
+        def largest_known():
+            return float(max((sv[0] for sv in svals if sv is not None and len(sv)), default=0.0))
+
+        if not self._settled:
+            windowed = [i for i, b in enumerate(self.blocks) if b.windows is not None]
+            for i, b in enumerate(self.blocks):
+                if b.windows is None:
+                    self.block_values(i)
+            bound = {i: _norm_bound(self.blocks[i]) for i in windowed}
+            if windowed:
+                self.block_values(max(windowed, key=bound.get))
+            lam_top = largest_known() ** 2
+            for i in windowed:
+                ceiling = lam_top * (1 - _CERT_MARGIN)
+                if (svals[i] is None and bound[i] >= ceiling
+                        and not _gram_certified(self.blocks[i], ceiling, below=True)):
+                    lam_top = max(lam_top, self.block_values(i)[0] ** 2)
+            self._settled = True
+        return largest_known()
+
+    def certify_floor(self, i, cut):
+        """Certify that every singular value of row-window block i exceeds
+        ``cut``, without decomposing it; True when the certificate holds.
+
+        The shift is max(cut^2, 1e-8 lambda_top) (1 + 1e-12) + 1e-12 lambda_top,
+        lambda_top = sigma_max^2, so a certified block also passes the banded
+        route's guard: its route is ``banded_gram``.
+        """
+        svals, routes, floors = self._evidence()
+        lam_top = self.sigma_max() ** 2
+        lam = max(cut * cut, _GRAM_GUARD * lam_top)
+        if not _gram_certified(self.blocks[i], lam * (1 + _CERT_MARGIN) + _CERT_MARGIN * lam_top,
+                               below=False):
+            return False
+        floors[i], routes[i] = float(np.sqrt(lam)), "banded_gram"
+        return True
+
+    def block_rank(self, i, threshold):
+        """Number of block i's singular values at or above ``threshold``; a
+        block certified above it has full rank and is not decomposed."""
+        floor = self.certified_floor(i)
+        if floor is not None and floor >= threshold:
+            return min(self.blocks[i].shape)
+        return int((self.block_values(i) >= threshold).sum())
+
+    def block_singular_values(self):
+        """Singular values of every block (``block_values``), the full reference:
+        certified blocks are decomposed too."""
+        return [self.block_values(i) for i in range(len(self.blocks))]
 
     def block_routes(self):
-        """How each block's singular values were computed: "banded_gram" or "direct_svd"."""
-        self.block_singular_values()
-        return self._routes
+        """How each block's singular values were computed: "banded_gram" or
+        "direct_svd".  A certified block names the banded route, whose guard
+        it passes; a block with no evidence yet is decomposed."""
+        _, routes, _ = self._evidence()
+        for i, r in enumerate(routes):
+            if r is None:
+                self.block_values(i)
+        return list(routes)
 
     def singular_values(self):
         """All singular values with real multiplicities, ascending."""
@@ -716,12 +848,13 @@ def kernel_vectors(op, threshold):
     Returns a list of (block, vectors) where vectors has shape
     (block_cols, n_small); structural kernel directions of wide blocks are
     included through the rank decision.  The rank comes from the operator's
-    cached singular values; only rank-deficient blocks are made dense and run
-    the full SVD.
+    evidence (``DiscreteOperator.block_rank``): a block certified above the
+    threshold has full rank and is not decomposed.  Only rank-deficient blocks
+    are made dense and run the full SVD.
     """
     out = []
-    for b, sv in zip(op.blocks, op.block_singular_values()):
-        rank = int((sv >= threshold).sum())
+    for i, b in enumerate(op.blocks):
+        rank = op.block_rank(i, threshold)
         if rank < b.shape[1]:
             Vh = np.linalg.svd(b.matrix)[2]
             out.append((b, Vh[rank:].conj().T))

@@ -273,13 +273,17 @@ def stability_constant(glued_op, n_tau):
     Computed per mode block: transplant vectors are projected out of the
     block's column space and the smallest singular value of the restricted
     matrix is minimized over blocks.  A block without transplant vectors is
-    its own restriction and reuses the operator's cached singular values.
+    its own restriction and reuses the operator's cached singular values; a
+    certified block (``DiscreteOperator.certified_floor``) is decomposed only
+    when the running minimum lies above its floor, which bounds its values
+    from below.
     """
     by_mode = {}
     for k, v in n_tau.vectors:
         by_mode.setdefault(k, []).append(v)
     best = np.inf
-    for b, sv in zip(glued_op.blocks, glued_op.block_singular_values()):
+    certified = []
+    for i, b in enumerate(glued_op.blocks):
         shape = b.shape
         vs = by_mode.get(b.k)
         if vs:
@@ -290,10 +294,16 @@ def stability_constant(glued_op, n_tau):
             # more directions than equations: exact null vectors remain in the
             # complement, the restricted operator has no lower bound at all
             return 0.0
-        if vs:
-            sv = np.linalg.svd(T, compute_uv=False)
+        floor = None if vs else glued_op.certified_floor(i)
+        if floor is not None:
+            certified.append((floor, i))
+            continue
+        sv = np.linalg.svd(T, compute_uv=False) if vs else glued_op.block_values(i)
         if len(sv):
             best = min(best, float(sv[-1]))
+    for floor, i in sorted(certified):
+        if best > floor:
+            best = min(best, float(glued_op.block_values(i)[-1]))
     return best
 
 

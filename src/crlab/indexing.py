@@ -1,16 +1,22 @@
 """Numerical and analytic Fredholm indices of assembled operators.
 
-The numerical route decomposes each mode block once per operator (in
-``DiscreteOperator.block_singular_values``), counts singular values under a
-scale-relative threshold, and refuses to guess when the gap between kept and
-discarded values is not decisive.  Every block without shift columns from
-the decoupled backend gets its singular values from the banded eigenvalues
-of its Gram matrix; blocks with shift columns, the coupled block, and any
-block with sigma_min < 1e-4 sigma_max (the accuracy guard), from dense SVD.
-Every rank-deficient block is therefore decided by dense SVD, and a banded
-value carries a relative error of order 1e-8 at worst (below 1e-11 on the
+The numerical route counts singular values under a scale-relative
+threshold and refuses to guess when the gap between kept and discarded
+values is not decisive.  It reads sigma_max, the values below the
+threshold, the smallest kept value and the REPORTED_VALUES smallest values,
+and decomposes only the mode blocks that can hold one of them, each at most
+once (``DiscreteOperator.block_values``).  sigma_max is settled first; then
+the other blocks are certified by banded Cholesky to have all their values
+above a running cut that every value the report reads lies at or below.  A
+certified block has full rank.  Every block without shift columns from the
+decoupled backend gets its singular values from the banded eigenvalues of
+its Gram matrix; blocks with shift columns, the coupled block, and any block
+with sigma_min < 1e-4 sigma_max (the accuracy guard), from dense SVD.  Every
+rank-deficient block is therefore decided by dense SVD, and a banded value
+carries a relative error of order 1e-8 at worst (below 1e-11 on the
 operators of ``reproduce-all``).  The report's ``method`` names the routes
-that decided.
+that decided; a certified block passes the guard and counts as
+``banded_gram``.
 
 The analytic route never assembles the two-dimensional operator: on the
 complex-line fiber it anchors at the invertible mixed-weight cylinder and
@@ -68,6 +74,10 @@ class TolerancePolicy:
 
 DEFAULT_POLICY = TolerancePolicy()
 
+# how many of the smallest singular values an IndexReport lists; the rank
+# decision decomposes every block that can hold one of them
+REPORTED_VALUES = 10
+
 
 @dataclass
 class IndexReport:
@@ -107,6 +117,44 @@ class IndexReport:
         }
 
 
+def _certify_unreported(op, theta):
+    """Give every block of ``op`` values or a floor above the report's reach.
+
+    The row-window blocks are walked in ascending |k|, under a running cut:
+    the larger of the REPORTED_VALUES-th smallest known singular value
+    (counted with multiplicity) and the smallest known value >= theta.  A
+    block is certified when its values all exceed the cut
+    (``DiscreteOperator.certify_floor``) and decomposed otherwise.  The cut
+    only falls as values become known, so at the end every certified value
+    exceeds the reported values, the smallest kept value, theta and every
+    discarded value: certified blocks have full rank and nothing reported
+    reads them.
+    """
+    low = np.full(REPORTED_VALUES, np.inf)    # the smallest known values, ascending
+    kept = np.inf                             # the smallest known value >= theta
+
+    def absorb(b, sv):
+        nonlocal low, kept
+        low = np.sort(np.concatenate([low, np.repeat(sv[::-1][:REPORTED_VALUES], b.mult)]))
+        low = low[:REPORTED_VALUES]
+        kept = min(kept, float(sv[sv >= theta].min(initial=np.inf)))
+
+    walk = []
+    for i, b in enumerate(op.blocks):
+        sv = op.known_values(i)
+        if sv is not None:
+            absorb(b, sv)
+        elif b.windows is not None:
+            walk.append(i)
+    for i in sorted(walk, key=lambda i: abs(op.blocks[i].k)):
+        cut = max(low[-1], kept)
+        floor = op.certified_floor(i)
+        if floor is not None and floor >= cut:
+            continue
+        if not (np.isfinite(cut) and op.certify_floor(i, cut)):
+            absorb(op.blocks[i], op.block_values(i))
+
+
 def numerical_index(op, policy=DEFAULT_POLICY):
     """Kernel/cokernel dimensions and index of a discrete operator by SVD.
 
@@ -114,15 +162,26 @@ def numerical_index(op, policy=DEFAULT_POLICY):
     it; wide blocks contribute structural kernel directions that never appear
     among the singular values.  A report with gap_ratio below policy.gap_min
     is flagged indecisive (or raises, under a strict policy).
+
+    Only the blocks whose values can reach the report are decomposed:
+    sigma_max is settled first (``DiscreteOperator.sigma_max``), then
+    ``_certify_unreported`` certifies the others above every reported value.
+    The report is read from the decomposed blocks and equals the one read
+    from all of them.
     """
-    merged = op.singular_values()
-    sigma_max = float(merged[-1]) if len(merged) else 0.0
+    sigma_max = op.sigma_max()
     theta = policy.rel_threshold * sigma_max
+    _certify_unreported(op, theta)
     ker = coker = 0
-    for b, sv in zip(op.blocks, op.block_singular_values()):
-        rank = int((sv >= theta).sum())
+    known = []
+    for i, b in enumerate(op.blocks):
+        rank = op.block_rank(i, theta)
         ker += b.mult * (b.shape[1] - rank)
         coker += b.mult * (b.shape[0] - rank)
+        sv = op.known_values(i)
+        if sv is not None:
+            known.append(np.repeat(sv, b.mult))
+    merged = np.sort(np.concatenate(known)) if known else np.zeros(0)
     discarded = merged[merged < theta]
     kept = merged[merged >= theta]
     if len(discarded) == 0 or len(kept) == 0:
@@ -139,7 +198,7 @@ def numerical_index(op, policy=DEFAULT_POLICY):
             f"rank bookkeeping broke: index {index} != cols - rows {op.index_candidate}")
     return IndexReport(
         dim_ker=ker, dim_coker=coker, index=index,
-        singular_values=[float(x) for x in merged[:10]],
+        singular_values=[float(x) for x in merged[:REPORTED_VALUES]],
         gap_ratio=gap_ratio, decisive=decisive, method="+".join(sorted(set(op.block_routes()))),
         grid_tag=op.grid_tag(), tolerance_policy=policy,
         threshold=theta, sigma_max=sigma_max)
@@ -230,7 +289,7 @@ def delta_sweep(problem, deltas, grid=None):
     skipped and flagged.  The crossed multiplicity of each jump is the signed
     window count of the end spectra between consecutive magnitudes: growth
     ends raise the index when the window is crossed outward, decay ends
-    lower it.
+    lower it.  Equal consecutive magnitudes cross no window.
     """
     rows = []
     signs = {e.sign: (1.0 if e.weight >= 0 else -1.0) for e in problem.ends}
@@ -254,7 +313,7 @@ def delta_sweep(problem, deltas, grid=None):
         jump = r2.report.index - r1.report.index
         lo, hi = sorted((abs(r1.delta), abs(r2.delta)))
         crossed = 0
-        for e, rep in end_spectra:
+        for e, rep in (end_spectra if lo < hi else ()):
             try:
                 pos_cnt = count_window(rep, lo, hi)
                 neg_cnt = count_window(rep, -hi, -lo)

@@ -280,6 +280,16 @@ def _config_argv(tmp_path, kind, inputs):
     return [kind, "--config", str(path)]
 
 
+def _sweep_argv(tmp_path, deltas):
+    argv = _config_argv(tmp_path, "sweep", {"problem": trivial_problem_json(weights=(-1.0, 1.0)),
+                                            "deltas": deltas})
+    return ["sweep-delta"] + argv[1:]
+
+
+def _sweep_with_negative_delta(tmp_path):
+    return _sweep_argv(tmp_path, [0.5, -1.5])
+
+
 @pytest.mark.parametrize("make_argv, message", [
     (_odd_grid, "bad --grid value '96x33'"),
     (_pair_of_missing_graph, "ERROR: ConfigError: /inputs/pairs/0: names a graph beyond the 1 given"),
@@ -290,13 +300,25 @@ def _config_argv(tmp_path, kind, inputs):
      "config error: /inputs: Additional properties are not allowed ('grdi' was unexpected)"),
     (_glue_with_grid,
      "config error: /inputs: Additional properties are not allowed ('grid' was unexpected)"),
+    (_sweep_with_negative_delta,
+     "config error: /inputs/deltas/1: -1.5 is less than or equal to the minimum of 0"),
 ], ids=["odd_grid", "pair_of_missing_graph", "cylinder_without_negative_end",
-        "plane_with_negative_end", "index_with_misspelt_grid", "glue_with_grid"])
+        "plane_with_negative_end", "index_with_misspelt_grid", "glue_with_grid",
+        "sweep_with_negative_delta"])
 def test_malformed_input_is_a_clean_error(tmp_path, capsys, make_argv, message):
     assert cli.main(make_argv(tmp_path)) == EXIT_ERROR
     summary = tmp_path / "bad" / "summary.txt"
     reported = summary.read_text() if summary.exists() else capsys.readouterr().err
     assert reported.startswith(message)
+
+
+def test_sweep_over_repeated_magnitude(tmp_path):
+    # two samples at one magnitude: no window lies between them
+    assert cli.main(_sweep_argv(tmp_path, [0.5, 0.5, 1.5])) == EXIT_OK
+    sweep = (tmp_path / "bad" / "sweep.csv").read_text().strip().splitlines()
+    assert len(sweep) == 4
+    jumps = (tmp_path / "bad" / "jumps.csv").read_text().strip().splitlines()
+    assert jumps[1:] == ["0.5,0.5,0,0", "0.5,1.5,0,0"]
 
 
 def test_main_entry_with_config_file(tmp_path):

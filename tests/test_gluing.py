@@ -216,7 +216,7 @@ def test_augmented_component_transplants_decay_at_weight_rate():
         assert predicted / 3.0 <= ratio <= 3.0 * predicted
 
 
-def test_each_block_is_decomposed_once_per_gluing_pass(monkeypatch):
+def test_each_block_is_decomposed_at_most_once_per_gluing_pass(monkeypatch):
     pu, pw = flow_pair()
     ops, kernels = [], []
     real_svd, real_assemble, real_approx = np.linalg.svd, gluing.assemble, gluing.approximate_kernel
@@ -253,8 +253,20 @@ def test_each_block_is_decomposed_once_per_gluing_pass(monkeypatch):
     values_only = [id(a) for a, uv in calls if not uv and id(a) in block_ids]
     restricted = [a for a, uv in calls if not uv and id(a) not in block_ids]
     full = [a for a, uv in calls if uv]
-    # every assembled block: exactly one decomposition, banded or values-only dense
-    assert sorted(values_only + banded) == sorted(block_ids)
+    # every assembled block: at most one decomposition, banded or values-only
+    # dense; every other block is certified
+    decomposed = values_only + banded
+    assert len(set(decomposed)) == len(decomposed)
+    certified = [(op, i) for op in ops for i in range(len(op.blocks))
+                 if op.certified_floor(i) is not None]
+    assert all(op.known_values(i) is None and id(op.blocks[i].matrix) not in decomposed
+               for op, i in certified)
+    assert len(decomposed) + len(certified) == len(block_ids)
+    assert certified
+    # a certified block's values lie strictly between its floor and sigma_max
+    for op, i in certified:
+        sv = np.linalg.svd(op.blocks[i].matrix, compute_uv=False)
+        assert op.certified_floor(i) < sv[-1] and sv[0] < op.sigma_max()
 
     def rank_deficient(op):
         svs = [np.linalg.svd(b.matrix, compute_uv=False) for b in op.blocks]

@@ -6,12 +6,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import random_nondegenerate_symmetric
+from conftest import mode_oracle_eigenvalues, random_nondegenerate_symmetric
 
-from crlab.assemble import assemble
+from crlab.assemble import DiscreteOperator, ModeBlock, assemble, kernel_vectors, required_s_nodes
 from crlab.exceptions import IndecisiveRankError
+from crlab.gluing import ApproximateKernel, stability_constant
 from crlab.indexing import (
+    REPORTED_VALUES,
     TolerancePolicy,
     adjoint_check,
     analytic_index,
@@ -279,13 +283,17 @@ def test_criterion_6_is_decided_from_row_windows(monkeypatch):
     problem = build_contact_fiber_cylinder(S, S)
     tracemalloc.start()
     try:
-        rep = index_of(problem, GridSpec(384, 64))
+        op = assemble(problem, GridSpec(384, 64))
+        rep = numerical_index(op)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert (rep.index, rep.dim_ker, rep.decisive) == (0, 0, True)
     assert materialized == []
     assert peak < 64 * 2**20
+    # block k=0 holds the reported values and the gap, k=31 sigma_max; the
+    # other 30 are certified
+    assert sum(op.known_values(i) is not None for i in range(len(op.blocks))) <= 2
 
 
 def _guard_rejected():
@@ -389,3 +397,192 @@ def _isomorphism():
 ], ids=["isomorphism", "augmented", "guard_rejected"])
 def test_report_method_names_the_routes(make_op, method):
     assert numerical_index(make_op()).method == method
+
+
+# ---------------------------------------------------------------------------
+# certified blocks: decomposed only when their values can reach the report
+# ---------------------------------------------------------------------------
+
+def full_reference(problem, grid):
+    """The operator with every block decomposed before any rank decision."""
+    ref = assemble(problem, grid)
+    ref.block_singular_values()
+    return ref
+
+
+def assert_certified_route_matches_full(problem, grid):
+    op, ref = assemble(problem, grid), full_reference(problem, grid)
+    rep = numerical_index(op)
+    assert rep == numerical_index(ref)
+    found, found_ref = kernel_vectors(op, rep.threshold), kernel_vectors(ref, rep.threshold)
+    assert [b.tag for b, _ in found] == [b.tag for b, _ in found_ref]
+    assert all(np.array_equal(V, V_ref) for (_, V), (_, V_ref) in zip(found, found_ref))
+    # the complement of nothing, and of the kernel: certified blocks then count
+    # through their floors only
+    for pieces, pieces_ref in (([], []), (found, found_ref)):
+        n_tau, n_tau_ref = (ApproximateKernel(vectors=[(b.k, V[:, j]) for b, V in p
+                                                       for j in range(V.shape[1])],
+                                              source_dims=(0, 0), gram_condition=1.0)
+                            for p in (pieces, pieces_ref))
+        assert stability_constant(op, n_tau) == stability_constant(ref, n_tau_ref)
+
+
+SMALL_TRUNC = Truncation(s_max=4.0, n_prime=1.0)
+QUARTERS = st.integers(1, 12).map(lambda n: n / 4.0)          # weight magnitudes 0.25..3
+SIGNED_WEIGHTS = st.tuples(st.sampled_from([-1.0, 1.0]), QUARTERS).map(lambda p: p[0] * p[1])
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(weights=st.tuples(SIGNED_WEIGHTS, SIGNED_WEIGHTS),
+       shifts=st.sampled_from([(0, 0), (2, 2), (2, 0), (1, 2)]),
+       t_nodes=st.sampled_from([16, 32]))
+def test_certified_route_matches_full_decomposition_trivial(weights, shifts, t_nodes):
+    problem = build_trivial_cylinder(weights, shifts, truncation=SMALL_TRUNC)
+    assert_certified_route_matches_full(problem, GridSpec(required_s_nodes(problem), t_nodes))
+
+
+def _symmetric_2x2(vals):
+    a, b, c = (v / 4.0 for v in vals)
+    return np.array([[a, b], [b, c]])
+
+
+SYMMETRIC_2X2 = st.tuples(*[st.integers(-12, 12)] * 3).map(_symmetric_2x2)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(ends=st.tuples(SYMMETRIC_2X2, SYMMETRIC_2X2),
+       weights=st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
+       t_nodes=st.sampled_from([16, 32]))
+def test_certified_route_matches_full_decomposition_contact(ends, weights, t_nodes):
+    weights = tuple(w / 4.0 for w in weights)
+    for S, w in zip(ends, weights):
+        lam = mode_oracle_eigenvalues(S, kmax=6)
+        # nondegenerate ends, weights clear of the walls on either side
+        assume(np.abs(lam).min() >= 0.2 and np.abs(lam - w).min() >= 0.2
+               and np.abs(lam + w).min() >= 0.2)
+    problem = build_contact_fiber_cylinder(
+        *(LoopOperatorSpec(dim=2, coeff=S) for S in ends), weights=weights,
+        truncation=SMALL_TRUNC)
+    grid = GridSpec(max(required_s_nodes(problem), 32), t_nodes)
+    assert_certified_route_matches_full(problem, grid)
+
+
+def _isomorphism_96x32():
+    S = LoopOperatorSpec(dim=2, coeff=np.diag([1.0, 1.0]))
+    return build_contact_fiber_cylinder(S, S), GridSpec(96, 32)
+
+
+def test_failed_sigma_max_certificate_decomposes_the_block(monkeypatch):
+    # the bound of block k=0 inflated, still a bound: k=0 is decomposed first
+    # and the blocks above it fail their certificates
+    problem, grid = _isomorphism_96x32()
+    real_bound, real_certified = assemble_module._norm_bound, assemble_module._gram_certified
+    failed = []
+
+    def certified(b, shift, below):
+        ok = real_certified(b, shift, below)
+        if below and not ok:
+            failed.append(b.k)
+        return ok
+
+    monkeypatch.setattr(assemble_module, "_norm_bound",
+                        lambda b: real_bound(b) * (1e6 if b.k == 0 else 1.0))
+    monkeypatch.setattr(assemble_module, "_gram_certified", certified)
+    op = assemble(problem, grid)
+    sigma_max = op.sigma_max()
+    monkeypatch.undo()
+    ref = full_reference(problem, grid)
+    top = max(range(len(ref.blocks)), key=lambda i: ref.block_singular_values()[i][0])
+    assert failed and ref.blocks[top].k in failed
+    assert op.known_values(0) is not None and op.known_values(top) is not None
+    assert sigma_max == ref.sigma_max()
+    assert numerical_index(op) == numerical_index(ref)
+
+
+def _variant(b, k, windows):
+    """A row-window block with b's layout, mode label k and the given windows."""
+    return ModeBlock(k=k, mult=b.mult, pde_rows=b.pde_rows, bc_rows=b.bc_rows, tag=f"variant k={k}",
+                     windows=windows, starts=b.starts, neg_rows=b.neg_rows)
+
+
+def _last_row_scaled(b, k, scale):
+    windows = b.windows.copy()
+    windows[-1] *= scale
+    return _variant(b, k, windows)
+
+
+@pytest.mark.parametrize("above, certified", [(0.0, False), (1e-6, True)],
+                         ids=["on_the_cut", "above_the_cut"])
+def test_block_on_the_cut_is_decomposed(above, certified):
+    # blocks k=15 (sigma_max), k=1, and k=1 scaled so that its sigma_min sits
+    # on the cut the walk reaches after decomposing k=1: the tenth smallest
+    # value of the first two, counted with multiplicity 2 (all are kept)
+    blocks = assemble(*_isomorphism_96x32()).blocks
+    top, low = blocks[15], blocks[1]
+    known = DiscreteOperator(blocks=[top, low], grid=None).block_singular_values()
+    cut = np.sort(np.repeat(np.concatenate(known), 2))[REPORTED_VALUES - 1]
+    parts = [top, low, _variant(low, 2, cut / known[1][-1] * (1.0 + above) * low.windows)]
+    op = DiscreteOperator(blocks=parts, grid=(96, 32, 12.0))
+    ref = DiscreteOperator(blocks=parts, grid=(96, 32, 12.0))
+    ref.block_singular_values()
+    assert ref.block_values(2)[0] < ref.block_values(0)[0]
+    assert numerical_index(op) == numerical_index(ref)
+    assert op.known_values(1) is not None
+    assert (op.known_values(2) is None) == certified
+    assert (op.certified_floor(2) is not None) == certified
+
+
+def _decide_against_full(parts):
+    op = DiscreteOperator(blocks=parts, grid=(96, 32, 12.0))
+    ref = DiscreteOperator(blocks=parts, grid=(96, 32, 12.0))
+    ref.block_singular_values()
+    assert numerical_index(op) == numerical_index(ref)
+    return op, ref
+
+
+def test_smallest_kept_value_behind_ten_discarded_is_decomposed():
+    # blocks k=1..5 with their last row zeroed hold ten zero values (with
+    # multiplicity), so the tenth smallest known value lies below the
+    # threshold; the cut is then the smallest kept value, and block k=6,
+    # scaled below it, must be decomposed: it holds the smallest kept value
+    blocks = assemble(*_isomorphism_96x32()).blocks
+    parts = ([blocks[15]] + [_last_row_scaled(blocks[k], k, 0.0) for k in range(1, 6)]
+             + [_variant(blocks[6], 6, 0.1 * blocks[6].windows)])
+    op, ref = _decide_against_full(parts)
+    kept = [sv[sv >= numerical_index(ref).threshold][-1] for sv in ref.block_singular_values()]
+    assert int(np.argmin(kept)) == 6
+    assert op.known_values(6) is not None
+
+
+def test_block_the_guard_rejects_is_never_certified():
+    # its last row scaled by 1e-3: sigma_min < 1e-4 sigma_max, so the banded
+    # route's guard sends it to dense SVD, and no cut below sigma_min certifies
+    # it; sigma_min lies well above the rounding room of the certificate
+    b = assemble(*_isomorphism_96x32()).blocks[2]
+    near = _last_row_scaled(b, 2, 1e-3)
+    op = DiscreteOperator(blocks=[_variant(b, 3, 1.01 * near.windows), near], grid=(96, 32, 12.0))
+    op.sigma_max()
+    assert op.known_values(1) is None
+    sv = np.linalg.svd(near.matrix, compute_uv=False)
+    assert 1e-5 * sv[0] < sv[-1] < 1e-4 * sv[0]
+    assert not op.certify_floor(1, 0.5 * sv[-1])
+    assert op.block_routes()[1] == "direct_svd"
+
+
+def test_stability_constant_decomposes_certified_blocks_below_its_minimum():
+    # N_tau holds the right singular vectors of every decomposed block up to
+    # past every certified floor: the restricted blocks then lie above the
+    # floors, and the certified blocks must be decomposed to find the minimum
+    problem, grid = _isomorphism_96x32()
+    op, ref = assemble(problem, grid), full_reference(problem, grid)
+    numerical_index(op)
+    certified = [i for i in range(len(op.blocks)) if op.certified_floor(i) is not None]
+    top_floor = max(op.certified_floor(i) for i in certified)
+    vectors = []
+    for i, b in enumerate(op.blocks):
+        if i not in certified:
+            _, sv, Vh = np.linalg.svd(b.matrix)
+            vectors += [(b.k, v) for v in Vh[sv <= 2.0 * top_floor].conj()]
+    n_tau = ApproximateKernel(vectors=vectors, source_dims=(0, 0), gram_condition=1.0)
+    assert stability_constant(op, n_tau) == stability_constant(ref, n_tau)
+    assert any(op.known_values(i) is not None for i in certified)
