@@ -45,6 +45,10 @@ keeps it; only the dense fallback below, ``kernel_vectors`` on
 rank-deficient blocks, the gluing restrictions of blocks that carry
 transplant vectors, ``transposed``, ``DiscreteOperator.matrix`` and its
 Matrix Market export read it.  The rank decision reads ``ModeBlock.shape``.
+The row-window blocks of one decoupled operator also share one object
+(``ModeBlock.gram_terms``, ``_GramTerms``): mode k's stencil rows are
+W0 + k WX, so their Gram band is G0 + k G1 + k^2 G2, three bands built once
+per operator, on its first certificate.
 
 Each block is decomposed at most once per operator, lazily, by one of two
 routes chosen by the block's storage alone.  A row-window block has a banded
@@ -64,7 +68,13 @@ shifted by x I succeeds only when every Gram eigenvalue lies above x (of
 x I - G: below x), up to rounding, in O(n kd^2).  The operator keeps, per
 block, either its values or a certified floor with all its values strictly
 between the floor and sigma_max (``DiscreteOperator.certify_floor``); the
-rank decision in ``crlab.indexing`` chooses the cuts.
+rank decision in ``crlab.indexing`` chooses the cuts.  A certificate of a
+tall block reads the shared terms at its k plus the outer products of its
+end rows (two axpys and a few rows, not a band rebuilt from every window);
+it differs from the direct band by rounding, of order eps max|G|, inside
+the certificates' relative room of 1e-12.  Wide blocks and blocks without
+shared terms are certified on the direct band.  Singular values always
+come from the direct band (``_gram_band``), which stays the reference.
 """
 
 from __future__ import annotations
@@ -85,27 +95,35 @@ _FD_STENCIL = 8
 
 
 def fornberg_weights(x0, nodes, max_order=1):
-    """Finite-difference weights for derivatives 0..max_order at x0."""
-    n = len(nodes)
-    c = np.zeros((n, max_order + 1))
+    """Finite-difference weights for derivatives 0..max_order at x0.
+
+    ``x0`` may also be an array of points, ``nodes`` then holding one row of
+    nodes per point: the recurrence runs elementwise over the points, with the
+    same floating-point operations as for a single point.  Returns the weights
+    with shape nodes.shape + (max_order + 1,).
+    """
+    x0 = np.asarray(x0, dtype=float)
+    nodes = np.asarray(nodes, dtype=float)
+    n = nodes.shape[-1]
+    c = np.zeros(nodes.shape + (max_order + 1,))
     c1 = 1.0
-    c4 = nodes[0] - x0
-    c[0, 0] = 1.0
+    c4 = nodes[..., 0] - x0
+    c[..., 0, 0] = 1.0
     for i in range(1, n):
         mn = min(i, max_order)
         c2 = 1.0
         c5 = c4
-        c4 = nodes[i] - x0
+        c4 = nodes[..., i] - x0
         for j in range(i):
-            c3 = nodes[i] - nodes[j]
-            c2 *= c3
+            c3 = nodes[..., i] - nodes[..., j]
+            c2 = c2 * c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+                    c[..., i, k] = c1 * (k * c[..., i - 1, k - 1] - c5 * c[..., i - 1, k]) / c2
+                c[..., i, 0] = -c1 * c5 * c[..., i - 1, 0] / c2
             for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
+                c[..., j, k] = (c4 * c[..., j, k] - k * c[..., j, k - 1]) / c3
+            c[..., j, 0] = c4 * c[..., j, 0] / c3
         c1 = c2
     return c
 
@@ -133,12 +151,13 @@ def _fd_operators(s_lo, s_hi, N):
         raise ResolutionError(f"need at least {_FD_STENCIL + 1} s-nodes, got {N}")
     s = np.linspace(s_lo, s_hi, N)
     mids = 0.5 * (s[:-1] + s[1:])
+    rows = np.arange(N - 1)[:, None]
+    cols = _stencil_starts(N - 1, N)[:, None] + np.arange(_FD_STENCIL)
+    cc = fornberg_weights(mids, s[cols], 1)
     D = np.zeros((N - 1, N))
     P = np.zeros((N - 1, N))
-    for i, (m, w0) in enumerate(zip(mids, _stencil_starts(N - 1, N))):
-        cc = fornberg_weights(m, s[w0:w0 + _FD_STENCIL], 1)
-        D[i, w0:w0 + _FD_STENCIL] = cc[:, 1]
-        P[i, w0:w0 + _FD_STENCIL] = cc[:, 0]
+    D[rows, cols] = cc[..., 1]
+    P[rows, cols] = cc[..., 0]
     for a in (D, P, s, mids):
         a.flags.writeable = False
     return D, P, s, mids
@@ -177,6 +196,15 @@ class ModeBlock:
     layout stencil rows, negative-end rows, positive-end rows; a row-window
     block materializes it on first read and keeps it, so only the readers
     that need the dense entries pay for them.  ``shape`` never materializes.
+
+    ``gram_terms`` is the Gram band of the stencil rows that the row-window
+    blocks of one assembled operator share (``_GramTerms``, mode factor
+    ``k``); certificates read it instead of rebuilding the band.  It is set
+    only by the assembler and is no constructor argument, so a block built
+    from other windows (directly or by ``dataclasses.replace``) carries no
+    shared terms and is certified on its own band.  The invariant: an
+    assembled block's stencil windows are never edited in place.  Its end
+    rows may be; certificates read them from ``windows`` when they run.
     """
 
     k: object
@@ -189,6 +217,7 @@ class ModeBlock:
     windows: np.ndarray = None
     starts: np.ndarray = None
     neg_rows: int = 0
+    gram_terms: object = field(default=None, init=False)
 
     def __post_init__(self):
         if self._dense is not None:     # a given dense matrix decides the block
@@ -236,6 +265,31 @@ def _materialize(b):
 _GRAM_GUARD = 1e-8
 
 
+def _upper_band_index(starts, n_cols, width):
+    """Window index pairs p <= q and, for rows whose windows start at
+    ``starts``, the flat position of each product conj(row[p]) row[q] in
+    upper band storage of bandwidth width - 1 on n_cols columns."""
+    p, q = np.triu_indices(width)
+    return p, q, (starts[:, None] + ((width - 1 + p - q) * n_cols + q)).ravel()
+
+
+def _window_products(U, V, p, q):
+    """conj(U[:, p]) V[:, q] on every row of the windows U and V, multiplied in place."""
+    prod = np.take(U.conj(), p, axis=1)
+    prod *= np.take(V, q, axis=1)
+    return prod
+
+
+def _scatter_band(idx, prod, shape):
+    """Upper band storage of the given shape summing the products ``prod`` at ``idx``."""
+    prod, size = prod.ravel(), shape[0] * shape[1]
+    if np.iscomplexobj(prod):
+        band = np.bincount(idx, prod.real, size) + 1j * np.bincount(idx, prod.imag, size)
+    else:
+        band = np.bincount(idx, prod, size)
+    return band.reshape(shape)
+
+
 def _gram_band(b):
     """Upper band storage of the smaller Gram matrix of a row-window block.
 
@@ -248,17 +302,8 @@ def _gram_band(b):
     n_rows, width = V.shape
     n_cols = b.shape[1]
     if n_rows >= n_cols:
-        kd = width - 1
-        p, q = np.triu_indices(width)
-        idx = (starts[:, None] + ((kd + p - q) * n_cols + q)).ravel()
-        prod = (np.take(V.conj(), p, axis=1) * np.take(V, q, axis=1)).ravel()
-        size = (kd + 1) * n_cols
-        if np.iscomplexobj(prod):
-            band = (np.bincount(idx, prod.real, size)
-                    + 1j * np.bincount(idx, prod.imag, size))
-        else:
-            band = np.bincount(idx, prod, size)
-        return band.reshape(kd + 1, n_cols)
+        p, q, idx = _upper_band_index(starts, n_cols, width)
+        return _scatter_band(idx, _window_products(V, V, p, q), (width, n_cols))
     rows = np.arange(n_rows)
     # row r meets the rows after it up to the last one whose window starts inside its own
     kd = int((np.searchsorted(starts, starts + width) - 1 - rows).max())
@@ -293,6 +338,66 @@ def _banded_singular_values(b):
 _CERT_MARGIN = 1e-12
 
 
+class _GramTerms:
+    """The Gram band of the stencil rows of every mode of one operator.
+
+    The decoupled modes of an operator share the stencil matrices D and P
+    and the coefficient A(s) = B(s) - w'(s); mode k only adds k X, with
+    X = 2 pi i J on the contact fiber and [-2 pi] on the complex line.  So
+    mode k's stencil rows are W0 + k WX, W0 the rows of d/ds + A and WX those
+    of X alone, and their Gram band is G0 + k G1 + k^2 G2, with G0 = W0^H W0,
+    G1 = W0^H WX + WX^H W0 and G2 = WX^H WX.  X is given as phase Y, Y real
+    and |phase| = 1, so that every product is real on a real A: then G2 =
+    WY^T WY and G1 = phase W0^T WY + conj(phase) WY^T W0.  The three bands
+    are built on first use, by the scatter of ``_gram_band``.
+    """
+
+    def __init__(self, D, P, A, Y, phase):
+        self._rows = (D, P, A, Y, phase)
+
+    @functools.cached_property
+    def bands(self):
+        D, P, A, Y, phase = self._rows
+        W0, starts = _stencil_rows(D, P, A)
+        WY, _ = _stencil_rows(None, P, np.broadcast_to(Y, A.shape))
+        shape = (W0.shape[1], D.shape[1] * A.shape[1])
+        p, q, idx = _upper_band_index(starts, shape[1], shape[0])
+
+        def gram(U, V):
+            return _scatter_band(idx, _window_products(U, V, p, q), shape)
+
+        g1 = gram(W0, WY) * phase
+        g1 += gram(WY, W0) * np.conj(phase)
+        return gram(W0, W0), g1, gram(WY, WY)
+
+    def band(self, k):
+        """Gram band of mode k's stencil rows: G0 alone at k = 0."""
+        g0, g1, g2 = self.bands
+        if not k:
+            return g0.copy()
+        ab = g1 * k
+        ab += g0
+        ab += g2 * (k * k)
+        return ab
+
+
+def _certificate_band(b):
+    """The Gram band a certificate factors: the operator's shared stencil
+    terms (``ModeBlock.gram_terms``) at the block's mode plus its end rows,
+    read from its windows now; ``_gram_band`` for a wide block or one
+    without shared terms."""
+    terms, V = b.gram_terms, b.windows
+    if terms is None or len(V) < b.shape[1]:
+        return _gram_band(b)
+    ab = terms.band(b.k)
+    width = V.shape[1]
+    p, q = np.triu_indices(width)
+    for rows, start in ((V[:b.neg_rows], b.starts[0]),
+                        (V[b.neg_rows + b.pde_rows:], b.starts[-1])):
+        ab[width - 1 + p - q, start + q] += _window_products(rows, rows, p, q).sum(axis=0)
+    return ab
+
+
 def _gram_certified(b, shift, below):
     """Whether every eigenvalue of the smaller Gram matrix G of a row-window
     block lies below (``below``) or above ``shift``.
@@ -300,8 +405,11 @@ def _gram_certified(b, shift, below):
     LAPACK's banded Cholesky factorization of shift I - G (or G - shift I)
     succeeds exactly when that matrix is positive definite, up to rounding
     (the inertia argument), in O(n kd^2) against the eigensolver's O(n^2 kd).
+    The band comes from ``_certificate_band``: it may differ from the direct
+    ``_gram_band`` by rounding, of order eps max|G|, which the certificates'
+    relative room of 1e-12 covers.
     """
-    ab = _gram_band(b)
+    ab = _certificate_band(b)
     if below:
         np.negative(ab, out=ab)
         ab[-1] += shift
@@ -574,15 +682,16 @@ def _stencil_rows(D, P, C):
     it is nonzero only on its 8-node stencil.  Returns the (n F, 8F) windows
     and the first column of each: the band products are the same einsum
     products as the dense formula, so the bytes agree with it, signed zeros
-    included.
+    included.  With D None the rows are those of C(s) alone.
     """
     n, F = C.shape[:2]
-    N = D.shape[1]
+    N = P.shape[1]
     rows = np.arange(n)[:, None]
     first = _stencil_starts(n, N)
     cols = first[:, None] + np.arange(_FD_STENCIL)
-    band = (np.einsum("ib,fg->ifbg", D[rows, cols], np.eye(F)).astype(C.dtype)
-            + np.einsum("ib,ifg->ifbg", P[rows, cols], C))
+    band = np.einsum("ib,ifg->ifbg", P[rows, cols], C)
+    if D is not None:
+        band = np.einsum("ib,fg->ifbg", D[rows, cols], np.eye(F)).astype(C.dtype) + band
     return band.reshape(n * F, _FD_STENCIL * F), np.repeat(first * F, F)
 
 
@@ -605,7 +714,7 @@ def _end_rows(A, keep_positive, first, gamma, what=None):
     return r
 
 
-def _mode_block(k, mult, tag, problem, base, B_mid, end_matrix, stencil, prof):
+def _mode_block(k, mult, tag, problem, base, B_mid, end_matrix, stencil, prof, terms=None):
     """Row-window block of one mode.
 
     The mode's operator is d/ds + base + B(s) - w'(s) on F = len(base)
@@ -614,7 +723,8 @@ def _mode_block(k, mult, tag, problem, base, B_mid, end_matrix, stencil, prof):
     end.  An end keeps the trace components along which the weight-shifted
     asymptotic matrix decays out of the box: positive eigenvalues at the
     negative end, negative ones at the positive end.  A plane's disk cap
-    keeps the positive eigenspace of ``base``.
+    keeps the positive eigenspace of ``base``.  ``terms`` are the Gram
+    terms of the operator's stencil rows (``_GramTerms``), with mode factor k.
     """
     D, P, s, mids = stencil
     eye = np.eye(len(base))
@@ -635,8 +745,10 @@ def _mode_block(k, mult, tag, problem, base, B_mid, end_matrix, stencil, prof):
     _finite_or_raise(windows, tag)
     starts = np.concatenate([np.zeros(len(neg), dtype=int), pde_starts,
                              np.full(len(pos), pde_starts[-1])])
-    return ModeBlock(k=k, mult=mult, pde_rows=len(pde), bc_rows=len(neg) + len(pos), tag=tag,
-                     windows=windows, starts=starts, neg_rows=len(neg))
+    b = ModeBlock(k=k, mult=mult, pde_rows=len(pde), bc_rows=len(neg) + len(pos), tag=tag,
+                  windows=windows, starts=starts, neg_rows=len(neg))
+    b.gram_terms = terms
+    return b
 
 
 def _row_groups(b):
@@ -714,10 +826,12 @@ def _complex_line_blocks(problem, grid, stencil, prof):
     """
     K = grid.t_nodes // 2 - 1
     n_aug = problem.augmentation_dims
+    D, P, _, mids = stencil
+    terms = _GramTerms(D, P, -prof.wprime(mids)[:, None, None], np.array([[-2.0 * np.pi]]), 1.0)
 
     def block(k, tag):
         return _mode_block(k, 2, tag, problem, np.array([[-2.0 * np.pi * k]]), 0.0,
-                           lambda end: 0.0, stencil, prof)
+                           lambda end: 0.0, stencil, prof, terms)
 
     blocks = [block(k, f"scalar k={k}") for k in range(-K, K + 1) if k or not n_aug]
     if n_aug:
@@ -736,12 +850,15 @@ def _contact_blocks(problem, grid, stencil, prof):
     stands for the conjugate pair +-k."""
     F = problem.fiber_dim
     J = standard_j(F)
-    B_mid = np.array([problem.coefficient(m) for m in stencil[3]])
+    D, P, _, mids = stencil
+    B_mid = np.array([problem.coefficient(m) for m in mids])
+    terms = _GramTerms(D, P, B_mid - prof.wprime(mids)[:, None, None] * np.eye(F),
+                       2.0 * np.pi * J, 1j)
 
     def block(k):
         base = (2.0j * np.pi * k * J).astype(complex) if k else np.zeros((F, F))
         return _mode_block(k, 1 if k == 0 else 2, f"contact k={k}", problem, base, B_mid,
-                           lambda end: end.asymptotic.constant_matrix(), stencil, prof)
+                           lambda end: end.asymptotic.constant_matrix(), stencil, prof, terms)
 
     return [block(k) for k in range(grid.t_nodes // 2)]
 

@@ -190,10 +190,10 @@ def _interp_columns(x_src, values, x_tgt):
     from .assemble import fornberg_weights
     N = len(x_src)
     h = x_src[1] - x_src[0]
+    first = np.clip(np.floor((x_tgt - x_src[0]) / h) - 3, 0, N - 8).astype(int)
+    weights = fornberg_weights(x_tgt, x_src[first[:, None] + np.arange(8)], 0)[..., 0]
     out = np.zeros((len(x_tgt),) + values.shape[1:], dtype=values.dtype)
-    for i, x in enumerate(x_tgt):
-        j = int(np.clip(np.floor((x - x_src[0]) / h) - 3, 0, N - 8))
-        w = fornberg_weights(x, x_src[j:j + 8], 0)[:, 0]
+    for i, (j, w) in enumerate(zip(first, weights)):
         out[i] = w @ values[j:j + 8]
     return out
 

@@ -42,6 +42,48 @@ def test_fornberg_weights_differentiate_polynomials():
         assert abs(c[:, 1] @ nodes**p - want) < 1e-10
 
 
+def _scalar_fornberg(x0, nodes, max_order):
+    """Fornberg's recurrence on Python floats, one point at a time: the reference."""
+    n = len(nodes)
+    c = np.zeros((n, max_order + 1))
+    c1, c4 = 1.0, nodes[0] - x0
+    c[0, 0] = 1.0
+    for i in range(1, n):
+        mn = min(i, max_order)
+        c2, c5, c4 = 1.0, c4, nodes[i] - x0
+        for j in range(i):
+            c3 = nodes[i] - nodes[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
+                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+            for k in range(mn, 0, -1):
+                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
+            c[j, 0] = c4 * c[j, 0] / c3
+        c1 = c2
+    return c
+
+
+@pytest.mark.parametrize("N", [96, 192, 384])
+def test_fornberg_weights_over_rows_match_the_scalar_recurrence(N):
+    # the stencil matrices, and weights at off-grid points, byte for byte
+    D, P, s, mids = fd_operators(-12.0, 12.0, N)
+    first = np.clip(np.arange(N - 1) - 3, 0, N - 8)
+    ref = [_scalar_fornberg(float(m), [float(x) for x in s[w:w + 8]], 1) for m, w in zip(mids, first)]
+    assert np.stack([D[i, w:w + 8] for i, w in enumerate(first)]).tobytes() == \
+        np.stack([c[:, 1] for c in ref]).tobytes()
+    assert np.stack([P[i, w:w + 8] for i, w in enumerate(first)]).tobytes() == \
+        np.stack([c[:, 0] for c in ref]).tobytes()
+    x = np.random.default_rng(N).uniform(s[0], s[-1], 40)
+    nodes = s[np.clip(np.floor((x - s[0]) / (s[1] - s[0])).astype(int) - 3, 0, N - 8)[:, None]
+              + np.arange(8)]
+    batch = fornberg_weights(x, nodes, 0)
+    assert batch.shape == (40, 8, 1)
+    assert batch.tobytes() == np.stack([_scalar_fornberg(float(a), [float(v) for v in row], 0)
+                                        for a, row in zip(x, nodes)]).tobytes()
+
+
 def test_stencils_stay_local():
     D, P, s, mids = fd_operators(-12.0, 12.0, 96)
     for i in range(D.shape[0]):

@@ -273,6 +273,35 @@ def _glue_with_grid(tmp_path):
                                            "grid": {"s_nodes": 48, "t_nodes": 8}})
 
 
+def _index_with_extra_grid_key(tmp_path):
+    return _config_argv(tmp_path, "index", {"problem": trivial_problem_json(),
+                                            "grid": {"s_nodes": 96, "t_nodes": 32, "tnodes": 64}})
+
+
+def _truncation_with_extra_key(tmp_path):
+    p = trivial_problem_json()
+    p["truncation"]["nprime"] = 6.0
+    return _config_argv(tmp_path, "index", {"problem": p})
+
+
+def _index_with_coeff(tmp_path, coeff):
+    p = contact_problem_json([1.0, 1.0], [1.0, 1.0])
+    p["ends"][0]["asymptotic"]["coeff"] = coeff
+    return _config_argv(tmp_path, "index", {"problem": p})
+
+
+def _diag_with_misspelt_values(tmp_path):
+    return _index_with_coeff(tmp_path, {"kind": "diag", "valeus": [1.0, 1.0]})
+
+
+def _diag_without_values(tmp_path):
+    return _index_with_coeff(tmp_path, {"kind": "diag"})
+
+
+def _constant_without_matrix(tmp_path):
+    return _index_with_coeff(tmp_path, {"kind": "constant"})
+
+
 def _config_argv(tmp_path, kind, inputs):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"name": "bad", "kind": kind, "inputs": inputs,
@@ -302,9 +331,22 @@ def _sweep_with_negative_delta(tmp_path):
      "config error: /inputs: Additional properties are not allowed ('grid' was unexpected)"),
     (_sweep_with_negative_delta,
      "config error: /inputs/deltas/1: -1.5 is less than or equal to the minimum of 0"),
+    (_index_with_extra_grid_key,
+     "config error: /inputs/grid: Additional properties are not allowed ('tnodes' was unexpected)"),
+    (_truncation_with_extra_key,
+     "config error: /inputs/problem/truncation: Additional properties are not allowed "
+     "('nprime' was unexpected)"),
+    (_diag_with_misspelt_values,
+     "config error: /inputs/problem/ends/0/asymptotic/coeff: Additional properties are not "
+     "allowed ('valeus' was unexpected)"),
+    (_diag_without_values,
+     "config error: /inputs/problem/ends/0/asymptotic/coeff: 'values' is a required property"),
+    (_constant_without_matrix,
+     "config error: /inputs/problem/ends/0/asymptotic/coeff: 'matrix' is a required property"),
 ], ids=["odd_grid", "pair_of_missing_graph", "cylinder_without_negative_end",
         "plane_with_negative_end", "index_with_misspelt_grid", "glue_with_grid",
-        "sweep_with_negative_delta"])
+        "sweep_with_negative_delta", "index_with_extra_grid_key", "truncation_with_extra_key",
+        "diag_with_misspelt_values", "diag_without_values", "constant_without_matrix"])
 def test_malformed_input_is_a_clean_error(tmp_path, capsys, make_argv, message):
     assert cli.main(make_argv(tmp_path)) == EXIT_ERROR
     summary = tmp_path / "bad" / "summary.txt"

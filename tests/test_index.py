@@ -584,3 +584,108 @@ def test_stability_constant_decomposes_certified_blocks_below_its_minimum():
     n_tau = ApproximateKernel(vectors=vectors, source_dims=(0, 0), gram_condition=1.0)
     assert stability_constant(op, n_tau) == stability_constant(ref, n_tau)
     assert any(op.known_values(i) is not None for i in certified)
+
+
+# ---------------------------------------------------------------------------
+# certificate bands from the Gram terms an operator's blocks share
+# ---------------------------------------------------------------------------
+
+def assert_certificate_bands_match(op):
+    """Every tall row-window block's certificate band is its direct Gram band,
+    within 1e-13 max|G|."""
+    tall = [b for b in op.blocks if b.windows is not None and len(b.windows) >= b.shape[1]]
+    assert tall and all(b.gram_terms is not None for b in tall)
+    for b in tall:
+        direct = assemble_module._gram_band(b)
+        band = assemble_module._certificate_band(b)
+        assert band.dtype == direct.dtype and band.shape == direct.shape
+        assert np.abs(band - direct).max() <= 1e-13 * np.abs(direct).max()
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(weights=st.tuples(SIGNED_WEIGHTS, SIGNED_WEIGHTS),
+       shifts=st.sampled_from([(0, 0), (2, 2), (1, 2)]),
+       t_nodes=st.sampled_from([8, 16]))
+def test_certificate_band_matches_direct_band_trivial(weights, shifts, t_nodes):
+    problem = build_trivial_cylinder(weights, shifts, truncation=SMALL_TRUNC)
+    assert_certificate_bands_match(assemble(problem, GridSpec(required_s_nodes(problem), t_nodes)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(ends=st.tuples(SYMMETRIC_2X2, SYMMETRIC_2X2),
+       weights=st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
+       t_nodes=st.sampled_from([8, 16]))
+def test_certificate_band_matches_direct_band_contact(ends, weights, t_nodes):
+    weights = tuple(w / 4.0 for w in weights)
+    for S, w in zip(ends, weights):
+        lam = mode_oracle_eigenvalues(S, kmax=6)
+        assume(np.abs(lam).min() >= 0.2 and np.abs(lam - w).min() >= 0.2
+               and np.abs(lam + w).min() >= 0.2)
+    problem = build_contact_fiber_cylinder(
+        *(LoopOperatorSpec(dim=2, coeff=S) for S in ends), weights=weights,
+        truncation=SMALL_TRUNC)
+    assert_certificate_bands_match(
+        assemble(problem, GridSpec(max(required_s_nodes(problem), 32), t_nodes)))
+
+
+def _glued_flow_pair():
+    from crlab.gluing import glue
+    from test_gluing import flow_pair
+    return glue(*flow_pair(), 6.0)[0], GridSpec(144, 16)
+
+
+@pytest.mark.parametrize("make_case", [
+    # ends off the diagonal: B(s) does not commute with J along the neck
+    lambda: (build_contact_fiber_cylinder(
+        LoopOperatorSpec(dim=2, coeff=np.array([[0.5, 0.75], [0.75, -1.25]])),
+        LoopOperatorSpec(dim=2, coeff=np.array([[1.5, -0.5], [-0.5, 0.25]])),
+        weights=(0.25, -0.5)), GridSpec(96, 16)),
+    lambda: (build_plane(-D), GridSpec(96, 16)),
+    lambda: (build_plane(D), GridSpec(96, 16)),
+    _glued_flow_pair,
+], ids=["contact_off_diagonal", "plane_growth", "plane_decay", "glued"])
+def test_certificate_band_matches_direct_band(make_case):
+    assert_certificate_bands_match(assemble(*make_case()))
+
+
+def test_criterion_6_builds_direct_bands_for_decomposed_blocks_only(monkeypatch):
+    # 80 blocks over the three grids: 11 decomposed, 69 certified (108
+    # certificates, every one from the shared terms)
+    built = []
+    real = assemble_module._gram_band
+    monkeypatch.setattr(assemble_module, "_gram_band", lambda b: built.append(b) or real(b))
+    S = LoopOperatorSpec(dim=2, coeff=np.diag([1.0, 1.0]))
+    problem = build_contact_fiber_cylinder(S, S)
+    ops = [assemble(problem, g) for g in (GridSpec(96, 32), GridSpec(192, 64), GridSpec(384, 64))]
+    for op in ops:
+        numerical_index(op)
+    decomposed = [b for op in ops for i, b in enumerate(op.blocks) if op.known_values(i) is not None]
+    assert len(built) == 11
+    assert sorted(map(id, built)) == sorted(map(id, decomposed))
+
+
+def test_block_from_other_windows_takes_the_direct_band(monkeypatch):
+    b = assemble(*_isomorphism_96x32()).blocks[3]
+    assert b.gram_terms is not None
+    built = []
+    real = assemble_module._gram_band
+    monkeypatch.setattr(assemble_module, "_gram_band", lambda b: built.append(b) or real(b))
+    other = _variant(b, 3, 2.0 * b.windows)
+    assert other.gram_terms is None
+    band = assemble_module._certificate_band(other)
+    assert built == [other]
+    assert np.array_equal(band, real(other))
+
+
+def test_certificate_reads_end_rows_edited_in_place():
+    # the positive end's boundary row zeroed in place, as in
+    # _guard_rejected_windows: the square block gains a kernel, and its
+    # certificate band must see it
+    b = assemble(*banded_cases()["isomorphism"]).blocks[1]
+    sigma_min = np.linalg.svd(b.matrix, compute_uv=False)[-1]
+    shift = 0.5 * sigma_min ** 2
+    assert assemble_module._gram_certified(b, shift, below=False)
+    b.windows[-1] = 0.0
+    band, direct = assemble_module._certificate_band(b), assemble_module._gram_band(b)
+    assert np.abs(band - direct).max() <= 1e-13 * np.abs(direct).max()
+    assert not assemble_module._gram_certified(b, shift, below=False)

@@ -1,0 +1,116 @@
+"""Run a fixed set of crlab CLI experiments and print the sha256 of every output file.
+
+Usage:
+  python3 tools/output_digest.py [--out DIR]
+
+The set: ``reproduce-all``; ``index`` on acceptance criterion 6 (the contact
+isomorphism) at 96x32, 192x64 and 384x64; ``glue`` on the reproduce-all flow
+pair at tau 6, 8, 10 and 12; and one ``sweep-delta`` on the trivial cylinder.
+Each experiment runs in its own interpreter on the ``crlab`` sources next to
+this script, so the environment the tool is started with (for example
+OPENBLAS_NUM_THREADS) reaches every run before numpy loads.  Outputs go to
+DIR (default: a temporary directory, removed afterwards).
+
+Prints one ``<exit status>  <experiment>`` line per run, then one
+``<sha256>  <experiment>/<file>`` line per output file, sorted by path, and
+exits 1 when a run did not exit 0.  Two checkouts, or two thread counts,
+write the same bytes exactly when their digest lines agree; compare them
+with ``diff``.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _end(sign, weight, coeff):
+    return {"sign": sign, "weight": weight, "asymptotic": {"dim": 2, "coeff": coeff}}
+
+
+def _cylinder(fiber, neg, pos, weights, n_prime=6.0):
+    return {"domain_kind": "cylinder", "fiber": fiber,
+            "ends": [_end("negative", weights[0], neg), _end("positive", weights[1], pos)],
+            "truncation": {"s_max": 12.0, "n_prime": n_prime}}
+
+
+def _contact(neg, pos, weights=(0.0, 0.0), n_prime=6.0):
+    return _cylinder("contact_fiber", {"kind": "diag", "values": neg},
+                     {"kind": "diag", "values": pos}, weights, n_prime)
+
+
+def experiments():
+    """(name, subcommand, config inputs or None) of every run, in order."""
+    runs = [("reproduce_all", "reproduce-all", None)]
+    for s_nodes, t_nodes in ((96, 32), (192, 64), (384, 64)):
+        runs.append((f"criterion6_{s_nodes}x{t_nodes}", "index",
+                     {"problem": _contact([1.0, 1.0], [1.0, 1.0]),
+                      "grid": {"s_nodes": s_nodes, "t_nodes": t_nodes}}))
+    runs.append(("glue_flow_pair", "glue",
+                 {"problem_u": _contact([-2.0, -2.0], [1.0, 1.0], (1.0, 0.5), 3.0),
+                  "problem_w": _contact([1.0, 1.0], [3.0, 3.0], (-0.5, 1.5), 3.0),
+                  "taus": [6.0, 8.0, 10.0, 12.0]}))
+    zero = {"kind": "zero"}
+    runs.append(("sweep_trivial", "sweep-delta",
+                 {"problem": _cylinder("complex_line", zero, zero, (-1.0, 1.0)),
+                  "deltas": [0.5, 1.5, 2.5]}))
+    return runs
+
+
+KINDS = {"index": "index", "glue": "glue", "sweep-delta": "sweep"}
+
+
+def run_all(out):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH", "")) if p))
+    statuses = []
+    for name, command, inputs in experiments():
+        argv = [sys.executable, "-m", "crlab.cli", command, "--out", out]
+        if inputs is not None:
+            path = os.path.join(out, f"{name}.config.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump({"name": name, "kind": KINDS[command], "inputs": inputs}, fh)
+            argv += ["--config", path]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+        if proc.stderr:
+            sys.stderr.write(proc.stderr)
+        statuses.append((proc.returncode, name))
+    return statuses
+
+
+def digests(out):
+    """(sha256, relative path) of every output file under ``out``, configs excluded."""
+    found = []
+    for root, _, files in os.walk(out):
+        for f in files:
+            path = os.path.join(root, f)
+            if os.path.dirname(path) == out:      # the configs written above
+                continue
+            with open(path, "rb") as fh:
+                found.append((hashlib.sha256(fh.read()).hexdigest(),
+                              os.path.relpath(path, out).replace(os.sep, "/")))
+    return sorted(found, key=lambda d: d[1])
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", default=None, help="keep the outputs in this directory")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.abspath(args.out or tmp)
+        os.makedirs(out, exist_ok=True)
+        statuses = run_all(out)
+        for code, name in statuses:
+            print(f"{code}  {name}")
+        for digest, path in digests(out):
+            print(f"{digest}  {path}")
+    return 0 if all(code == 0 for code, _ in statuses) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
