@@ -39,7 +39,8 @@ row and the column its window starts at, negative-end rows first, then the
 stencil rows, then the positive-end rows (``ModeBlock.windows``).  On the
 2-dimensional contact fiber that is 16 columns per row against 2N, about
 1/48 of the dense bytes at N = 384.  The blocks that carry shift columns
-and the coupled block are written out dense once and stored dense.
+and the coupled block are written out dense once and stored dense
+(``ModeBlock.dense``); a block holds one storage, and it decides the block.
 ``ModeBlock.matrix`` materializes a row-window block on first read and
 keeps it; only the dense fallback below, ``kernel_vectors`` on
 rank-deficient blocks, the gluing restrictions of blocks that carry
@@ -163,21 +164,6 @@ def _fd_operators(s_lo, s_hi, N):
     return D, P, s, mids
 
 
-class _DenseView:
-    """``ModeBlock.matrix``: the dense block as given, or else materialized
-    from the row windows on first read and cached on the block."""
-
-    def __get__(self, b, owner=None):
-        if b is None:
-            return None             # the field's default: no dense matrix given
-        if b._dense is None:
-            b._dense = _materialize(b)
-        return b._dense
-
-    def __set__(self, b, M):
-        b._dense = M
-
-
 @dataclass(eq=False)
 class ModeBlock:
     """One decoupled (or the single coupled) factor of the discrete operator.
@@ -191,11 +177,12 @@ class ModeBlock:
     column ``starts[r]`` on, F being the fields per s-node.  The rows are
     stored negative-end rows first (``neg_rows`` of them), then the stencil
     rows, then the positive-end rows, so the windows start in nondecreasing
-    order.  Every other block, and a block given an explicit ``matrix``, is
-    stored dense and has no windows.  ``matrix`` is the dense view in the
-    layout stencil rows, negative-end rows, positive-end rows; a row-window
-    block materializes it on first read and keeps it, so only the readers
-    that need the dense entries pay for them.  ``shape`` never materializes.
+    order.  Every other block is stored ``dense``, and a block given both
+    storages or neither raises ``ValueError``.  ``matrix`` is the dense view
+    in the layout stencil rows, negative-end rows, positive-end rows: the
+    given ``dense``, or the windows materialized on first read and kept, so
+    only the readers that need the dense entries pay for them.  ``shape``
+    never materializes.
 
     ``gram_terms`` is the Gram band of the stencil rows that the row-window
     blocks of one assembled operator share (``_GramTerms``, mode factor
@@ -213,25 +200,30 @@ class ModeBlock:
     bc_rows: int
     aug_cols: int = 0
     tag: str = ""
-    matrix: np.ndarray = _DenseView()
+    dense: np.ndarray = None
     windows: np.ndarray = None
     starts: np.ndarray = None
     neg_rows: int = 0
     gram_terms: object = field(default=None, init=False)
 
     def __post_init__(self):
-        if self._dense is not None:     # a given dense matrix decides the block
-            self.windows = self.starts = None
+        given = (self.dense is not None, self.windows is not None, self.starts is not None)
+        if given not in ((True, False, False), (False, True, True)):
+            raise ValueError(f"block {self.tag!r} takes either dense or windows and starts")
 
-    def __repr__(self):         # the generated repr would materialize ``matrix``
+    def __repr__(self):         # the generated repr would print every array
         return f"ModeBlock({self.tag!r}, shape={self.shape})"
 
     @property
     def shape(self):
         if self.windows is None:
-            return self.matrix.shape
+            return self.dense.shape
         # the last window ends at the last column
         return len(self.windows), int(self.starts[-1]) + self.windows.shape[1]
+
+    @functools.cached_property
+    def matrix(self):
+        return self.dense if self.windows is None else _materialize(self)
 
     @property
     def real_rows(self):
@@ -443,22 +435,24 @@ class DiscreteOperator:
     cached values or a certified floor: ``sigma_max`` settles the top of the
     spectrum and ``certify_floor`` proves a row-window block's values above
     a cut without decomposing it.  The rank decision, the kernel directions
-    (``block_rank``) and the gluing stability constant read that evidence;
-    ``block_singular_values`` decomposes every block and stays the full
-    reference.  ``block_routes`` says which route computed each block.
-    Values from the banded route agree with dense SVD to about
-    eps (sigma_max / sigma)^2 relative, not bit for bit.
+    (``block_rank``) and the gluing stability constant read that evidence.
+    ``block_routes`` says which route computed each block.  The evidence
+    belongs to one operator: it is allocated empty at construction, so a
+    copy by ``dataclasses.replace`` decides its blocks afresh.  Values from
+    the banded route agree with dense SVD to about eps (sigma_max / sigma)^2
+    relative, not bit for bit.
     """
 
     blocks: list
     grid: tuple                      # (s_nodes, t_nodes, s_max)
     problem: object = None
     backend: str = "decoupled"
-    _matrix: object = field(default=None, repr=False)
-    _svals: object = field(default=None, repr=False)
-    _routes: object = field(default=None, repr=False)
-    _floors: object = field(default=None, repr=False)
-    _settled: bool = field(default=False, repr=False)
+
+    def __post_init__(self):
+        # per block: values once decomposed, how they were computed, a floor once certified
+        n = len(self.blocks)
+        self._svals, self._routes, self._floors = [None] * n, [None] * n, [None] * n
+        self._sigma_max = None
 
     @property
     def rows(self):
@@ -484,24 +478,9 @@ class DiscreteOperator:
     def index_candidate(self):
         return self.cols - self.rows
 
-    @property
+    @functools.cached_property
     def matrix(self):
-        if self._matrix is None:
-            self._matrix = sp.block_diag([sp.csr_matrix(b.realified()) for b in self.blocks],
-                                         format="csr")
-        return self._matrix
-
-    def _evidence(self):
-        """Per-block (values, routes, floors); a block holds values once
-        decomposed, a floor once certified, or neither."""
-        n = len(self.blocks)
-        if self._svals is None:
-            self._svals = [None] * n
-        if self._routes is None:
-            self._routes = [None] * n
-        if self._floors is None:
-            self._floors = [None] * n
-        return self._svals, self._routes, self._floors
+        return sp.block_diag([sp.csr_matrix(b.realified()) for b in self.blocks], format="csr")
 
     def block_values(self, i):
         """Singular values of block i: all min(rows, cols), descending.
@@ -512,28 +491,26 @@ class DiscreteOperator:
         block, and every block the route's accuracy guard rejects, takes the
         reference values-only ``np.linalg.svd`` of ``ModeBlock.matrix``.
         """
-        svals, routes, _ = self._evidence()
-        if svals[i] is None:
+        if self._svals[i] is None:
             b = self.blocks[i]
             try:
                 sv = _banded_singular_values(b) if b.windows is not None else None
-                routes[i] = "direct_svd" if sv is None else "banded_gram"
+                self._routes[i] = "direct_svd" if sv is None else "banded_gram"
                 if sv is None:
                     sv = np.linalg.svd(b.matrix, compute_uv=False)
             except np.linalg.LinAlgError as exc:  # pragma: no cover
                 raise NumericalError(f"SVD failed on block {b.tag}: {exc}") from exc
-            svals[i] = sv
-        return svals[i]
+            self._svals[i] = sv
+        return self._svals[i]
 
     def known_values(self, i):
         """Block i's singular values if it has been decomposed, else None."""
-        return self._evidence()[0][i]
+        return self._svals[i]
 
     def certified_floor(self, i):
         """The floor certified for block i while it is not decomposed, else None:
         all its singular values lie strictly between the floor and sigma_max."""
-        svals, _, floors = self._evidence()
-        return floors[i] if svals[i] is None else None
+        return self._floors[i] if self._svals[i] is None else None
 
     def sigma_max(self):
         """Largest singular value of the operator.
@@ -546,12 +523,7 @@ class DiscreteOperator:
         banded Cholesky factorization otherwise; a block whose certificate
         fails is decomposed and raises lambda_top.
         """
-        svals, _, _ = self._evidence()
-
-        def largest_known():
-            return float(max((sv[0] for sv in svals if sv is not None and len(sv)), default=0.0))
-
-        if not self._settled:
+        if self._sigma_max is None:
             windowed = [i for i, b in enumerate(self.blocks) if b.windows is not None]
             for i, b in enumerate(self.blocks):
                 if b.windows is None:
@@ -559,14 +531,15 @@ class DiscreteOperator:
             bound = {i: _norm_bound(self.blocks[i]) for i in windowed}
             if windowed:
                 self.block_values(max(windowed, key=bound.get))
-            lam_top = largest_known() ** 2
+            top = float(max((sv[0] for sv in self._svals if sv is not None and len(sv)),
+                            default=0.0))
             for i in windowed:
-                ceiling = lam_top * (1 - _CERT_MARGIN)
-                if (svals[i] is None and bound[i] >= ceiling
+                ceiling = top ** 2 * (1 - _CERT_MARGIN)
+                if (self._svals[i] is None and bound[i] >= ceiling
                         and not _gram_certified(self.blocks[i], ceiling, below=True)):
-                    lam_top = max(lam_top, self.block_values(i)[0] ** 2)
-            self._settled = True
-        return largest_known()
+                    top = max(top, float(self.block_values(i)[0]))
+            self._sigma_max = top
+        return self._sigma_max
 
     def certify_floor(self, i, cut):
         """Certify that every singular value of row-window block i exceeds
@@ -576,13 +549,12 @@ class DiscreteOperator:
         lambda_top = sigma_max^2, so a certified block also passes the banded
         route's guard: its route is ``banded_gram``.
         """
-        svals, routes, floors = self._evidence()
         lam_top = self.sigma_max() ** 2
         lam = max(cut * cut, _GRAM_GUARD * lam_top)
         if not _gram_certified(self.blocks[i], lam * (1 + _CERT_MARGIN) + _CERT_MARGIN * lam_top,
                                below=False):
             return False
-        floors[i], routes[i] = float(np.sqrt(lam)), "banded_gram"
+        self._floors[i], self._routes[i] = float(np.sqrt(lam)), "banded_gram"
         return True
 
     def block_rank(self, i, threshold):
@@ -593,29 +565,18 @@ class DiscreteOperator:
             return min(self.blocks[i].shape)
         return int((self.block_values(i) >= threshold).sum())
 
-    def block_singular_values(self):
-        """Singular values of every block (``block_values``), the full reference:
-        certified blocks are decomposed too."""
-        return [self.block_values(i) for i in range(len(self.blocks))]
-
     def block_routes(self):
         """How each block's singular values were computed: "banded_gram" or
         "direct_svd".  A certified block names the banded route, whose guard
         it passes; a block with no evidence yet is decomposed."""
-        _, routes, _ = self._evidence()
-        for i, r in enumerate(routes):
+        for i, r in enumerate(self._routes):
             if r is None:
                 self.block_values(i)
-        return list(routes)
-
-    def singular_values(self):
-        """All singular values with real multiplicities, ascending."""
-        out = [np.repeat(sv, b.mult) for b, sv in zip(self.blocks, self.block_singular_values())]
-        return np.sort(np.concatenate(out)) if out else np.zeros(0)
+        return list(self._routes)
 
     def transposed(self):
         blocks = [ModeBlock(k=b.k, mult=b.mult, pde_rows=0, bc_rows=0,
-                            tag=b.tag + "^T", matrix=b.matrix.conj().T)
+                            tag=b.tag + "^T", dense=b.matrix.conj().T)
                   for b in self.blocks]
         return DiscreteOperator(blocks=blocks, grid=self.grid, problem=self.problem,
                                 backend=self.backend + "^T")
@@ -810,7 +771,7 @@ def _dense_block(k, groups, mult, tag, shifts=None):
     _finite_or_raise(M, tag)
     return ModeBlock(k=k, mult=mult, pde_rows=len(groups[0]),
                      bc_rows=sum(len(g) for g in groups[1:]),
-                     aug_cols=0 if shifts is None else shifts.shape[1], tag=tag, matrix=M)
+                     aug_cols=0 if shifts is None else shifts.shape[1], tag=tag, dense=M)
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INDECISIVE = 2
 
-KINDS = ("spectrum", "index", "sweep", "glue", "vdim", "reproduce_all")
-
 
 def fmt(x):
     """Fixed 17-significant-digit float formatting."""
@@ -86,7 +84,7 @@ class ExperimentConfig:
     def __init__(self, name, kind, inputs=None, output_dir="out", seed=0):
         if not name:
             raise ConfigError("name must be nonempty", "/name")
-        if kind not in KINDS:
+        if kind not in RUNNERS:
             raise ConfigError(f"unknown kind {kind!r}", "/kind")
         self.name = name
         self.kind = kind
@@ -347,22 +345,40 @@ def run(config, grid_override=None, out_override=None):
     return code
 
 
+# subcommand -> (config kind, the override flags it reads)
+SUBCOMMANDS = {
+    "spectrum": ("spectrum", ()),
+    "index": ("index", ("grid", "smax")),
+    "sweep-delta": ("sweep", ("grid", "smax")),
+    "glue": ("glue", ("grid", "smax")),
+    "vdim": ("vdim", ("seed",)),
+    "reproduce-all": ("reproduce_all", ("grid",)),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # exit 2 means an indecisive rank decision, so usage errors exit 1
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="crlab",
         description="Fredholm-index laboratory for Cauchy-Riemann operators on cylinders")
+    parser.set_defaults(grid=None, smax=None, seed=None)
     sub = parser.add_subparsers(dest="command", required=True)
-    names = {"spectrum": "spectrum", "index": "index", "sweep-delta": "sweep",
-             "glue": "glue", "vdim": "vdim", "reproduce-all": "reproduce_all"}
-    for cmd in names:
+    flags = {"grid": dict(help="override grid, e.g. 96x32"),
+             "smax": dict(type=float, help="override truncation box half-length"),
+             "seed": dict(type=int)}
+    for cmd, (_, overrides) in SUBCOMMANDS.items():
         p = sub.add_parser(cmd)
         p.add_argument("--config", required=(cmd != "reproduce-all"),
                        help="experiment config JSON")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--grid", default=None, help="override grid, e.g. 96x32")
-        p.add_argument("--smax", type=float, default=None,
-                       help="override truncation box half-length")
+        for name in overrides:
+            p.add_argument("--" + name, **flags[name])
     args = parser.parse_args(argv)
 
     grid = None
@@ -379,12 +395,12 @@ def main(argv=None):
             with open(args.config) as fh:
                 raw = json.load(fh)
             config = ExperimentConfig.from_json(raw)
-            if raw["kind"] != names[args.command]:
+            if raw["kind"] != SUBCOMMANDS[args.command][0]:
                 print(f"config kind {raw['kind']!r} does not match subcommand",
                       file=sys.stderr)
                 return EXIT_ERROR
-            # only these kinds have their problems checked by the schema
-            if args.smax is not None and config.kind in ("index", "sweep", "glue"):
+            # --smax is only on the subcommands whose problems the schema checks
+            if args.smax is not None:
                 for key in ("problem", "problem_u", "problem_w"):
                     if key in config.inputs:
                         config.inputs[key]["truncation"]["s_max"] = args.smax

@@ -8,13 +8,14 @@ and decomposes only the mode blocks that can hold one of them, each at most
 once (``DiscreteOperator.block_values``).  sigma_max is settled first; then
 the other blocks are certified by banded Cholesky to have all their values
 above a running cut that every value the report reads lies at or below.  A
-certified block has full rank.  Every block without shift columns from the
-decoupled backend gets its singular values from the banded eigenvalues of
-its Gram matrix; blocks with shift columns, the coupled block, and any block
-with sigma_min < 1e-4 sigma_max (the accuracy guard), from dense SVD.  Every
-rank-deficient block is therefore decided by dense SVD, and a banded value
-carries a relative error of order 1e-8 at worst (below 1e-11 on the
-operators of ``reproduce-all``).  The report's ``method`` names the routes
+certified block has full rank.  A block's storage chooses its route: every
+row-window block (each block without shift columns from the decoupled
+backend) gets its singular values from the banded eigenvalues of its Gram
+matrix; dense blocks (those with shift columns, the coupled block) and any
+block with sigma_min < 1e-4 sigma_max (the accuracy guard), from dense
+SVD.  Every rank-deficient block is therefore decided by dense SVD, and a
+banded value carries a relative error of order 1e-8 at worst (below 1e-11
+on the operators of ``reproduce-all``).  The report's ``method`` names the routes
 that decided; a certified block passes the guard and counts as
 ``banded_gram``.
 

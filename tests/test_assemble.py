@@ -312,19 +312,47 @@ def test_dense_view_is_materialized_once(monkeypatch):
 
 
 def test_block_given_a_dense_matrix_is_decided_from_it():
+    # block k=1 with row 0 tripled, placed in copies of an operator whose rank
+    # is already decided: a copy must not read the original's evidence
     op = assemble(build_contact_fiber_cylinder(_S1, _S1), GridSpec(64, 8))
+    numerical_index(op)
     b = op.blocks[1]
     M = b.matrix.copy()
     M[0] *= 3.0
-    given = [replace(b, matrix=M),
-             ModeBlock(k=b.k, mult=b.mult, pde_rows=b.pde_rows, bc_rows=b.bc_rows, matrix=M)]
+    given = [replace(b, dense=M, windows=None, starts=None),
+             ModeBlock(k=b.k, mult=b.mult, pde_rows=b.pde_rows, bc_rows=b.bc_rows, dense=M)]
     for g in given:
         assert g.matrix is M and g.windows is None and g.shape == M.shape
         dec = replace(op, blocks=[g])
+        assert dec.known_values(0) is None
         assert dec.block_routes() == ["direct_svd"]
-        assert np.array_equal(dec.block_singular_values()[0],
-                              np.linalg.svd(M, compute_uv=False))
+        assert np.array_equal(dec.block_values(0), np.linalg.svd(M, compute_uv=False))
+        assert dec.sigma_max() == dec.block_values(0)[0]
     assert b.windows is not None
+
+
+@pytest.mark.parametrize("storage", ["both", "windows_without_starts", "neither"])
+def test_block_takes_exactly_one_storage(storage):
+    b = assemble(build_contact_fiber_cylinder(_S1, _S1), GridSpec(64, 8)).blocks[1]
+    given = {"both": dict(dense=b.matrix, windows=b.windows, starts=b.starts),
+             "windows_without_starts": dict(windows=b.windows),
+             "neither": {}}[storage]
+    with pytest.raises(ValueError, match="either dense or windows and starts"):
+        ModeBlock(k=b.k, mult=b.mult, pde_rows=b.pde_rows, bc_rows=b.bc_rows, **given)
+
+
+def test_block_replaced_with_other_windows_is_decided_from_them():
+    op = assemble(build_contact_fiber_cylinder(_S1, _S1), GridSpec(64, 8))
+    b = op.blocks[1]
+    W = 3.0 * b.windows
+    g = replace(b, windows=W)
+    assert g.windows is W and g.starts is b.starts and g.dense is None
+    assert g.gram_terms is None
+    assert np.array_equal(g.matrix, 3.0 * b.matrix)
+    dec = replace(op, blocks=[g])
+    assert dec.block_routes() == ["banded_gram"]
+    np.testing.assert_allclose(dec.block_values(0), np.linalg.svd(g.matrix, compute_uv=False),
+                               rtol=1e-9)
 
 
 def test_contact_fiber_plane_rejected():
@@ -394,7 +422,8 @@ def test_transpose_swaps_dimensions():
     op = assemble(build_trivial_cylinder((1.0, 1.0)))
     opt = op.transposed()
     assert (opt.rows, opt.cols) == (op.cols, op.rows)
-    assert np.allclose(op.singular_values(), opt.singular_values())
+    for i in range(len(op.blocks)):
+        assert np.allclose(op.block_values(i), opt.block_values(i))
 
 
 def test_matrix_market_export(tmp_path):

@@ -411,6 +411,34 @@ def test_smax_override_reaches_the_problem(tmp_path):
     assert json.loads((tmp_path / "sm" / "index.json").read_text())["grid_tag"].endswith("@S14")
 
 
+@pytest.mark.parametrize("argv", [
+    ["index"],                                          # --config is required
+    ["reproduce-all", "--frobnicate"],
+    ["reproduce-all", "--smax", "30", "--seed", "5"],   # flags reproduce-all does not read
+    ["spectrum", "--config", "cfg.json", "--grid", "96x32"],
+    ["vdim", "--config", "cfg.json", "--grid", "96x32"],
+    ["index", "--config", "cfg.json", "--seed", "5"],
+], ids=["no_config", "unknown_flag", "reproduce_all_smax_seed", "spectrum_grid", "vdim_grid",
+        "index_seed"])
+def test_usage_error_exits_1(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == EXIT_ERROR
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["glue", "--help"])
+    assert err.value.code == EXIT_OK
+    assert "--smax" in capsys.readouterr().out
+
+
+def test_kinds_agree_between_schema_runners_and_subcommands():
+    kinds = set(cli.load_schema()["properties"]["kind"]["enum"])
+    assert kinds == set(cli.RUNNERS) == {kind for kind, _ in cli.SUBCOMMANDS.values()}
+
+
 def test_float_formatting_fixed_width():
     assert cli.fmt(np.float64(1.0) / 3.0) == "0.33333333333333331"
     assert cli.fmt(7) == "7"

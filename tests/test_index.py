@@ -205,7 +205,7 @@ def test_report_json_fields():
 
 
 # ---------------------------------------------------------------------------
-# banded route of block_singular_values (blocks above 512 columns)
+# banded route of block_values (blocks above 512 columns)
 # ---------------------------------------------------------------------------
 
 def banded_cases():
@@ -224,10 +224,17 @@ def banded_cases():
     }
 
 
+def decompose_all(op):
+    """Singular values of every block of ``op``, certified blocks decomposed too."""
+    return [op.block_values(i) for i in range(len(op.blocks))]
+
+
 def dense_reference(op):
     """The same operator with every block decomposed by values-only dense SVD."""
-    return replace(op, _svals=[np.linalg.svd(b.matrix, compute_uv=False) for b in op.blocks],
-                   _routes=["direct_svd"] * len(op.blocks))
+    ref = replace(op)
+    ref._svals[:] = [np.linalg.svd(b.matrix, compute_uv=False) for b in op.blocks]
+    ref._routes[:] = ["direct_svd"] * len(op.blocks)
+    return ref
 
 
 def svd_calls(monkeypatch):
@@ -257,7 +264,7 @@ def test_banded_route_matches_dense_reference(case):
     assert all(b.matrix.shape[1] > 512 for b in op.blocks)
     ref = dense_reference(op)
     assert_reports_agree(numerical_index(op), numerical_index(ref))
-    for b, sv, sv_ref in zip(op.blocks, op.block_singular_values(), ref.block_singular_values()):
+    for b, sv, sv_ref in zip(op.blocks, decompose_all(op), decompose_all(ref)):
         assert sv.shape == sv_ref.shape == (min(b.matrix.shape),)
         np.testing.assert_allclose(sv, sv_ref, rtol=1e-9)
 
@@ -265,7 +272,7 @@ def test_banded_route_matches_dense_reference(case):
 def test_isomorphism_large_blocks_make_no_dense_svd(monkeypatch):
     op = assemble(*banded_cases()["isomorphism"])
     calls = svd_calls(monkeypatch)
-    op.block_singular_values()
+    decompose_all(op)
     assert calls == []
 
 
@@ -304,7 +311,7 @@ def _guard_rejected():
     b = op.blocks[1]
     M = b.matrix.copy()
     M[-1] = M[-2]
-    return replace(op, blocks=[replace(b, matrix=M)]), 0
+    return replace(op, blocks=[replace(b, dense=M, windows=None, starts=None)]), 0
 
 
 def _guard_rejected_windows():
@@ -330,7 +337,7 @@ def test_rejected_block_takes_one_dense_svd(rejected, monkeypatch):
     M = op.blocks[i].matrix
     assert M.shape[1] > 512
     calls = svd_calls(monkeypatch)
-    sv = op.block_singular_values()[i]
+    sv = decompose_all(op)[i]
     assert sum(a is M for a in calls) == 1
     monkeypatch.undo()
     assert np.array_equal(sv, np.linalg.svd(M, compute_uv=False))
@@ -381,7 +388,7 @@ def test_reproduce_all_operators_match_dense_reference(tmp_path, monkeypatch):
         rep, rep_ref = numerical_index(op), numerical_index(ref)
         assert_reports_agree(rep, rep_ref)
         np.testing.assert_allclose(rep.gap_ratio, rep_ref.gap_ratio, rtol=1e-9)
-        for sv, sv_ref in zip(op.block_singular_values(), ref.block_singular_values()):
+        for sv, sv_ref in zip(decompose_all(op), decompose_all(ref)):
             np.testing.assert_allclose(sv, sv_ref, rtol=1e-9)
 
 
@@ -406,7 +413,7 @@ def test_report_method_names_the_routes(make_op, method):
 def full_reference(problem, grid):
     """The operator with every block decomposed before any rank decision."""
     ref = assemble(problem, grid)
-    ref.block_singular_values()
+    decompose_all(ref)
     return ref
 
 
@@ -492,7 +499,7 @@ def test_failed_sigma_max_certificate_decomposes_the_block(monkeypatch):
     sigma_max = op.sigma_max()
     monkeypatch.undo()
     ref = full_reference(problem, grid)
-    top = max(range(len(ref.blocks)), key=lambda i: ref.block_singular_values()[i][0])
+    top = max(range(len(ref.blocks)), key=lambda i: ref.block_values(i)[0])
     assert failed and ref.blocks[top].k in failed
     assert op.known_values(0) is not None and op.known_values(top) is not None
     assert sigma_max == ref.sigma_max()
@@ -519,7 +526,7 @@ def test_block_on_the_cut_is_decomposed(above, certified):
     # value of the first two, counted with multiplicity 2 (all are kept)
     blocks = assemble(*_isomorphism_96x32()).blocks
     top, low = blocks[15], blocks[1]
-    known = DiscreteOperator(blocks=[top, low], grid=None).block_singular_values()
+    known = decompose_all(DiscreteOperator(blocks=[top, low], grid=None))
     cut = np.sort(np.repeat(np.concatenate(known), 2))[REPORTED_VALUES - 1]
     parts = [top, low, _variant(low, 2, cut / known[1][-1] * (1.0 + above) * low.windows)]
     op, ref = _decide_against_full(parts)
@@ -533,7 +540,7 @@ def _decide_against_full(parts):
     """Rank decisions of the blocks ``parts`` with and without certificates, equal."""
     op = DiscreteOperator(blocks=parts, grid=(96, 32, 12.0))
     ref = DiscreteOperator(blocks=parts, grid=(96, 32, 12.0))
-    ref.block_singular_values()
+    decompose_all(ref)
     assert numerical_index(op) == numerical_index(ref)
     return op, ref
 
@@ -547,7 +554,7 @@ def test_smallest_kept_value_behind_ten_discarded_is_decomposed():
     parts = ([blocks[15]] + [_last_row_scaled(blocks[k], k, 0.0) for k in range(1, 6)]
              + [_variant(blocks[6], 6, 0.1 * blocks[6].windows)])
     op, ref = _decide_against_full(parts)
-    kept = [sv[sv >= numerical_index(ref).threshold][-1] for sv in ref.block_singular_values()]
+    kept = [sv[sv >= numerical_index(ref).threshold][-1] for sv in decompose_all(ref)]
     assert int(np.argmin(kept)) == 6
     assert op.known_values(6) is not None
 
