@@ -49,19 +49,22 @@ Matrix Market export read it.  The rank decision reads ``ModeBlock.shape``.
 The row-window blocks of one decoupled operator also share one object
 (``ModeBlock.gram_terms``, ``_GramTerms``): mode k's stencil rows are
 W0 + k WX, so their Gram band is G0 + k G1 + k^2 G2, three bands built once
-per operator, on its first certificate.
+per operator, on its first decomposition or certificate.
 
 Each block is decomposed at most once per operator, lazily, by one of two
 routes chosen by the block's storage alone.  A row-window block has a banded
 Gram matrix, with bandwidth 8F - 1 for tall and square blocks (7 on a scalar
 mode, 15 on the 2-dimensional contact fiber).  It gets its singular values
 as square roots of the Gram eigenvalues from LAPACK's banded eigensolver,
-the band built straight from the stored windows, in O(n^2 kd) instead of
-O(n^3).  Dense blocks take the values-only dense SVD, which stays the
-reference.  A guard sends a row-window block to dense SVD when its smallest
-Gram eigenvalue is below 1e-8 times its largest (sigma_min < 1e-4
-sigma_max), because squaring blurs values near the rank threshold; so every
-rank-deficient or near-deficient block is decided by dense SVD.
+in O(n^2 kd) instead of O(n^3).  Its one Gram band (``_gram_band``) is, on
+a tall block, the shared terms at its k plus its end rows' outer products
+(two axpys and a few rows, not a band rebuilt from every window), or the
+sum over all its rows without shared terms.  Dense blocks take the
+values-only dense SVD, which stays the reference.  A guard sends a
+row-window block to dense SVD when its smallest Gram eigenvalue is below
+1e-8 times its largest (sigma_min < 1e-4 sigma_max), because squaring
+blurs values near the rank threshold; so every rank-deficient or
+near-deficient block is decided by dense SVD.
 
 A row-window block whose values cannot reach a report is not decomposed at
 all but certified: a banded Cholesky factorization of its Gram matrix
@@ -69,13 +72,12 @@ shifted by x I succeeds only when every Gram eigenvalue lies above x (of
 x I - G: below x), up to rounding, in O(n kd^2).  The operator keeps, per
 block, either its values or a certified floor with all its values strictly
 between the floor and sigma_max (``DiscreteOperator.certify_floor``); the
-rank decision in ``crlab.indexing`` chooses the cuts.  A certificate of a
-tall block reads the shared terms at its k plus the outer products of its
-end rows (two axpys and a few rows, not a band rebuilt from every window);
-it differs from the direct band by rounding, of order eps max|G|, inside
-the certificates' relative room of 1e-12.  Wide blocks and blocks without
-shared terms are certified on the direct band.  Singular values always
-come from the direct band (``_gram_band``), which stays the reference.
+rank decision in ``crlab.indexing`` chooses the cuts.  A certificate
+factors the same band the block's values come from, so a certified floor
+and any values computed later for that block describe one matrix.  The
+shared terms differ from a band summed over the block's own rows by
+rounding, of order eps max|G|, inside the certificates' relative room of
+1e-12.
 """
 
 from __future__ import annotations
@@ -186,12 +188,12 @@ class ModeBlock:
 
     ``gram_terms`` is the Gram band of the stencil rows that the row-window
     blocks of one assembled operator share (``_GramTerms``, mode factor
-    ``k``); certificates read it instead of rebuilding the band.  It is set
-    only by the assembler and is no constructor argument, so a block built
-    from other windows (directly or by ``dataclasses.replace``) carries no
-    shared terms and is certified on its own band.  The invariant: an
-    assembled block's stencil windows are never edited in place.  Its end
-    rows may be; certificates read them from ``windows`` when they run.
+    ``k``); the block's Gram band reads it instead of summing every row.
+    It is set only by the assembler and is no constructor argument, so a
+    block built from other windows (directly or by ``dataclasses.replace``)
+    carries no shared terms and sums its band over its own rows.  The
+    invariant: an assembled block's stencil windows are never edited in
+    place.  Its end rows may be; the band reads them when it is built.
     """
 
     k: object
@@ -257,45 +259,41 @@ def _materialize(b):
 _GRAM_GUARD = 1e-8
 
 
-def _upper_band_index(starts, n_cols, width):
-    """Window index pairs p <= q and, for rows whose windows start at
-    ``starts``, the flat position of each product conj(row[p]) row[q] in
-    upper band storage of bandwidth width - 1 on n_cols columns."""
+def _tall_band(U, V, starts, n_cols):
+    """Upper band storage, bandwidth width - 1 on n_cols columns, of the sum
+    over rows r of the window outer products conj(U[r]) V[r]^T, the windows
+    of row r starting at column ``starts[r]``."""
+    width = U.shape[1]
     p, q = np.triu_indices(width)
-    return p, q, (starts[:, None] + ((width - 1 + p - q) * n_cols + q)).ravel()
-
-
-def _window_products(U, V, p, q):
-    """conj(U[:, p]) V[:, q] on every row of the windows U and V, multiplied in place."""
-    prod = np.take(U.conj(), p, axis=1)
-    prod *= np.take(V, q, axis=1)
-    return prod
-
-
-def _scatter_band(idx, prod, shape):
-    """Upper band storage of the given shape summing the products ``prod`` at ``idx``."""
-    prod, size = prod.ravel(), shape[0] * shape[1]
+    idx = (starts[:, None] + ((width - 1 + p - q) * n_cols + q)).ravel()
+    prod, size = (U.conj()[:, p] * V[:, q]).ravel(), width * n_cols
+    band = np.bincount(idx, prod.real, size)
     if np.iscomplexobj(prod):
-        band = np.bincount(idx, prod.real, size) + 1j * np.bincount(idx, prod.imag, size)
-    else:
-        band = np.bincount(idx, prod, size)
-    return band.reshape(shape)
+        band = band + 1j * np.bincount(idx, prod.imag, size)
+    return band.reshape(width, n_cols)
 
 
 def _gram_band(b):
     """Upper band storage of the smaller Gram matrix of a row-window block.
 
     Every row lives in its window of 8F columns, and the windows start in
-    nondecreasing order.  For tall and square M the band of M^H M sums each
-    row's window outer product (bandwidth 8F - 1); for wide M the band of
-    M M^H pairs each row with the rows after it over its own window.
+    nondecreasing order.  For tall and square M the band of M^H M (bandwidth
+    8F - 1) is the shared terms at the block's mode plus its end rows, read
+    from its windows now, or without shared terms the sum over all its rows;
+    for wide M the band of M M^H pairs each row with the rows after it over
+    its own window.
     """
     V, starts = b.windows, b.starts
     n_rows, width = V.shape
     n_cols = b.shape[1]
     if n_rows >= n_cols:
-        p, q, idx = _upper_band_index(starts, n_cols, width)
-        return _scatter_band(idx, _window_products(V, V, p, q), (width, n_cols))
+        if b.gram_terms is None:
+            return _tall_band(V, V, starts, n_cols)
+        ab = b.gram_terms.band(b.k)
+        p, q = np.triu_indices(width)
+        for rows, start in ((V[:b.neg_rows], starts[0]), (V[b.neg_rows + b.pde_rows:], starts[-1])):
+            ab[width - 1 + p - q, start + q] += (rows.conj()[:, p] * rows[:, q]).sum(axis=0)
+        return ab
     rows = np.arange(n_rows)
     # row r meets the rows after it up to the last one whose window starts inside its own
     kd = int((np.searchsorted(starts, starts + width) - 1 - rows).max())
@@ -341,7 +339,8 @@ class _GramTerms:
     G1 = W0^H WX + WX^H W0 and G2 = WX^H WX.  X is given as phase Y, Y real
     and |phase| = 1, so that every product is real on a real A: then G2 =
     WY^T WY and G1 = phase W0^T WY + conj(phase) WY^T W0.  The three bands
-    are built on first use, by the scatter of ``_gram_band``.
+    are built on first use; their sum differs from the band summed over the
+    mode's own stencil rows by rounding, of order eps max|G|.
     """
 
     def __init__(self, D, P, A, Y, phase):
@@ -352,15 +351,10 @@ class _GramTerms:
         D, P, A, Y, phase = self._rows
         W0, starts = _stencil_rows(D, P, A)
         WY, _ = _stencil_rows(None, P, np.broadcast_to(Y, A.shape))
-        shape = (W0.shape[1], D.shape[1] * A.shape[1])
-        p, q, idx = _upper_band_index(starts, shape[1], shape[0])
-
-        def gram(U, V):
-            return _scatter_band(idx, _window_products(U, V, p, q), shape)
-
-        g1 = gram(W0, WY) * phase
-        g1 += gram(WY, W0) * np.conj(phase)
-        return gram(W0, W0), g1, gram(WY, WY)
+        n_cols = D.shape[1] * A.shape[1]
+        g1 = _tall_band(W0, WY, starts, n_cols) * phase
+        g1 += _tall_band(WY, W0, starts, n_cols) * np.conj(phase)
+        return _tall_band(W0, W0, starts, n_cols), g1, _tall_band(WY, WY, starts, n_cols)
 
     def band(self, k):
         """Gram band of mode k's stencil rows: G0 alone at k = 0."""
@@ -373,23 +367,6 @@ class _GramTerms:
         return ab
 
 
-def _certificate_band(b):
-    """The Gram band a certificate factors: the operator's shared stencil
-    terms (``ModeBlock.gram_terms``) at the block's mode plus its end rows,
-    read from its windows now; ``_gram_band`` for a wide block or one
-    without shared terms."""
-    terms, V = b.gram_terms, b.windows
-    if terms is None or len(V) < b.shape[1]:
-        return _gram_band(b)
-    ab = terms.band(b.k)
-    width = V.shape[1]
-    p, q = np.triu_indices(width)
-    for rows, start in ((V[:b.neg_rows], b.starts[0]),
-                        (V[b.neg_rows + b.pde_rows:], b.starts[-1])):
-        ab[width - 1 + p - q, start + q] += _window_products(rows, rows, p, q).sum(axis=0)
-    return ab
-
-
 def _gram_certified(b, shift, below):
     """Whether every eigenvalue of the smaller Gram matrix G of a row-window
     block lies below (``below``) or above ``shift``.
@@ -397,11 +374,9 @@ def _gram_certified(b, shift, below):
     LAPACK's banded Cholesky factorization of shift I - G (or G - shift I)
     succeeds exactly when that matrix is positive definite, up to rounding
     (the inertia argument), in O(n kd^2) against the eigensolver's O(n^2 kd).
-    The band comes from ``_certificate_band``: it may differ from the direct
-    ``_gram_band`` by rounding, of order eps max|G|, which the certificates'
-    relative room of 1e-12 covers.
+    It factors the band the block's values come from (``_gram_band``).
     """
-    ab = _certificate_band(b)
+    ab = _gram_band(b)
     if below:
         np.negative(ab, out=ab)
         ab[-1] += shift

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import importlib.resources
 import json
+import math
 import os
 import sys
 import tempfile
@@ -106,6 +107,22 @@ class ExperimentConfig:
 
     def __eq__(self, other):
         return isinstance(other, ExperimentConfig) and self.to_json() == other.to_json()
+
+
+def _non_finite(constant):
+    # json reads NaN, Infinity and -Infinity, which the schema's numbers accept
+    raise ConfigError(f"non-finite number {constant} in config")
+
+
+def _finite_positive(text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"config error: s_max must be a finite positive number, got {text!r}")
+    return value
 
 
 def load_schema():
@@ -370,7 +387,7 @@ def main(argv=None):
     parser.set_defaults(grid=None, smax=None, seed=None)
     sub = parser.add_subparsers(dest="command", required=True)
     flags = {"grid": dict(help="override grid, e.g. 96x32"),
-             "smax": dict(type=float, help="override truncation box half-length"),
+             "smax": dict(type=_finite_positive, help="override truncation box half-length"),
              "seed": dict(type=int)}
     for cmd, (_, overrides) in SUBCOMMANDS.items():
         p = sub.add_parser(cmd)
@@ -393,7 +410,7 @@ def main(argv=None):
     try:
         if args.config:
             with open(args.config) as fh:
-                raw = json.load(fh)
+                raw = json.load(fh, parse_constant=_non_finite)
             config = ExperimentConfig.from_json(raw)
             if raw["kind"] != SUBCOMMANDS[args.command][0]:
                 print(f"config kind {raw['kind']!r} does not match subcommand",

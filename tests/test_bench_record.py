@@ -48,3 +48,20 @@ def test_unpaired_runs_are_refused(tmp_path):
     with pytest.raises(SystemExit, match="unpaired"):
         bench_record.main([str(tmp_path / "p.jsonl"), str(tmp_path / "c.jsonl"), "--change",
                            "x", "--claim", "ladder/wall_s", "--out", str(tmp_path / "o.json")])
+
+
+def test_direction_comes_from_the_spec(tmp_path, monkeypatch):
+    # the same runs judged by a spec in which a larger wall_s is better
+    spec = json.loads(pathlib.Path(bench_record.SPEC).read_text())
+    wall = next(m for m in spec["end_to_end"] if m["name"] == "wall_s")
+    assert wall["better"] == "lower"
+    wall["better"] = "higher"
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    monkeypatch.setattr(bench_record, "SPEC", str(tmp_path / "BENCHMARK.json"))
+    _runs(tmp_path / "p.jsonl", [1.0] * 10, [3.0] * 10, "a")
+    _runs(tmp_path / "c.jsonl", [1.0] * 10, [3.1] * 10, "b")
+    out = tmp_path / "bench.json"
+    assert bench_record.main([str(tmp_path / "p.jsonl"), str(tmp_path / "c.jsonl"), "--change",
+                              "x", "--claim", "ladder/wall_s", "--out", str(out)]) == 0
+    rec = json.loads(out.read_text())
+    assert rec["end_to_end"]["ladder"]["wall_s"]["change_wins"] == 10 and rec["claim"]["met"]

@@ -411,6 +411,26 @@ def test_smax_override_reaches_the_problem(tmp_path):
     assert json.loads((tmp_path / "sm" / "index.json").read_text())["grid_tag"].endswith("@S14")
 
 
+@pytest.mark.parametrize("problem, flags", [
+    (trivial_problem_json(s_max=float("inf")), []),
+    (trivial_problem_json(weights=(float("nan"), 1.0)), []),
+    (trivial_problem_json(), ["--smax", "inf"]),
+    (trivial_problem_json(), ["--smax", "nan"]),
+], ids=["s_max_infinity", "weight_nan", "smax_flag_inf", "smax_flag_nan"])
+def test_non_finite_number_is_a_config_error(tmp_path, capsys, problem, flags):
+    # json.dumps writes inf and nan as the constants Infinity and NaN, which
+    # json.load reads back and the schema's numbers accept
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"name": "nf", "kind": "index", "inputs": {"problem": problem},
+                                "output_dir": str(tmp_path)}))
+    try:
+        code = cli.main(["index", "--config", str(path)] + flags)
+    except SystemExit as exc:       # argparse rejects the flag's value
+        code = exc.code
+    assert code == EXIT_ERROR
+    assert "config error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["index"],                                          # --config is required
     ["reproduce-all", "--frobnicate"],

@@ -421,6 +421,7 @@ def assert_certified_route_matches_full(problem, grid):
     op, ref = assemble(problem, grid), full_reference(problem, grid)
     rep = numerical_index(op)
     assert rep == numerical_index(ref)
+    assert_reports_agree(rep, numerical_index(dense_reference(op)))
     found, found_ref = kernel_vectors(op, rep.threshold), kernel_vectors(ref, rep.threshold)
     assert [b.tag for b, _ in found] == [b.tag for b, _ in found_ref]
     assert all(np.array_equal(V, V_ref) for (_, V), (_, V_ref) in zip(found, found_ref))
@@ -594,17 +595,22 @@ def test_stability_constant_decomposes_certified_blocks_below_its_minimum():
 
 
 # ---------------------------------------------------------------------------
-# certificate bands from the Gram terms an operator's blocks share
+# one Gram band per block, read from the Gram terms an operator's blocks share
 # ---------------------------------------------------------------------------
 
+def _all_rows_band(b):
+    """The Gram band of a tall row-window block summed over all its rows."""
+    return assemble_module._tall_band(b.windows, b.windows, b.starts, b.shape[1])
+
+
 def assert_certificate_bands_match(op):
-    """Every tall row-window block's certificate band is its direct Gram band,
-    within 1e-13 max|G|."""
+    """Every tall row-window block's Gram band, read from the shared terms, is
+    the sum over all its rows within 1e-13 max|G|."""
     tall = [b for b in op.blocks if b.windows is not None and len(b.windows) >= b.shape[1]]
     assert tall and all(b.gram_terms is not None for b in tall)
     for b in tall:
-        direct = assemble_module._gram_band(b)
-        band = assemble_module._certificate_band(b)
+        direct = _all_rows_band(b)
+        band = assemble_module._gram_band(b)
         assert band.dtype == direct.dtype and band.shape == direct.shape
         assert np.abs(band - direct).max() <= 1e-13 * np.abs(direct).max()
 
@@ -655,44 +661,57 @@ def test_certificate_band_matches_direct_band(make_case):
     assert_certificate_bands_match(assemble(*make_case()))
 
 
-def test_criterion_6_builds_direct_bands_for_decomposed_blocks_only(monkeypatch):
+def _tall_band_calls(monkeypatch):
+    """The first windows argument of every ``_tall_band`` call from now on."""
+    calls = []
+    real = assemble_module._tall_band
+    monkeypatch.setattr(assemble_module, "_tall_band",
+                        lambda U, *args: calls.append(U) or real(U, *args))
+    return calls
+
+
+def test_criterion_6_sums_no_block_from_all_its_rows(monkeypatch):
     # 80 blocks over the three grids: 11 decomposed, 69 certified (108
-    # certificates, every one from the shared terms)
-    built = []
-    real = assemble_module._gram_band
-    monkeypatch.setattr(assemble_module, "_gram_band", lambda b: built.append(b) or real(b))
+    # certificates); every band, for values and certificates alike, reads the
+    # shared terms, and the only sums over rows are each operator's four terms
+    calls = _tall_band_calls(monkeypatch)
     S = LoopOperatorSpec(dim=2, coeff=np.diag([1.0, 1.0]))
     problem = build_contact_fiber_cylinder(S, S)
     ops = [assemble(problem, g) for g in (GridSpec(96, 32), GridSpec(192, 64), GridSpec(384, 64))]
     for op in ops:
         numerical_index(op)
-    decomposed = [b for op in ops for i, b in enumerate(op.blocks) if op.known_values(i) is not None]
-    assert len(built) == 11
-    assert sorted(map(id, built)) == sorted(map(id, decomposed))
+    blocks = [b for op in ops for b in op.blocks]
+    assert len(blocks) == 80 and len(calls) == 4 * len(ops)
+    assert not any(U is b.windows for U in calls for b in blocks)
+    assert sum(op.known_values(i) is not None for op in ops for i in range(len(op.blocks))) == 11
 
 
 def test_block_from_other_windows_takes_the_direct_band(monkeypatch):
+    # a block without shared terms sums its own rows: twice b's windows, four
+    # times b's band
     b = assemble(*_isomorphism_96x32()).blocks[3]
     assert b.gram_terms is not None
-    built = []
-    real = assemble_module._gram_band
-    monkeypatch.setattr(assemble_module, "_gram_band", lambda b: built.append(b) or real(b))
+    shared = assemble_module._gram_band(b)
+    calls = _tall_band_calls(monkeypatch)
     other = _variant(b, 3, 2.0 * b.windows)
     assert other.gram_terms is None
-    band = assemble_module._certificate_band(other)
-    assert built == [other]
-    assert np.array_equal(band, real(other))
+    band = assemble_module._gram_band(other)
+    assert len(calls) == 1 and calls[0] is other.windows
+    assert np.abs(band - 4.0 * shared).max() <= 1e-13 * np.abs(band).max()
 
 
 def test_certificate_reads_end_rows_edited_in_place():
     # the positive end's boundary row zeroed in place, as in
-    # _guard_rejected_windows: the square block gains a kernel, and its
-    # certificate band must see it
+    # _guard_rejected_windows: the square block gains a kernel, and the band
+    # its certificate and its values read must both see it
     b = assemble(*banded_cases()["isomorphism"]).blocks[1]
     sigma_min = np.linalg.svd(b.matrix, compute_uv=False)[-1]
     shift = 0.5 * sigma_min ** 2
     assert assemble_module._gram_certified(b, shift, below=False)
+    np.testing.assert_allclose(assemble_module._banded_singular_values(b)[-1], sigma_min,
+                               rtol=1e-9)
     b.windows[-1] = 0.0
-    band, direct = assemble_module._certificate_band(b), assemble_module._gram_band(b)
+    band, direct = assemble_module._gram_band(b), _all_rows_band(b)
     assert np.abs(band - direct).max() <= 1e-13 * np.abs(direct).max()
     assert not assemble_module._gram_certified(b, shift, below=False)
+    assert assemble_module._banded_singular_values(b) is None

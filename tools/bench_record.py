@@ -2,21 +2,19 @@
 
 Usage:
   python3 tools/bench_record.py PARENT.jsonl CHANGE.jsonl --change TEXT \\
-      --claim WORKLOAD/METRIC --out BENCH_<n>.json [--storage]
+      --claim WORKLOAD/METRIC --out BENCH_<n>.json
 
 PARENT.jsonl and CHANGE.jsonl are the ``--out`` files of ``perfbench/run.py``
 run from the root of each checkout, one line per workload and run.  Runs are
 paired by (workload, seed): run pair p with ``--seed p`` on both sides.  The
 value of a run is the median over its samples; each side is summarized by
 the median and the quartiles (inclusive method) over its runs.  A pair is a
-win for the change when its value is better in the metric's direction
-(lower for every metric but ``pass_ratio``).
+win for the change when its value is better in the metric's direction, the
+``better`` of its ``end_to_end`` entry in BENCHMARK.json, the benchmark's
+spec at the root of the checkout this script lives in.
 
 The claim is met when the change wins at least 9 of 10 pairs and its median
 beats the parent's by more than the parent's interquartile range.
-``--storage`` adds the contact_ladder storage table: per grid, the bytes of
-one mode block stored dense against stored as row windows, read from the
-``crlab`` sources next to this script.
 """
 
 import argparse
@@ -25,9 +23,15 @@ import os
 import statistics
 import sys
 
-HIGHER_IS_BETTER = {"pass_ratio"}
+SPEC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCHMARK.json")
 ENV_KEYS = ("cpu_model", "nproc", "platform", "python", "numpy", "scipy", "blas",
             "blas_threads")
+
+
+def higher_is_better():
+    """{metric: True when higher is better} over the spec's end-to-end metrics."""
+    with open(SPEC, encoding="utf-8") as fh:
+        return {m["name"]: m["better"] == "higher" for m in json.load(fh)["end_to_end"]}
 
 
 def load_runs(path):
@@ -49,9 +53,9 @@ def quartiles(values):
     return {"median": round(med, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
-def compare(parent, change, metric):
+def compare(parent, change, metric, higher):
     """Summary of one metric over the paired runs of one workload."""
-    better = (lambda a, b: a > b) if metric in HIGHER_IS_BETTER else (lambda a, b: a < b)
+    better = (lambda a, b: a > b) if higher else (lambda a, b: a < b)
     p = [r["stats"][metric]["median"] for r in parent]
     c = [r["stats"][metric]["median"] for r in change]
     ps, cs = quartiles(p), quartiles(c)
@@ -66,11 +70,11 @@ def compare(parent, change, metric):
     }
 
 
-def claim(table, workload, metric):
+def claim(table, workload, metric, higher):
     row = table[workload][metric]
     med_p, med_c = statistics.median(row["parent_runs"]), statistics.median(row["change_runs"])
     iqr = row["parent"]["q3"] - row["parent"]["q1"]
-    gain = med_c - med_p if metric in HIGHER_IS_BETTER else med_p - med_c
+    gain = med_c - med_p if higher else med_p - med_c
     return {
         "metric": metric, "workload": workload,
         "rule": "change wins at least 9 of 10 pairs and its median beats the parent's "
@@ -90,39 +94,6 @@ def environment(parent_runs, change_runs):
     return out
 
 
-def storage_table():
-    """Bytes of each contact_ladder mode block, dense against row windows."""
-    sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
-    import numpy as np
-    from crlab.assemble import assemble
-    from crlab.loops import LoopOperatorSpec
-    from crlab.problems import GridSpec, build_contact_fiber_cylinder
-
-    S = LoopOperatorSpec(dim=2, coeff=np.diag([1.0, 1.0]))
-    problem = build_contact_fiber_cylinder(S, S)
-    rows = []
-    for s_nodes, t_nodes in ((96, 32), (192, 64), (384, 64)):
-        op = assemble(problem, GridSpec(s_nodes, t_nodes))
-        big = [b for b in op.blocks if b.windows is not None]
-        b = big[-1]
-        dense = b.shape[0] * b.shape[1] * b.windows.itemsize
-        stored = b.windows.nbytes + b.starts.nbytes
-        rows.append({
-            "grid": f"{s_nodes}x{t_nodes}", "blocks": len(op.blocks),
-            "row_window_blocks": len(big), "block_shape": list(b.shape),
-            "dtype": str(b.windows.dtype), "dense_bytes_per_block": dense,
-            "window_bytes_per_block": stored, "ratio": round(dense / stored, 1),
-            "dense_mb_all_blocks": round(sum(x.shape[0] * x.shape[1] * x.windows.itemsize
-                                             for x in big) / 2**20, 1),
-            "window_mb_all_blocks": round(sum(x.windows.nbytes + x.starts.nbytes
-                                              for x in big) / 2**20, 2),
-        })
-    return {"method": "criterion 6's problem assembled at each grid of the workload; one "
-                      "complex mode block k >= 1 (the k = 0 block is real), dense bytes = "
-                      "rows x cols x itemsize, window bytes = windows + starts",
-            "rows": rows}
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent")
@@ -131,10 +102,10 @@ def main(argv=None):
     parser.add_argument("--claim", required=True, help="WORKLOAD/METRIC the change claims")
     parser.add_argument("--order", default="alternating: parent first on odd pairs, change "
                         "first on even pairs; seed = pair number on both sides")
-    parser.add_argument("--storage", action="store_true")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
+    higher = higher_is_better()
     parent, change = load_runs(args.parent), load_runs(args.change)
     if set(parent) != set(change):
         raise SystemExit(f"unpaired runs: {sorted(set(parent) ^ set(change))}")
@@ -143,8 +114,8 @@ def main(argv=None):
         seeds = sorted(s for w, s in parent if w == workload)
         p = [parent[workload, s] for s in seeds]
         c = [change[workload, s] for s in seeds]
-        metrics = [m for m in p[0]["stats"] if all(m in r["stats"] for r in p + c)]
-        table[workload] = {m: compare(p, c, m) for m in metrics}
+        metrics = [m for m in p[0]["stats"] if m in higher and all(m in r["stats"] for r in p + c)]
+        table[workload] = {m: compare(p, c, m, higher[m]) for m in metrics}
     workload, metric = args.claim.split("/")
     record = {
         "change": args.title,
@@ -158,11 +129,9 @@ def main(argv=None):
             "summary": "median and quartiles (inclusive method) over the runs of each side",
         },
         "environment": environment(parent, change),
-        "claim": claim(table, workload, metric),
+        "claim": claim(table, workload, metric, higher[metric]),
         "end_to_end": table,
     }
-    if args.storage:
-        record["storage_contact_ladder"] = storage_table()
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
