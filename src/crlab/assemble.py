@@ -22,24 +22,29 @@ weight profile.  Augmentation columns are produced by applying the discrete
 operator rows to the sampled shift shapes e^{w(s)} beta_end(s); this keeps
 the discrete kernel relations exact up to the stencil error on e^{w} alone.
 
-Every block, scalar, contact, augmented or coupled, is built from the same
-three helpers.  A mode is given by its t-derivative part ``base`` (the 1x1
-[-2 pi k] of a scalar complex-line mode, 2 pi i k J of a contact mode, the
-trig-basis derivative of the coupled block), B at the midpoints, and each
-end's asymptotic matrix.  ``_stencil_rows`` computes the 8-node band of the
-collocated rows, node-major and field-minor; ``_end_rows`` the spectral
-projection at an end, in the first or last window; ``_shift_columns`` the
-shift columns.  The disk cap of a plane is one rule: the trace is
-constrained along the positive eigenspace of ``base``, the Fourier modes
-that do not extend holomorphically over the disk.
+Every block, scalar, contact, augmented or coupled, is built by one
+function, ``_mode_block``, as row windows.  A mode is given by its
+t-derivative part ``base`` (the 1x1 [-2 pi k] of a scalar complex-line
+mode, the 2x2 zero of the realified complex-line mode 0 with its two real
+fields (a, theta), 2 pi i k J of a contact mode, the trig-basis derivative
+of the coupled block), B at the midpoints, and each end's asymptotic
+matrix.  ``_stencil_rows`` computes the 8-node band of the collocated rows,
+node-major and field-minor; ``_end_rows`` the spectral projection at an
+end, in the first or last window.  ``_shifted`` makes a block dense and
+appends its shift columns, on both backends: so every block's unknowns are
+its fields node-major and field-minor, then the shift parameters.  The
+disk cap of a plane is one rule: the trace is constrained along the
+positive eigenspace of ``base``, the Fourier modes that do not extend
+holomorphically over the disk.
 
 Storage.  Every row of a mode lives in an 8-node window (8F columns on F
 fields), so a mode block is stored as row windows: the 8F values of each
 row and the column its window starts at, negative-end rows first, then the
 stencil rows, then the positive-end rows (``ModeBlock.windows``).  On the
 2-dimensional contact fiber that is 16 columns per row against 2N, about
-1/48 of the dense bytes at N = 384.  The blocks that carry shift columns
-and the coupled block are written out dense once and stored dense
+1/48 of the dense bytes at N = 384.  The realified mode 0 that carries
+shift columns and the coupled block, with or without them, are written out
+dense once by ``_shifted`` from their row windows and stored dense
 (``ModeBlock.dense``); a block holds one storage, and it decides the block.
 ``ModeBlock.matrix`` materializes a row-window block on first read and
 keeps it; only the dense fallback below, ``kernel_vectors`` on
@@ -184,7 +189,8 @@ class ModeBlock:
     in the layout stencil rows, negative-end rows, positive-end rows: the
     given ``dense``, or the windows materialized on first read and kept, so
     only the readers that need the dense entries pay for them.  ``shape``
-    never materializes.
+    never materializes.  The columns are the fields node-major and
+    field-minor, then the ``aug_cols`` shift columns.
 
     ``gram_terms`` is the Gram band of the stencil rows that the row-window
     blocks of one assembled operator share (``_GramTerms``, mode factor
@@ -192,8 +198,11 @@ class ModeBlock:
     It is set only by the assembler and is no constructor argument, so a
     block built from other windows (directly or by ``dataclasses.replace``)
     carries no shared terms and sums its band over its own rows.  The
-    invariant: an assembled block's stencil windows are never edited in
-    place.  Its end rows may be; the band reads them when it is built.
+    invariants: an assembled block's stencil windows are never edited in
+    place, and a block's windows, end rows included, are edited only before
+    ``matrix`` is first read, since ``matrix`` keeps the entries it
+    materialized.  Before that, an assembled block's end rows may be edited;
+    the band reads them when it is built.
     """
 
     k: object
@@ -241,7 +250,7 @@ class ModeBlock:
         if np.iscomplexobj(M):
             R, I = M.real, M.imag
             return np.block([[R, -I], [I, R]])
-        return _real_pair(M) if self.mult == 2 else M
+        return scipy.linalg.block_diag(M, M) if self.mult == 2 else M
 
 
 def _materialize(b):
@@ -687,11 +696,6 @@ def _mode_block(k, mult, tag, problem, base, B_mid, end_matrix, stencil, prof, t
     return b
 
 
-def _row_groups(b):
-    """Dense row groups [stencil, negative-end, positive-end] of a row-window block."""
-    return np.split(b.matrix, [b.pde_rows, b.pde_rows + b.neg_rows])
-
-
 def augmentation_layout(problem):
     """Ordered (end, component) keys of the shift columns.
 
@@ -707,12 +711,13 @@ def augmentation_layout(problem):
             for comp in range(end.shift_dims)]
 
 
-def _shift_columns(problem, s, prof, n_rows, apply):
-    """Unit shift columns in ``augmentation_layout`` order, (n_rows, n_aug).
+def _shifted(b, problem, s, prof):
+    """Dense block of row-window block b with its shift columns appended.
 
-    ``apply(shape, comp)`` returns (first row, values): the operator's
-    residual rows applied to the sampled conjugated shift shape e^{w} beta_end
-    placed in field component comp.  The rest of each column is zero.
+    Shift column (end, comp), in ``augmentation_layout`` order, is b's
+    stencil rows applied to the sampled conjugated shift shape e^{w} beta_end
+    placed in field comp of every node, normalized; its end rows are zero.
+    Without shifts the block is only made dense.
     """
     npr = problem.truncation.n_prime
     ew = np.exp(prof.w(s))
@@ -720,33 +725,20 @@ def _shift_columns(problem, s, prof, n_rows, apply):
               "negative": ew * profiles.cutoff(-s, npr)}
     shapes["shared"] = shapes["positive"] + shapes["negative"]
     layout = augmentation_layout(problem)
-    out = np.empty((n_rows, len(layout)))
+    M = b.matrix
+    cols = np.zeros((len(M), len(layout)))
     for j, (end, comp) in enumerate(layout):
-        row, v = apply(shapes[end], comp)
-        c = np.zeros(n_rows)
-        c[row:row + len(v)] = v
+        field = np.zeros((len(s), M.shape[1] // len(s)))
+        field[:, comp] = shapes[end]
+        c = M[:b.pde_rows] @ field.reshape(-1)
         nrm = np.linalg.norm(c)
         if nrm == 0:
             raise AssemblyError("augmentation column vanished")
-        out[:, j] = c / nrm
-    return out
-
-
-def _real_pair(M):
-    """Two uncoupled copies of M: [[M, 0], [0, M]]."""
-    Z = np.zeros_like(M)
-    return np.block([[M, Z], [Z, M]])
-
-
-def _dense_block(k, groups, mult, tag, shifts=None):
-    """The dense block of the stacked row groups, with the shift columns appended."""
-    M = np.vstack(groups)
-    if shifts is not None:
-        M = np.hstack([M, shifts])
-    _finite_or_raise(M, tag)
-    return ModeBlock(k=k, mult=mult, pde_rows=len(groups[0]),
-                     bc_rows=sum(len(g) for g in groups[1:]),
-                     aug_cols=0 if shifts is None else shifts.shape[1], tag=tag, dense=M)
+        cols[:b.pde_rows, j] = c / nrm
+    M = np.hstack([M, cols])
+    _finite_or_raise(M, b.tag)
+    return ModeBlock(k=b.k, mult=b.mult, pde_rows=b.pde_rows, bc_rows=b.bc_rows,
+                     aug_cols=len(layout), tag=b.tag, dense=M)
 
 
 # ---------------------------------------------------------------------------
@@ -757,27 +749,21 @@ def _complex_line_blocks(problem, grid, stencil, prof):
     """Scalar modes d/ds - 2 pi k - w'(s), k = -K..K; with shifts, mode 0 is
     realified, carries the shift columns and comes last.
 
-    The realified unknowns are [a-component nodes, theta-component nodes,
-    parameters], the parameter columns in ``augmentation_layout`` order.
+    The realified unknowns are the two real fields (a, theta) of each node,
+    node-major like every block, then the parameters in
+    ``augmentation_layout`` order.
     """
     K = grid.t_nodes // 2 - 1
     n_aug = problem.augmentation_dims
     D, P, _, mids = stencil
     terms = _GramTerms(D, P, -prof.wprime(mids)[:, None, None], np.array([[-2.0 * np.pi]]), 1.0)
-
-    def block(k, tag):
-        return _mode_block(k, 2, tag, problem, np.array([[-2.0 * np.pi * k]]), 0.0,
-                           lambda end: 0.0, stencil, prof, terms)
-
-    blocks = [block(k, f"scalar k={k}") for k in range(-K, K + 1) if k or not n_aug]
+    blocks = [_mode_block(k, 2, f"scalar k={k}", problem, np.array([[-2.0 * np.pi * k]]), 0.0,
+                          lambda end: 0.0, stencil, prof, terms)
+              for k in range(-K, K + 1) if k or not n_aug]
     if n_aug:
-        tag = "realified k=0 + shifts"
-        scalar = _row_groups(block(0, tag))
-        L = scalar[0]
-        groups = [_real_pair(g) for g in scalar]
-        cols = _shift_columns(problem, stencil[2], prof, sum(map(len, groups)),
-                              lambda shape, comp: (comp * len(L), L @ shape))
-        blocks.append(_dense_block(0, groups, 1, tag, cols))
+        b = _mode_block(0, 1, "realified k=0 + shifts", problem, np.zeros((2, 2)), 0.0,
+                        lambda end: 0.0, stencil, prof)
+        blocks.append(_shifted(b, problem, stencil[2], prof))
     return blocks
 
 
@@ -847,20 +833,9 @@ def _coupled_block(problem, grid, stencil, prof):
     T, t = _trig_basis(grid.t_nodes, K)
     B_mid = np.array([_trig_coupling(np.stack([problem.coefficient(m, tj) for tj in t]), T)
                       for m in mids])
-    groups = _row_groups(_mode_block(None, 1, "coupled", problem,
-                                     _trig_derivative(K, problem.fiber_dim), B_mid,
-                                     lambda end: _trig_coupling(end.asymptotic.sample(t), T),
-                                     stencil, prof))
-    if not problem.augmentation_dims:
-        return _dense_block(None, groups, 1, "coupled")
-
-    def apply(shape, comp):
-        field = np.zeros((N, nfield))
-        field[:, comp] = shape          # mode-0 basis entry of component comp
-        return 0, groups[0] @ field.reshape(-1)
-
-    cols = _shift_columns(problem, s, prof, sum(map(len, groups)), apply)
-    return _dense_block(None, groups, 1, "coupled", cols)
+    b = _mode_block(None, 1, "coupled", problem, _trig_derivative(K, problem.fiber_dim), B_mid,
+                    lambda end: _trig_coupling(end.asymptotic.sample(t), T), stencil, prof)
+    return _shifted(b, problem, s, prof)
 
 
 # ---------------------------------------------------------------------------

@@ -136,10 +136,13 @@ def glue(problem_u, problem_w, tau):
 class KernelVector:
     """One kernel element of a component problem, in block-native pieces.
 
-    ``field`` has shape (s_nodes, F) -- complex scalar profile for the
-    complex-line fiber (F = 1), real or complex for contact modes.  ``params``
-    maps each ``augmentation_layout`` key of the component to its shift
-    coefficient.
+    ``field`` has shape (s_nodes, F), the block's columns node-major and
+    field-minor, real or complex for contact modes.  The complex-line fiber
+    has F = 1: a scalar mode's real profile, or on the realified mode 0 that
+    carries the shifts the complex profile a + i theta of its two real
+    fields (a, theta).  ``params`` maps each ``augmentation_layout`` key of
+    the component to its shift coefficient, the block's columns after the
+    fields.
     """
 
     k: object
@@ -158,16 +161,12 @@ def component_kernel(problem, grid=None):
     for block, V in kernel_vectors(op, rep.threshold):
         # orthonormalize within the block
         Q, _ = np.linalg.qr(V)
-        N = len(s)
-        for j in range(Q.shape[1]):
-            v = Q[:, j]
-            if block.aug_cols:
-                a, th = v[:N], v[N:2 * N]
-                field = (a + 1j * th)[:, None]
-                params = dict(zip(augmentation_layout(problem), v[2 * N:]))
-            else:
-                field = v.reshape(N, -1)    # node-major, field-minor
-                params = {}
+        n = block.shape[1] - block.aug_cols
+        for v in Q.T:
+            field = v[:n].reshape(len(s), -1)    # node-major, field-minor
+            if block.aug_cols and block.k == 0:  # realified mode 0: (a, theta) of each node
+                field = (field[:, 0] + 1j * field[:, 1])[:, None]
+            params = dict(zip(augmentation_layout(problem), v[n:]))
             out.append(KernelVector(k=block.k, s=s, field=field, params=params))
     return out, rep
 
@@ -213,19 +212,17 @@ def _glued_block_vector(glued_op, kv, shift, cutoff, side):
     block = next((b for b in glued_op.blocks if b.k == kv.k), None)
     if block is None:
         raise IncompatibleEndsError(f"glued operator has no mode {kv.k}")
-    N = len(sg)
-    if block.aug_cols:
-        vec = np.zeros(block.shape[1])
-        vec[:N] = g[:, 0].real
-        vec[N:2 * N] = g[:, 0].imag
-        # each component keeps only the shifts of its own outer end, in the
-        # glued column that carries the same (end, component) key
-        own = "negative" if side == "u" else "positive"
-        for col, key in enumerate(augmentation_layout(problem)):
-            if key[0] == own and key in kv.params:
-                vec[2 * N + col] = kv.params[key]
-    else:
-        vec = g.reshape(-1)
+    if block.aug_cols and block.k == 0:     # realified mode 0: (a, theta) of each node
+        g = np.column_stack([g[:, 0].real, g[:, 0].imag])
+    n = block.shape[1] - block.aug_cols
+    vec = np.zeros(block.shape[1], dtype=g.dtype)
+    vec[:n] = g.reshape(-1)
+    # each component keeps only the shifts of its own outer end, in the
+    # glued column that carries the same (end, component) key
+    own = "negative" if side == "u" else "positive"
+    for col, key in enumerate(augmentation_layout(problem)):
+        if key[0] == own and key in kv.params:
+            vec[n + col] = kv.params[key]
     nrm = np.linalg.norm(vec)
     return vec / nrm if nrm > 0 else None
 

@@ -138,10 +138,7 @@ def _shift_column_key(column, mids, nfield):
     rows = np.flatnonzero(np.abs(column) > 1e-8 * np.abs(column).max())
     npde = len(mids) * nfield
     assert rows.max() < npde, "shift columns live in the PDE rows only"
-    if nfield == 2:                  # realified decoupled block: [a rows, theta rows]
-        node, comp = rows % len(mids), rows // len(mids)
-    else:                            # coupled block: rows node-major, field-minor
-        node, comp = rows // nfield, rows % nfield
+    node, comp = rows // nfield, rows % nfield       # rows node-major, field-minor
     assert len(set(comp)) == 1
     signs = set(np.sign(mids[node]))
     end = {frozenset({1.0}): "positive", frozenset({-1.0}): "negative",
@@ -162,7 +159,7 @@ def test_augmentation_layout_matches_assembled_columns(backend):
         block = next(b for b in op.blocks if b.k in (0, None))
         assert block.aug_cols == len(layout) == p.augmentation_dims
         _, _, _, mids = fd_operators(p.s_lo, trunc.s_max, grid.s_nodes)
-        nfield = 2 if backend == "decoupled" else block.pde_rows // len(mids)
+        nfield = block.pde_rows // len(mids)
         cols = block.matrix[:, block.matrix.shape[1] - block.aug_cols:]
         got = [_shift_column_key(cols[:, j], mids, nfield) for j in range(cols.shape[1])]
         assert got == layout, (p.ends, backend)

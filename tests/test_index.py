@@ -475,6 +475,33 @@ def test_certified_route_matches_full_decomposition_contact(ends, weights, t_nod
     assert_certified_route_matches_full(problem, grid)
 
 
+def assert_backends_agree_with_shifts(problem):
+    # the realified mode 0 and the coupled block carry the shift columns in
+    # one node-major layout, built by one function; the shifts live in mode
+    # 0, so 8 circle nodes keep the coupled block small (672 columns)
+    grid = GridSpec(48, 8)
+    rep_d, rep_c = (index_of(problem, grid, backend=b) for b in ("decoupled", "coupled"))
+    assert (rep_c.index, rep_c.dim_ker, rep_c.dim_coker, rep_c.decisive) == \
+        (rep_d.index, rep_d.dim_ker, rep_d.dim_coker, rep_d.decisive)
+    assert rep_d.index == analytic_index(problem)
+
+
+@pytest.mark.parametrize("shifts", [(0, 0), (2, 2), (1, 2), (2, 1), (2, 0), (0, 2), (1, 0), (0, 1)],
+                         ids=lambda sd: "sd%d%d" % sd)
+@settings(derandomize=True, deadline=None, max_examples=3)
+@given(weights=st.tuples(SIGNED_WEIGHTS, SIGNED_WEIGHTS))
+def test_backends_agree_with_shifts_trivial(shifts, weights):
+    assert_backends_agree_with_shifts(
+        build_trivial_cylinder(weights, shifts, truncation=SMALL_TRUNC))
+
+
+@pytest.mark.parametrize("shift_dims", [0, 1, 2])
+@settings(derandomize=True, deadline=None, max_examples=2)
+@given(weight=SIGNED_WEIGHTS)
+def test_backends_agree_with_shifts_plane(shift_dims, weight):
+    assert_backends_agree_with_shifts(build_plane(weight, shift_dims, truncation=SMALL_TRUNC))
+
+
 def _isomorphism_96x32():
     S = LoopOperatorSpec(dim=2, coeff=np.diag([1.0, 1.0]))
     return build_contact_fiber_cylinder(S, S), GridSpec(96, 32)

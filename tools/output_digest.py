@@ -5,7 +5,10 @@ Usage:
 
 The set: ``reproduce-all``; ``index`` on acceptance criterion 6 (the contact
 isomorphism) at 96x32, 192x64 and 384x64; ``glue`` on the reproduce-all flow
-pair at tau 6, 8, 10 and 12; and one ``sweep-delta`` on the trivial cylinder.
+pair at tau 6, 8, 10 and 12; one ``sweep-delta`` on the trivial cylinder;
+and ``index`` on the blocks that carry shift columns: the trivial cylinder
+with weights (1, 1) and shifts (2, 2), its reduced pattern (1, 2), and the
+plane with weight 1 and 2 shifts.
 Each experiment runs in its own interpreter on the ``crlab`` sources next to
 this script, so the environment the tool is started with (for example
 OPENBLAS_NUM_THREADS) reaches every run before numpy loads.  Outputs go to
@@ -27,15 +30,25 @@ import sys
 import tempfile
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+sys.path.insert(0, SRC)
+
+from crlab.cli import SUBCOMMANDS  # noqa: E402  (the sources next to this script)
+
+# config kind of each subcommand
+KINDS = {command: kind for command, (kind, _) in SUBCOMMANDS.items()}
 
 
-def _end(sign, weight, coeff):
-    return {"sign": sign, "weight": weight, "asymptotic": {"dim": 2, "coeff": coeff}}
+def _end(sign, weight, coeff, shift_dims=0):
+    end = {"sign": sign, "weight": weight, "asymptotic": {"dim": 2, "coeff": coeff}}
+    if shift_dims:
+        end["shift_dims"] = shift_dims
+    return end
 
 
-def _cylinder(fiber, neg, pos, weights, n_prime=6.0):
+def _cylinder(fiber, neg, pos, weights, n_prime=6.0, shift_dims=(0, 0)):
     return {"domain_kind": "cylinder", "fiber": fiber,
-            "ends": [_end("negative", weights[0], neg), _end("positive", weights[1], pos)],
+            "ends": [_end("negative", weights[0], neg, shift_dims[0]),
+                     _end("positive", weights[1], pos, shift_dims[1])],
             "truncation": {"s_max": 12.0, "n_prime": n_prime}}
 
 
@@ -59,10 +72,15 @@ def experiments():
     runs.append(("sweep_trivial", "sweep-delta",
                  {"problem": _cylinder("complex_line", zero, zero, (-1.0, 1.0)),
                   "deltas": [0.5, 1.5, 2.5]}))
+    for shifts in ((2, 2), (1, 2)):
+        runs.append((f"shifted_cylinder_{shifts[0]}{shifts[1]}", "index",
+                     {"problem": _cylinder("complex_line", zero, zero, (1.0, 1.0),
+                                           shift_dims=shifts)}))
+    runs.append(("shifted_plane", "index",
+                 {"problem": {"domain_kind": "plane", "fiber": "complex_line",
+                              "ends": [_end("positive", 1.0, zero, 2)],
+                              "truncation": {"s_max": 12.0, "n_prime": 6.0}}}))
     return runs
-
-
-KINDS = {"index": "index", "glue": "glue", "sweep-delta": "sweep"}
 
 
 def run_all(out):
