@@ -16,7 +16,6 @@ from .exceptions import CRLabError
 from .gluing import GluingConfig, approximate_kernel, glue, stability_constant, verify_additivity
 from .indexing import (
     IndexReport,
-    TolerancePolicy,
     analytic_index,
     adjoint_check,
     convergence_study,

@@ -57,19 +57,22 @@ W0 + k WX, so their Gram band is G0 + k G1 + k^2 G2, three bands built once
 per operator, on its first decomposition or certificate.
 
 Each block is decomposed at most once per operator, lazily, by one of two
-routes chosen by the block's storage alone.  A row-window block has a banded
-Gram matrix, with bandwidth 8F - 1 for tall and square blocks (7 on a scalar
-mode, 15 on the 2-dimensional contact fiber).  It gets its singular values
-as square roots of the Gram eigenvalues from LAPACK's banded eigensolver,
-in O(n^2 kd) instead of O(n^3).  Its one Gram band (``_gram_band``) is, on
-a tall block, the shared terms at its k plus its end rows' outer products
-(two axpys and a few rows, not a band rebuilt from every window), or the
-sum over all its rows without shared terms.  Dense blocks take the
-values-only dense SVD, which stays the reference.  A guard sends a
-row-window block to dense SVD when its smallest Gram eigenvalue is below
-1e-8 times its largest (sigma_min < 1e-4 sigma_max), because squaring
-blurs values near the rank threshold; so every rank-deficient or
-near-deficient block is decided by dense SVD.
+routes chosen by the block's storage alone.  A row-window block M has one
+Gram matrix, M^H M, whatever its shape: banded on its columns with
+bandwidth 8F - 1 (7 on a scalar mode, 15 on the 2-dimensional contact
+fiber).  It gets its singular values as square roots of the Gram
+eigenvalues from LAPACK's banded eigensolver, in O(n^2 kd) instead of
+O(n^3).  A wide block's Gram matrix also holds its structural kernel:
+eig(M^H M) is {sigma_i^2} and n_cols - n_rows zeros, and those smallest
+eigenvalues are dropped.  Its one Gram band (``_gram_band``) is the shared
+terms at its k plus its end rows' outer products (two axpys and a few
+rows, not a band rebuilt from every window), or the sum over all its rows
+without shared terms.  Dense blocks take the values-only dense SVD, which
+stays the reference.  A guard sends a row-window block to dense SVD when
+its smallest kept Gram eigenvalue is below 1e-8 times its largest
+(sigma_min < 1e-4 sigma_max), because squaring blurs values near the rank
+threshold; so every rank-deficient or near-deficient block is decided by
+dense SVD.
 
 A row-window block whose values cannot reach a report is not decomposed at
 all but certified: a banded Cholesky factorization of its Gram matrix
@@ -77,12 +80,13 @@ shifted by x I succeeds only when every Gram eigenvalue lies above x (of
 x I - G: below x), up to rounding, in O(n kd^2).  The operator keeps, per
 block, either its values or a certified floor with all its values strictly
 between the floor and sigma_max (``DiscreteOperator.certify_floor``); the
-rank decision in ``crlab.indexing`` chooses the cuts.  A certificate
-factors the same band the block's values come from, so a certified floor
-and any values computed later for that block describe one matrix.  The
-shared terms differ from a band summed over the block's own rows by
-rounding, of order eps max|G|, inside the certificates' relative room of
-1e-12.
+rank decision in ``crlab.indexing`` chooses the cuts.  A wide block's
+structural zeros fail every floor certificate, so it is always decomposed;
+its sigma_max certificate holds as on any block.  A certificate factors the
+same band the block's values come from, so a certified floor and any values
+computed later for that block describe one matrix.  The shared terms differ
+from a band summed over the block's own rows by rounding, of order
+eps max|G|, inside the certificates' relative room of 1e-12.
 """
 
 from __future__ import annotations
@@ -268,7 +272,7 @@ def _materialize(b):
 _GRAM_GUARD = 1e-8
 
 
-def _tall_band(U, V, starts, n_cols):
+def _window_band(U, V, starts, n_cols):
     """Upper band storage, bandwidth width - 1 on n_cols columns, of the sum
     over rows r of the window outer products conj(U[r]) V[r]^T, the windows
     of row r starting at column ``starts[r]``."""
@@ -283,50 +287,36 @@ def _tall_band(U, V, starts, n_cols):
 
 
 def _gram_band(b):
-    """Upper band storage of the smaller Gram matrix of a row-window block.
+    """Upper band storage of M^H M for a row-window block M: n_cols columns,
+    bandwidth 8F - 1.
 
-    Every row lives in its window of 8F columns, and the windows start in
-    nondecreasing order.  For tall and square M the band of M^H M (bandwidth
-    8F - 1) is the shared terms at the block's mode plus its end rows, read
-    from its windows now, or without shared terms the sum over all its rows;
-    for wide M the band of M M^H pairs each row with the rows after it over
-    its own window.
+    Every row lives in its window of 8F columns.  The band is the shared
+    terms at the block's mode plus its end rows, read from its windows now,
+    or without shared terms the sum over all its rows.  On a wide block it
+    holds the n_cols - n_rows structural zero eigenvalues besides sigma_i^2.
     """
     V, starts = b.windows, b.starts
-    n_rows, width = V.shape
-    n_cols = b.shape[1]
-    if n_rows >= n_cols:
-        if b.gram_terms is None:
-            return _tall_band(V, V, starts, n_cols)
-        ab = b.gram_terms.band(b.k)
-        p, q = np.triu_indices(width)
-        for rows, start in ((V[:b.neg_rows], starts[0]), (V[b.neg_rows + b.pde_rows:], starts[-1])):
-            ab[width - 1 + p - q, start + q] += (rows.conj()[:, p] * rows[:, q]).sum(axis=0)
-        return ab
-    rows = np.arange(n_rows)
-    # row r meets the rows after it up to the last one whose window starts inside its own
-    kd = int((np.searchsorted(starts, starts + width) - 1 - rows).max())
-    partner = rows[:, None] + np.arange(kd + 1)
-    pr = np.minimum(partner, n_rows - 1)
-    # a partner's entries on row r's window: its own window, shifted by the start offset
-    shift = np.arange(width) - (starts[pr] - starts[:, None])[:, :, None]
-    P = np.where(shift >= 0, V[pr[:, :, None], np.maximum(shift, 0)], 0)
-    G = np.einsum("rx,rex->re", V, P.conj())
-    r, e = np.nonzero(partner < n_rows)
-    ab = np.zeros((kd + 1, n_rows), dtype=V.dtype)
-    ab[kd - e, r + e] = G[r, e]
+    if b.gram_terms is None:
+        return _window_band(V, V, starts, b.shape[1])
+    ab = b.gram_terms.band(b.k)
+    width = V.shape[1]
+    p, q = np.triu_indices(width)
+    for rows, start in ((V[:b.neg_rows], starts[0]), (V[b.neg_rows + b.pde_rows:], starts[-1])):
+        ab[width - 1 + p - q, start + q] += (rows.conj()[:, p] * rows[:, q]).sum(axis=0)
     return ab
 
 
 def _banded_singular_values(b):
     """Singular values of a row-window block from the eigenvalues of its
-    smaller Gram matrix (``_gram_band``), by LAPACK's banded eigensolver.
+    Gram matrix M^H M (``_gram_band``), by LAPACK's banded eigensolver.
 
-    Returns None when lambda_min < 1e-8 lambda_max; the caller then
-    decomposes the block densely.
+    A wide block's n_cols - n_rows smallest eigenvalues are its structural
+    zeros and are dropped.  Returns None when lambda_min < 1e-8 lambda_max
+    among the rest; the caller then decomposes the block densely.
     """
+    n_rows, n_cols = b.shape
     lam = scipy.linalg.eig_banded(_gram_band(b), eigvals_only=True, overwrite_a_band=True,
-                                  check_finite=False)
+                                  check_finite=False)[max(n_cols - n_rows, 0):]
     if lam[0] < _GRAM_GUARD * lam[-1]:
         return None
     return np.sqrt(lam[::-1])
@@ -361,9 +351,9 @@ class _GramTerms:
         W0, starts = _stencil_rows(D, P, A)
         WY, _ = _stencil_rows(None, P, np.broadcast_to(Y, A.shape))
         n_cols = D.shape[1] * A.shape[1]
-        g1 = _tall_band(W0, WY, starts, n_cols) * phase
-        g1 += _tall_band(WY, W0, starts, n_cols) * np.conj(phase)
-        return _tall_band(W0, W0, starts, n_cols), g1, _tall_band(WY, WY, starts, n_cols)
+        g1 = _window_band(W0, WY, starts, n_cols) * phase
+        g1 += _window_band(WY, W0, starts, n_cols) * np.conj(phase)
+        return _window_band(W0, W0, starts, n_cols), g1, _window_band(WY, WY, starts, n_cols)
 
     def band(self, k):
         """Gram band of mode k's stencil rows: G0 alone at k = 0."""
@@ -377,8 +367,8 @@ class _GramTerms:
 
 
 def _gram_certified(b, shift, below):
-    """Whether every eigenvalue of the smaller Gram matrix G of a row-window
-    block lies below (``below``) or above ``shift``.
+    """Whether every eigenvalue of the Gram matrix G = M^H M of a row-window
+    block M lies below (``below``) or above ``shift``.
 
     LAPACK's banded Cholesky factorization of shift I - G (or G - shift I)
     succeeds exactly when that matrix is positive definite, up to rounding
@@ -455,10 +445,6 @@ class DiscreteOperator:
         return sum(b.mult * b.bc_rows for b in self.blocks)
 
     @property
-    def augmentation_cols(self):
-        return sum(b.aug_cols for b in self.blocks)
-
-    @property
     def index_candidate(self):
         return self.cols - self.rows
 
@@ -531,7 +517,9 @@ class DiscreteOperator:
 
         The shift is max(cut^2, 1e-8 lambda_top) (1 + 1e-12) + 1e-12 lambda_top,
         lambda_top = sigma_max^2, so a certified block also passes the banded
-        route's guard: its route is ``banded_gram``.
+        route's guard: its route is ``banded_gram``.  A wide block is never
+        certified: its Gram matrix has structural zero eigenvalues below any
+        shift, so it is decomposed.
         """
         lam_top = self.sigma_max() ** 2
         lam = max(cut * cut, _GRAM_GUARD * lam_top)

@@ -352,7 +352,7 @@ def run(config, grid_override=None, out_override=None):
     os.makedirs(out, exist_ok=True)
     try:
         code, lines = RUNNERS[config.kind](config, out, grid=grid_override)
-    except (CRLabError, ValueError, KeyError) as exc:
+    except (CRLabError, ValueError, KeyError, MemoryError) as exc:
         write_atomic(os.path.join(out, "summary.txt"),
                      f"ERROR: {type(exc).__name__}: {exc}\n")
         return EXIT_ERROR

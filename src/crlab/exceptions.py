@@ -33,10 +33,6 @@ class NumericalError(CRLabError):
     """A dense linear-algebra kernel (eigensolver, SVD) failed."""
 
 
-class IndecisiveRankError(CRLabError):
-    """Singular-value gap too small to decide the numerical rank under a strict policy."""
-
-
 class InstabilityError(CRLabError):
     """Computed index failed to stabilize under grid refinement."""
 

@@ -1,23 +1,26 @@
 """Numerical and analytic Fredholm indices of assembled operators.
 
-The numerical route counts singular values under a scale-relative
-threshold and refuses to guess when the gap between kept and discarded
-values is not decisive.  It reads sigma_max, the values below the
-threshold, the smallest kept value and the REPORTED_VALUES smallest values,
-and decomposes only the mode blocks that can hold one of them, each at most
+The numerical route counts singular values under the threshold
+REL_THRESHOLD sigma_max and refuses to guess when the gap between kept and
+discarded values is below GAP_MIN: it flags the report indecisive.  These
+are fixed constants, written into every report as its
+``tolerance_policy``.  It reads sigma_max, the values below the threshold,
+the smallest kept value and the REPORTED_VALUES smallest values, and
+decomposes only the mode blocks that can hold one of them, each at most
 once (``DiscreteOperator.block_values``).  sigma_max is settled first; then
 the other blocks are certified by banded Cholesky to have all their values
 above a running cut that every value the report reads lies at or below.  A
-certified block has full rank.  A block's storage chooses its route: every
-row-window block (each block without shift columns from the decoupled
-backend) gets its singular values from the banded eigenvalues of its Gram
-matrix; dense blocks (those with shift columns, the coupled block) and any
-block with sigma_min < 1e-4 sigma_max (the accuracy guard), from dense
-SVD.  Every rank-deficient block is therefore decided by dense SVD, and a
-banded value carries a relative error of order 1e-8 at worst (below 1e-11
-on the operators of ``reproduce-all``).  The report's ``method`` names the routes
-that decided; a certified block passes the guard and counts as
-``banded_gram``.
+certified block has full rank; a wide block, whose Gram matrix holds its
+structural kernel, is never certified and always decomposed.  A block's
+storage chooses its route: every row-window block (each block without
+shift columns from the decoupled backend) gets its singular values from
+the banded eigenvalues of its one Gram matrix M^H M; dense blocks (those
+with shift columns, the coupled block) and any block with sigma_min <
+1e-4 sigma_max (the accuracy guard), from dense SVD.  Every rank-deficient
+block is therefore decided by dense SVD, and a banded value carries a
+relative error of order 1e-8 at worst (below 1e-11 on the operators of
+``reproduce-all``).  The report's ``method`` names the routes that
+decided; a certified block passes the guard and counts as ``banded_gram``.
 
 The analytic route never assembles the two-dimensional operator: on the
 complex-line fiber it anchors at the invertible mixed-weight cylinder and
@@ -34,7 +37,7 @@ equivalently +spectral_flow of the negative-to-positive traversal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +46,6 @@ from .exceptions import (
     AmbiguousWindowError,
     AssemblyError,
     FredholmWeightError,
-    IndecisiveRankError,
     InstabilityError,
 )
 from .loops import (
@@ -59,21 +61,10 @@ from .problems import GridSpec, default_grid_for, with_weights
 TWO_PI = 2.0 * np.pi
 
 
-@dataclass(frozen=True)
-class TolerancePolicy:
-    """Rank decision rule: threshold = rel_threshold * sigma_max, accepted when
-    the kept/discarded singular-value ratio is at least gap_min."""
-
-    rel_threshold: float = 1e-6
-    gap_min: float = 1e3
-    strict: bool = False
-
-    def to_json(self):
-        return {"rel_threshold": self.rel_threshold, "gap_min": self.gap_min,
-                "strict": self.strict}
-
-
-DEFAULT_POLICY = TolerancePolicy()
+# The rank decision: threshold = REL_THRESHOLD sigma_max, decisive when the
+# kept/discarded singular-value ratio is at least GAP_MIN
+REL_THRESHOLD = 1e-6
+GAP_MIN = 1e3
 
 # how many of the smallest singular values an IndexReport lists; the rank
 # decision decomposes every block that can hold one of them
@@ -94,7 +85,6 @@ class IndexReport:
     decisive: bool
     method: str
     grid_tag: str
-    tolerance_policy: TolerancePolicy = field(default=DEFAULT_POLICY)
     threshold: float = 0.0
     sigma_max: float = 0.0
 
@@ -114,7 +104,8 @@ class IndexReport:
             "gap_ratio": (None if np.isinf(self.gap_ratio) else float(self.gap_ratio)),
             "decisive": self.decisive, "method": self.method, "grid_tag": self.grid_tag,
             "threshold": self.threshold, "sigma_max": self.sigma_max,
-            "tolerance_policy": self.tolerance_policy.to_json(),
+            "tolerance_policy": {"rel_threshold": REL_THRESHOLD, "gap_min": GAP_MIN,
+                                 "strict": False},
         }
 
 
@@ -156,13 +147,14 @@ def _certify_unreported(op, theta):
             absorb(op.blocks[i], op.block_values(i))
 
 
-def numerical_index(op, policy=DEFAULT_POLICY):
+def numerical_index(op):
     """Kernel/cokernel dimensions and index of a discrete operator by SVD.
 
     dim_ker counts columns beyond the numerical rank, dim_coker rows beyond
     it; wide blocks contribute structural kernel directions that never appear
-    among the singular values.  A report with gap_ratio below policy.gap_min
-    is flagged indecisive (or raises, under a strict policy).
+    among the singular values.  The rank threshold is REL_THRESHOLD
+    sigma_max, and a report with gap_ratio below GAP_MIN is flagged
+    indecisive, never raised: the caller reads ``decisive``.
 
     Only the blocks whose values can reach the report are decomposed:
     sigma_max is settled first (``DiscreteOperator.sigma_max``), then
@@ -171,7 +163,7 @@ def numerical_index(op, policy=DEFAULT_POLICY):
     from all of them.
     """
     sigma_max = op.sigma_max()
-    theta = policy.rel_threshold * sigma_max
+    theta = REL_THRESHOLD * sigma_max
     _certify_unreported(op, theta)
     ker = coker = 0
     known = []
@@ -189,10 +181,7 @@ def numerical_index(op, policy=DEFAULT_POLICY):
         gap_ratio = np.inf
     else:
         gap_ratio = float(kept[0] / max(discarded[-1], 1e-300))
-    decisive = bool(gap_ratio >= policy.gap_min)
-    if policy.strict and not decisive:
-        raise IndecisiveRankError(
-            f"gap ratio {gap_ratio:.2e} below {policy.gap_min:.0e}")
+    decisive = bool(gap_ratio >= GAP_MIN)
     index = ker - coker
     if index != op.index_candidate:
         raise AssemblyError(
@@ -201,12 +190,11 @@ def numerical_index(op, policy=DEFAULT_POLICY):
         dim_ker=ker, dim_coker=coker, index=index,
         singular_values=[float(x) for x in merged[:REPORTED_VALUES]],
         gap_ratio=gap_ratio, decisive=decisive, method="+".join(sorted(set(op.block_routes()))),
-        grid_tag=op.grid_tag(), tolerance_policy=policy,
-        threshold=theta, sigma_max=sigma_max)
+        grid_tag=op.grid_tag(), threshold=theta, sigma_max=sigma_max)
 
 
 def index_of(problem, grid=None, backend=None):
-    """Assemble and decompose in one step, under ``DEFAULT_POLICY``."""
+    """Assemble and decompose in one step."""
     return numerical_index(assemble(problem, grid, backend=backend))
 
 

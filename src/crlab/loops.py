@@ -223,9 +223,6 @@ class SpectrumReport:
     method: str
     raw: np.ndarray = field(repr=False, default=None)
 
-    def total_multiplicity(self):
-        return sum(m for _, m, _ in self.eigenvalues)
-
     def values(self, reliable_only=False):
         return np.array([v for v, m, r in self.eigenvalues for _ in range(m)
                          if not reliable_only or r])

@@ -126,9 +126,9 @@ def test_augmentation_column_counts():
     for sd, want in (((2, 2), 4), ((2, 1), 3), ((1, 2), 3), ((0, 2), 2), ((0, 0), 0)):
         p = build_trivial_cylinder((1.0, 1.0), sd)
         op = assemble(p)
-        assert op.augmentation_cols == want
+        assert sum(b.aug_cols for b in op.blocks) == want
     op = assemble(build_plane(1.0, 2))
-    assert op.augmentation_cols == 2
+    assert sum(b.aug_cols for b in op.blocks) == 2
 
 
 def _shift_column_key(column, mids, nfield):

@@ -121,6 +121,19 @@ def test_indecisive_exit_code(tmp_path, monkeypatch):
     assert run(cfg) == EXIT_INDECISIVE
 
 
+def test_memory_error_is_a_clean_error(tmp_path, monkeypatch):
+    # a grid too large to allocate fails inside numpy with a MemoryError
+    def too_large(problem, grid):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(cli, "assemble", too_large)
+    cfg = ExperimentConfig(name="oom", kind="index", inputs={"problem": trivial_problem_json()},
+                           output_dir=str(tmp_path))
+    assert run(cfg) == EXIT_ERROR
+    summary = (tmp_path / "oom" / "summary.txt").read_text()
+    assert summary == "ERROR: MemoryError: Unable to allocate 7.28 TiB\n"
+
+
 def test_sweep_experiment(tmp_path):
     cfg = ExperimentConfig(
         name="sw", kind="sweep",
@@ -249,6 +262,10 @@ def _pair_of_missing_graph(tmp_path):
                                            "pairs": [{"degenerate": 0, "smooth": 1}]})
 
 
+def _vdim_unknown_case(tmp_path):
+    return _config_argv(tmp_path, "vdim", {"cases": ["nope"]})
+
+
 def _cylinder_without_negative_end(tmp_path):
     p = trivial_problem_json()
     p["ends"][0]["sign"] = "positive"
@@ -322,6 +339,7 @@ def _sweep_with_negative_delta(tmp_path):
 @pytest.mark.parametrize("make_argv, message", [
     (_odd_grid, "bad --grid value '96x33'"),
     (_pair_of_missing_graph, "ERROR: ConfigError: /inputs/pairs/0: names a graph beyond the 1 given"),
+    (_vdim_unknown_case, "config error: /inputs/cases/0: 'nope' is not one of ['one_bubble', "),
     (_cylinder_without_negative_end,
      "ERROR: ValueError: a cylinder needs one negative and one positive end"),
     (_plane_with_negative_end, "ERROR: ValueError: a plane needs exactly one positive end"),
@@ -343,10 +361,11 @@ def _sweep_with_negative_delta(tmp_path):
      "config error: /inputs/problem/ends/0/asymptotic/coeff: 'values' is a required property"),
     (_constant_without_matrix,
      "config error: /inputs/problem/ends/0/asymptotic/coeff: 'matrix' is a required property"),
-], ids=["odd_grid", "pair_of_missing_graph", "cylinder_without_negative_end",
-        "plane_with_negative_end", "index_with_misspelt_grid", "glue_with_grid",
-        "sweep_with_negative_delta", "index_with_extra_grid_key", "truncation_with_extra_key",
-        "diag_with_misspelt_values", "diag_without_values", "constant_without_matrix"])
+], ids=["odd_grid", "pair_of_missing_graph", "vdim_unknown_case",
+        "cylinder_without_negative_end", "plane_with_negative_end", "index_with_misspelt_grid",
+        "glue_with_grid", "sweep_with_negative_delta", "index_with_extra_grid_key",
+        "truncation_with_extra_key", "diag_with_misspelt_values", "diag_without_values",
+        "constant_without_matrix"])
 def test_malformed_input_is_a_clean_error(tmp_path, capsys, make_argv, message):
     assert cli.main(make_argv(tmp_path)) == EXIT_ERROR
     summary = tmp_path / "bad" / "summary.txt"
@@ -457,6 +476,13 @@ def test_help_exits_0(capsys):
 def test_kinds_agree_between_schema_runners_and_subcommands():
     kinds = set(cli.load_schema()["properties"]["kind"]["enum"])
     assert kinds == set(cli.RUNNERS) == {kind for kind, _ in cli.SUBCOMMANDS.values()}
+
+
+def test_vdim_cases_agree_between_schema_and_dimension():
+    vdim = next(part["then"] for part in cli.load_schema()["allOf"]
+                if part["if"]["properties"]["kind"]["const"] == "vdim")
+    cases = vdim["properties"]["inputs"]["properties"]["cases"]["items"]["enum"]
+    assert cases == list(cli.dimension.CANONICAL_CASES)
 
 
 def test_float_formatting_fixed_width():

@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 from conftest import mode_oracle_eigenvalues, random_nondegenerate_symmetric
 
 from crlab.assemble import DiscreteOperator, ModeBlock, assemble, kernel_vectors, required_s_nodes
-from crlab.exceptions import IndecisiveRankError
 from crlab.gluing import ApproximateKernel, stability_constant
 from crlab.indexing import (
+    REL_THRESHOLD,
     REPORTED_VALUES,
-    TolerancePolicy,
     adjoint_check,
     analytic_index,
     convergence_study,
@@ -153,6 +152,16 @@ def test_convergence_study_table():
     assert [r.dim_ker for r in rep3.reports] == [2, 2, 2]
 
 
+def test_criterion_6_margin_approaches_its_limit():
+    # A constant, self-adjoint, spectral gap 1, spectral end rows: ||Du||^2 =
+    # ||u'||^2 + ||Au||^2 + a nonnegative boundary term, so the margin tends
+    # to 1 from below; each doubling of s_nodes cuts 1 - m by 2.4-3.1x
+    problem, _ = _isomorphism_96x32()
+    m192, m384 = (index_of(problem, GridSpec(n, 32)).min_singular_value for n in (192, 384))
+    assert m192 < 1 and m384 < 1
+    assert 1 - m384 < 0.02 and 1 - m384 <= 0.5 * (1 - m192)
+
+
 def test_convergence_study_needs_three_grids():
     with pytest.raises(ValueError):
         convergence_study(build_plane(-D), [GridSpec(48, 16), GridSpec(96, 32)])
@@ -185,15 +194,12 @@ def test_dim_ker_monotone_in_wall_free_interval():
     assert all(a >= b for a, b in zip(kers, kers[1:]))
 
 
-def test_indecisive_policy_flags_and_raises():
-    # an artificial threshold placed just above the exponentially small
-    # shift-cokernel pairing makes the rank decision indecisive
-    op = assemble(build_trivial_cylinder((D, D), (2, 2)))
-    loose = TolerancePolicy(rel_threshold=2e-3, gap_min=1e3)
-    rep = numerical_index(op, loose)
-    assert not rep.decisive
-    with pytest.raises(IndecisiveRankError):
-        numerical_index(op, TolerancePolicy(rel_threshold=2e-3, strict=True))
+def test_weak_gap_is_flagged_at_the_fixed_policy():
+    # threshold 1e-6 falls between 1e-5 (kept) and 1e-7 (discarded): gap 100
+    block = ModeBlock(k=0, mult=1, pde_rows=3, bc_rows=0, dense=np.diag([1.0, 1e-5, 1e-7]))
+    rep = numerical_index(DiscreteOperator(blocks=[block], grid=(96, 32, 12.0)))
+    assert rep.threshold == pytest.approx(REL_THRESHOLD) and rep.gap_ratio == pytest.approx(100.0)
+    assert (rep.dim_ker, rep.dim_coker, rep.index, rep.decisive) == (1, 1, 0, False)
 
 
 def test_report_json_fields():
@@ -626,16 +632,16 @@ def test_stability_constant_decomposes_certified_blocks_below_its_minimum():
 # ---------------------------------------------------------------------------
 
 def _all_rows_band(b):
-    """The Gram band of a tall row-window block summed over all its rows."""
-    return assemble_module._tall_band(b.windows, b.windows, b.starts, b.shape[1])
+    """The Gram band of a row-window block summed over all its rows."""
+    return assemble_module._window_band(b.windows, b.windows, b.starts, b.shape[1])
 
 
 def assert_certificate_bands_match(op):
-    """Every tall row-window block's Gram band, read from the shared terms, is
-    the sum over all its rows within 1e-13 max|G|."""
-    tall = [b for b in op.blocks if b.windows is not None and len(b.windows) >= b.shape[1]]
-    assert tall and all(b.gram_terms is not None for b in tall)
-    for b in tall:
+    """Every row-window block's Gram band, wide blocks included, read from the
+    shared terms, is the sum over all its rows within 1e-13 max|G|."""
+    windowed = [b for b in op.blocks if b.windows is not None]
+    assert windowed and all(b.gram_terms is not None for b in windowed)
+    for b in windowed:
         direct = _all_rows_band(b)
         band = assemble_module._gram_band(b)
         assert band.dtype == direct.dtype and band.shape == direct.shape
@@ -688,11 +694,11 @@ def test_certificate_band_matches_direct_band(make_case):
     assert_certificate_bands_match(assemble(*make_case()))
 
 
-def _tall_band_calls(monkeypatch):
-    """The first windows argument of every ``_tall_band`` call from now on."""
+def _window_band_calls(monkeypatch):
+    """The first windows argument of every ``_window_band`` call from now on."""
     calls = []
-    real = assemble_module._tall_band
-    monkeypatch.setattr(assemble_module, "_tall_band",
+    real = assemble_module._window_band
+    monkeypatch.setattr(assemble_module, "_window_band",
                         lambda U, *args: calls.append(U) or real(U, *args))
     return calls
 
@@ -701,7 +707,7 @@ def test_criterion_6_sums_no_block_from_all_its_rows(monkeypatch):
     # 80 blocks over the three grids: 11 decomposed, 69 certified (108
     # certificates); every band, for values and certificates alike, reads the
     # shared terms, and the only sums over rows are each operator's four terms
-    calls = _tall_band_calls(monkeypatch)
+    calls = _window_band_calls(monkeypatch)
     S = LoopOperatorSpec(dim=2, coeff=np.diag([1.0, 1.0]))
     problem = build_contact_fiber_cylinder(S, S)
     ops = [assemble(problem, g) for g in (GridSpec(96, 32), GridSpec(192, 64), GridSpec(384, 64))]
@@ -719,7 +725,7 @@ def test_block_from_other_windows_takes_the_direct_band(monkeypatch):
     b = assemble(*_isomorphism_96x32()).blocks[3]
     assert b.gram_terms is not None
     shared = assemble_module._gram_band(b)
-    calls = _tall_band_calls(monkeypatch)
+    calls = _window_band_calls(monkeypatch)
     other = _variant(b, 3, 2.0 * b.windows)
     assert other.gram_terms is None
     band = assemble_module._gram_band(other)

@@ -78,7 +78,7 @@ def test_zero_coefficient_gives_two_pi_lattice():
             assert abs(v - TWO_PI * k) < 1e-8
             assert m == 2
             assert reliable
-    assert rep.total_multiplicity() == rep.raw.size
+    assert sum(m for _, m, _ in rep.eigenvalues) == rep.raw.size
 
 
 def test_diag_shift_spectrum_matches_oracle():

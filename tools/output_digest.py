@@ -6,9 +6,10 @@ Usage:
 The set: ``reproduce-all``; ``index`` on acceptance criterion 6 (the contact
 isomorphism) at 96x32, 192x64 and 384x64; ``glue`` on the reproduce-all flow
 pair at tau 6, 8, 10 and 12; one ``sweep-delta`` on the trivial cylinder;
-and ``index`` on the blocks that carry shift columns: the trivial cylinder
+``index`` on the blocks that carry shift columns: the trivial cylinder
 with weights (1, 1) and shifts (2, 2), its reduced pattern (1, 2), and the
-plane with weight 1 and 2 shifts.
+plane with weight 1 and 2 shifts; and ``index`` on the plane with weight -1,
+whose mode 0 is a wide row-window block.
 Each experiment runs in its own interpreter on the ``crlab`` sources next to
 this script, so the environment the tool is started with (for example
 OPENBLAS_NUM_THREADS) reaches every run before numpy loads.  Outputs go to
@@ -76,10 +77,11 @@ def experiments():
         runs.append((f"shifted_cylinder_{shifts[0]}{shifts[1]}", "index",
                      {"problem": _cylinder("complex_line", zero, zero, (1.0, 1.0),
                                            shift_dims=shifts)}))
-    runs.append(("shifted_plane", "index",
-                 {"problem": {"domain_kind": "plane", "fiber": "complex_line",
-                              "ends": [_end("positive", 1.0, zero, 2)],
-                              "truncation": {"s_max": 12.0, "n_prime": 6.0}}}))
+    for name, weight, shift_dims in (("shifted_plane", 1.0, 2), ("plane_growth", -1.0, 0)):
+        runs.append((name, "index",
+                     {"problem": {"domain_kind": "plane", "fiber": "complex_line",
+                                  "ends": [_end("positive", weight, zero, shift_dims)],
+                                  "truncation": {"s_max": 12.0, "n_prime": 6.0}}}))
     return runs
 
 
