@@ -8,6 +8,11 @@ a path of such operators computes indices of the cylinder operators built in
 :mod:`crlab.assemble`.  On the discrete operators the flow is the drop in the
 number of negative eigenvalues between the endpoints: only those are solved.
 
+A constant S on the Fourier grid is stored as its mode blocks: the DFT splits
+the operator into the Hermitian blocks S + 2 pi k (i J0), |k| <= (M-1)/2, and
+one batched ``eigvalsh`` over them gives its spectrum.  The dense matrix on
+the grid stays the reference; finite differences and t-dependent S read it.
+
 Sign convention, fixed once for the whole package:
 
     spectral_flow = #(crossings neg -> pos) - #(crossings pos -> neg)
@@ -20,6 +25,7 @@ relative to this convention together with a path orientation; see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -131,7 +137,7 @@ class LoopOperatorSpec:
             d["coeff"] = {"kind": "zero"}
         elif not callable(self.coeff):
             S = self.constant_matrix()
-            if np.allclose(S, np.diag(np.diag(S))):
+            if np.array_equal(S, np.diag(np.diag(S))):
                 d["coeff"] = {"kind": "diag", "values": list(np.diag(S))}
             else:
                 d["coeff"] = {"kind": "constant", "matrix": S.tolist()}
@@ -156,12 +162,45 @@ class LoopOperatorSpec:
 
 @dataclass
 class DiscreteLoopOperator:
-    """Assembled symmetric matrix of A on a circle grid."""
+    """A on a circle grid of ``t_resolution`` (odd) nodes.
 
-    matrix: np.ndarray
+    ``modes`` holds the (M, dim, dim) Hermitian blocks S + 2 pi k (i J0) of a
+    constant S on the Fourier grid, k in ``np.fft.fftfreq`` order, and is None
+    otherwise.  ``matrix`` is the real symmetric (M dim, M dim) matrix; it is
+    built on first read, and every operator without ``modes`` has it from
+    assembly on.
+    """
+
     spec: LoopOperatorSpec
     t_resolution: int
     method: str
+    modes: np.ndarray = field(default=None, repr=False)
+
+    @cached_property
+    def matrix(self):
+        """The assembled matrix, node-major: entry (j * dim + i) holds
+        component i at node t_j.  The derivative term kron(D, J0) is symmetric
+        because both factors are antisymmetric; the result is symmetrized to
+        kill round-off."""
+        M, dim = self.t_resolution, self.spec.dim
+        D = _fourier_diff_matrix(M) if self.method == "fourier" else _fd_diff_matrix(M)
+        A = np.kron(D, standard_j(dim))
+        Ss = self.spec.sample(np.arange(M) / M)
+        for j in range(M):
+            A[j * dim:(j + 1) * dim, j * dim:(j + 1) * dim] += Ss[j]
+        return 0.5 * (A + A.T)
+
+    def eigenvalues(self):
+        """All eigenvalues, sorted: one batched ``eigvalsh`` over ``modes``,
+        or ``eigvalsh(matrix)`` without them."""
+        try:
+            if self.modes is None:
+                return np.linalg.eigvalsh(self.matrix)
+            return np.sort(np.linalg.eigvalsh(self.modes).ravel())
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+            raise NumericalError(
+                f"eigensolver failed on the {self.method} operator at "
+                f"{self.t_resolution} nodes: {exc}") from exc
 
 
 def _fourier_diff_matrix(M):
@@ -185,15 +224,15 @@ def _fd_diff_matrix(M):
 
 
 def assemble_loop_operator(spec, t_resolution, method="fourier"):
-    """Assemble A = J0 d/dt + S(t) as a real symmetric matrix on a t-grid.
+    """Assemble A = J0 d/dt + S(t) on a t-grid as a :class:`DiscreteLoopOperator`.
 
-    The unknown ordering is node-major: entry (j * dim + i) holds component i
-    at node t_j.  The derivative term kron(D, J0) is symmetric because both
-    factors are antisymmetric; the result is symmetrized to kill round-off.
-    Even requested resolutions are rounded up to the next odd node count: an
-    even periodic grid carries a Nyquist mode that spectral differentiation
-    annihilates, which would contaminate the low spectrum with copies of the
-    eigenvalues of S alone.
+    A constant S with the Fourier method is stored as its mode blocks, on
+    which spectral differentiation is exact; the dense matrix is then built
+    only when read.  Any other operator is assembled dense, its coefficient
+    loop sampled and checked here.  Even requested resolutions are rounded up
+    to the next odd node count: an even periodic grid carries a Nyquist mode
+    that spectral differentiation annihilates, which would contaminate the
+    low spectrum with copies of the eigenvalues of S alone.
     """
     if t_resolution < 8:
         raise ResolutionError(f"t_resolution must be >= 8, got {t_resolution}")
@@ -201,15 +240,13 @@ def assemble_loop_operator(spec, t_resolution, method="fourier"):
         raise ValueError(f"unknown method {method!r}")
     spec.check_periodicity(t_resolution)
     M = int(t_resolution) | 1
-    J = standard_j(spec.dim)
-    D = _fourier_diff_matrix(M) if method == "fourier" else _fd_diff_matrix(M)
-    A = np.kron(D, J)
-    ts = np.arange(M) / M
-    Ss = spec.sample(ts)
-    for j in range(M):
-        A[j * spec.dim:(j + 1) * spec.dim, j * spec.dim:(j + 1) * spec.dim] += Ss[j]
-    A = 0.5 * (A + A.T)
-    return DiscreteLoopOperator(matrix=A, spec=spec, t_resolution=M, method=method)
+    op = DiscreteLoopOperator(spec=spec, t_resolution=M, method=method)
+    if method == "fourier" and spec.is_constant:
+        k = np.fft.fftfreq(M, d=1.0 / M)
+        op.modes = spec.constant_matrix() + (2j * np.pi * k)[:, None, None] * standard_j(spec.dim)
+    else:
+        op.matrix  # built now, so that a bad coefficient loop raises here
+    return op
 
 
 @dataclass
@@ -241,30 +278,33 @@ class SpectrumReport:
 
 
 def spectrum(op):
-    """All eigenvalues of the assembled operator, sorted, with multiplicities.
+    """All eigenvalues of the discrete operator, sorted, with multiplicities.
 
     Eigenvalues within 1e-6 (1 + max |lambda|) of each other form one group.
     Eigenvalues outside the resolvable band |lambda| > (pi/2) * resolution are
-    reported but flagged unreliable.  For the finite-difference method,
-    eigenvectors dominated by near-Nyquist modes are also flagged: centered
-    differences fold the top of the band back to small eigenvalues, and those
-    folded copies carry no spectral information.
+    reported but flagged unreliable.  The Fourier method reads
+    ``op.eigenvalues()``.  For the finite-difference method, eigenvectors
+    dominated by near-Nyquist modes are also flagged: centered differences
+    fold the top of the band back to small eigenvalues, and those folded
+    copies carry no spectral information.
     """
-    try:
-        lam, vec = np.linalg.eigh(op.matrix)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalError(
-            f"eigensolver failed on {op.matrix.shape} {op.method} matrix: {exc}") from exc
     M = op.t_resolution
     band = 0.5 * np.pi * M
-    ok = np.abs(lam) <= band
     if op.method == "finite_difference":
+        try:
+            lam, vec = np.linalg.eigh(op.matrix)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+            raise NumericalError(
+                f"eigensolver failed on {op.matrix.shape} {op.method} matrix: {exc}") from exc
         modes = np.fft.fft(vec.reshape(M, op.spec.dim, -1), axis=0)
         freqs = np.abs(np.fft.fftfreq(M, d=1.0 / M))
         low = freqs <= M / 4.0
         energy = np.abs(modes) ** 2
         frac = energy[low].sum(axis=(0, 1)) / energy.sum(axis=(0, 1))
-        ok &= frac >= 0.5
+        ok = (np.abs(lam) <= band) & (frac >= 0.5)
+    else:
+        lam = op.eigenvalues()
+        ok = np.abs(lam) <= band
     cluster_tol = 1e-6 * (1.0 + float(np.abs(lam).max(initial=0.0)))
     groups = [(float(lam[i:j].mean()), j - i, bool(ok[i:j].all()))
               for i, j in _clusters(lam, cluster_tol)]
@@ -292,7 +332,7 @@ def count_window(report, lo, hi):
 
 def _eigenvalues(spec):
     """Sorted eigenvalues of A on the T_RESOLUTION circle grid."""
-    return np.linalg.eigvalsh(assemble_loop_operator(spec, T_RESOLUTION).matrix)
+    return assemble_loop_operator(spec, T_RESOLUTION).eigenvalues()
 
 
 def is_nondegenerate(spec):

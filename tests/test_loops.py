@@ -1,5 +1,7 @@
 """Loop operator assembly, spectra, window counts, and spectral flow."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -12,6 +14,7 @@ from conftest import (
     random_symmetric,
 )
 
+from crlab import problems
 from crlab.exceptions import (
     AmbiguousWindowError,
     CoefficientError,
@@ -20,6 +23,7 @@ from crlab.exceptions import (
 )
 from crlab.loops import (
     LoopOperatorSpec,
+    _eigenvalues,
     assemble_loop_operator,
     count_window,
     is_nondegenerate,
@@ -254,3 +258,75 @@ def test_spec_json_roundtrip():
     back = LoopOperatorSpec.from_json(spec.to_json())
     assert back.dim == 4 and back.period == 3.0
     assert np.allclose(back.constant_matrix(), spec.constant_matrix())
+    # off-diagonal entries of any size survive, through JSON text, bit for bit
+    for S in (np.diag([1.0, 2.0]), np.array([[1.0, 1e-9], [1e-9, 2.0]]),
+              np.array([[0.1, 1e-300], [1e-300, 1.0 / 3.0]])):
+        d = LoopOperatorSpec(dim=2, coeff=S).to_json()
+        assert d["coeff"]["kind"] == ("diag" if S[0, 1] == 0.0 else "constant")
+        back = LoopOperatorSpec.from_json(json.loads(json.dumps(d)))
+        assert back.constant_matrix().tobytes() == S.tobytes()
+
+
+RESOLUTIONS = st.one_of(st.just(8), st.integers(5, 40).map(lambda n: 2 * n),
+                        st.integers(4, 40).map(lambda n: 2 * n + 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(S=st.sampled_from([2, 4, 6]).flatmap(_symmetric_matrices), res=RESOLUTIONS)
+def test_mode_eigenvalues_match_the_dense_matrix(S, res):
+    S = np.array(S)
+    op = assemble_loop_operator(LoopOperatorSpec(dim=S.shape[0], coeff=S), res)
+    assert op.modes is not None
+    got = op.eigenvalues()
+    want = np.linalg.eigvalsh(op.matrix)
+    scale = 1.0 + float(np.abs(want).max())
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * scale
+    # the sign of an eigenvalue at zero is round-off; count where 0 is separated
+    if np.abs(want).min() > 1e-12 * scale:
+        assert np.count_nonzero(got < 0) == np.count_nonzero(want < 0)
+
+
+def _recorded_operators(monkeypatch):
+    """Every operator the loop solves assemble from now on, in order."""
+    import crlab.loops as loops
+    ops = []
+    real = loops.assemble_loop_operator
+
+    def recording(*args, **kwargs):
+        ops.append(real(*args, **kwargs))
+        return ops[-1]
+
+    monkeypatch.setattr(loops, "assemble_loop_operator", recording)
+    return ops
+
+
+def _solve_every_way(spec0, spec1):
+    _eigenvalues(spec0)
+    assert is_nondegenerate(spec0)[0]
+    spectral_flow(lambda s: spec0 if s < 0.5 else spec1)
+    problems.EndSpec("positive", spec0, 0.5).validate_weight("contact_fiber")
+
+
+def test_constant_fourier_solves_read_mode_blocks_only(monkeypatch):
+    ops = _recorded_operators(monkeypatch)
+    S0, S1 = (np.array(S) for S in NEAR_COLLISION_ENDPOINTS)
+    _solve_every_way(LoopOperatorSpec(dim=4, coeff=S0), LoopOperatorSpec(dim=4, coeff=S1))
+    assert len(ops) == 5
+    assert all(op.modes is not None and "matrix" not in vars(op) for op in ops)
+
+
+def test_t_dependent_and_finite_difference_operators_are_dense(monkeypatch):
+    def S(t):
+        c = np.cos(2 * np.pi * t)
+        return np.array([[0.5 + 0.3 * c, 0.1], [0.1, 1.0 + 0.3 * c]])
+
+    ops = _recorded_operators(monkeypatch)
+    spec = LoopOperatorSpec(dim=2, coeff=S)
+    _solve_every_way(spec, spec)
+    assert len(ops) == 5
+    assert all(op.modes is None and "matrix" in vars(op) for op in ops)
+    fd = assemble_loop_operator(LoopOperatorSpec(dim=2, coeff=np.eye(2)), 64,
+                                "finite_difference")
+    assert fd.modes is None and "matrix" in vars(fd)
+    assert np.array_equal(fd.eigenvalues(), np.linalg.eigvalsh(fd.matrix))

@@ -8,8 +8,10 @@ isomorphism) at 96x32, 192x64 and 384x64; ``glue`` on the reproduce-all flow
 pair at tau 6, 8, 10 and 12; one ``sweep-delta`` on the trivial cylinder;
 ``index`` on the blocks that carry shift columns: the trivial cylinder
 with weights (1, 1) and shifts (2, 2), its reduced pattern (1, 2), and the
-plane with weight 1 and 2 shifts; and ``index`` on the plane with weight -1,
-whose mode 0 is a wide row-window block.
+plane with weight 1 and 2 shifts; ``index`` on the plane with weight -1,
+whose mode 0 is a wide row-window block; and ``spectrum`` of a non-diagonal
+dim-4 constant loop operator by the Fourier method (its mode blocks) and by
+finite differences (its dense matrix).
 Each experiment runs in its own interpreter on the ``crlab`` sources next to
 this script, so the environment the tool is started with (for example
 OPENBLAS_NUM_THREADS) reaches every run before numpy loads.  Outputs go to
@@ -82,6 +84,11 @@ def experiments():
                      {"problem": {"domain_kind": "plane", "fiber": "complex_line",
                                   "ends": [_end("positive", weight, zero, shift_dims)],
                                   "truncation": {"s_max": 12.0, "n_prime": 6.0}}}))
+    coupled = {"dim": 4, "coeff": {"kind": "constant", "matrix": [
+        [-5.1, 0.4, -0.4, -4.6], [0.4, -4.4, 2.2, -3.6], [-0.4, 2.2, 0.4, 1.7],
+        [-4.6, -3.6, 1.7, -3.4]]}}
+    for method in ("fourier", "finite_difference"):
+        runs.append((f"spectrum_{method}", "spectrum", {"spec": coupled, "method": method}))
     return runs
 
 
