@@ -61,6 +61,10 @@ def write_atomic(path, text):
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(text)
+        # mkstemp creates 0600; give the mode open() would under the umask
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

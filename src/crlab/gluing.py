@@ -63,7 +63,7 @@ class GluingConfig:
 
 def _ends_match(end_u, end_w):
     a, b = end_u.asymptotic, end_w.asymptotic
-    if a.dim != b.dim or abs(a.period - b.period) > 1e-12:
+    if a.dim != b.dim:
         return False
     ts = np.arange(_END_MATCH_SAMPLES) / _END_MATCH_SAMPLES
     return bool(np.abs(a.sample(ts) - b.sample(ts)).max() <= _END_MATCH_TOL)
@@ -121,7 +121,6 @@ def glue(problem_u, problem_w, tau):
         truncation=trunc,
         coeff_s=coeff_s,
         coeff_st=coeff_st,
-        kappa=min(problem_u.kappa, problem_w.kappa),
         label=f"glue(tau={tau:g})",
         profile_override=(w_g, wp_g),
     )

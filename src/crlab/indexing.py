@@ -37,7 +37,7 @@ equivalently +spectral_flow of the negative-to-positive traversal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -344,19 +344,41 @@ def convergence_study(problem, grids):
     return rep
 
 
+def _reflection(problem):
+    """The weighted dual of ``problem`` as a problem of its own kind.
+
+    The formal adjoint -d/ds + J0 d/dt + B(s)^T under s -> -s is
+    d/ds + J0 d/dt + B(-s)^T with the ends swapped, and the dual weights
+    (-delta_+, -delta_-) (Lockhart & McOwen, 1985).  Only an unshifted,
+    t-independent cylinder with its builder's weight profile has such a
+    partner; planes, shifted, t-dependent and glued problems raise
+    ValueError.
+    """
+    if (problem.domain_kind != "cylinder" or problem.augmentation_dims
+            or problem.t_dependent or problem.profile_override is not None):
+        raise ValueError("the reflected dual needs an unshifted, t-independent, "
+                         "unglued cylinder")
+    neg, pos = problem.negative_end, problem.positive_end
+    coeff_s = None if problem.coeff_s is None else (lambda s: problem.coefficient(-s).T)
+    return replace(problem, coeff_s=coeff_s,
+                   ends=(replace(pos, sign="negative", weight=-pos.weight),
+                         replace(neg, sign="positive", weight=-neg.weight)))
+
+
 def adjoint_check(problem, grid=None):
-    """Duality: index(weights) == -index(negated weights), checked two ways.
+    """Duality: index(problem) == -index(dual), checked two ways.
 
     The adjoint side is computed both as the transpose of the assembled
     matrix (boundary roles exchanged by conjugation) and as an independent
-    assembly of the problem with negated weights.
+    assembly of the reflected dual (``_reflection``), whose kernel and
+    cokernel are the problem's cokernel and kernel; the ``*_negated`` keys
+    report it.  Raises ValueError on problems without a reflected dual.
     """
+    p_dual = _reflection(problem)
     op = assemble(problem, grid)
     rep = numerical_index(op)
     rep_t = numerical_index(op.transposed())
-    dm, dp = problem.weights()
-    p_neg = with_weights(problem, (None if dm is None else -dm, -dp))
-    rep_neg = index_of(p_neg, grid)
+    rep_neg = index_of(p_dual, grid)
     return {
         "index": rep.index,
         "index_transposed": rep_t.index,

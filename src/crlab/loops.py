@@ -59,20 +59,17 @@ class LoopOperatorSpec:
     """Data of an asymptotic operator A = J0 d/dt + S(t) on loops in R^{dim}.
 
     ``coeff`` may be None (S = 0), a constant symmetric matrix, or a callable
-    t -> matrix for a 1-periodic coefficient loop.  ``period`` is the orbit
-    action c; it is bookkeeping only and does not enter the operator, which
-    is always parameterized over t in [0, 1).
+    t -> matrix for a 1-periodic coefficient loop.  Loops are parameterized
+    over R/Z: an orbit of period T enters rescaled to it, which multiplies
+    its operator, coefficient included, by T.
     """
 
     dim: int
-    period: float = 1.0
     coeff: object = None
 
     def __post_init__(self):
         if self.dim % 2 != 0 or self.dim <= 0:
             raise CoefficientError(f"dim must be even positive, got {self.dim}")
-        if not self.period > 0:
-            raise CoefficientError(f"period must be positive, got {self.period}")
         if self.coeff is not None and not callable(self.coeff):
             S = np.asarray(self.coeff, dtype=float)
             if S.shape != (self.dim, self.dim):
@@ -132,7 +129,7 @@ class LoopOperatorSpec:
             raise CoefficientError("coefficient loop is not 1-periodic within tolerance")
 
     def to_json(self):
-        d = {"dim": self.dim, "period": self.period}
+        d = {"dim": self.dim}
         if self.coeff is None:
             d["coeff"] = {"kind": "zero"}
         elif not callable(self.coeff):
@@ -157,7 +154,7 @@ class LoopOperatorSpec:
             C = np.asarray(coeff["matrix"], dtype=float)
         else:
             raise CoefficientError(f"unknown coefficient kind {kind!r}")
-        return LoopOperatorSpec(dim=int(d["dim"]), period=float(d.get("period", 1.0)), coeff=C)
+        return LoopOperatorSpec(dim=int(d["dim"]), coeff=C)
 
 
 @dataclass
@@ -255,10 +252,9 @@ class SpectrumReport:
 
     eigenvalues: list          # list of (value, multiplicity, reliable)
     dim: int
-    period: float
     t_resolution: int
     method: str
-    raw: np.ndarray = field(repr=False, default=None)
+    raw: np.ndarray = field(repr=False)
 
     def values(self, reliable_only=False):
         return np.array([v for v, m, r in self.eigenvalues for _ in range(m)
@@ -267,7 +263,6 @@ class SpectrumReport:
     def to_json(self):
         return {
             "dim": self.dim,
-            "period": self.period,
             "resolution": self.t_resolution,
             "method": self.method,
             "eigenvalues": [
@@ -308,8 +303,8 @@ def spectrum(op):
     cluster_tol = 1e-6 * (1.0 + float(np.abs(lam).max(initial=0.0)))
     groups = [(float(lam[i:j].mean()), j - i, bool(ok[i:j].all()))
               for i, j in _clusters(lam, cluster_tol)]
-    return SpectrumReport(eigenvalues=groups, dim=op.spec.dim, period=op.spec.period,
-                          t_resolution=M, method=op.method, raw=lam)
+    return SpectrumReport(eigenvalues=groups, dim=op.spec.dim, t_resolution=M,
+                          method=op.method, raw=lam)
 
 
 def count_window(report, lo, hi):
@@ -321,7 +316,7 @@ def count_window(report, lo, hi):
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got ({lo}, {hi})")
-    lam = report.raw if report.raw is not None else report.values()
+    lam = report.raw
     tol = 1e-8 * (1.0 + float(np.abs(lam).max(initial=0.0)))
     for edge in (lo, hi):
         if np.any(np.abs(lam - edge) <= tol):
@@ -375,7 +370,6 @@ def linear_path(spec0, spec1):
     S0, S1 = spec0.constant_matrix(), spec1.constant_matrix()
 
     def path(s):
-        return LoopOperatorSpec(dim=spec0.dim, period=spec0.period,
-                                coeff=(1.0 - s) * S0 + s * S1)
+        return LoopOperatorSpec(dim=spec0.dim, coeff=(1.0 - s) * S0 + s * S1)
 
     return path

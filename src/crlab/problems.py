@@ -131,9 +131,9 @@ class CRProblem:
 
     ``coeff_s`` maps s to the fiber coefficient matrix B(s) for problems whose
     coefficient is constant in t (the common case, enabling the decoupled
-    per-mode assembly); ``coeff_st`` maps (s, t) to B(s, t) otherwise.  The
-    coefficient must agree with each end's asymptotic matrix beyond the neck
-    marker, up to the stored exponential rate ``kappa``.
+    per-mode assembly); ``coeff_st`` maps (s, t) to B(s, t) otherwise.  At
+    |s| = s_max the coefficient must agree with each end's asymptotic matrix
+    to within e^{-(s_max - n')} (``check_end_decay``).
     """
 
     domain_kind: str
@@ -142,8 +142,6 @@ class CRProblem:
     truncation: Truncation = Truncation()
     coeff_s: object = None
     coeff_st: object = None
-    kappa: float = 1.0
-    interpolation_tag: str = "smoothstep"
     label: str = ""
     profile_override: object = None   # (w, wprime) pair, used by glued problems
 
@@ -233,10 +231,10 @@ class CRProblem:
             not e.asymptotic.is_constant for e in self.ends)
 
     def check_end_decay(self):
-        """Coefficient at |s| = s_max must match the end data to e^{-kappa (s_max - n_prime)}."""
+        """Coefficient at |s| = s_max must match the end data to e^{-(s_max - n_prime)}."""
         if self.t_dependent:
             return
-        tol = np.exp(-self.kappa * (self.truncation.s_max - self.truncation.n_prime))
+        tol = np.exp(-(self.truncation.s_max - self.truncation.n_prime))
         for e in self.ends:
             s_end = self.truncation.s_max if e.sign == "positive" else -self.truncation.s_max
             B = self.coefficient(s_end)
@@ -247,7 +245,7 @@ class CRProblem:
             if gap >= tol:
                 raise CoefficientError(
                     f"coefficient at s = {s_end} differs from the end data by {gap:.2e} "
-                    f">= e^(-kappa (s_max - n_prime)) = {tol:.2e}")
+                    f">= e^(-(s_max - n_prime)) = {tol:.2e}")
 
     def to_json(self):
         return {
@@ -255,7 +253,6 @@ class CRProblem:
             "ends": [e.to_json() for e in self.ends],
             "fiber": self.fiber,
             "truncation": self.truncation.to_json(),
-            "interpolation": self.interpolation_tag,
             "label": self.label,
         }
 
@@ -308,15 +305,12 @@ def build_contact_fiber_cylinder(asym_minus, asym_plus, interpolation=None,
         def coeff_s(s):
             u = profiles.smoothstep((np.asarray(s) + npr) / (2.0 * npr))
             return S0 + u * (S1 - S0)
-        tag = "smoothstep"
     else:
         def coeff_s(s):
             u = profiles.smoothstep((np.asarray(s) + npr) / (2.0 * npr))
             return np.asarray(interpolation(float(u)), dtype=float)
-        tag = "custom"
     return CRProblem(domain_kind="cylinder", ends=ends, fiber="contact_fiber",
-                     truncation=truncation, coeff_s=coeff_s,
-                     interpolation_tag=tag, label=label)
+                     truncation=truncation, coeff_s=coeff_s, label=label)
 
 
 def build_plane(weight, shift_dims=0, truncation=None, label=""):

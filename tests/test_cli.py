@@ -319,6 +319,35 @@ def _constant_without_matrix(tmp_path):
     return _index_with_coeff(tmp_path, {"kind": "constant"})
 
 
+def _spectrum_with_period_2(tmp_path):
+    return _config_argv(tmp_path, "spectrum", {"spec": {"dim": 2, "period": 2}})
+
+
+def _problem_with_interpolation(tmp_path):
+    p = contact_problem_json([1.0, 1.0], [1.0, 1.0])
+    p["interpolation"] = "linear"
+    return _config_argv(tmp_path, "index", {"problem": p})
+
+
+def _vdim_with_graphs(tmp_path, pair):
+    from crlab.dimension import broken_glued, broken_pair
+    return _config_argv(tmp_path, "vdim", {
+        "graphs": [broken_pair(1, 1).to_json(), broken_glued(2).to_json()], "pairs": [pair]})
+
+
+def _component_with_misspelt_key(tmp_path):
+    argv = _vdim_with_graphs(tmp_path, {"degenerate": 0, "smooth": 1})
+    cfg = json.loads((tmp_path / "cfg.json").read_text())
+    component = cfg["inputs"]["graphs"][1]["components"][0]
+    component["targetlevel"] = component.pop("target_level")
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    return argv
+
+
+def _pair_with_misspelt_key(tmp_path):
+    return _vdim_with_graphs(tmp_path, {"degenerate": 0, "smooth": 1, "expect_codimm": 7})
+
+
 def _config_argv(tmp_path, kind, inputs):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"name": "bad", "kind": kind, "inputs": inputs,
@@ -361,16 +390,30 @@ def _sweep_with_negative_delta(tmp_path):
      "config error: /inputs/problem/ends/0/asymptotic/coeff: 'values' is a required property"),
     (_constant_without_matrix,
      "config error: /inputs/problem/ends/0/asymptotic/coeff: 'matrix' is a required property"),
+    (_spectrum_with_period_2, "config error: /inputs/spec/period: 1 was expected"),
+    (_problem_with_interpolation,
+     "config error: /inputs/problem: Additional properties are not allowed "
+     "('interpolation' was unexpected)"),
+    (_component_with_misspelt_key,
+     "config error: /inputs/graphs/1/components/0: Additional properties are not allowed "
+     "('targetlevel' was unexpected)"),
+    (_pair_with_misspelt_key,
+     "config error: /inputs/pairs/0: Additional properties are not allowed "
+     "('expect_codimm' was unexpected)"),
 ], ids=["odd_grid", "pair_of_missing_graph", "vdim_unknown_case",
         "cylinder_without_negative_end", "plane_with_negative_end", "index_with_misspelt_grid",
         "glue_with_grid", "sweep_with_negative_delta", "index_with_extra_grid_key",
         "truncation_with_extra_key", "diag_with_misspelt_values", "diag_without_values",
-        "constant_without_matrix"])
+        "constant_without_matrix", "spectrum_with_period_2", "problem_with_interpolation",
+        "component_with_misspelt_key", "pair_with_misspelt_key"])
 def test_malformed_input_is_a_clean_error(tmp_path, capsys, make_argv, message):
     assert cli.main(make_argv(tmp_path)) == EXIT_ERROR
     summary = tmp_path / "bad" / "summary.txt"
     reported = summary.read_text() if summary.exists() else capsys.readouterr().err
     assert reported.startswith(message)
+    if message.startswith("config error"):
+        # refused before any run: no output directory
+        assert not (tmp_path / "bad").exists()
 
 
 def test_sweep_over_repeated_magnitude(tmp_path):
@@ -483,6 +526,18 @@ def test_vdim_cases_agree_between_schema_and_dimension():
                 if part["if"]["properties"]["kind"]["const"] == "vdim")
     cases = vdim["properties"]["inputs"]["properties"]["cases"]["items"]["enum"]
     assert cases == list(cli.dimension.CANONICAL_CASES)
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)])
+def test_outputs_take_the_mode_of_the_umask(tmp_path, umask, mode):
+    # mkstemp alone would leave every result file 0600
+    old = os.umask(umask)
+    try:
+        cli.write_atomic(str(tmp_path / "out.csv"), "a\n")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "out.csv").stat().st_mode & 0o777 == mode
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 def test_float_formatting_fixed_width():

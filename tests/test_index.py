@@ -153,9 +153,11 @@ def test_convergence_study_table():
 
 
 def test_criterion_6_margin_approaches_its_limit():
-    # A constant, self-adjoint, spectral gap 1, spectral end rows: ||Du||^2 =
-    # ||u'||^2 + ||Au||^2 + a nonnegative boundary term, so the margin tends
-    # to 1 from below; each doubling of s_nodes cuts 1 - m by 2.4-3.1x
+    # A constant, self-adjoint, spectral gap 1.  The end rows act as a
+    # unit-weight penalty |u(end)|^2, so the margin tends to sqrt(1 + (x/24)^2)
+    # = 1.001972 with tan x = 24/x, not to 1, and crosses 1 between 1536 and
+    # 3072 s-nodes.  At 192 and 384 it is below 1, and each doubling there
+    # cuts 1 - m by 2.4-3.1x
     problem, _ = _isomorphism_96x32()
     m192, m384 = (index_of(problem, GridSpec(n, 32)).min_singular_value for n in (192, 384))
     assert m192 < 1 and m384 < 1
@@ -479,6 +481,37 @@ def test_certified_route_matches_full_decomposition_contact(ends, weights, t_nod
         truncation=SMALL_TRUNC)
     grid = GridSpec(max(required_s_nodes(problem), 32), t_nodes)
     assert_certified_route_matches_full(problem, grid)
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(ends=st.tuples(SYMMETRIC_2X2, SYMMETRIC_2X2),
+       weights=st.tuples(st.integers(-8, 8), st.integers(-8, 8)))
+def test_duality_on_contact_cylinders(ends, weights):
+    # the dual is the reflection: ends swapped, B(-s), weights (-delta+, -delta-)
+    weights = tuple(w / 4.0 for w in weights)
+    for S, w in zip(ends, weights):
+        lam = mode_oracle_eigenvalues(S, kmax=6)
+        assume(np.abs(lam).min() >= 0.2 and np.abs(lam - w).min() >= 0.2
+               and np.abs(lam + w).min() >= 0.2)
+    problem = build_contact_fiber_cylinder(
+        *(LoopOperatorSpec(dim=2, coeff=S) for S in ends), weights=weights,
+        truncation=SMALL_TRUNC)
+    res = adjoint_check(problem, GridSpec(max(required_s_nodes(problem), 32), 16))
+    assert res["transpose_antisymmetric"] and res["weight_duality"]
+    assert res["kernel_cokernel_swap"]
+    assert res["index"] == analytic_index(problem)
+
+
+@pytest.mark.parametrize("make_problem", [
+    lambda: build_plane(D),
+    lambda: build_trivial_cylinder((D, D), (2, 0)),
+    lambda: replace(build_contact_fiber_cylinder(*[LoopOperatorSpec(dim=2, coeff=np.eye(2))] * 2),
+                    coeff_s=None, coeff_st=lambda s, t: np.eye(2)),
+    lambda: _glued_flow_pair()[0],
+], ids=["plane", "shifted", "t_dependent", "glued"])
+def test_duality_refuses_problems_without_a_reflected_dual(make_problem):
+    with pytest.raises(ValueError, match="reflected dual"):
+        adjoint_check(make_problem())
 
 
 def assert_backends_agree_with_shifts(problem):

@@ -239,9 +239,9 @@ def test_fourier_and_fd_methods_agree_on_low_spectrum():
 
 
 def test_spectrum_report_serialization():
-    rep = spectrum(assemble_loop_operator(LoopOperatorSpec(dim=2, period=2.0), 32))
+    rep = spectrum(assemble_loop_operator(LoopOperatorSpec(dim=2), 32))
     d = rep.to_json()
-    assert d["dim"] == 2 and d["period"] == 2.0 and d["method"] == "fourier"
+    assert d["dim"] == 2 and d["method"] == "fourier"
     assert all(set(e) == {"value", "multiplicity", "reliable"} for e in d["eigenvalues"])
 
 
@@ -254,9 +254,9 @@ def test_band_edge_flagged_unreliable():
 
 
 def test_spec_json_roundtrip():
-    spec = LoopOperatorSpec(dim=4, period=3.0, coeff=np.diag([1.0, 2.0, 1.0, 2.0]))
+    spec = LoopOperatorSpec(dim=4, coeff=np.diag([1.0, 2.0, 1.0, 2.0]))
     back = LoopOperatorSpec.from_json(spec.to_json())
-    assert back.dim == 4 and back.period == 3.0
+    assert back.dim == 4
     assert np.allclose(back.constant_matrix(), spec.constant_matrix())
     # off-diagonal entries of any size survive, through JSON text, bit for bit
     for S in (np.diag([1.0, 2.0]), np.array([[1.0, 1e-9], [1e-9, 2.0]]),
