@@ -420,7 +420,6 @@ class DiscreteOperator:
     blocks: list
     grid: tuple                      # (s_nodes, t_nodes, s_max)
     problem: object = None
-    backend: str = "decoupled"
 
     def __post_init__(self):
         # per block: values once decomposed, how they were computed, a floor once certified
@@ -550,8 +549,7 @@ class DiscreteOperator:
         blocks = [ModeBlock(k=b.k, mult=b.mult, pde_rows=0, bc_rows=0,
                             tag=b.tag + "^T", dense=b.matrix.conj().T)
                   for b in self.blocks]
-        return DiscreteOperator(blocks=blocks, grid=self.grid, problem=self.problem,
-                                backend=self.backend + "^T")
+        return DiscreteOperator(blocks=blocks, grid=self.grid, problem=self.problem)
 
     def export_matrix_market(self, path):
         from scipy.io import mmwrite
@@ -855,7 +853,7 @@ def assemble(problem: CRProblem, grid: GridSpec = None, backend: str = None):
         blocks = _contact_blocks(*args)
     return DiscreteOperator(blocks=blocks,
                             grid=(grid.s_nodes, grid.t_nodes, problem.truncation.s_max),
-                            problem=problem, backend=backend)
+                            problem=problem)
 
 
 def kernel_vectors(op, threshold):

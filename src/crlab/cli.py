@@ -47,8 +47,6 @@ def fmt(x):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    if isinstance(x, float) and (np.isinf(x) or np.isnan(x)):
-        return repr(x)
     if isinstance(x, (float, np.floating)):
         return f"{float(x):.17g}"
     return str(x)
@@ -89,7 +87,7 @@ class ExperimentConfig:
     def __init__(self, name, kind, inputs=None, output_dir="out", seed=0):
         if not name:
             raise ConfigError("name must be nonempty", "/name")
-        if kind not in RUNNERS:
+        if kind not in EXPERIMENTS:
             raise ConfigError(f"unknown kind {kind!r}", "/kind")
         self.name = name
         self.kind = kind
@@ -340,13 +338,14 @@ def _run_reproduce_all(config, out, grid=None):
     return code, lines
 
 
-RUNNERS = {
-    "spectrum": _run_spectrum,
-    "index": _run_index,
-    "sweep": _run_sweep,
-    "glue": _run_glue,
-    "vdim": _run_vdim,
-    "reproduce_all": _run_reproduce_all,
+# config kind -> (subcommand, runner, the override flags the subcommand reads)
+EXPERIMENTS = {
+    "spectrum": ("spectrum", _run_spectrum, ()),
+    "index": ("index", _run_index, ("grid", "smax")),
+    "sweep": ("sweep-delta", _run_sweep, ("grid", "smax")),
+    "glue": ("glue", _run_glue, ("grid", "smax")),
+    "vdim": ("vdim", _run_vdim, ("seed",)),
+    "reproduce_all": ("reproduce-all", _run_reproduce_all, ("grid",)),
 }
 
 
@@ -355,7 +354,7 @@ def run(config, grid_override=None, out_override=None):
     out = os.path.join(out_override or config.output_dir, config.name)
     os.makedirs(out, exist_ok=True)
     try:
-        code, lines = RUNNERS[config.kind](config, out, grid=grid_override)
+        code, lines = EXPERIMENTS[config.kind][1](config, out, grid=grid_override)
     except (CRLabError, ValueError, KeyError, MemoryError) as exc:
         write_atomic(os.path.join(out, "summary.txt"),
                      f"ERROR: {type(exc).__name__}: {exc}\n")
@@ -364,17 +363,6 @@ def run(config, grid_override=None, out_override=None):
     write_atomic(os.path.join(out, "summary.txt"),
                  "\n".join([f"experiment {config.name}: {status}"] + lines) + "\n")
     return code
-
-
-# subcommand -> (config kind, the override flags it reads)
-SUBCOMMANDS = {
-    "spectrum": ("spectrum", ()),
-    "index": ("index", ("grid", "smax")),
-    "sweep-delta": ("sweep", ("grid", "smax")),
-    "glue": ("glue", ("grid", "smax")),
-    "vdim": ("vdim", ("seed",)),
-    "reproduce-all": ("reproduce_all", ("grid",)),
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -393,8 +381,9 @@ def main(argv=None):
     flags = {"grid": dict(help="override grid, e.g. 96x32"),
              "smax": dict(type=_finite_positive, help="override truncation box half-length"),
              "seed": dict(type=int)}
-    for cmd, (_, overrides) in SUBCOMMANDS.items():
+    for kind, (cmd, _, overrides) in EXPERIMENTS.items():
         p = sub.add_parser(cmd)
+        p.set_defaults(kind=kind)
         p.add_argument("--config", required=(cmd != "reproduce-all"),
                        help="experiment config JSON")
         p.add_argument("--out", default=None, help="output directory")
@@ -416,7 +405,7 @@ def main(argv=None):
             with open(args.config) as fh:
                 raw = json.load(fh, parse_constant=_non_finite)
             config = ExperimentConfig.from_json(raw)
-            if raw["kind"] != SUBCOMMANDS[args.command][0]:
+            if raw["kind"] != args.kind:
                 print(f"config kind {raw['kind']!r} does not match subcommand",
                       file=sys.stderr)
                 return EXIT_ERROR

@@ -112,8 +112,6 @@ def glue(problem_u, problem_w, tau):
         def coeff_s(s):
             return Bu(s + tau) if s <= 0 else Bw(s - tau)
 
-    w_g, wp_g = profiles.glued_weight_profile(problem_u.weight_profile(),
-                                              problem_w.weight_profile(), tau)
     glued = CRProblem(
         domain_kind="cylinder",
         ends=(replace(problem_u.negative_end), replace(problem_w.positive_end)),
@@ -122,7 +120,8 @@ def glue(problem_u, problem_w, tau):
         coeff_s=coeff_s,
         coeff_st=coeff_st,
         label=f"glue(tau={tau:g})",
-        profile_override=(w_g, wp_g),
+        profile_override=profiles.glued_weight_profile(
+            problem_u.weight_profile(), problem_w.weight_profile(), tau),
     )
     return glued, config
 

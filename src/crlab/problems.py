@@ -143,7 +143,7 @@ class CRProblem:
     coeff_s: object = None
     coeff_st: object = None
     label: str = ""
-    profile_override: object = None   # (w, wprime) pair, used by glued problems
+    profile_override: object = None   # profile with w and wprime, set by glue
 
     def __post_init__(self):
         if self.domain_kind not in ("cylinder", "plane"):
@@ -207,13 +207,13 @@ class CRProblem:
         return (None if neg is None else neg.weight, self.positive_end.weight)
 
     def weight_profile(self):
+        """The weight profile: ``profile_override`` when set, else the two-ended
+        erf profile of the end weights (a plane's with equal slopes, -delta_plus
+        at the missing negative end)."""
         if self.profile_override is not None:
-            w, wp = self.profile_override
-            prof = profiles.WeightProfile(*self.weights())
-            prof.w, prof.wprime = w, wp
-            return prof
+            return self.profile_override
         dm, dp = self.weights()
-        return profiles.WeightProfile(dm, dp)
+        return profiles.WeightProfile(-dp if dm is None else dm, dp)
 
     def coefficient(self, s, t=None):
         """Evaluate B at s (t-independent problems) or at (s, t)."""
@@ -248,6 +248,13 @@ class CRProblem:
                     f">= e^(-(s_max - n_prime)) = {tol:.2e}")
 
     def to_json(self):
+        """JSON form of a builder-producible problem; ``problem_from_json``
+        rebuilds it.  A t-dependent coefficient or a glued weight profile has
+        no JSON form and raises CoefficientError."""
+        if self.coeff_st is not None or self.profile_override is not None:
+            raise CoefficientError(
+                f"problem {self.label!r} has a t-dependent coefficient or a glued "
+                "weight profile, which JSON cannot express")
         return {
             "domain_kind": self.domain_kind,
             "ends": [e.to_json() for e in self.ends],
@@ -275,14 +282,13 @@ def build_trivial_cylinder(weights, shift_dims=(0, 0), truncation=None, label=""
                      truncation=truncation, coeff_s=None, label=label)
 
 
-def build_contact_fiber_cylinder(asym_minus, asym_plus, interpolation=None,
-                                 truncation=None, weights=(0.0, 0.0), label=""):
+def build_contact_fiber_cylinder(asym_minus, asym_plus, truncation=None,
+                                 weights=(0.0, 0.0), label=""):
     """Contact-fiber operator d/ds + J0 d/dt + B(s) interpolating two ends.
 
-    ``interpolation`` maps u in [0, 1] to the coefficient matrix along the
-    neck; the default is the componentwise quintic-smoothstep ramp from the
-    negative end's matrix to the positive end's, constant outside |s| <= n'.
-    Both asymptotic operators must be nondegenerate.
+    B is the componentwise quintic-smoothstep ramp from the negative end's
+    matrix to the positive end's across |s| <= n', constant outside it.  Both
+    asymptotic operators must be constant and nondegenerate.
     """
     truncation = truncation or Truncation()
     for spec, tag in ((asym_minus, "negative"), (asym_plus, "positive")):
@@ -301,14 +307,11 @@ def build_contact_fiber_cylinder(asym_minus, asym_plus, interpolation=None,
     S0 = asym_minus.constant_matrix()
     S1 = asym_plus.constant_matrix()
     npr = truncation.n_prime
-    if interpolation is None:
-        def coeff_s(s):
-            u = profiles.smoothstep((np.asarray(s) + npr) / (2.0 * npr))
-            return S0 + u * (S1 - S0)
-    else:
-        def coeff_s(s):
-            u = profiles.smoothstep((np.asarray(s) + npr) / (2.0 * npr))
-            return np.asarray(interpolation(float(u)), dtype=float)
+
+    def coeff_s(s):
+        u = profiles.smoothstep((np.asarray(s) + npr) / (2.0 * npr))
+        return S0 + u * (S1 - S0)
+
     return CRProblem(domain_kind="cylinder", ends=ends, fiber="contact_fiber",
                      truncation=truncation, coeff_s=coeff_s, label=label)
 

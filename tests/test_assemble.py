@@ -30,7 +30,9 @@ from crlab.problems import (
     build_contact_fiber_cylinder,
     build_plane,
     build_trivial_cylinder,
+    default_grid_for,
 )
+from crlab.profiles import smoothstep
 
 
 def test_fornberg_weights_differentiate_polynomials():
@@ -177,15 +179,21 @@ def test_row_and_column_bookkeeping():
 
 
 def test_end_locality_of_coefficient_changes():
-    # changing the interpolation inside |s| <= n' must not touch any matrix
+    # changing the coefficient inside |s| <= n' must not touch any matrix
     # row collocated beyond n' + 1
     S0 = LoopOperatorSpec(dim=2, coeff=np.diag([1.0, 1.0]))
     S1 = LoopOperatorSpec(dim=2, coeff=np.diag([2.0, 2.0]))
     p1 = build_contact_fiber_cylinder(S0, S1)
-    p2 = build_contact_fiber_cylinder(S0, S1,
-                                      interpolation=lambda u: np.diag([1.0 + u, 1.0 + u]))
-    op1, op2 = assemble(p1), assemble(p2)
     npr = p1.truncation.n_prime
+
+    def bumped(s):
+        # u (1 - u) vanishes identically outside |s| <= n'
+        u = smoothstep((np.asarray(s) + npr) / (2.0 * npr))
+        return p1.coefficient(s) + u * (1.0 - u) * np.diag([1.0, -1.0])
+
+    p2 = replace(p1, coeff_s=bumped)
+    op1, op2 = assemble(p1), assemble(p2)
+    changed = 0
     _, _, s, mids = fd_operators(p1.s_lo, p1.truncation.s_max, op1.grid[0])
     F = 2
     for b1, b2 in zip(op1.blocks, op2.blocks):
@@ -194,7 +202,9 @@ def test_end_locality_of_coefficient_changes():
         rows_changed = np.flatnonzero(diff[:pde] > 1e-14)
         if len(rows_changed):
             assert np.abs(mids[rows_changed // F]).max() <= npr + 1.0
+        changed += len(rows_changed)
         assert np.abs(diff[pde:]).max() <= 1e-14   # boundary rows untouched
+    assert changed
 
 
 def test_cap_condition_matches_laurent_oracle():
@@ -442,3 +452,21 @@ def test_problem_serialization_roundtrip():
     p2 = build_contact_fiber_cylinder(S, S, weights=(0.3, -0.3))
     q2 = problem_from_json(p2.to_json())
     assert q2.to_json() == p2.to_json()
+    # JSON has no form for a t-dependent coefficient or a glued weight
+    # profile: writing one would read back as a different problem
+    from crlab.gluing import glue
+    t_dependent = replace(p2, coeff_s=None, coeff_st=lambda s, t: np.eye(2))
+    glued, _ = glue(p2, replace(p2, ends=(replace(p2.negative_end, weight=0.3),
+                                          p2.positive_end)), 10.0)
+    for refused in (t_dependent, glued):
+        with pytest.raises(CoefficientError):
+            refused.to_json()
+
+
+def test_plane_profile_is_exactly_linear():
+    for d in (1.0, -1.0):
+        p = build_plane(d)
+        s = np.linspace(p.s_lo, p.truncation.s_max, default_grid_for(p.truncation).s_nodes)
+        prof = p.weight_profile()
+        assert np.array_equal(prof.w(s), d * s)
+        assert np.array_equal(prof.wprime(s), np.full_like(s, d))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import crlab.gluing as gluing
-from crlab.assemble import assemble, augmentation_layout, kernel_vectors
+from crlab.assemble import assemble, augmentation_layout, fd_operators, kernel_vectors
 from crlab.exceptions import IncompatibleEndsError
 from crlab.gluing import (
     GluingConfig,
@@ -19,7 +19,13 @@ from crlab.gluing import (
 )
 from crlab.indexing import index_of, numerical_index
 from crlab.loops import LoopOperatorSpec
-from crlab.problems import GridSpec, Truncation, build_contact_fiber_cylinder, build_trivial_cylinder
+from crlab.problems import (
+    GridSpec,
+    Truncation,
+    build_contact_fiber_cylinder,
+    build_trivial_cylinder,
+    default_grid_for,
+)
 
 # the package's ``assemble`` attribute is the function, not the module
 assemble_module = importlib.import_module("crlab.assemble")
@@ -93,6 +99,23 @@ def test_glued_coefficient_inherits_components():
     mid = glued.coefficient(0.0)
     assert np.allclose(mid, np.diag([1.0, 1.0]))
     assert np.allclose(glued.coefficient(rho / 4), mid)
+
+
+def test_near_continuing_weights_glue_like_the_exact_pair():
+    # a seam mismatch below glue's 1e-12 tolerance changes neither the
+    # decision nor, beyond it, the glued slope w'
+    pu, pw = flow_pair()
+    pw_near = build_contact_fiber_cylinder(diag_spec(1.0, 1.0), diag_spec(3.0, 3.0),
+                                           weights=(-0.5 + 1e-13, 1.5), truncation=TRUNC)
+    exact, _ = glue(pu, pw, 6.0)
+    near, _ = glue(pu, pw_near, 6.0)
+    rep_exact, rep_near = index_of(exact), index_of(near)
+    assert (rep_near.index, rep_near.decisive) == (rep_exact.index, rep_exact.decisive)
+    _, _, s, mids = fd_operators(near.s_lo, near.truncation.s_max,
+                                 default_grid_for(near.truncation).s_nodes)
+    for x in (s, mids):
+        gap = np.abs(near.weight_profile().wprime(x) - exact.weight_profile().wprime(x))
+        assert gap.max() <= 1e-12
 
 
 def test_glue_of_trivial_problems_is_trivial():

@@ -5,7 +5,9 @@ Usage:
 
 The set: ``reproduce-all``; ``index`` on acceptance criterion 6 (the contact
 isomorphism) at 96x32, 192x64 and 384x64; ``glue`` on the reproduce-all flow
-pair at tau 6, 8, 10 and 12; one ``sweep-delta`` on the trivial cylinder;
+pair at tau 6, 8, 10 and 12, and on two shifted complex-line cylinders (u with
+weights (1, 1) and shifts (2, 0), w with weights (-1, 1) and shifts (0, 2)) at
+tau 6, 10 and 14; one ``sweep-delta`` on the trivial cylinder;
 ``index`` on the blocks that carry shift columns: the trivial cylinder
 with weights (1, 1) and shifts (2, 2), its reduced pattern (1, 2), and the
 plane with weight 1 and 2 shifts; ``index`` on the plane with weight -1,
@@ -35,10 +37,10 @@ import tempfile
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 sys.path.insert(0, SRC)
 
-from crlab.cli import SUBCOMMANDS  # noqa: E402  (the sources next to this script)
+from crlab.cli import EXPERIMENTS  # noqa: E402  (the sources next to this script)
 
 # config kind of each subcommand
-KINDS = {command: kind for command, (kind, _) in SUBCOMMANDS.items()}
+KINDS = {command: kind for kind, (command, _, _) in EXPERIMENTS.items()}
 
 
 def _end(sign, weight, coeff, shift_dims=0):
@@ -72,6 +74,10 @@ def experiments():
                   "problem_w": _contact([1.0, 1.0], [3.0, 3.0], (-0.5, 1.5), 3.0),
                   "taus": [6.0, 8.0, 10.0, 12.0]}))
     zero = {"kind": "zero"}
+    runs.append(("glue_shifted_lines", "glue",
+                 {"problem_u": _cylinder("complex_line", zero, zero, (1.0, 1.0), 3.0, (2, 0)),
+                  "problem_w": _cylinder("complex_line", zero, zero, (-1.0, 1.0), 3.0, (0, 2)),
+                  "taus": [6.0, 10.0, 14.0]}))
     runs.append(("sweep_trivial", "sweep-delta",
                  {"problem": _cylinder("complex_line", zero, zero, (-1.0, 1.0)),
                   "deltas": [0.5, 1.5, 2.5]}))
