@@ -323,14 +323,11 @@ def _run_reproduce_all(config, out, grid=None):
     add = gluing.verify_additivity(pu, pw, (6.0, 8.0, 10.0, 12.0))
     check("gluing_additivity", add.passed, True)
 
-    check("one_bubble_codim", dimension.codimension(dimension.one_bubble_pair(),
-                                                dimension.one_bubble_glued()), 1)
-    check("two_level_split_codim", dimension.codimension(dimension.broken_pair(),
-                                                dimension.broken_glued()), 1)
-    check("multi_end_split_codim", dimension.codimension(dimension.multi_end_split_pair(),
-                                                dimension.multi_end_split_glued()), 1)
-    check("multi_multi_split_codim", dimension.codimension(dimension.double_multi_split_pair(),
-                                                dimension.double_multi_split_glued()), 2)
+    for case in ("one_bubble", "two_level_split", "multi_end_split", "multi_multi_split"):
+        pair, codim = dimension.CANONICAL_CASES[case]
+        degenerate = pair(0, 0)
+        check(f"{case}_codim",
+              dimension.codimension(degenerate, dimension.smoothing(degenerate)), codim)
 
     write_csv(os.path.join(out, "reproduce_all.csv"),
               ("row", "computed", "expected", "status"), rows)

@@ -11,23 +11,26 @@ symmetries and one target translation per map component on each target
 level.
 
 The domain-symmetry inputs are explicit because no general formula is
-available; the canonical factories below use the convention
+available; the canonical graphs below are built with the convention
 
     preset(k ends) = 6 - 2k   (automorphisms minus marked-point moduli),
 
-giving 4 for a plane, 2 for a cylinder and 0 for three ends, and deduct one
-rotation per seam incident to at least one rotation-carrying component (the
-seam's angular matching either identifies two rotations or pins one against
-a rigid partner).  These presets reproduce the codimension-one statements
-for single-bubble and two-level splittings and codimension two for the
-splitting of multi-end maps into multi-end pairs.
+giving 4 for a plane, 2 for a cylinder and 0 for three ends, less one
+rotation per seam incident to at least one component with at most two ends
+(the seam's angular matching either identifies two rotations or pins one
+against a rigid partner).  Only the degenerate side of each canonical case
+is written down: its smooth family, ``smoothing(degenerate)``, is the one
+component on one level with the same unmatched ends and total ind_L2.
+These presets reproduce the codimension-one statements for single-bubble
+and two-level splittings and codimension two for the splitting of multi-end
+maps into multi-end pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .exceptions import GraphError
+from .exceptions import GraphError, refuse_unknown_keys
 
 
 @dataclass(frozen=True)
@@ -40,6 +43,11 @@ class OrbitLabel:
     def __post_init__(self):
         if not self.action > 0:
             raise GraphError(f"orbit action must be positive, got {self.action}")
+
+    @staticmethod
+    def from_json(d):
+        refuse_unknown_keys(d, ("id", "action"), GraphError, "orbit")
+        return OrbitLabel(d["id"], float(d.get("action", 1.0)))
 
 
 @dataclass(frozen=True)
@@ -63,15 +71,6 @@ class Component:
                 raise GraphError("a trivial component sits over a single orbit")
             if self.ind_L2 != 0:
                 raise GraphError("a trivial component has ind_L2 = 0")
-
-    @property
-    def n_ends(self):
-        return len(self.neg_ends) + len(self.pos_ends)
-
-    @property
-    def has_rotation(self):
-        # cylinders, planes and trivial components carry an S^1 domain symmetry
-        return self.n_ends <= 2
 
 
 def aut_minus_moduli(n_ends):
@@ -124,19 +123,21 @@ class ConfigurationGraph:
             if not 0 <= c.target_level < self.levels:
                 raise GraphError(f"target level {c.target_level} outside 0..{self.levels - 1}")
 
-    def outer_ends(self):
-        """Multiset of unmatched (side, orbit id, action) triples."""
+    def unmatched_ends(self):
+        """(neg, pos) tuples of the orbit labels on no seam, in component order."""
         seamed_pos = {(ci, pi) for (ci, pi, cj, nj) in self.seams}
         seamed_neg = {(cj, nj) for (ci, pi, cj, nj) in self.seams}
-        out = []
-        for i, c in enumerate(self.components):
-            for j, o in enumerate(c.neg_ends):
-                if (i, j) not in seamed_neg:
-                    out.append(("neg", o.id, round(o.action, 12)))
-            for j, o in enumerate(c.pos_ends):
-                if (i, j) not in seamed_pos:
-                    out.append(("pos", o.id, round(o.action, 12)))
-        return sorted(out)
+        neg = tuple(o for i, c in enumerate(self.components)
+                    for j, o in enumerate(c.neg_ends) if (i, j) not in seamed_neg)
+        pos = tuple(o for i, c in enumerate(self.components)
+                    for j, o in enumerate(c.pos_ends) if (i, j) not in seamed_pos)
+        return neg, pos
+
+    def outer_ends(self):
+        """Multiset of unmatched (side, orbit id, action) triples."""
+        neg, pos = self.unmatched_ends()
+        return sorted([("neg", o.id, round(o.action, 12)) for o in neg]
+                      + [("pos", o.id, round(o.action, 12)) for o in pos])
 
     def total_ind(self):
         return sum(c.ind_L2 for c in self.components)
@@ -159,13 +160,14 @@ class ConfigurationGraph:
 
     @staticmethod
     def from_json(d):
+        refuse_unknown_keys(d, ("components", "seams", "levels"), GraphError, "graph")
         comps = []
         for c in d["components"]:
+            refuse_unknown_keys(c, ("neg", "pos", "ind_L2", "trivial", "domain_symmetry_dim",
+                                    "target_level"), GraphError, "component")
             comps.append(Component(
-                neg_ends=tuple(OrbitLabel(o["id"], float(o.get("action", 1.0)))
-                               for o in c["neg"]),
-                pos_ends=tuple(OrbitLabel(o["id"], float(o.get("action", 1.0)))
-                               for o in c["pos"]),
+                neg_ends=tuple(OrbitLabel.from_json(o) for o in c["neg"]),
+                pos_ends=tuple(OrbitLabel.from_json(o) for o in c["pos"]),
                 ind_L2=int(c.get("ind_L2", 0)),
                 trivial=bool(c.get("trivial", False)),
                 domain_symmetry_dim=c.get("domain_symmetry_dim"),
@@ -230,60 +232,58 @@ def codimension(degenerate, smooth):
 # canonical graphs
 # ---------------------------------------------------------------------------
 
-def _pin_rotations(symmetries, components, seams):
-    """Deduct one rotation per seam incident to a rotation-carrying component.
+def _with_presets(parts, seams, levels):
+    """Build a graph from (neg, pos, ind_L2, trivial, target_level) parts.
 
-    The deduction lands on an incident carrier (preferring the first one met)
-    so the configuration total matches the angular-matching count.
+    Each component gets aut_minus_moduli of its end count, less one rotation
+    per seam on which it is the first incident component with at most two
+    ends (those carry an S^1 domain symmetry), so the configuration total
+    matches the angular-matching count.
     """
-    out = list(symmetries)
-    for (ci, pi, cj, nj) in seams:
-        for idx in (ci, cj):
-            if components[idx].has_rotation:
-                out[idx] -= 1
-                break
-    return out
-
-
-def _mk(neg, pos, ind, trivial=False, level=0):
-    return Component(neg_ends=neg, pos_ends=pos, ind_L2=ind, trivial=trivial,
-                     target_level=level)
-
-
-def _with_presets(components, seams, levels):
-    syms = [aut_minus_moduli(c.n_ends) for c in components]
-    syms = _pin_rotations(syms, components, seams)
-    comps = tuple(replace(c, domain_symmetry_dim=s) for c, s in zip(components, syms))
+    n_ends = [len(neg) + len(pos) for neg, pos, *_ in parts]
+    syms = [aut_minus_moduli(n) for n in n_ends]
+    for (ci, _, cj, _) in seams:
+        pinned = next((i for i in (ci, cj) if n_ends[i] <= 2), None)
+        if pinned is not None:
+            syms[pinned] -= 1
+    comps = tuple(Component(neg_ends=neg, pos_ends=pos, ind_L2=ind, trivial=trivial,
+                            domain_symmetry_dim=sym, target_level=level)
+                  for (neg, pos, ind, trivial, level), sym in zip(parts, syms))
     return ConfigurationGraph(components=comps, seams=seams, levels=levels)
 
 
+def _two_levels(upper, lower, ind_upper, ind_lower, slot=0):
+    """``upper`` (level 1) glued by its first positive end to the negative end
+    ``slot`` of ``lower`` (level 0); each is a (neg, pos) pair of end tuples."""
+    return _with_presets(((*upper, ind_upper, False, 1), (*lower, ind_lower, False, 0)),
+                         ((0, 0, 1, slot),), levels=2)
+
+
+def smoothing(degenerate):
+    """The smooth family of a degeneration: one component on one level with
+    the degenerate graph's unmatched ends, in component order, and its total
+    ind_L2 (index additivity across the degeneration)."""
+    neg, pos = degenerate.unmatched_ends()
+    return _with_presets(((neg, pos, degenerate.total_ind(), False, 0),), (), levels=1)
+
+
 def single_cylinder(ind=0, x_minus="x-", x_plus="x+"):
-    c = _mk((OrbitLabel(x_minus),), (OrbitLabel(x_plus),), ind)
-    return _with_presets((c,), (), levels=1)
+    return _with_presets((((OrbitLabel(x_minus),), (OrbitLabel(x_plus),), ind, False, 0),),
+                         (), levels=1)
 
 
 def one_bubble_pair(ind_bubble=0, ind_w=0):
     """One bubble: a plane glued to a three-ended component, two target levels."""
     x = OrbitLabel("x")
-    bubble = _mk((), (x,), ind_bubble, level=1)
-    w = _mk((OrbitLabel("x-"), x), (OrbitLabel("x+"),), ind_w, level=0)
-    return _with_presets((bubble, w), ((0, 0, 1, 1),), levels=2)
-
-
-def one_bubble_glued(ind=0):
-    return single_cylinder(ind)
+    return _two_levels(((), (x,)), ((OrbitLabel("x-"), x), (OrbitLabel("x+"),)),
+                       ind_bubble, ind_w, slot=1)
 
 
 def broken_pair(ind_u=0, ind_w=0):
     """Two-level splitting into two cylinders sharing the middle orbit."""
     x = OrbitLabel("x")
-    u = _mk((OrbitLabel("x-"),), (x,), ind_u, level=1)
-    w = _mk((x,), (OrbitLabel("x+"),), ind_w, level=0)
-    return _with_presets((u, w), ((0, 0, 1, 0),), levels=2)
-
-
-def broken_glued(ind=0):
-    return single_cylinder(ind)
+    return _two_levels(((OrbitLabel("x-"),), (x,)), ((x,), (OrbitLabel("x+"),)),
+                       ind_u, ind_w)
 
 
 def multi_end_bubble_pair(m=4, ind_bubble=0, ind_w=0):
@@ -291,17 +291,8 @@ def multi_end_bubble_pair(m=4, ind_bubble=0, ind_w=0):
     if m < 4:
         raise GraphError("the glued family must keep at least three ends")
     x = OrbitLabel("x")
-    bubble = _mk((), (x,), ind_bubble, level=1)
-    neg = (OrbitLabel("y-0"), x)
     pos = tuple(OrbitLabel(f"y+{i}") for i in range(m - 2))
-    w = _mk(neg, pos, ind_w, level=0)
-    return _with_presets((bubble, w), ((0, 0, 1, 1),), levels=2)
-
-
-def multi_end_bubble_glued(m=4, ind=0):
-    neg = (OrbitLabel("y-0"),)
-    pos = tuple(OrbitLabel(f"y+{i}") for i in range(m - 2))
-    return _with_presets((_mk(neg, pos, ind),), (), levels=1)
+    return _two_levels(((), (x,)), ((OrbitLabel("y-0"), x), pos), ind_bubble, ind_w, slot=1)
 
 
 def multi_end_split_pair(m=3, ind_u=0, ind_w=0):
@@ -309,17 +300,9 @@ def multi_end_split_pair(m=3, ind_u=0, ind_w=0):
     if m < 3:
         raise GraphError("need a multi-end family (m >= 3)")
     x = OrbitLabel("x")
-    u = _mk((OrbitLabel("z-"),), (x,), ind_u, level=1)
-    neg = (x, OrbitLabel("y-0"))
     pos = tuple(OrbitLabel(f"y+{i}") for i in range(m - 2))
-    w = _mk(neg, pos, ind_w, level=0)
-    return _with_presets((u, w), ((0, 0, 1, 0),), levels=2)
-
-
-def multi_end_split_glued(m=3, ind=0):
-    neg = (OrbitLabel("z-"), OrbitLabel("y-0"))
-    pos = tuple(OrbitLabel(f"y+{i}") for i in range(m - 2))
-    return _with_presets((_mk(neg, pos, ind),), (), levels=1)
+    return _two_levels(((OrbitLabel("z-"),), (x,)), ((x, OrbitLabel("y-0")), pos),
+                       ind_u, ind_w)
 
 
 def double_multi_split_pair(m1=3, m2=3, ind_u=0, ind_w=0):
@@ -328,16 +311,8 @@ def double_multi_split_pair(m1=3, m2=3, ind_u=0, ind_w=0):
         raise GraphError("both components must be multi-ended")
     x = OrbitLabel("x")
     neg_u = tuple(OrbitLabel(f"u-{i}") for i in range(m1 - 1))
-    u = _mk(neg_u, (x,), ind_u, level=1)
     pos_w = tuple(OrbitLabel(f"w+{i}") for i in range(m2 - 1))
-    w = _mk((x,), pos_w, ind_w, level=0)
-    return _with_presets((u, w), ((0, 0, 1, 0),), levels=2)
-
-
-def double_multi_split_glued(m1=3, m2=3, ind=0):
-    neg = tuple(OrbitLabel(f"u-{i}") for i in range(m1 - 1))
-    pos = tuple(OrbitLabel(f"w+{i}") for i in range(m2 - 1))
-    return _with_presets((_mk(neg, pos, ind),), (), levels=1)
+    return _two_levels((neg_u, (x,)), ((x,), pos_w), ind_u, ind_w)
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +328,13 @@ def splice_trivial(graph, seam_index):
     """
     (ci, pi, cj, nj) = graph.seams[seam_index]
     orbit = graph.components[ci].pos_ends[pi]
-    t = _mk((orbit,), (orbit,), 0, trivial=True, level=graph.levels)
-    comps = graph.components + (t,)
-    t_idx = len(comps) - 1
+    parts = [(c.neg_ends, c.pos_ends, c.ind_L2, c.trivial, c.target_level)
+             for c in graph.components]
+    parts.append(((orbit,), (orbit,), 0, True, graph.levels))
+    t_idx = len(parts) - 1
     seams = tuple(s for i, s in enumerate(graph.seams) if i != seam_index)
     seams += ((ci, pi, t_idx, 0), (t_idx, 0, cj, nj))
-    return _with_presets(comps, seams, graph.levels + 1)
+    return _with_presets(parts, seams, graph.levels + 1)
 
 
 def splice_consistency(graph, seam_index):
@@ -382,24 +358,23 @@ def splice_consistency(graph, seam_index):
     }
 
 
+# case -> (degenerate graph of the budgets (a, b), expected codimension); the
+# lambdas look the factories up as module globals, so wrappers installed
+# there see every call
 CANONICAL_CASES = {
-    "one_bubble": (lambda a, b: one_bubble_pair(ind_bubble=a, ind_w=b),
-               lambda a, b: one_bubble_glued(ind=a + b), 1),
-    "two_level_split": (lambda a, b: broken_pair(ind_u=a, ind_w=b),
-               lambda a, b: broken_glued(ind=a + b), 1),
-    "multi_end_bubble": (lambda a, b: multi_end_bubble_pair(4, ind_bubble=a, ind_w=b),
-                      lambda a, b: multi_end_bubble_glued(4, ind=a + b), 1),
-    "multi_end_split": (lambda a, b: multi_end_split_pair(3, ind_u=a, ind_w=b),
-                     lambda a, b: multi_end_split_glued(3, ind=a + b), 1),
-    "multi_multi_split": (lambda a, b: double_multi_split_pair(3, 3, ind_u=a, ind_w=b),
-               lambda a, b: double_multi_split_glued(3, 3, ind=a + b), 2),
+    "one_bubble": (lambda a, b: one_bubble_pair(ind_bubble=a, ind_w=b), 1),
+    "two_level_split": (lambda a, b: broken_pair(ind_u=a, ind_w=b), 1),
+    "multi_end_bubble": (lambda a, b: multi_end_bubble_pair(4, ind_bubble=a, ind_w=b), 1),
+    "multi_end_split": (lambda a, b: multi_end_split_pair(3, ind_u=a, ind_w=b), 1),
+    "multi_multi_split": (lambda a, b: double_multi_split_pair(3, 3, ind_u=a, ind_w=b), 2),
 }
 
 
 def randomized_budget_variants(case, rng, count=100):
-    """(degenerate, smooth, expected_codim) triples with random ind_L2 budgets."""
-    pair, glued, codim = CANONICAL_CASES[case]
+    """(degenerate, smoothing, expected_codim) triples with random ind_L2 budgets."""
+    pair, codim = CANONICAL_CASES[case]
     for _ in range(count):
         a = int(rng.integers(-4, 5))
         b = int(rng.integers(-4, 5))
-        yield pair(a, b), glued(a, b), codim
+        deg = pair(a, b)
+        yield deg, smoothing(deg), codim

@@ -51,3 +51,10 @@ class ConfigError(CRLabError):
     def __init__(self, message, pointer=""):
         super().__init__(f"{pointer}: {message}" if pointer else message)
         self.pointer = pointer
+
+
+def refuse_unknown_keys(d, allowed, error, what):
+    """Raise ``error`` naming every key of the mapping ``d`` outside ``allowed``."""
+    unknown = sorted(set(d) - set(allowed))
+    if unknown:
+        raise error(f"{what} has unknown key(s) {', '.join(map(repr, unknown))}")

@@ -174,7 +174,6 @@ class ApproximateKernel:
     """Cutoff transplants of the component kernels on the glued grid."""
 
     vectors: list                  # list of (mode k, glued-block column vector)
-    source_dims: tuple             # (dim ker D_u, dim ker D_w)
     gram_condition: float
 
     @property
@@ -249,8 +248,7 @@ def approximate_kernel(ker_u, ker_w, config, glued_op):
         cond = float(np.linalg.cond(G).real)
     else:
         cond = 1.0
-    return ApproximateKernel(vectors=vectors, source_dims=(len(ker_u), len(ker_w)),
-                             gram_condition=cond)
+    return ApproximateKernel(vectors=vectors, gram_condition=cond)
 
 
 def transplant_residuals(glued_op, n_tau):
@@ -315,7 +313,6 @@ class AdditivityRow:
     decisive: bool
     stability: float
     max_residual: float
-    gram_condition: float
 
     @property
     def additive(self):
@@ -362,7 +359,6 @@ def verify_additivity(problem_u, problem_w, taus, grid_u=None, grid_w=None, t_no
             tau=float(tau), ind_u=rep_u.index, ind_w=rep_w.index,
             ind_glued=rep.index, decisive=rep.decisive,
             stability=stability_constant(op, n_tau),
-            max_residual=max(res) if res else 0.0,
-            gram_condition=n_tau.gram_condition))
+            max_residual=max(res) if res else 0.0))
     passed = all(r.additive for r in rows if r.decisive) and any(r.decisive for r in rows)
     return AdditivityReport(rows=rows, passed=passed)

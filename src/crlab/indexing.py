@@ -359,6 +359,8 @@ def _reflection(problem):
         raise ValueError("the reflected dual needs an unshifted, t-independent, "
                          "unglued cylinder")
     neg, pos = problem.negative_end, problem.positive_end
+    # the builders' ramp between the swapped ends is B(-s)^T already, since the
+    # smoothstep S satisfies S(1 - x) = 1 - S(x)
     coeff_s = None if problem.coeff_s is None else (lambda s: problem.coefficient(-s).T)
     return replace(problem, coeff_s=coeff_s,
                    ends=(replace(pos, sign="negative", weight=-pos.weight),

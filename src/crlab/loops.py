@@ -35,6 +35,7 @@ from .exceptions import (
     DegenerateEndError,
     NumericalError,
     ResolutionError,
+    refuse_unknown_keys,
 )
 
 SYMMETRY_TOL = 1e-12
@@ -144,7 +145,14 @@ class LoopOperatorSpec:
 
     @staticmethod
     def from_json(d):
+        refuse_unknown_keys(d, ("dim", "coeff", "period"), CoefficientError,
+                            "loop operator spec")
+        if d.get("period", 1) != 1:
+            raise CoefficientError(f"loops are parameterized over R/Z: period must be 1, "
+                                   f"got {d['period']!r}")
         coeff = d.get("coeff", {"kind": "zero"})
+        refuse_unknown_keys(coeff, ("kind", "values", "matrix"), CoefficientError,
+                            "coefficient")
         kind = coeff.get("kind")
         if kind == "zero":
             C = None

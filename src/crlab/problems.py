@@ -16,7 +16,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import profiles
-from .exceptions import CoefficientError, DegenerateEndError, FredholmWeightError
+from .exceptions import (
+    CoefficientError,
+    DegenerateEndError,
+    FredholmWeightError,
+    refuse_unknown_keys,
+)
 from .loops import LoopOperatorSpec, _eigenvalues, is_nondegenerate
 
 FIRST_TRIVIAL_EIGENVALUE = 2.0 * np.pi   # first positive eigenvalue of i d/dt
@@ -76,6 +81,7 @@ class EndSpec:
 
     @staticmethod
     def from_json(d):
+        refuse_unknown_keys(d, ("sign", "weight", "shift_dims", "asymptotic"), ValueError, "end")
         return EndSpec(sign=d["sign"], asymptotic=LoopOperatorSpec.from_json(d["asymptotic"]),
                        weight=float(d["weight"]), shift_dims=int(d.get("shift_dims", 0)))
 
@@ -96,6 +102,7 @@ class Truncation:
 
     @staticmethod
     def from_json(d):
+        refuse_unknown_keys(d, ("s_max", "n_prime"), ValueError, "truncation")
         return Truncation(s_max=float(d["s_max"]), n_prime=float(d["n_prime"]))
 
 
@@ -117,6 +124,7 @@ class GridSpec:
 
     @staticmethod
     def from_json(d):
+        refuse_unknown_keys(d, ("s_nodes", "t_nodes"), ValueError, "grid")
         return GridSpec(s_nodes=int(d["s_nodes"]), t_nodes=int(d["t_nodes"]))
 
 
@@ -131,7 +139,8 @@ class CRProblem:
 
     ``coeff_s`` maps s to the fiber coefficient matrix B(s) for problems whose
     coefficient is constant in t (the common case, enabling the decoupled
-    per-mode assembly); ``coeff_st`` maps (s, t) to B(s, t) otherwise.  At
+    per-mode assembly); ``coeff_st`` maps (s, t) to B(s, t) otherwise.  With
+    neither set, B is the builders' coefficient (``coefficient``).  At
     |s| = s_max the coefficient must agree with each end's asymptotic matrix
     to within e^{-(s_max - n')} (``check_end_decay``).
     """
@@ -216,14 +225,26 @@ class CRProblem:
         return profiles.WeightProfile(-dp if dm is None else dm, dp)
 
     def coefficient(self, s, t=None):
-        """Evaluate B at s (t-independent problems) or at (s, t)."""
+        """Evaluate B at s (t-independent problems) or at (s, t).
+
+        Without ``coeff_s`` or ``coeff_st``, B is the builders' coefficient:
+        zero on the complex-line fiber, and on the contact fiber the
+        componentwise quintic-smoothstep ramp from the negative end's matrix
+        to the positive end's across |s| <= n', constant outside it.
+        """
         if self.coeff_st is not None:
             if t is None:
                 raise CoefficientError("problem coefficient depends on t")
             return np.asarray(self.coeff_st(s, t), dtype=float)
-        if self.coeff_s is None:
-            return np.zeros((self.fiber_dim, self.fiber_dim))
-        return np.asarray(self.coeff_s(s), dtype=float)
+        if self.coeff_s is not None:
+            return np.asarray(self.coeff_s(s), dtype=float)
+        if self.fiber == "complex_line":
+            return np.zeros((2, 2))
+        S0 = self.negative_end.asymptotic.constant_matrix()
+        S1 = self.positive_end.asymptotic.constant_matrix()
+        npr = self.truncation.n_prime
+        u = profiles.smoothstep((np.asarray(s) + npr) / (2.0 * npr))
+        return np.asarray(S0 + u * (S1 - S0), dtype=float)
 
     @property
     def t_dependent(self):
@@ -249,11 +270,13 @@ class CRProblem:
 
     def to_json(self):
         """JSON form of a builder-producible problem; ``problem_from_json``
-        rebuilds it.  A t-dependent coefficient or a glued weight profile has
-        no JSON form and raises CoefficientError."""
-        if self.coeff_st is not None or self.profile_override is not None:
+        rebuilds it.  Only the builders' coefficient has a JSON form: a
+        problem that sets ``coeff_s`` or ``coeff_st``, or has a glued weight
+        profile, raises CoefficientError."""
+        if (self.coeff_s is not None or self.coeff_st is not None
+                or self.profile_override is not None):
             raise CoefficientError(
-                f"problem {self.label!r} has a t-dependent coefficient or a glued "
+                f"problem {self.label!r} has its own coefficient or a glued "
                 "weight profile, which JSON cannot express")
         return {
             "domain_kind": self.domain_kind,
@@ -286,8 +309,9 @@ def build_contact_fiber_cylinder(asym_minus, asym_plus, truncation=None,
                                  weights=(0.0, 0.0), label=""):
     """Contact-fiber operator d/ds + J0 d/dt + B(s) interpolating two ends.
 
-    B is the componentwise quintic-smoothstep ramp from the negative end's
-    matrix to the positive end's across |s| <= n', constant outside it.  Both
+    B is the problem's default coefficient (``CRProblem.coefficient``): the
+    componentwise quintic-smoothstep ramp from the negative end's matrix to
+    the positive end's across |s| <= n', constant outside it.  Both
     asymptotic operators must be constant and nondegenerate.
     """
     truncation = truncation or Truncation()
@@ -304,16 +328,8 @@ def build_contact_fiber_cylinder(asym_minus, asym_plus, truncation=None,
     if not (asym_minus.is_constant and asym_plus.is_constant):
         raise CoefficientError(
             "t-dependent asymptotics require an explicit coeff_st problem")
-    S0 = asym_minus.constant_matrix()
-    S1 = asym_plus.constant_matrix()
-    npr = truncation.n_prime
-
-    def coeff_s(s):
-        u = profiles.smoothstep((np.asarray(s) + npr) / (2.0 * npr))
-        return S0 + u * (S1 - S0)
-
     return CRProblem(domain_kind="cylinder", ends=ends, fiber="contact_fiber",
-                     truncation=truncation, coeff_s=coeff_s, label=label)
+                     truncation=truncation, label=label)
 
 
 def build_plane(weight, shift_dims=0, truncation=None, label=""):
@@ -332,6 +348,8 @@ def build_plane(weight, shift_dims=0, truncation=None, label=""):
 
 def problem_from_json(d):
     """Reconstruct a builder-producible problem from its JSON form."""
+    refuse_unknown_keys(d, ("domain_kind", "ends", "fiber", "truncation", "label"),
+                        ValueError, "problem")
     ends = [EndSpec.from_json(e) for e in d["ends"]]
     trunc = Truncation.from_json(d["truncation"])
     fiber = d["fiber"]

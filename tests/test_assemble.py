@@ -463,6 +463,48 @@ def test_problem_serialization_roundtrip():
             refused.to_json()
 
 
+def test_problem_with_its_own_coefficient_has_no_json_form():
+    from crlab.problems import problem_from_json
+    eye = LoopOperatorSpec(dim=2, coeff=np.eye(2))
+    p = build_contact_fiber_cylinder(eye, eye)
+    # written in the builder's form, a replaced coeff_s would come back as
+    # the builder's ramp, with B(0)[0, 0] = 1.0
+    bumped = replace(p, coeff_s=lambda s: (1.0 + np.exp(-s * s)) * np.eye(2))
+    assert bumped.coefficient(0.0)[0, 0] == 2.0
+    with pytest.raises(CoefficientError):
+        bumped.to_json()
+    # the builder's ramp is the problem's own default, which JSON rebuilds
+    assert p.coeff_s is None
+    q = problem_from_json(p.to_json())
+    for s in np.linspace(-12.0, 12.0, 49):
+        assert np.array_equal(q.coefficient(s), p.coefficient(s))
+
+
+def test_reflected_ramp_is_the_transposed_reflection():
+    from crlab.indexing import _reflection
+    p = build_contact_fiber_cylinder(
+        LoopOperatorSpec(dim=2, coeff=np.array([[1.0, 0.3], [0.3, 2.0]])),
+        LoopOperatorSpec(dim=2, coeff=np.diag([-1.0, 3.0])), weights=(0.2, -0.4))
+    dual = _reflection(p)
+    for s in np.linspace(-12.0, 12.0, 49):
+        assert np.allclose(dual.coefficient(s), p.coefficient(-s).T, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("reader, d, key", [
+    (EndSpec.from_json, {"sign": "positive", "weight": 1.0, "asymptotic": {"dim": 2},
+                         "shiftdims": 2}, "shiftdims"),
+    (Truncation.from_json, {"s_max": 12.0, "n_prime": 6.0, "smax": 8.0}, "smax"),
+    (GridSpec.from_json, {"s_nodes": 96, "t_nodes": 32, "tnodes": 64}, "tnodes"),
+    ("problem", {"labels": "p"}, "labels"),
+], ids=["end", "truncation", "grid", "problem"])
+def test_problem_readers_refuse_unknown_keys(reader, d, key):
+    from crlab.problems import problem_from_json
+    if reader == "problem":
+        reader, d = problem_from_json, dict(build_plane(1.0).to_json(), **d)
+    with pytest.raises(ValueError, match=repr(key)):
+        reader(d)
+
+
 def test_plane_profile_is_exactly_linear():
     for d in (1.0, -1.0):
         p = build_plane(d)

@@ -180,10 +180,10 @@ def test_glue_grid_override_reaches_the_components(tmp_path, grid, code):
 
 
 def test_vdim_experiment(tmp_path):
-    from crlab.dimension import broken_glued, broken_pair
+    from crlab.dimension import broken_pair, single_cylinder
     cfg = ExperimentConfig(
         name="vd", kind="vdim",
-        inputs={"graphs": [broken_pair(1, 1).to_json(), broken_glued(2).to_json()],
+        inputs={"graphs": [broken_pair(1, 1).to_json(), single_cylinder(2).to_json()],
                 "pairs": [{"degenerate": 0, "smooth": 1, "expect_codim": 1}],
                 "cases": ["one_bubble", "multi_multi_split"], "variants": 10},
         output_dir=str(tmp_path), seed=11)
@@ -192,7 +192,7 @@ def test_vdim_experiment(tmp_path):
     assert (tmp_path / "vd" / "codims.csv").exists()
     wrong = ExperimentConfig(
         name="vd_bad", kind="vdim",
-        inputs={"graphs": [broken_pair(1, 1).to_json(), broken_glued(2).to_json()],
+        inputs={"graphs": [broken_pair(1, 1).to_json(), single_cylinder(2).to_json()],
                 "pairs": [{"degenerate": 0, "smooth": 1, "expect_codim": 3}]},
         output_dir=str(tmp_path))
     assert run(wrong) == EXIT_ERROR
@@ -330,9 +330,9 @@ def _problem_with_interpolation(tmp_path):
 
 
 def _vdim_with_graphs(tmp_path, pair):
-    from crlab.dimension import broken_glued, broken_pair
+    from crlab.dimension import broken_pair, single_cylinder
     return _config_argv(tmp_path, "vdim", {
-        "graphs": [broken_pair(1, 1).to_json(), broken_glued(2).to_json()], "pairs": [pair]})
+        "graphs": [broken_pair(1, 1).to_json(), single_cylinder(2).to_json()], "pairs": [pair]})
 
 
 def _component_with_misspelt_key(tmp_path):

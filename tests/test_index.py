@@ -438,7 +438,7 @@ def assert_certified_route_matches_full(problem, grid):
     for pieces, pieces_ref in (([], []), (found, found_ref)):
         n_tau, n_tau_ref = (ApproximateKernel(vectors=[(b.k, V[:, j]) for b, V in p
                                                        for j in range(V.shape[1])],
-                                              source_dims=(0, 0), gram_condition=1.0)
+                                              gram_condition=1.0)
                             for p in (pieces, pieces_ref))
         assert stability_constant(op, n_tau) == stability_constant(ref, n_tau_ref)
 
@@ -655,7 +655,7 @@ def test_stability_constant_decomposes_certified_blocks_below_its_minimum():
         if i not in certified:
             _, sv, Vh = np.linalg.svd(b.matrix)
             vectors += [(b.k, v) for v in Vh[sv <= 2.0 * top_floor].conj()]
-    n_tau = ApproximateKernel(vectors=vectors, source_dims=(0, 0), gram_condition=1.0)
+    n_tau = ApproximateKernel(vectors=vectors, gram_condition=1.0)
     assert stability_constant(op, n_tau) == stability_constant(ref, n_tau)
     assert any(op.known_values(i) is not None for i in certified)
 

@@ -267,6 +267,16 @@ def test_spec_json_roundtrip():
         assert back.constant_matrix().tobytes() == S.tobytes()
 
 
+def test_spec_from_json_refuses_keys_it_does_not_read():
+    with pytest.raises(CoefficientError, match="'extra'"):
+        LoopOperatorSpec.from_json({"dim": 2, "extra": 1})
+    with pytest.raises(CoefficientError, match="period must be 1"):
+        LoopOperatorSpec.from_json({"dim": 2, "period": 2.0})
+    with pytest.raises(CoefficientError, match="'value'"):
+        LoopOperatorSpec.from_json({"dim": 2, "coeff": {"kind": "zero", "value": 1.0}})
+    assert not LoopOperatorSpec.from_json({"dim": 2, "period": 1}).constant_matrix().any()
+
+
 RESOLUTIONS = st.one_of(st.just(8), st.integers(5, 40).map(lambda n: 2 * n),
                         st.integers(4, 40).map(lambda n: 2 * n + 1))
 

@@ -11,9 +11,13 @@ tau 6, 10 and 14; one ``sweep-delta`` on the trivial cylinder;
 ``index`` on the blocks that carry shift columns: the trivial cylinder
 with weights (1, 1) and shifts (2, 2), its reduced pattern (1, 2), and the
 plane with weight 1 and 2 shifts; ``index`` on the plane with weight -1,
-whose mode 0 is a wide row-window block; and ``spectrum`` of a non-diagonal
+whose mode 0 is a wide row-window block; ``spectrum`` of a non-diagonal
 dim-4 constant loop operator by the Fourier method (its mode blocks) and by
-finite differences (its dense matrix).
+finite differences (its dense matrix); and ``vdim`` at seed 3 on six
+configuration graphs, written out as literal JSON: two degenerations with
+their smooth families (codimension 1 each) and a spliced two-level splitting
+against the single cylinder (codimension 3, the known splice tension), plus
+100 randomized budget variants of each of the five canonical cases.
 Each experiment runs in its own interpreter on the ``crlab`` sources next to
 this script, so the environment the tool is started with (for example
 OPENBLAS_NUM_THREADS) reaches every run before numpy loads.  Outputs go to
@@ -62,6 +66,37 @@ def _contact(neg, pos, weights=(0.0, 0.0), n_prime=6.0):
                      {"kind": "diag", "values": pos}, weights, n_prime)
 
 
+def _component(neg, pos, ind_L2, symmetry, level, trivial=False):
+    """A configuration-graph component's JSON, every orbit at action 1."""
+    return {"neg": [{"id": i, "action": 1.0} for i in neg],
+            "pos": [{"id": i, "action": 1.0} for i in pos],
+            "ind_L2": ind_L2, "trivial": trivial, "domain_symmetry_dim": symmetry,
+            "target_level": level}
+
+
+# the graphs of the vdim run: one_bubble_pair(1, -2) and its smooth family,
+# multi_end_split_pair(4, 2, 1) and its smooth family, and
+# splice_trivial(broken_pair(0, 0), 0) with the single cylinder of budget 0
+LADDER_GRAPHS = [
+    {"components": [_component([], ["x"], 1, 3, 1),
+                    _component(["x-", "x"], ["x+"], -2, 0, 0)],
+     "seams": [[0, 0, 1, 1]], "levels": 2},
+    {"components": [_component(["x-"], ["x+"], -1, 2, 0)], "seams": [], "levels": 1},
+    {"components": [_component(["z-"], ["x"], 2, 1, 1),
+                    _component(["x", "y-0"], ["y+0", "y+1"], 1, -2, 0)],
+     "seams": [[0, 0, 1, 0]], "levels": 2},
+    {"components": [_component(["z-", "y-0"], ["y+0", "y+1"], 3, -2, 0)],
+     "seams": [], "levels": 1},
+    {"components": [_component(["x-"], ["x"], 0, 1, 1),
+                    _component(["x"], ["x+"], 0, 2, 0),
+                    _component(["x"], ["x"], 0, 1, 2, trivial=True)],
+     "seams": [[0, 0, 2, 0], [2, 0, 1, 0]], "levels": 3},
+    {"components": [_component(["x-"], ["x+"], 0, 2, 0)], "seams": [], "levels": 1},
+]
+# the seed of each run whose config sets one (the default is 0)
+SEEDS = {"vdim_ladder": 3}
+
+
 def experiments():
     """(name, subcommand, config inputs or None) of every run, in order."""
     runs = [("reproduce_all", "reproduce-all", None)]
@@ -95,6 +130,15 @@ def experiments():
         [-4.6, -3.6, 1.7, -3.4]]}}
     for method in ("fourier", "finite_difference"):
         runs.append((f"spectrum_{method}", "spectrum", {"spec": coupled, "method": method}))
+    # the splice pair reads codimension 3, the known tension: no expectation
+    runs.append(("vdim_ladder", "vdim",
+                 {"graphs": LADDER_GRAPHS,
+                  "pairs": [{"degenerate": 0, "smooth": 1, "expect_codim": 1},
+                            {"degenerate": 2, "smooth": 3, "expect_codim": 1},
+                            {"degenerate": 4, "smooth": 5}],
+                  "cases": ["one_bubble", "two_level_split", "multi_end_bubble",
+                            "multi_end_split", "multi_multi_split"],
+                  "variants": 100}))
     return runs
 
 
@@ -107,7 +151,8 @@ def run_all(out):
         if inputs is not None:
             path = os.path.join(out, f"{name}.config.json")
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump({"name": name, "kind": KINDS[command], "inputs": inputs}, fh)
+                json.dump({"name": name, "kind": KINDS[command], "inputs": inputs,
+                           "seed": SEEDS.get(name, 0)}, fh)
             argv += ["--config", path]
         proc = subprocess.run(argv, env=env, capture_output=True, text=True)
         if proc.stderr:
