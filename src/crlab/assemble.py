@@ -87,6 +87,17 @@ same band the block's values come from, so a certified floor and any values
 computed later for that block describe one matrix.  The shared terms differ
 from a band summed over the block's own rows by rounding, of order
 eps max|G|, inside the certificates' relative room of 1e-12.
+
+No row-window block is decomposed for sigma_max either
+(``DiscreteOperator.sigma_max``).  A block's top Gram eigenvalue is settled
+by the same certificate (``_gram_top``): a short Lanczos run on the band,
+with matrix-vector products in O(n kd), proposes it, and it is fixed as
+the smallest point of a grid h Z, h about 2^-46 of the block's norm bound,
+at which x I - G factors.  The settled value is a function of the band
+alone, not of the Lanczos rounding, the search path or the BLAS thread
+count, so an operator and a copy with every block decomposed agree on
+sigma_max bit for bit; it lies within h of lambda_max, a few 1e-14
+relative.
 """
 
 from __future__ import annotations
@@ -272,12 +283,20 @@ def _materialize(b):
 _GRAM_GUARD = 1e-8
 
 
+@functools.lru_cache(maxsize=None)
+def _triu(width):
+    """``np.triu_indices(width)``, built once per window width and read-only."""
+    p, q = np.triu_indices(width)
+    p.flags.writeable = q.flags.writeable = False
+    return p, q
+
+
 def _window_band(U, V, starts, n_cols):
     """Upper band storage, bandwidth width - 1 on n_cols columns, of the sum
     over rows r of the window outer products conj(U[r]) V[r]^T, the windows
     of row r starting at column ``starts[r]``."""
     width = U.shape[1]
-    p, q = np.triu_indices(width)
+    p, q = _triu(width)
     idx = (starts[:, None] + ((width - 1 + p - q) * n_cols + q)).ravel()
     prod, size = (U.conj()[:, p] * V[:, q]).ravel(), width * n_cols
     band = np.bincount(idx, prod.real, size)
@@ -300,7 +319,7 @@ def _gram_band(b):
         return _window_band(V, V, starts, b.shape[1])
     ab = b.gram_terms.band(b.k)
     width = V.shape[1]
-    p, q = np.triu_indices(width)
+    p, q = _triu(width)
     for rows, start in ((V[:b.neg_rows], starts[0]), (V[b.neg_rows + b.pde_rows:], starts[-1])):
         ab[width - 1 + p - q, start + q] += (rows.conj()[:, p] * rows[:, q]).sum(axis=0)
     return ab
@@ -366,23 +385,114 @@ class _GramTerms:
         return ab
 
 
+def _definite(ab, shift, below):
+    """Whether shift I - G (``below``) or G - shift I is positive definite, up
+    to rounding, G the Hermitian matrix of upper band storage ``ab``: whether
+    LAPACK's banded Cholesky factorization of it succeeds (the inertia
+    argument), in O(n kd^2).  ``ab`` is left as it was."""
+    c = np.negative(ab) if below else ab.copy()
+    c[-1] += shift if below else -shift
+    pbtrf, = scipy.linalg.get_lapack_funcs(("pbtrf",), (c,))
+    return pbtrf(c, lower=0, overwrite_ab=1)[1] == 0
+
+
 def _gram_certified(b, shift, below):
     """Whether every eigenvalue of the Gram matrix G = M^H M of a row-window
-    block M lies below (``below``) or above ``shift``.
-
-    LAPACK's banded Cholesky factorization of shift I - G (or G - shift I)
-    succeeds exactly when that matrix is positive definite, up to rounding
-    (the inertia argument), in O(n kd^2) against the eigensolver's O(n^2 kd).
-    It factors the band the block's values come from (``_gram_band``).
+    block M lies below (``below``) or above ``shift`` (``_definite``), against
+    the eigensolver's O(n^2 kd).  It factors the band the block's values come
+    from (``_gram_band``).
     """
+    return _definite(_gram_band(b), shift, below)
+
+
+# Grid step of a settled top Gram eigenvalue relative to the block's norm
+# bound, and the Lanczos steps its proposal may take
+_TOP_STEP = 2.0 ** -46
+_LANCZOS_STEPS = 64
+
+
+def _band_matvec(ab):
+    """x -> G x for the Hermitian G of upper band storage ``ab``: one product
+    of the n x (2 kd + 1) rows of G with the windows of x, O(n kd)."""
+    kd, n = len(ab) - 1, ab.shape[1]
+    rows = np.empty((n, 2 * kd + 1), dtype=ab.dtype)     # rows[i, kd + e] = G[i, i + e]
+    rows[:, :kd + 1] = ab.conj().T
+    # G[i, i + e] = ab[kd - e, i + e]; past the last column any entry does,
+    # since it meets the zero padding of x
+    i, e = np.arange(n)[:, None], np.arange(1, kd + 1)
+    rows[:, kd + 1:] = ab[kd - e, np.minimum(i + e, n - 1)]
+    padded = np.zeros(n + 2 * kd, dtype=ab.dtype)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * kd + 1)
+
+    def matvec(x):
+        padded[kd:kd + n] = x
+        return np.einsum("id,id->i", rows, windows)
+
+    return matvec
+
+
+def _ritz_top(ab, step):
+    """Lanczos estimate of the largest eigenvalue of the Hermitian matrix of
+    upper band ``ab``, from a seeded random start with full
+    reorthogonalization.  It stops when the Ritz residual bound, sharpened by
+    the gap to the next Ritz value, is below ``step``, or after
+    _LANCZOS_STEPS steps.  Only a proposal: ``_gram_top`` certifies it."""
+    n = ab.shape[1]
+    matvec = _band_matvec(ab)
+    Q = np.zeros((min(n, _LANCZOS_STEPS), n), dtype=ab.dtype)
+    q = np.random.default_rng(n).standard_normal(n)
+    Q[0] = q / np.linalg.norm(q)
+    alpha, off = np.zeros(len(Q)), np.zeros(len(Q))     # the tridiagonal Q^H G Q
+    for j in range(len(Q)):
+        w = matvec(Q[j])
+        alpha[j] = np.vdot(Q[j], w).real
+        # einsum, not BLAS: a threaded BLAS would spin its idle threads afterwards
+        w -= np.einsum("j,jn->n", np.einsum("jn,n->j", Q[:j + 1], w.conj()).conj(), Q[:j + 1])
+        beta = np.sqrt(np.vdot(w, w).real)
+        theta, s, _ = scipy.linalg.lapack.dstev(alpha[:j + 1], off[:max(j, 1)])
+        res = beta * abs(s[-1, -1])
+        if j:
+            res = min(res, res * res / max(theta[-1] - theta[-2], step))
+        if res <= step or j + 1 == len(Q):
+            return theta[-1]
+        off[j] = beta
+        Q[j + 1] = w / beta
+
+
+def _gram_top(b, bound):
+    """The largest eigenvalue of the Gram matrix G = M^H M of row-window block
+    M, settled without decomposing it.
+
+    The value is the smallest point x of the grid h Z at which x I - G
+    factors (``_definite``), h the power of two with bound 2^-47 < h <=
+    bound 2^-46, ``bound`` (``_norm_bound``) >= lambda_max; so it lies
+    within h of lambda_max, up to rounding.  ``_ritz_top`` proposes the
+    grid point; a galloping search from it, then bisection, finds the
+    boundary within [largest diagonal entry of G, bound], x I - G failing
+    to factor at the diagonal.  The value depends only on the band, as long
+    as factoring is monotone along the grid: a proposal off by rounding
+    changes the search path, not the point.
+    """
+    if not bound:
+        return 0.0
     ab = _gram_band(b)
-    if below:
-        np.negative(ab, out=ab)
-        ab[-1] += shift
-    else:
-        ab[-1] -= shift
-    pbtrf, = scipy.linalg.get_lapack_funcs(("pbtrf",), (ab,))
-    return pbtrf(ab, lower=0, overwrite_ab=1)[1] == 0
+    h = 2.0 ** (np.frexp(bound)[1] - 1) * _TOP_STEP
+    lo, hi = int(ab[-1].real.max() // h), int(bound // h) + 2   # fails at lo h, factors at hi h
+    untried = hi
+    m = min(max(int(np.ceil(_ritz_top(ab, h) / h)), lo + 1), hi - 1)
+    down = _definite(ab, m * h, below=True)
+    lo, hi = (lo, m) if down else (m, hi)
+    step = 1
+    while hi - lo > 1:
+        m = hi - step if down else lo + step
+        if not lo < m < hi:
+            m = (lo + hi) // 2
+        ok = _definite(ab, m * h, below=True)
+        step = 2 * step if ok == down else 0
+        lo, hi = (lo, m) if ok else (m, hi)
+    if hi == untried and not _definite(ab, hi * h, below=True):
+        raise NumericalError(f"no Cholesky certificate above the norm bound of block {b.tag}")
+    return float(hi * h)
 
 
 def _norm_bound(b):
@@ -407,8 +517,8 @@ class DiscreteOperator:
     (banded Gram eigenvalues for row-window blocks, dense SVD for the others
     and for the blocks the guard rejects).  The evidence on a block is its
     cached values or a certified floor: ``sigma_max`` settles the top of the
-    spectrum and ``certify_floor`` proves a row-window block's values above
-    a cut without decomposing it.  The rank decision, the kernel directions
+    spectrum without decomposing any row-window block, and ``certify_floor``
+    proves a row-window block's values above a cut without decomposing it.  The rank decision, the kernel directions
     (``block_rank``) and the gluing stability constant read that evidence.
     ``block_routes`` says which route computed each block.  The evidence
     belongs to one operator: it is allocated empty at construction, so a
@@ -484,29 +594,34 @@ class DiscreteOperator:
     def sigma_max(self):
         """Largest singular value of the operator.
 
-        Settled once per operator.  Dense blocks are decomposed.  Among the
-        row-window blocks, the one with the largest bound ||M||_1 ||M||_inf
-        on sigma_max^2 is decomposed.  Every other one is certified to have
-        its Gram eigenvalues below lambda_top (1 - 1e-12), lambda_top the
-        largest found so far, by its bound where that suffices and by a
-        banded Cholesky factorization otherwise; a block whose certificate
-        fails is decomposed and raises lambda_top.
+        Settled once per operator, from the blocks' matrices alone: an
+        operator and a copy with every block decomposed settle the same
+        float.  Dense blocks are decomposed.  No row-window block is: the one
+        with the largest bound ||M||_1 ||M||_inf on sigma_max^2 is settled by
+        ``_gram_top``, the smallest point of a grid of step about 2^-46 of
+        that bound at which x I - M^H M has a banded Cholesky factor.  Every
+        other one is certified to have its Gram eigenvalues below lambda_top
+        (1 - 1e-12), lambda_top the largest found so far, by its bound where
+        that suffices and by a banded Cholesky factorization otherwise; a
+        block whose certificate fails is settled too and raises lambda_top.
         """
         if self._sigma_max is None:
             windowed = [i for i, b in enumerate(self.blocks) if b.windows is not None]
-            for i, b in enumerate(self.blocks):
-                if b.windows is None:
-                    self.block_values(i)
+            top = max((float(self.block_values(i)[0]) for i, b in enumerate(self.blocks)
+                       if b.windows is None and min(b.shape)), default=0.0)
             bound = {i: _norm_bound(self.blocks[i]) for i in windowed}
-            if windowed:
-                self.block_values(max(windowed, key=bound.get))
-            top = float(max((sv[0] for sv in self._svals if sv is not None and len(sv)),
-                            default=0.0))
+
+            def settled(i):
+                return float(np.sqrt(_gram_top(self.blocks[i], bound[i])))
+
+            first = max(windowed, key=bound.get, default=None)
+            if first is not None:
+                top = max(top, settled(first))
             for i in windowed:
                 ceiling = top ** 2 * (1 - _CERT_MARGIN)
-                if (self._svals[i] is None and bound[i] >= ceiling
+                if (i != first and bound[i] >= ceiling
                         and not _gram_certified(self.blocks[i], ceiling, below=True)):
-                    top = max(top, float(self.block_values(i)[0]))
+                    top = max(top, settled(i))
             self._sigma_max = top
         return self._sigma_max
 

@@ -7,8 +7,10 @@ are fixed constants, written into every report as its
 ``tolerance_policy``.  It reads sigma_max, the values below the threshold,
 the smallest kept value and the REPORTED_VALUES smallest values, and
 decomposes only the mode blocks that can hold one of them, each at most
-once (``DiscreteOperator.block_values``).  sigma_max is settled first; then
-the other blocks are certified by banded Cholesky to have all their values
+once (``DiscreteOperator.block_values``).  sigma_max is settled first, by
+banded Cholesky certificates alone on the row-window blocks, so its block
+is decomposed only when it also holds reported values; then every block
+not yet decomposed is certified by banded Cholesky to have all its values
 above a running cut that every value the report reads lies at or below.  A
 certified block has full rank; a wide block, whose Gram matrix holds its
 structural kernel, is never certified and always decomposed.  A block's
@@ -157,8 +159,9 @@ def numerical_index(op):
     indecisive, never raised: the caller reads ``decisive``.
 
     Only the blocks whose values can reach the report are decomposed:
-    sigma_max is settled first (``DiscreteOperator.sigma_max``), then
-    ``_certify_unreported`` certifies the others above every reported value.
+    sigma_max is settled first (``DiscreteOperator.sigma_max``), decomposing
+    only dense blocks, then ``_certify_unreported`` certifies the others
+    above every reported value.
     The report is read from the decomposed blocks and equals the one read
     from all of them.
     """

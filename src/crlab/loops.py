@@ -43,6 +43,9 @@ SYMMETRY_TOL = 1e-12
 # (rounded up to 65 nodes by assemble_loop_operator)
 T_RESOLUTION = 64
 
+# the key besides "kind" that each coefficient kind reads
+_COEFF_KEYS = {"zero": (), "diag": ("values",), "constant": ("matrix",)}
+
 
 def standard_j(dim):
     """The standard complex structure on R^{dim}: J(e_i) = e_{i+n}, J(e_{i+n}) = -e_i."""
@@ -151,17 +154,17 @@ class LoopOperatorSpec:
             raise CoefficientError(f"loops are parameterized over R/Z: period must be 1, "
                                    f"got {d['period']!r}")
         coeff = d.get("coeff", {"kind": "zero"})
-        refuse_unknown_keys(coeff, ("kind", "values", "matrix"), CoefficientError,
-                            "coefficient")
         kind = coeff.get("kind")
+        if kind not in _COEFF_KEYS:
+            raise CoefficientError(f"unknown coefficient kind {kind!r}")
+        refuse_unknown_keys(coeff, ("kind",) + _COEFF_KEYS[kind], CoefficientError,
+                            f"{kind!r} coefficient")
         if kind == "zero":
             C = None
         elif kind == "diag":
             C = np.diag(np.asarray(coeff["values"], dtype=float))
-        elif kind == "constant":
-            C = np.asarray(coeff["matrix"], dtype=float)
         else:
-            raise CoefficientError(f"unknown coefficient kind {kind!r}")
+            C = np.asarray(coeff["matrix"], dtype=float)
         return LoopOperatorSpec(dim=int(d["dim"]), coeff=C)
 
 

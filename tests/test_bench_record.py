@@ -40,6 +40,27 @@ def test_record_pairs_runs_and_applies_the_claim_rule(tmp_path):
     assert rec["environment"]["parent_commit"] == "aaa"
     assert rec["environment"]["change_commit"] == "bbb"
     assert rec["protocol"]["pairs"] == 10 and rec["protocol"]["run_seconds"] == [20]
+    # wall_s is worse by 3.3 %, within its bound of 25 %
+    assert rec["regressions"] == [] and not rec["end_to_end"]["ladder"]["wall_s"]["regression"]
+
+
+def test_regressions_are_flagged_by_each_metric_bound(tmp_path):
+    # against the spec's bounds: wall_s 26 % worse is beyond its 25 %, and 25 %
+    # worse is not; peak_rss_mb 6 % worse is beyond its 5 %; pass_ratio is equal
+    _runs(tmp_path / "p.jsonl", [100.0] * 10, [2.0] * 10, "a")
+    _runs(tmp_path / "c.jsonl", [106.0] * 10, [2.52] * 10, "b")
+    out = tmp_path / "bench.json"
+    assert bench_record.main([str(tmp_path / "p.jsonl"), str(tmp_path / "c.jsonl"), "--change",
+                              "x", "--claim", "ladder/wall_s", "--out", str(out)]) == 0
+    rec = json.loads(out.read_text())
+    rows = rec["end_to_end"]["ladder"]
+    assert rec["regressions"] == ["ladder/peak_rss_mb", "ladder/wall_s"]
+    assert rows["wall_s"]["regression"] and rows["peak_rss_mb"]["regression"]
+    assert not rows["pass_ratio"]["regression"] and not rec["claim"]["met"]
+    _runs(tmp_path / "c.jsonl", [100.0] * 10, [2.5] * 10, "b")
+    bench_record.main([str(tmp_path / "p.jsonl"), str(tmp_path / "c.jsonl"), "--change", "x",
+                       "--claim", "ladder/wall_s", "--out", str(out)])
+    assert json.loads(out.read_text())["regressions"] == []
 
 
 def test_unpaired_runs_are_refused(tmp_path):

@@ -319,6 +319,15 @@ def _constant_without_matrix(tmp_path):
     return _index_with_coeff(tmp_path, {"kind": "constant"})
 
 
+def _zero_with_values(tmp_path):
+    return _index_with_coeff(tmp_path, {"kind": "zero", "values": [5.0, 5.0]})
+
+
+def _diag_with_matrix(tmp_path):
+    return _index_with_coeff(tmp_path, {"kind": "diag", "values": [1.0, 1.0],
+                                        "matrix": [[1.0, 0.0], [0.0, 1.0]]})
+
+
 def _spectrum_with_period_2(tmp_path):
     return _config_argv(tmp_path, "spectrum", {"spec": {"dim": 2, "period": 2}})
 
@@ -390,6 +399,11 @@ def _sweep_with_negative_delta(tmp_path):
      "config error: /inputs/problem/ends/0/asymptotic/coeff: 'values' is a required property"),
     (_constant_without_matrix,
      "config error: /inputs/problem/ends/0/asymptotic/coeff: 'matrix' is a required property"),
+    (_zero_with_values,
+     "config error: /inputs/problem/ends/0/asymptotic/coeff: 'values' is not one of ['kind']"),
+    (_diag_with_matrix,
+     "config error: /inputs/problem/ends/0/asymptotic/coeff: 'matrix' is not one of "
+     "['kind', 'values']"),
     (_spectrum_with_period_2, "config error: /inputs/spec/period: 1 was expected"),
     (_problem_with_interpolation,
      "config error: /inputs/problem: Additional properties are not allowed "
@@ -404,7 +418,8 @@ def _sweep_with_negative_delta(tmp_path):
         "cylinder_without_negative_end", "plane_with_negative_end", "index_with_misspelt_grid",
         "glue_with_grid", "sweep_with_negative_delta", "index_with_extra_grid_key",
         "truncation_with_extra_key", "diag_with_misspelt_values", "diag_without_values",
-        "constant_without_matrix", "spectrum_with_period_2", "problem_with_interpolation",
+        "constant_without_matrix", "zero_with_values", "diag_with_matrix",
+        "spectrum_with_period_2", "problem_with_interpolation",
         "component_with_misspelt_key", "pair_with_misspelt_key"])
 def test_malformed_input_is_a_clean_error(tmp_path, capsys, make_argv, message):
     assert cli.main(make_argv(tmp_path)) == EXIT_ERROR

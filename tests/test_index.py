@@ -306,9 +306,9 @@ def test_criterion_6_is_decided_from_row_windows(monkeypatch):
     assert (rep.index, rep.dim_ker, rep.decisive) == (0, 0, True)
     assert materialized == []
     assert peak < 64 * 2**20
-    # block k=0 holds the reported values and the gap, k=31 sigma_max; the
-    # other 30 are certified
-    assert sum(op.known_values(i) is not None for i in range(len(op.blocks))) <= 2
+    # block k=0 holds the reported values and the gap and is the one block
+    # decomposed; sigma_max is settled on k=31 and the other 31 are certified
+    assert [op.blocks[i].k for i in range(len(op.blocks)) if op.known_values(i) is not None] == [0]
 
 
 def _guard_rejected():
@@ -483,6 +483,42 @@ def test_certified_route_matches_full_decomposition_contact(ends, weights, t_nod
     assert_certified_route_matches_full(problem, grid)
 
 
+def assert_sigma_max_is_the_dense_one(problem, grid):
+    """The settled sigma_max is the largest dense singular value within 1e-13
+    relative, and no decomposed block's top value exceeds it by more."""
+    op = assemble(problem, grid)
+    dense = max(np.linalg.svd(b.matrix, compute_uv=False)[0] for b in op.blocks)
+    sigma_max = op.sigma_max()
+    assert abs(sigma_max - dense) <= 1e-13 * dense
+    assert all(sv[0] <= sigma_max * (1 + 1e-13) for sv in decompose_all(op))
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(weights=st.tuples(SIGNED_WEIGHTS, SIGNED_WEIGHTS),
+       shifts=st.sampled_from([(0, 0), (2, 2), (1, 2)]),
+       t_nodes=st.sampled_from([8, 16, 32]))
+def test_settled_sigma_max_is_the_dense_one_trivial(weights, shifts, t_nodes):
+    problem = build_trivial_cylinder(weights, shifts, truncation=SMALL_TRUNC)
+    assert_sigma_max_is_the_dense_one(problem, GridSpec(required_s_nodes(problem), t_nodes))
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(ends=st.tuples(SYMMETRIC_2X2, SYMMETRIC_2X2),
+       weights=st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
+       t_nodes=st.sampled_from([8, 16, 32]))
+def test_settled_sigma_max_is_the_dense_one_contact(ends, weights, t_nodes):
+    weights = tuple(w / 4.0 for w in weights)
+    for S, w in zip(ends, weights):
+        lam = mode_oracle_eigenvalues(S, kmax=6)
+        assume(np.abs(lam).min() >= 0.2 and np.abs(lam - w).min() >= 0.2
+               and np.abs(lam + w).min() >= 0.2)
+    problem = build_contact_fiber_cylinder(
+        *(LoopOperatorSpec(dim=2, coeff=S) for S in ends), weights=weights,
+        truncation=SMALL_TRUNC)
+    assert_sigma_max_is_the_dense_one(problem, GridSpec(max(required_s_nodes(problem), 32),
+                                                        t_nodes))
+
+
 @settings(derandomize=True, deadline=None, max_examples=12)
 @given(ends=st.tuples(SYMMETRIC_2X2, SYMMETRIC_2X2),
        weights=st.tuples(st.integers(-8, 8), st.integers(-8, 8)))
@@ -546,12 +582,14 @@ def _isomorphism_96x32():
     return build_contact_fiber_cylinder(S, S), GridSpec(96, 32)
 
 
-def test_failed_sigma_max_certificate_decomposes_the_block(monkeypatch):
-    # the bound of block k=0 inflated, still a bound: k=0 is decomposed first
-    # and the blocks above it fail their certificates
+def test_failed_sigma_max_certificate_settles_the_block(monkeypatch):
+    # the bound of block k=0 inflated, still a bound: k=0 is settled first and
+    # the blocks above it fail their certificates; each of them is settled in
+    # turn, and none is decomposed
     problem, grid = _isomorphism_96x32()
     real_bound, real_certified = assemble_module._norm_bound, assemble_module._gram_certified
-    failed = []
+    real_top = assemble_module._gram_top
+    failed, settled = [], []
 
     def certified(b, shift, below):
         ok = real_certified(b, shift, below)
@@ -562,15 +600,37 @@ def test_failed_sigma_max_certificate_decomposes_the_block(monkeypatch):
     monkeypatch.setattr(assemble_module, "_norm_bound",
                         lambda b: real_bound(b) * (1e6 if b.k == 0 else 1.0))
     monkeypatch.setattr(assemble_module, "_gram_certified", certified)
+    monkeypatch.setattr(assemble_module, "_gram_top",
+                        lambda b, bound: settled.append(b.k) or real_top(b, bound))
     op = assemble(problem, grid)
     sigma_max = op.sigma_max()
     monkeypatch.undo()
     ref = full_reference(problem, grid)
     top = max(range(len(ref.blocks)), key=lambda i: ref.block_values(i)[0])
-    assert failed and ref.blocks[top].k in failed
-    assert op.known_values(0) is not None and op.known_values(top) is not None
+    assert failed and ref.blocks[top].k in failed and settled == [0] + failed
+    assert all(op.known_values(i) is None for i in range(len(op.blocks)))
     assert sigma_max == ref.sigma_max()
     assert numerical_index(op) == numerical_index(ref)
+
+
+@pytest.mark.parametrize("offset", [-2.0 ** 50, -3.0, 0.0, 5.0, 2.0 ** 30, 2.0 ** 50],
+                         ids=["below_the_diagonal", "3_below", "as_proposed", "5_above",
+                              "far_above", "above_the_bound"])
+def test_settled_top_is_the_first_grid_point_that_factors(offset, monkeypatch):
+    # the Lanczos proposal moved by ``offset`` grid steps, out to either end of
+    # the search range: the search path changes, the settled point does not
+    b = assemble(*_isomorphism_96x32()).blocks[15]
+    bound, ab = assemble_module._norm_bound(b), assemble_module._gram_band(b)
+    step = 2.0 ** (np.frexp(bound)[1] - 1) * assemble_module._TOP_STEP
+    lam = assemble_module._gram_top(b, bound)
+    assert assemble_module._definite(ab, lam, below=True)
+    assert not assemble_module._definite(ab, lam - step, below=True)
+    lam_max = np.linalg.svd(b.matrix, compute_uv=False)[0] ** 2
+    assert abs(lam - lam_max) <= 1e-13 * lam_max
+    real = assemble_module._ritz_top
+    monkeypatch.setattr(assemble_module, "_ritz_top",
+                        lambda ab, h: real(ab, h) + offset * h)
+    assert assemble_module._gram_top(b, bound) == lam
 
 
 def _variant(b, k, windows):
@@ -588,14 +648,15 @@ def _last_row_scaled(b, k, scale):
 @pytest.mark.parametrize("above, certified", [(0.0, False), (1e-6, True)],
                          ids=["on_the_cut", "above_the_cut"])
 def test_block_on_the_cut_is_decomposed(above, certified):
-    # blocks k=15 (sigma_max), k=1, and k=1 scaled so that its sigma_min sits
-    # on the cut the walk reaches after decomposing k=1: the tenth smallest
-    # value of the first two, counted with multiplicity 2 (all are kept)
+    # blocks k=15 (sigma_max, settled, not decomposed), k=1, and k=1 scaled so
+    # that its sigma_min sits on the cut the walk reaches after decomposing
+    # k=1, the first block it meets: the tenth smallest value of k=1, counted
+    # with multiplicity 2 (all are kept)
     blocks = assemble(*_isomorphism_96x32()).blocks
     top, low = blocks[15], blocks[1]
-    known = decompose_all(DiscreteOperator(blocks=[top, low], grid=None))
-    cut = np.sort(np.repeat(np.concatenate(known), 2))[REPORTED_VALUES - 1]
-    parts = [top, low, _variant(low, 2, cut / known[1][-1] * (1.0 + above) * low.windows)]
+    known = decompose_all(DiscreteOperator(blocks=[low], grid=None))[0]
+    cut = np.sort(np.repeat(known, 2))[REPORTED_VALUES - 1]
+    parts = [top, low, _variant(low, 2, cut / known[-1] * (1.0 + above) * low.windows)]
     op, ref = _decide_against_full(parts)
     assert ref.block_values(2)[0] < ref.block_values(0)[0]
     assert op.known_values(1) is not None
@@ -737,8 +798,9 @@ def _window_band_calls(monkeypatch):
 
 
 def test_criterion_6_sums_no_block_from_all_its_rows(monkeypatch):
-    # 80 blocks over the three grids: 11 decomposed, 69 certified (108
-    # certificates); every band, for values and certificates alike, reads the
+    # 80 blocks over the three grids: 8 decomposed, 72 certified (108
+    # certificates), each grid's top block settled by two more factorizations;
+    # every band, for values, certificates and settlements alike, reads the
     # shared terms, and the only sums over rows are each operator's four terms
     calls = _window_band_calls(monkeypatch)
     S = LoopOperatorSpec(dim=2, coeff=np.diag([1.0, 1.0]))
@@ -749,7 +811,7 @@ def test_criterion_6_sums_no_block_from_all_its_rows(monkeypatch):
     blocks = [b for op in ops for b in op.blocks]
     assert len(blocks) == 80 and len(calls) == 4 * len(ops)
     assert not any(U is b.windows for U in calls for b in blocks)
-    assert sum(op.known_values(i) is not None for op in ops for i in range(len(op.blocks))) == 11
+    assert sum(op.known_values(i) is not None for op in ops for i in range(len(op.blocks))) == 8
 
 
 def test_block_from_other_windows_takes_the_direct_band(monkeypatch):

@@ -277,6 +277,21 @@ def test_spec_from_json_refuses_keys_it_does_not_read():
     assert not LoopOperatorSpec.from_json({"dim": 2, "period": 1}).constant_matrix().any()
 
 
+@pytest.mark.parametrize("coeff, stray", [
+    ({"kind": "zero", "values": [5.0, 5.0]}, "values"),
+    ({"kind": "zero", "matrix": [[5.0, 0.0], [0.0, 5.0]]}, "matrix"),
+    ({"kind": "diag", "values": [1.0, 2.0], "matrix": [[5.0, 0.0], [0.0, 5.0]]}, "matrix"),
+    ({"kind": "constant", "matrix": [[1.0, 0.0], [0.0, 2.0]], "values": [5.0, 5.0]}, "values"),
+], ids=["zero_values", "zero_matrix", "diag_matrix", "constant_values"])
+def test_coefficient_kind_refuses_the_keys_of_other_kinds(coeff, stray):
+    with pytest.raises(CoefficientError, match=f"'{coeff['kind']}' coefficient has unknown "
+                                               f"key\\(s\\) '{stray}'"):
+        LoopOperatorSpec.from_json({"dim": 2, "coeff": coeff})
+    own = {k: v for k, v in coeff.items() if k != stray}
+    assert LoopOperatorSpec.from_json({"dim": 2, "coeff": own}).to_json()["coeff"] == (
+        own if own["kind"] != "constant" else {"kind": "diag", "values": [1.0, 2.0]})
+
+
 RESOLUTIONS = st.one_of(st.just(8), st.integers(5, 40).map(lambda n: 2 * n),
                         st.integers(4, 40).map(lambda n: 2 * n + 1))
 

@@ -14,7 +14,11 @@ win for the change when its value is better in the metric's direction, the
 spec at the root of the checkout this script lives in.
 
 The claim is met when the change wins at least 9 of 10 pairs and its median
-beats the parent's by more than the parent's interquartile range.
+beats the parent's by more than the parent's interquartile range.  As in
+``perfbench/compare.py``, a metric whose change median is worse than the
+parent's by more than the metric's ``bound`` in BENCHMARK.json, relative to
+the parent's median, is a regression: its row says so in ``regression``, and
+the record lists every one in ``regressions`` as WORKLOAD/METRIC.
 """
 
 import argparse
@@ -28,10 +32,11 @@ ENV_KEYS = ("cpu_model", "nproc", "platform", "python", "numpy", "scipy", "blas"
             "blas_threads")
 
 
-def higher_is_better():
-    """{metric: True when higher is better} over the spec's end-to-end metrics."""
+def end_to_end_metrics():
+    """{metric: (True when higher is better, bound)} over the spec's end-to-end metrics."""
     with open(SPEC, encoding="utf-8") as fh:
-        return {m["name"]: m["better"] == "higher" for m in json.load(fh)["end_to_end"]}
+        return {m["name"]: (m["better"] == "higher", m["bound"])
+                for m in json.load(fh)["end_to_end"]}
 
 
 def load_runs(path):
@@ -53,18 +58,20 @@ def quartiles(values):
     return {"median": round(med, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
-def compare(parent, change, metric, higher):
+def compare(parent, change, metric, higher, bound):
     """Summary of one metric over the paired runs of one workload."""
     better = (lambda a, b: a > b) if higher else (lambda a, b: a < b)
     p = [r["stats"][metric]["median"] for r in parent]
     c = [r["stats"][metric]["median"] for r in change]
     ps, cs = quartiles(p), quartiles(c)
     med_p, med_c = statistics.median(p), statistics.median(c)
+    worse = (med_p - med_c if higher else med_c - med_p) / abs(med_p) if med_p else 0.0
     return {
         "parent": ps, "change": cs, "pairs": len(p),
         "change_wins": sum(better(b, a) for a, b in zip(p, c)),
         "ties": sum(a == b for a, b in zip(p, c)),
         "median_change_pct": round(100.0 * (med_c - med_p) / med_p, 1) if med_p else 0.0,
+        "regression": worse > bound,
         "parent_runs": [round(v, 4) for v in p],
         "change_runs": [round(v, 4) for v in c],
     }
@@ -105,7 +112,7 @@ def main(argv=None):
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
-    higher = higher_is_better()
+    spec = end_to_end_metrics()
     parent, change = load_runs(args.parent), load_runs(args.change)
     if set(parent) != set(change):
         raise SystemExit(f"unpaired runs: {sorted(set(parent) ^ set(change))}")
@@ -114,8 +121,8 @@ def main(argv=None):
         seeds = sorted(s for w, s in parent if w == workload)
         p = [parent[workload, s] for s in seeds]
         c = [change[workload, s] for s in seeds]
-        metrics = [m for m in p[0]["stats"] if m in higher and all(m in r["stats"] for r in p + c)]
-        table[workload] = {m: compare(p, c, m, higher[m]) for m in metrics}
+        metrics = [m for m in p[0]["stats"] if m in spec and all(m in r["stats"] for r in p + c)]
+        table[workload] = {m: compare(p, c, m, *spec[m]) for m in metrics}
     workload, metric = args.claim.split("/")
     record = {
         "change": args.title,
@@ -129,7 +136,9 @@ def main(argv=None):
             "summary": "median and quartiles (inclusive method) over the runs of each side",
         },
         "environment": environment(parent, change),
-        "claim": claim(table, workload, metric, higher[metric]),
+        "claim": claim(table, workload, metric, spec[metric][0]),
+        "regressions": [f"{w}/{m}" for w, rows in table.items() for m, row in rows.items()
+                        if row["regression"]],
         "end_to_end": table,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
