@@ -77,14 +77,17 @@ dense SVD.
 A row-window block whose values cannot reach a report is not decomposed at
 all but certified: a banded Cholesky factorization of its Gram matrix
 shifted by x I succeeds only when every Gram eigenvalue lies above x (of
-x I - G: below x), up to rounding, in O(n kd^2).  The operator keeps, per
-block, either its values or a certified floor with all its values strictly
-between the floor and sigma_max (``DiscreteOperator.certify_floor``); the
-rank decision in ``crlab.indexing`` chooses the cuts.  A wide block's
-structural zeros fail every floor certificate, so it is always decomposed;
-its sigma_max certificate holds as on any block.  A certificate factors the
-same band the block's values come from, so a certified floor and any values
-computed later for that block describe one matrix.  The shared terms differ
+x I - G: below x), up to rounding, in O(n kd^2).  Every rank decision asks
+one question of a block, ``DiscreteOperator.values_below(i, cut)``: its
+singular values, or None when all of them are certified to exceed the cut.
+The operator keeps, per block, either its values or a certified floor with
+all its values strictly between the floor and sigma_max; the callers (the
+index walk in ``crlab.indexing``, ``kernel_vectors``, the gluing stability
+constant) choose the cuts.  A wide block's structural zeros would fail
+every floor certificate, so it is always decomposed; its sigma_max
+certificate holds as on any block.  A certificate factors the same band the
+block's values come from, so a certified floor and any values computed
+later for that block describe one matrix.  The shared terms differ
 from a band summed over the block's own rows by rounding, of order
 eps max|G|, inside the certificates' relative room of 1e-12.
 
@@ -517,12 +520,14 @@ class DiscreteOperator:
     (banded Gram eigenvalues for row-window blocks, dense SVD for the others
     and for the blocks the guard rejects).  The evidence on a block is its
     cached values or a certified floor: ``sigma_max`` settles the top of the
-    spectrum without decomposing any row-window block, and ``certify_floor``
-    proves a row-window block's values above a cut without decomposing it.  The rank decision, the kernel directions
-    (``block_rank``) and the gluing stability constant read that evidence.
-    ``block_routes`` says which route computed each block.  The evidence
-    belongs to one operator: it is allocated empty at construction, so a
-    copy by ``dataclasses.replace`` decides its blocks afresh.  Values from
+    spectrum without decomposing any row-window block, and ``values_below``
+    answers whether a block holds a value below a cut, from its values, its
+    floor or one new certificate, decomposing it only when none settles the
+    question.  The rank decision, the kernel directions and the gluing
+    stability constant all ask ``values_below``.  ``block_routes`` says
+    which route computed each block.  The evidence belongs to one operator:
+    it is allocated empty at construction, so a copy by
+    ``dataclasses.replace`` decides its blocks afresh.  Values from
     the banded route agree with dense SVD to about eps (sigma_max / sigma)^2
     relative, not bit for bit.
     """
@@ -586,11 +591,6 @@ class DiscreteOperator:
         """Block i's singular values if it has been decomposed, else None."""
         return self._svals[i]
 
-    def certified_floor(self, i):
-        """The floor certified for block i while it is not decomposed, else None:
-        all its singular values lie strictly between the floor and sigma_max."""
-        return self._floors[i] if self._svals[i] is None else None
-
     def sigma_max(self):
         """Largest singular value of the operator.
 
@@ -625,31 +625,34 @@ class DiscreteOperator:
             self._sigma_max = top
         return self._sigma_max
 
-    def certify_floor(self, i, cut):
-        """Certify that every singular value of row-window block i exceeds
-        ``cut``, without decomposing it; True when the certificate holds.
+    def values_below(self, i, cut):
+        """Block i's singular values, or None when every one of them is
+        certified to exceed ``cut``: the block then has full rank, and no
+        value below ``cut`` reads it.
 
-        The shift is max(cut^2, 1e-8 lambda_top) (1 + 1e-12) + 1e-12 lambda_top,
-        lambda_top = sigma_max^2, so a certified block also passes the banded
-        route's guard: its route is ``banded_gram``.  A wide block is never
-        certified: its Gram matrix has structural zero eigenvalues below any
-        shift, so it is decomposed.
+        A decomposed block returns its values.  Otherwise a floor certified
+        earlier that is at least ``cut`` answers; failing that, a row-window
+        block that is not wide tries one banded Cholesky certificate of its
+        Gram matrix at the shift max(cut^2, 1e-8 lambda_top) (1 + 1e-12) +
+        1e-12 lambda_top, lambda_top = sigma_max^2, and keeps the square root
+        of max(cut^2, 1e-8 lambda_top) as its floor.  A certified block so
+        also passes the banded route's guard: its route is ``banded_gram``.
+        A dense block, a wide block (its Gram matrix holds structural zeros
+        below any shift) and an infinite cut are decomposed
+        (``block_values``).
         """
-        lam_top = self.sigma_max() ** 2
-        lam = max(cut * cut, _GRAM_GUARD * lam_top)
-        if not _gram_certified(self.blocks[i], lam * (1 + _CERT_MARGIN) + _CERT_MARGIN * lam_top,
-                               below=False):
-            return False
-        self._floors[i], self._routes[i] = float(np.sqrt(lam)), "banded_gram"
-        return True
-
-    def block_rank(self, i, threshold):
-        """Number of block i's singular values at or above ``threshold``; a
-        block certified above it has full rank and is not decomposed."""
-        floor = self.certified_floor(i)
-        if floor is not None and floor >= threshold:
-            return min(self.blocks[i].shape)
-        return int((self.block_values(i) >= threshold).sum())
+        if self._svals[i] is None:
+            floor, b = self._floors[i], self.blocks[i]
+            if floor is not None and floor >= cut:
+                return None
+            if b.windows is not None and b.shape[0] >= b.shape[1] and np.isfinite(cut):
+                lam_top = self.sigma_max() ** 2
+                lam = max(cut * cut, _GRAM_GUARD * lam_top)
+                if _gram_certified(b, lam * (1 + _CERT_MARGIN) + _CERT_MARGIN * lam_top,
+                                   below=False):
+                    self._floors[i], self._routes[i] = float(np.sqrt(lam)), "banded_gram"
+                    return None
+        return self.block_values(i)
 
     def block_routes(self):
         """How each block's singular values were computed: "banded_gram" or
@@ -943,24 +946,18 @@ def _coupled_block(problem, grid, stencil, prof):
 # entry point
 # ---------------------------------------------------------------------------
 
-def assemble(problem: CRProblem, grid: GridSpec = None, backend: str = None):
+def assemble(problem: CRProblem, grid: GridSpec = None):
     """Assemble the weighted, boundary-conditioned discrete operator.
 
-    ``backend`` may force "decoupled" or "coupled"; by default problems with
-    t-independent coefficients decouple over trig modes.
+    Problems with t-independent coefficients decouple over trig modes; a
+    t-dependent one is assembled as one coupled block.
     """
     grid = grid or default_grid_for(problem.truncation)
     _check_resolution(problem, grid)
     problem.check_end_decay()
-    if backend is None:
-        backend = "coupled" if problem.t_dependent else "decoupled"
-    if backend not in ("decoupled", "coupled"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "decoupled" and problem.t_dependent:
-        raise AssemblyError("t-dependent coefficients cannot decouple")
     args = (problem, grid, fd_operators(problem.s_lo, problem.truncation.s_max, grid.s_nodes),
             problem.weight_profile())
-    if backend == "coupled":
+    if problem.t_dependent:
         blocks = [_coupled_block(*args)]
     elif problem.fiber == "complex_line":
         blocks = _complex_line_blocks(*args)
@@ -976,14 +973,15 @@ def kernel_vectors(op, threshold):
 
     Returns a list of (block, vectors) where vectors has shape
     (block_cols, n_small); structural kernel directions of wide blocks are
-    included through the rank decision.  The rank comes from the operator's
-    evidence (``DiscreteOperator.block_rank``): a block certified above the
-    threshold has full rank and is not decomposed.  Only rank-deficient blocks
-    are made dense and run the full SVD.
+    included through the rank decision.  Each block's rank comes from
+    ``DiscreteOperator.values_below(i, threshold)``: a block certified above
+    the threshold has full rank and is not decomposed.  Only rank-deficient
+    blocks are made dense and run the full SVD.
     """
     out = []
     for i, b in enumerate(op.blocks):
-        rank = op.block_rank(i, threshold)
+        sv = op.values_below(i, threshold)
+        rank = min(b.shape) if sv is None else int((sv >= threshold).sum())
         if rank < b.shape[1]:
             Vh = np.linalg.svd(b.matrix)[2]
             out.append((b, Vh[rank:].conj().T))

@@ -174,7 +174,6 @@ class ApproximateKernel:
     """Cutoff transplants of the component kernels on the glued grid."""
 
     vectors: list                  # list of (mode k, glued-block column vector)
-    gram_condition: float
 
     @property
     def size(self):
@@ -227,9 +226,7 @@ def _glued_block_vector(glued_op, kv, shift, cutoff, side):
 def approximate_kernel(ker_u, ker_w, config, glued_op):
     """Transplanted, cutoff-multiplied kernel sections on the glued grid.
 
-    Empty bases on both sides give a valid empty kernel.  The Gram condition
-    number of the transplants is reported; cutoffs with disjoint supports
-    drive it to one as tau grows.
+    Empty bases on both sides give a valid empty kernel.
     """
     vectors = []
     for kv in ker_u:
@@ -240,15 +237,7 @@ def approximate_kernel(ker_u, ker_w, config, glued_op):
         v = _glued_block_vector(glued_op, kv, -config.tau, config.beta_w, "w")
         if v is not None:
             vectors.append((kv.k, v))
-    if vectors:
-        G = np.zeros((len(vectors), len(vectors)), dtype=complex)
-        for i, (ki, vi) in enumerate(vectors):
-            for j, (kj, vj) in enumerate(vectors):
-                G[i, j] = np.vdot(vi, vj) if ki == kj else 0.0
-        cond = float(np.linalg.cond(G).real)
-    else:
-        cond = 1.0
-    return ApproximateKernel(vectors=vectors, gram_condition=cond)
+    return ApproximateKernel(vectors=vectors)
 
 
 def transplant_residuals(glued_op, n_tau):
@@ -266,19 +255,21 @@ def stability_constant(glued_op, n_tau):
     Computed per mode block: transplant vectors are projected out of the
     block's column space and the smallest singular value of the restricted
     matrix is minimized over blocks.  A block without transplant vectors is
-    its own restriction and reuses the operator's cached singular values; a
-    certified block (``DiscreteOperator.certified_floor``) is decomposed only
-    when the running minimum lies above its floor, which bounds its values
-    from below.
+    its own restriction: its minimum comes from
+    ``DiscreteOperator.values_below(i, best)``, best the running minimum,
+    so a block certified above best is not decomposed.  The blocks that
+    carry transplant vectors or are decomposed already go first, so that
+    best is finite before any other block is asked.
     """
     by_mode = {}
     for k, v in n_tau.vectors:
         by_mode.setdefault(k, []).append(v)
+    blocks = glued_op.blocks
     best = np.inf
-    certified = []
-    for i, b in enumerate(glued_op.blocks):
+    for i in sorted(range(len(blocks)), key=lambda i: not by_mode.get(blocks[i].k)
+                    and glued_op.known_values(i) is None):
+        b, vs = blocks[i], by_mode.get(blocks[i].k)
         shape = b.shape
-        vs = by_mode.get(b.k)
         if vs:
             Q, _ = np.linalg.qr(np.stack(vs, axis=1))
             T = b.matrix @ scipy.linalg.null_space(Q.conj().T)
@@ -287,16 +278,9 @@ def stability_constant(glued_op, n_tau):
             # more directions than equations: exact null vectors remain in the
             # complement, the restricted operator has no lower bound at all
             return 0.0
-        floor = None if vs else glued_op.certified_floor(i)
-        if floor is not None:
-            certified.append((floor, i))
-            continue
-        sv = np.linalg.svd(T, compute_uv=False) if vs else glued_op.block_values(i)
-        if len(sv):
+        sv = np.linalg.svd(T, compute_uv=False) if vs else glued_op.values_below(i, best)
+        if sv is not None and len(sv):
             best = min(best, float(sv[-1]))
-    for floor, i in sorted(certified):
-        if best > floor:
-            best = min(best, float(glued_op.block_values(i)[-1]))
     return best
 
 

@@ -9,19 +9,20 @@ the smallest kept value and the REPORTED_VALUES smallest values, and
 decomposes only the mode blocks that can hold one of them, each at most
 once (``DiscreteOperator.block_values``).  sigma_max is settled first, by
 banded Cholesky certificates alone on the row-window blocks, so its block
-is decomposed only when it also holds reported values; then every block
-not yet decomposed is certified by banded Cholesky to have all its values
-above a running cut that every value the report reads lies at or below.  A
-certified block has full rank; a wide block, whose Gram matrix holds its
-structural kernel, is never certified and always decomposed.  A block's
-storage chooses its route: every row-window block (each block without
-shift columns from the decoupled backend) gets its singular values from
-the banded eigenvalues of its one Gram matrix M^H M; dense blocks (those
-with shift columns, the coupled block) and any block with sigma_min <
-1e-4 sigma_max (the accuracy guard), from dense SVD.  Every rank-deficient
-block is therefore decided by dense SVD, and a banded value carries a
-relative error of order 1e-8 at worst (below 1e-11 on the operators of
-``reproduce-all``).  The report's ``method`` names the routes that
+is decomposed only when it also holds reported values; then one walk asks
+every block for its values below a running cut that every value the report
+reads lies at or below (``DiscreteOperator.values_below``), and a block
+certified by banded Cholesky to have all its values above the cut is not
+decomposed.  A certified block has full rank; a wide block, whose Gram
+matrix holds its structural kernel, is never certified and always
+decomposed.  A block's storage chooses its route: every row-window block
+(each block without shift columns from the decoupled backend) gets its
+singular values from the banded eigenvalues of its one Gram matrix M^H M;
+dense blocks (those with shift columns, the coupled block) and any block
+with sigma_min < 1e-4 sigma_max (the accuracy guard), from dense SVD.
+Every rank-deficient block is therefore decided by dense SVD, and a banded
+value carries a relative error of order 1e-8 at worst (below 1e-11 on the
+operators of ``reproduce-all``).  The report's ``method`` names the routes that
 decided; a certified block passes the guard and counts as ``banded_gram``.
 
 The analytic route never assembles the two-dimensional operator: on the
@@ -77,7 +78,10 @@ REPORTED_VALUES = 10
 class IndexReport:
     """Rank decision of one operator.  ``method`` names the routes that
     computed its blocks' singular values: ``banded_gram``, ``direct_svd``, or
-    ``banded_gram+direct_svd`` when the blocks took both."""
+    ``banded_gram+direct_svd`` when the blocks took both.
+    ``min_singular_value`` is the smallest kept value, which lies outside
+    ``singular_values`` when REPORTED_VALUES or more values are discarded;
+    ``to_json`` leaves it out."""
 
     dim_ker: int
     dim_coker: int
@@ -89,15 +93,11 @@ class IndexReport:
     grid_tag: str
     threshold: float = 0.0
     sigma_max: float = 0.0
+    min_singular_value: float = 0.0   # the smallest kept value, 0.0 when none is kept
 
     def __post_init__(self):
         if self.index != self.dim_ker - self.dim_coker:
             raise AssemblyError("index != dim_ker - dim_coker")
-
-    @property
-    def min_singular_value(self):
-        kept = [s for s in self.singular_values if s >= self.threshold]
-        return float(min(kept)) if kept else 0.0
 
     def to_json(self):
         return {
@@ -111,44 +111,6 @@ class IndexReport:
         }
 
 
-def _certify_unreported(op, theta):
-    """Give every block of ``op`` values or a floor above the report's reach.
-
-    The row-window blocks are walked in ascending |k|, under a running cut:
-    the larger of the REPORTED_VALUES-th smallest known singular value
-    (counted with multiplicity) and the smallest known value >= theta.  A
-    block is certified when its values all exceed the cut
-    (``DiscreteOperator.certify_floor``) and decomposed otherwise.  The cut
-    only falls as values become known, so at the end every certified value
-    exceeds the reported values, the smallest kept value, theta and every
-    discarded value: certified blocks have full rank and nothing reported
-    reads them.
-    """
-    low = np.full(REPORTED_VALUES, np.inf)    # the smallest known values, ascending
-    kept = np.inf                             # the smallest known value >= theta
-
-    def absorb(b, sv):
-        nonlocal low, kept
-        low = np.sort(np.concatenate([low, np.repeat(sv[::-1][:REPORTED_VALUES], b.mult)]))
-        low = low[:REPORTED_VALUES]
-        kept = min(kept, float(sv[sv >= theta].min(initial=np.inf)))
-
-    walk = []
-    for i, b in enumerate(op.blocks):
-        sv = op.known_values(i)
-        if sv is not None:
-            absorb(b, sv)
-        elif b.windows is not None:
-            walk.append(i)
-    for i in sorted(walk, key=lambda i: abs(op.blocks[i].k)):
-        cut = max(low[-1], kept)
-        floor = op.certified_floor(i)
-        if floor is not None and floor >= cut:
-            continue
-        if not (np.isfinite(cut) and op.certify_floor(i, cut)):
-            absorb(op.blocks[i], op.block_values(i))
-
-
 def numerical_index(op):
     """Kernel/cokernel dimensions and index of a discrete operator by SVD.
 
@@ -158,25 +120,37 @@ def numerical_index(op):
     sigma_max, and a report with gap_ratio below GAP_MIN is flagged
     indecisive, never raised: the caller reads ``decisive``.
 
-    Only the blocks whose values can reach the report are decomposed:
+    Only the blocks whose values can reach the report are decomposed.
     sigma_max is settled first (``DiscreteOperator.sigma_max``), decomposing
-    only dense blocks, then ``_certify_unreported`` certifies the others
-    above every reported value.
-    The report is read from the decomposed blocks and equals the one read
-    from all of them.
+    only dense blocks.  Then one walk asks every block for its values below
+    a running cut (``DiscreteOperator.values_below``): dense blocks first,
+    then the row-window blocks in ascending |k|.  The cut is the larger of
+    the REPORTED_VALUES-th smallest value seen so far (counted with
+    multiplicity) and the smallest seen value >= threshold.  It only falls
+    as values are seen, so every block certified above it has full rank and
+    values above every reported value, the smallest kept value, the
+    threshold and every discarded value.  The report is read from the
+    decomposed blocks and equals the one read from all of them.
     """
     sigma_max = op.sigma_max()
     theta = REL_THRESHOLD * sigma_max
-    _certify_unreported(op, theta)
+    low = np.full(REPORTED_VALUES, np.inf)    # the smallest values seen, ascending
+    least_kept = np.inf                       # the smallest value seen >= theta
     ker = coker = 0
     known = []
-    for i, b in enumerate(op.blocks):
-        rank = op.block_rank(i, theta)
+    order = sorted(range(len(op.blocks)), key=lambda i: (op.blocks[i].windows is not None,
+                                                         abs(op.blocks[i].k or 0)))
+    for i in order:
+        b = op.blocks[i]
+        sv = op.values_below(i, max(low[-1], least_kept))
+        rank = min(b.shape)
+        if sv is not None:
+            rank = int((sv >= theta).sum())
+            known.append(np.repeat(sv, b.mult))
+            low = np.sort(np.concatenate([low, known[-1][-REPORTED_VALUES:]]))[:REPORTED_VALUES]
+            least_kept = min(least_kept, float(sv[sv >= theta].min(initial=np.inf)))
         ker += b.mult * (b.shape[1] - rank)
         coker += b.mult * (b.shape[0] - rank)
-        sv = op.known_values(i)
-        if sv is not None:
-            known.append(np.repeat(sv, b.mult))
     merged = np.sort(np.concatenate(known)) if known else np.zeros(0)
     discarded = merged[merged < theta]
     kept = merged[merged >= theta]
@@ -193,12 +167,13 @@ def numerical_index(op):
         dim_ker=ker, dim_coker=coker, index=index,
         singular_values=[float(x) for x in merged[:REPORTED_VALUES]],
         gap_ratio=gap_ratio, decisive=decisive, method="+".join(sorted(set(op.block_routes()))),
-        grid_tag=op.grid_tag(), threshold=theta, sigma_max=sigma_max)
+        grid_tag=op.grid_tag(), threshold=theta, sigma_max=sigma_max,
+        min_singular_value=float(kept[0]) if len(kept) else 0.0)
 
 
-def index_of(problem, grid=None, backend=None):
+def index_of(problem, grid=None):
     """Assemble and decompose in one step."""
-    return numerical_index(assemble(problem, grid, backend=backend))
+    return numerical_index(assemble(problem, grid))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ these small eigenproblems.  This never touches the circle-grid assembly it
 is used to check.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,12 @@ def random_nondegenerate_symmetric(rng, dim, scale=2.0, margin=0.2):
         lam = mode_oracle_eigenvalues(S, kmax=6)
         if np.abs(lam).min() >= margin:
             return S
+
+
+def t_dependent_copy(problem):
+    """The same problem with its coefficient read as a function of (s, t):
+    ``assemble`` then builds it as one coupled block."""
+    return replace(problem, coeff_st=lambda s, t: problem.coefficient(s))
 
 
 @pytest.fixture

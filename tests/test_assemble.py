@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import t_dependent_copy
 
 from crlab.assemble import (
     ModeBlock,
@@ -150,6 +151,7 @@ def _shift_column_key(column, mids, nfield):
 
 @pytest.mark.parametrize("backend", ["decoupled", "coupled"])
 def test_augmentation_layout_matches_assembled_columns(backend):
+    # "coupled" assembles a t-dependent copy of each problem as one block
     trunc = Truncation(s_max=6.0, n_prime=2.0)
     grid = GridSpec(48, 8)
     problems = [build_trivial_cylinder((1.0, 1.0), sd, truncation=trunc)
@@ -157,7 +159,7 @@ def test_augmentation_layout_matches_assembled_columns(backend):
     problems += [build_plane(1.0, sd, truncation=trunc) for sd in (1, 2)]
     for p in problems:
         layout = augmentation_layout(p)
-        op = assemble(p, grid, backend=backend)
+        op = assemble(p if backend == "decoupled" else t_dependent_copy(p), grid)
         block = next(b for b in op.blocks if b.k in (0, None))
         assert block.aug_cols == len(layout) == p.augmentation_dims
         _, _, _, mids = fd_operators(p.s_lo, trunc.s_max, grid.s_nodes)
@@ -233,8 +235,8 @@ def test_full_and_decoupled_backends_agree(p):
     # capped planes and shift columns included: the coupled backend realizes
     # the cap and the augmentation in the trig basis, the decoupled per mode
     grid = GridSpec(48, 16)
-    rep_d = index_of(p, grid, backend="decoupled")
-    rep_c = index_of(p, grid, backend="coupled")
+    rep_d = index_of(p, grid)
+    rep_c = index_of(t_dependent_copy(p), grid)
     assert (rep_c.index, rep_c.dim_ker, rep_c.dim_coker, rep_c.decisive) == \
         (rep_d.index, rep_d.dim_ker, rep_d.dim_coker, rep_d.decisive)
     assert rep_d.index == analytic_index(p)

@@ -6,10 +6,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import mode_oracle_eigenvalues, random_nondegenerate_symmetric
+from conftest import mode_oracle_eigenvalues, random_nondegenerate_symmetric, t_dependent_copy
 
 from crlab.assemble import DiscreteOperator, ModeBlock, assemble, kernel_vectors, required_s_nodes
 from crlab.gluing import ApproximateKernel, stability_constant
@@ -358,10 +359,11 @@ def test_reproduce_all_operators_match_dense_reference(tmp_path, monkeypatch):
     import crlab.cli as cli
     import crlab.gluing as gluing
     import crlab.indexing as indexing
-    ops, rejected, values_only = [], [], []
+    ops, rejected, values_only, eig_banded = [], [], [], []
     real_assemble, real_banded, real_svd = (indexing.assemble,
                                             assemble_module._banded_singular_values,
                                             np.linalg.svd)
+    real_eig_banded = scipy.linalg.eig_banded
 
     def assemble_spy(*args, **kwargs):
         ops.append(real_assemble(*args, **kwargs))
@@ -382,8 +384,13 @@ def test_reproduce_all_operators_match_dense_reference(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "assemble", assemble_spy)
     monkeypatch.setattr(assemble_module, "_banded_singular_values", banded_spy)
     monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(scipy.linalg, "eig_banded",
+                        lambda *args, **kwargs: eig_banded.append(1)
+                        or real_eig_banded(*args, **kwargs))
     assert cli.main(["reproduce-all", "--out", str(tmp_path)]) == cli.EXIT_OK
     monkeypatch.undo()
+    # the work: 62 banded decompositions, every other row-window block certified
+    assert len(eig_banded) == 62
 
     blocks = [b for op in ops for b in op.blocks]
     # 8 index rows, the two gluing components and the glued problems at 4 taus
@@ -437,8 +444,7 @@ def assert_certified_route_matches_full(problem, grid):
     # through their floors only
     for pieces, pieces_ref in (([], []), (found, found_ref)):
         n_tau, n_tau_ref = (ApproximateKernel(vectors=[(b.k, V[:, j]) for b, V in p
-                                                       for j in range(V.shape[1])],
-                                              gram_condition=1.0)
+                                                       for j in range(V.shape[1])])
                             for p in (pieces, pieces_ref))
         assert stability_constant(op, n_tau) == stability_constant(ref, n_tau_ref)
 
@@ -481,6 +487,45 @@ def test_certified_route_matches_full_decomposition_contact(ends, weights, t_nod
         truncation=SMALL_TRUNC)
     grid = GridSpec(max(required_s_nodes(problem), 32), t_nodes)
     assert_certified_route_matches_full(problem, grid)
+
+
+def assert_fresh_questions_match_full(problem, grid):
+    """kernel_vectors and stability_constant asked of fresh operators, with no
+    rank decision before them: the ranks and minima ``values_below`` gives
+    them equal those of the fully decomposed copy, bit for bit."""
+    ref = full_reference(problem, grid)
+    threshold = REL_THRESHOLD * ref.sigma_max()
+    found, found_ref = (kernel_vectors(o, threshold) for o in (assemble(problem, grid), ref))
+    assert [(b.tag, V.shape[1]) for b, V in found] == [(b.tag, V.shape[1]) for b, V in found_ref]
+    assert all(np.array_equal(V, V_ref) for (_, V), (_, V_ref) in zip(found, found_ref))
+    empty = ApproximateKernel(vectors=[])
+    assert stability_constant(assemble(problem, grid), empty) == stability_constant(ref, empty)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(weights=st.tuples(SIGNED_WEIGHTS, SIGNED_WEIGHTS),
+       shifts=st.sampled_from([(0, 0), (2, 2), (2, 0), (1, 2)]),
+       t_nodes=st.sampled_from([16, 32]))
+def test_fresh_questions_match_full_decomposition_trivial(weights, shifts, t_nodes):
+    problem = build_trivial_cylinder(weights, shifts, truncation=SMALL_TRUNC)
+    assert_fresh_questions_match_full(problem, GridSpec(required_s_nodes(problem), t_nodes))
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(ends=st.tuples(SYMMETRIC_2X2, SYMMETRIC_2X2),
+       weights=st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
+       t_nodes=st.sampled_from([16, 32]))
+def test_fresh_questions_match_full_decomposition_contact(ends, weights, t_nodes):
+    weights = tuple(w / 4.0 for w in weights)
+    for S, w in zip(ends, weights):
+        lam = mode_oracle_eigenvalues(S, kmax=6)
+        assume(np.abs(lam).min() >= 0.2 and np.abs(lam - w).min() >= 0.2
+               and np.abs(lam + w).min() >= 0.2)
+    problem = build_contact_fiber_cylinder(
+        *(LoopOperatorSpec(dim=2, coeff=S) for S in ends), weights=weights,
+        truncation=SMALL_TRUNC)
+    assert_fresh_questions_match_full(problem, GridSpec(max(required_s_nodes(problem), 32),
+                                                        t_nodes))
 
 
 def assert_sigma_max_is_the_dense_one(problem, grid):
@@ -555,7 +600,7 @@ def assert_backends_agree_with_shifts(problem):
     # one node-major layout, built by one function; the shifts live in mode
     # 0, so 8 circle nodes keep the coupled block small (672 columns)
     grid = GridSpec(48, 8)
-    rep_d, rep_c = (index_of(problem, grid, backend=b) for b in ("decoupled", "coupled"))
+    rep_d, rep_c = index_of(problem, grid), index_of(t_dependent_copy(problem), grid)
     assert (rep_c.index, rep_c.dim_ker, rep_c.dim_coker, rep_c.decisive) == \
         (rep_d.index, rep_d.dim_ker, rep_d.dim_coker, rep_d.decisive)
     assert rep_d.index == analytic_index(problem)
@@ -661,7 +706,8 @@ def test_block_on_the_cut_is_decomposed(above, certified):
     assert ref.block_values(2)[0] < ref.block_values(0)[0]
     assert op.known_values(1) is not None
     assert (op.known_values(2) is None) == certified
-    assert (op.certified_floor(2) is not None) == certified
+    # a certified block answers the same cut from its floor, still undecomposed
+    assert (op.values_below(2, cut) is None) == certified
 
 
 def _decide_against_full(parts):
@@ -685,6 +731,12 @@ def test_smallest_kept_value_behind_ten_discarded_is_decomposed():
     kept = [sv[sv >= numerical_index(ref).threshold][-1] for sv in decompose_all(ref)]
     assert int(np.argmin(kept)) == 6
     assert op.known_values(6) is not None
+    # the report holds the smallest kept value, though its ten reported values
+    # are the discarded ones
+    rep = numerical_index(op)
+    assert (rep.dim_ker, rep.dim_coker, rep.decisive) == (10, 10, True)
+    assert max(rep.singular_values) < rep.threshold
+    assert rep.min_singular_value == float(min(kept)) > 0.09
 
 
 def test_block_the_guard_rejects_is_never_certified():
@@ -698,25 +750,26 @@ def test_block_the_guard_rejects_is_never_certified():
     assert op.known_values(1) is None
     sv = np.linalg.svd(near.matrix, compute_uv=False)
     assert 1e-5 * sv[0] < sv[-1] < 1e-4 * sv[0]
-    assert not op.certify_floor(1, 0.5 * sv[-1])
+    assert op.values_below(1, 0.5 * sv[-1]) is not None
     assert op.block_routes()[1] == "direct_svd"
 
 
 def test_stability_constant_decomposes_certified_blocks_below_its_minimum():
     # N_tau holds the right singular vectors of every decomposed block up to
-    # past every certified floor: the restricted blocks then lie above the
-    # floors, and the certified blocks must be decomposed to find the minimum
+    # past every certified block's smallest value: the restricted blocks then
+    # lie above them, and the certified blocks must be decomposed to find the
+    # minimum
     problem, grid = _isomorphism_96x32()
     op, ref = assemble(problem, grid), full_reference(problem, grid)
     numerical_index(op)
-    certified = [i for i in range(len(op.blocks)) if op.certified_floor(i) is not None]
-    top_floor = max(op.certified_floor(i) for i in certified)
+    certified = [i for i in range(len(op.blocks)) if op.known_values(i) is None]
+    top_min = max(np.linalg.svd(op.blocks[i].matrix, compute_uv=False)[-1] for i in certified)
     vectors = []
     for i, b in enumerate(op.blocks):
         if i not in certified:
             _, sv, Vh = np.linalg.svd(b.matrix)
-            vectors += [(b.k, v) for v in Vh[sv <= 2.0 * top_floor].conj()]
-    n_tau = ApproximateKernel(vectors=vectors, gram_condition=1.0)
+            vectors += [(b.k, v) for v in Vh[sv <= 2.0 * top_min].conj()]
+    n_tau = ApproximateKernel(vectors=vectors)
     assert stability_constant(op, n_tau) == stability_constant(ref, n_tau)
     assert any(op.known_values(i) is not None for i in certified)
 
