@@ -48,9 +48,9 @@ dense once by ``_shifted`` from their row windows and stored dense
 (``ModeBlock.dense``); a block holds one storage, and it decides the block.
 ``ModeBlock.matrix`` materializes a row-window block on first read and
 keeps it; only the dense fallback below, ``kernel_vectors`` on
-rank-deficient blocks, the gluing restrictions of blocks that carry
-transplant vectors, ``transposed``, ``DiscreteOperator.matrix`` and its
-Matrix Market export read it.  The rank decision reads ``ModeBlock.shape``.
+rank-deficient blocks, ``transposed``, ``DiscreteOperator.matrix`` and its
+Matrix Market export read it.  The rank decision reads ``ModeBlock.shape``,
+the gluing residuals the product ``ModeBlock @ v``.
 The row-window blocks of one decoupled operator also share one object
 (``ModeBlock.gram_terms``, ``_GramTerms``): mode k's stencil rows are
 W0 + k WX, so their Gram band is G0 + k G1 + k^2 G2, three bands built once
@@ -253,6 +253,15 @@ class ModeBlock:
     @functools.cached_property
     def matrix(self):
         return self.dense if self.windows is None else _materialize(self)
+
+    def __matmul__(self, v):
+        """M v in ``matrix``'s row order, without making a row-window block dense."""
+        if self.windows is None:
+            return self.dense @ v
+        w = self.windows.shape[1]
+        Mv = np.einsum("rj,rj->r", self.windows, v[self.starts[:, None] + np.arange(w)])
+        p, q = self.pde_rows, self.neg_rows
+        return np.r_[Mv[q:q + p], Mv[:q], Mv[q + p:]]
 
     @property
     def real_rows(self):

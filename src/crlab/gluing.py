@@ -14,15 +14,17 @@ Transplanting the component kernels onto the glued grid with the neck
 cutoffs produces the approximate kernel N_tau.  Shared-end shift parameters
 of the components have no counterpart on the glued cylinder; their dropped
 columns are exactly what makes the transplant residuals nonzero, decaying
-like e^{-delta rho}.
+like e^{-delta rho}.  The stability constant comes from the rank walk:
+sigma_{a+1} of each mode block carrying a transplant vectors, an upper bound
+(Courant-Fischer) on the minimum off N_tau, its gap set by the residuals.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import profiles
 from .assemble import assemble, augmentation_layout, kernel_vectors
@@ -242,45 +244,32 @@ def approximate_kernel(ker_u, ker_w, config, glued_op):
 
 def transplant_residuals(glued_op, n_tau):
     """Relative residuals ||D f|| / ||f|| of the transplanted sections."""
-    out = []
-    for k, v in n_tau.vectors:
-        block = next(b for b in glued_op.blocks if b.k == k)
-        out.append(float(np.linalg.norm(block.matrix @ v) / np.linalg.norm(v)))
-    return out
+    block = {b.k: b for b in glued_op.blocks}
+    return [float(np.linalg.norm(block[k] @ v) / np.linalg.norm(v)) for k, v in n_tau.vectors]
 
 
 def stability_constant(glued_op, n_tau):
-    """min ||D eta|| / ||eta|| over the orthogonal complement of N_tau.
+    """Stability constant off N_tau: the least over blocks of sigma_{a+1}.
 
-    Computed per mode block: transplant vectors are projected out of the
-    block's column space and the smallest singular value of the restricted
-    matrix is minimized over blocks.  A block without transplant vectors is
-    its own restriction: its minimum comes from
-    ``DiscreteOperator.values_below(i, best)``, best the running minimum,
-    so a block certified above best is not decomposed.  The blocks that
-    carry transplant vectors or are decomposed already go first, so that
-    best is finite before any other block is asked.
+    a counts a block's transplant vectors, and its values count its n_cols -
+    n_rows structural zeros.  By Courant-Fischer that bounds min ||D eta|| /
+    ||eta|| off the transplants' span from above: equal when the span is the
+    block's bottom right-singular subspace, apart at second order in the
+    transplant error (the residuals) otherwise.  Blocks are asked
+    ``values_below(i, best)`` under the running minimum best, those that carry
+    transplants or are decomposed already first, so that best is finite.
     """
-    by_mode = {}
-    for k, v in n_tau.vectors:
-        by_mode.setdefault(k, []).append(v)
-    blocks = glued_op.blocks
-    best = np.inf
-    for i in sorted(range(len(blocks)), key=lambda i: not by_mode.get(blocks[i].k)
+    carried = Counter(k for k, _ in n_tau.vectors)
+    blocks, best = glued_op.blocks, np.inf
+    for i in sorted(range(len(blocks)), key=lambda i: not carried[blocks[i].k]
                     and glued_op.known_values(i) is None):
-        b, vs = blocks[i], by_mode.get(blocks[i].k)
-        shape = b.shape
-        if vs:
-            Q, _ = np.linalg.qr(np.stack(vs, axis=1))
-            T = b.matrix @ scipy.linalg.null_space(Q.conj().T)
-            shape = T.shape
-        if shape[1] > shape[0]:
-            # more directions than equations: exact null vectors remain in the
-            # complement, the restricted operator has no lower bound at all
+        (rows, cols), a = blocks[i].shape, carried[blocks[i].k]
+        zeros = max(cols - rows, 0)
+        if a < zeros:   # exact null vectors remain in the complement
             return 0.0
-        sv = np.linalg.svd(T, compute_uv=False) if vs else glued_op.values_below(i, best)
-        if sv is not None and len(sv):
-            best = min(best, float(sv[-1]))
+        sv = glued_op.values_below(i, best)
+        if sv is not None and len(sv) > a - zeros:
+            best = min(best, float(sv[zeros - a - 1]))
     return best
 
 

@@ -320,6 +320,22 @@ def test_dense_view_is_materialized_once(monkeypatch):
     assert calls == [b]
 
 
+@pytest.mark.parametrize("shifts", [(0, 0), (2, 0)], ids=["row_windows", "dense"])
+def test_block_product_matches_the_dense_view(monkeypatch, shifts):
+    # M v from the row windows, in the dense view's row order, never materialized
+    assemble_module = importlib.import_module("crlab.assemble")
+    op = assemble(build_trivial_cylinder((1.0, 1.0), shifts), GridSpec(64, 8))
+    rng = np.random.default_rng(0)
+    vs = [rng.standard_normal(b.shape[1]) + 1j * rng.standard_normal(b.shape[1])
+          for b in op.blocks]
+    monkeypatch.setattr(assemble_module, "_materialize", None)
+    products = [b @ v for b, v in zip(op.blocks, vs)]
+    monkeypatch.undo()
+    assert any(b.windows is None for b in op.blocks) == (shifts != (0, 0))
+    for b, v, Mv in zip(op.blocks, vs, products):
+        np.testing.assert_allclose(Mv, b.matrix @ v, rtol=0, atol=1e-12 * np.abs(b.matrix).max())
+
+
 def test_block_given_a_dense_matrix_is_decided_from_it():
     # block k=1 with row 0 tripled, placed in copies of an operator whose rank
     # is already decided: a copy must not read the original's evidence

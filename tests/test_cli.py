@@ -568,9 +568,9 @@ def test_index_files_identical_across_blas_threads(tmp_path, s_nodes):
     # criterion 6's isomorphism: every block takes the banded route, whose
     # output does not depend on the number of BLAS threads.  Dense SVD differs
     # in the low digits, so outside this contract stay the blocks with shift
-    # columns, the blocks the Gram guard rejects, the full SVD in
-    # kernel_vectors and the restricted SVD in stability_constant -- and with
-    # them the stability column of ``glue``.
+    # columns, the blocks the Gram guard rejects and the full SVD in
+    # kernel_vectors -- and with them the stability column of ``glue`` on a
+    # glued problem whose stability constant reads a shifted block.
     cfg = ExperimentConfig(
         name="iso", kind="index",
         inputs={"problem": contact_problem_json([1.0, 1.0], [1.0, 1.0], n_prime=6.0),

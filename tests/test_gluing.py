@@ -4,6 +4,7 @@ import importlib
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import crlab.gluing as gluing
 from crlab.assemble import assemble, augmentation_layout, fd_operators, kernel_vectors
@@ -215,6 +216,67 @@ def test_control_experiment_kernel_in_complement():
     assert c_full > 1e-2
 
 
+def restricted_minimum(op, n_tau):
+    """Dense reference: min ||D eta|| / ||eta|| over the orthogonal complement
+    of N_tau, block by block (QR of the transplants, null_space, dense SVD)."""
+    by_mode = {}
+    for k, v in n_tau.vectors:
+        by_mode.setdefault(k, []).append(v)
+    best = np.inf
+    for b in op.blocks:
+        T = b.matrix
+        if b.k in by_mode:
+            Q, _ = np.linalg.qr(np.stack(by_mode[b.k], axis=1))
+            T = T @ scipy.linalg.null_space(Q.conj().T)
+        if T.shape[1] > T.shape[0]:
+            return 0.0
+        sv = np.linalg.svd(T, compute_uv=False)
+        if len(sv):
+            best = min(best, float(sv[-1]))
+    return best
+
+
+# ROADMAP item 2's cases A-D, and E, whose square block k=0 carries a
+# transplant beyond its structural zeros: (u weights, u shifts), (w weights, w shifts)
+SHIFTED_CASES = {
+    "A": (((1.0, 1.0), (2, 0)), ((-1.0, 1.0), (0, 1))),
+    "B": (((1.0, -1.0), (1, 0)), ((1.0, -1.0), (0, 2))),
+    "C": (((1.0, 1.0), (2, 0)), ((-1.0, 1.0), (0, 2))),
+    "D": (((1.0, 1.0), (0, 0)), ((-1.0, 1.0), (0, 0))),
+    "E": (((1.0, 1.0), (0, 0)), ((-1.0, -1.0), (0, 0))),
+}
+
+
+@pytest.mark.parametrize("case", ["flow_pair", "A", "B", "C", "D", "E"])
+def test_stability_constant_bounds_the_restricted_minimum(case):
+    # Courant-Fischer: the restricted minimum is at most sigma_{a+1}; they
+    # part at second order in the transplant error
+    if case == "flow_pair":
+        pu, pw = flow_pair()
+    else:
+        pu, pw = (build_trivial_cylinder(*side, truncation=TRUNC) for side in SHIFTED_CASES[case])
+    ker_u, _ = component_kernel(pu)
+    ker_w, _ = component_kernel(pw)
+    for tau in (6.0, 10.0, 14.0):
+        glued, cfg = glue(pu, pw, tau)
+        op = assemble(glued)
+        n_tau = approximate_kernel(ker_u, ker_w, cfg, op)
+        sigma, restricted = stability_constant(op, n_tau), restricted_minimum(op, n_tau)
+        residual = max(transplant_residuals(op, n_tau), default=0.0)
+        # computed values carry an absolute rounding error of order eps sigma_max
+        assert restricted <= sigma * (1 + 1e-9) + np.finfo(float).eps * op.sigma_max()
+        if case == "A":
+            assert max(sigma, restricted) < 1e-12
+        elif case in ("flow_pair", "B"):
+            assert abs(sigma - restricted) <= residual ** 2 * sigma
+        else:
+            assert abs(sigma - restricted) <= 1e-10 * sigma
+        if case == "B":
+            # the transplants miss the glued kernel: the restricted minimum
+            # collapses, sigma_{a+1} does not, and only the residual says so
+            assert restricted < 1e-8 and sigma > 0.5 and residual > 1.0
+
+
 def test_augmented_component_transplants_decay_at_weight_rate():
     # m = 2, n = 0: the augmented component's kernel fields carry a rate-delta
     # tail into the seam (growth weight at its shared end), so the cutoffs
@@ -247,8 +309,8 @@ def test_each_block_is_decomposed_at_most_once_per_gluing_pass(monkeypatch):
     pu, pw = flow_pair()
     ops, kernels = [], []
     real_svd, real_assemble, real_approx = np.linalg.svd, gluing.assemble, gluing.approximate_kernel
-    real_banded = assemble_module._banded_singular_values
-    calls, banded = [], []
+    real_banded, real_null_space = assemble_module._banded_singular_values, scipy.linalg.null_space
+    calls, banded, null_spaces = [], [], []
 
     def svd(a, *args, **kwargs):
         calls.append((a, kwargs.get("compute_uv", True)))
@@ -269,6 +331,8 @@ def test_each_block_is_decomposed_at_most_once_per_gluing_pass(monkeypatch):
         return sv
 
     monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(scipy.linalg, "null_space", 
+                        lambda *a, **k: null_spaces.append(a) or real_null_space(*a, **k))
     monkeypatch.setattr(assemble_module, "_banded_singular_values", banded_spy)
     monkeypatch.setattr(gluing, "assemble", assemble_spy)
     monkeypatch.setattr(gluing, "approximate_kernel", approx_spy)
@@ -278,8 +342,10 @@ def test_each_block_is_decomposed_at_most_once_per_gluing_pass(monkeypatch):
 
     block_ids = [id(b.matrix) for op in ops for b in op.blocks]
     values_only = [id(a) for a, uv in calls if not uv and id(a) in block_ids]
-    restricted = [a for a, uv in calls if not uv and id(a) not in block_ids]
     full = [a for a, uv in calls if uv]
+    # the stability constant reads the blocks' own values: no restricted matrix
+    assert all(id(a) in block_ids for a, uv in calls if not uv)
+    assert null_spaces == []
     # every assembled block: at most one decomposition, banded or values-only
     # dense; every other block is certified
     decomposed = values_only + banded
@@ -307,7 +373,6 @@ def test_each_block_is_decomposed_at_most_once_per_gluing_pass(monkeypatch):
     carrying = sum(len({k for k, _ in n_tau.vectors}) for n_tau in kernels)
     assert deficient >= 1 and carrying >= 1
     assert len(full) == deficient
-    assert len(restricted) == carrying
 
 
 @pytest.mark.parametrize("problem", [
