@@ -217,10 +217,7 @@ def _run_glue(config, out, grid=None):
     pu = problem_from_json(config.inputs["problem_u"])
     pw = problem_from_json(config.inputs["problem_w"])
     taus = config.inputs["taus"]
-    # --grid sets both component grids and the circle resolution of the
-    # glued assemblies; their s-resolution follows the glued truncation
-    rep = gluing.verify_additivity(pu, pw, taus, grid, grid,
-                                   t_nodes=grid.t_nodes if grid else None)
+    rep = gluing.verify_additivity(pu, pw, taus, grid)
     write_csv(os.path.join(out, "glue.csv"),
               ("tau", "ind_u", "ind_w", "ind_glued", "decisive",
                "stability_constant", "max_residual"),

@@ -171,17 +171,6 @@ def component_kernel(problem, grid=None):
     return out, rep
 
 
-@dataclass
-class ApproximateKernel:
-    """Cutoff transplants of the component kernels on the glued grid."""
-
-    vectors: list                  # list of (mode k, glued-block column vector)
-
-    @property
-    def size(self):
-        return len(self.vectors)
-
-
 def _interp_columns(x_src, values, x_tgt):
     """Local 8-point polynomial interpolation of uniformly sampled columns."""
     from .assemble import fornberg_weights
@@ -226,7 +215,8 @@ def _glued_block_vector(glued_op, kv, shift, cutoff, side):
 
 
 def approximate_kernel(ker_u, ker_w, config, glued_op):
-    """Transplanted, cutoff-multiplied kernel sections on the glued grid.
+    """Transplanted, cutoff-multiplied kernel sections on the glued grid, as
+    a list of (mode k, glued-block column vector).
 
     Empty bases on both sides give a valid empty kernel.
     """
@@ -239,13 +229,13 @@ def approximate_kernel(ker_u, ker_w, config, glued_op):
         v = _glued_block_vector(glued_op, kv, -config.tau, config.beta_w, "w")
         if v is not None:
             vectors.append((kv.k, v))
-    return ApproximateKernel(vectors=vectors)
+    return vectors
 
 
 def transplant_residuals(glued_op, n_tau):
     """Relative residuals ||D f|| / ||f|| of the transplanted sections."""
     block = {b.k: b for b in glued_op.blocks}
-    return [float(np.linalg.norm(block[k] @ v) / np.linalg.norm(v)) for k, v in n_tau.vectors]
+    return [float(np.linalg.norm(block[k] @ v) / np.linalg.norm(v)) for k, v in n_tau]
 
 
 def stability_constant(glued_op, n_tau):
@@ -259,7 +249,7 @@ def stability_constant(glued_op, n_tau):
     ``values_below(i, best)`` under the running minimum best, those that carry
     transplants or are decomposed already first, so that best is finite.
     """
-    carried = Counter(k for k, _ in n_tau.vectors)
+    carried = Counter(k for k, _ in n_tau)
     blocks, best = glued_op.blocks, np.inf
     for i in sorted(range(len(blocks)), key=lambda i: not carried[blocks[i].k]
                     and glued_op.known_values(i) is None):
@@ -310,20 +300,22 @@ class AdditivityReport:
                          for r in self.rows]}
 
 
-def verify_additivity(problem_u, problem_w, taus, grid_u=None, grid_w=None, t_nodes=None):
+def verify_additivity(problem_u, problem_w, taus, grid=None):
     """Index additivity across the tau sweep, with kernel-transplant metrics.
 
     Passes when index(glued) == index(u) + index(w) at every decisive tau.
-    ``t_nodes`` overrides the circle resolution of the glued assemblies.
+    ``grid`` is both components' grid and sets the circle resolution of the
+    glued assemblies, whose s-resolution follows the glued truncation; None
+    takes each problem's default grid.
     """
-    ker_u, rep_u = component_kernel(problem_u, grid_u)
-    ker_w, rep_w = component_kernel(problem_w, grid_w)
+    ker_u, rep_u = component_kernel(problem_u, grid)
+    ker_w, rep_w = component_kernel(problem_w, grid)
     rows = []
     for tau in taus:
         glued, config = glue(problem_u, problem_w, tau)
         grid_g = default_grid_for(glued.truncation)
-        if t_nodes is not None:
-            grid_g = GridSpec(s_nodes=grid_g.s_nodes, t_nodes=t_nodes)
+        if grid is not None:
+            grid_g = GridSpec(s_nodes=grid_g.s_nodes, t_nodes=grid.t_nodes)
         op = assemble(glued, grid_g)
         rep = numerical_index(op)
         n_tau = approximate_kernel(ker_u, ker_w, config, op)

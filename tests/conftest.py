@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from crlab.loops import standard_j
 
@@ -54,6 +55,28 @@ def random_nondegenerate_symmetric(rng, dim, scale=2.0, margin=0.2):
         lam = mode_oracle_eigenvalues(S, kmax=6)
         if np.abs(lam).min() >= margin:
             return S
+
+
+QUARTERS = st.integers(1, 12).map(lambda n: n / 4.0)          # weight magnitudes 0.25..3
+SIGNED_WEIGHTS = st.tuples(st.sampled_from([-1.0, 1.0]), QUARTERS).map(lambda p: p[0] * p[1])
+
+
+def _symmetric_2x2(vals):
+    a, b, c = (v / 4.0 for v in vals)
+    return np.array([[a, b], [b, c]])
+
+
+SYMMETRIC_2X2 = st.tuples(*[st.integers(-12, 12)] * 3).map(_symmetric_2x2)
+
+
+def clear_of_walls(ends, weights):
+    """Every constant end nondegenerate, its weight 0.2 clear of the walls on either side."""
+    for S, w in zip(ends, weights):
+        lam = mode_oracle_eigenvalues(S, kmax=6)
+        if not (np.abs(lam).min() >= 0.2 and np.abs(lam - w).min() >= 0.2
+                and np.abs(lam + w).min() >= 0.2):
+            return False
+    return True
 
 
 def t_dependent_copy(problem):

@@ -190,8 +190,7 @@ def test_criterion_08_gluing_additivity():
          GridSpec(96, 16)),
     ]
     for name, delta_shared, pu, pw, comp_grid in pairs:
-        rep = verify_additivity(pu, pw, taus, grid_u=comp_grid, grid_w=comp_grid,
-                                t_nodes=comp_grid.t_nodes if comp_grid else None)
+        rep = verify_additivity(pu, pw, taus, grid=comp_grid)
         assert all(r.decisive for r in rep.rows)
         assert all(r.ind_glued == r.ind_u + r.ind_w for r in rep.rows)
         # stability constant plateaus within 10% over tau in {10, 12}

@@ -5,7 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import t_dependent_copy
+from conftest import SIGNED_WEIGHTS, SYMMETRIC_2X2, clear_of_walls, t_dependent_copy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crlab.assemble import (
     ModeBlock,
@@ -14,6 +16,7 @@ from crlab.assemble import (
     augmentation_layout,
     fd_operators,
     fornberg_weights,
+    required_s_nodes,
 )
 from crlab.exceptions import (
     AssemblyError,
@@ -386,18 +389,35 @@ def test_contact_fiber_plane_rejected():
                   fiber="contact_fiber")
 
 
-def test_coupled_backend_handles_t_dependent_coefficients():
-    # rotating coefficient loop: S(t) nondegenerate, genuinely t-dependent
-    def S_of_t(t):
-        c, s = np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)
-        return np.array([[1.0 + 0.3 * c, 0.3 * s], [0.3 * s, 1.0 - 0.3 * c]])
+def _rotating(t):
+    """A rotating coefficient loop: S(t) nondegenerate, genuinely t-dependent."""
+    c, s = np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)
+    return np.array([[1.0 + 0.3 * c, 0.3 * s], [0.3 * s, 1.0 - 0.3 * c]])
 
-    spec = LoopOperatorSpec(dim=2, coeff=S_of_t)
+
+@pytest.mark.parametrize("fiber, neg, pos, weight, message", [
+    ("contact_fiber", _S1, LoopOperatorSpec(dim=4, coeff=np.eye(4)), 0.0,
+     "asymptotic dimensions differ"),
+    ("complex_line", LoopOperatorSpec(dim=2, coeff=np.diag([3.0, 3.0])),
+     LoopOperatorSpec(dim=2), 1.0, "asymptotic operator is i d/dt"),
+    ("contact_fiber", LoopOperatorSpec(dim=2, coeff=_rotating),
+     LoopOperatorSpec(dim=2, coeff=_rotating), 0.0, "require an explicit coeff_st"),
+], ids=["contact_dims_differ", "complex_line_not_i_d_dt", "t_dependent_ends_without_coefficient"])
+def test_problem_rules_hold_at_construction(fiber, neg, pos, weight, message):
+    # a problem built directly is held to the rules the builders and the
+    # JSON reader meet, before any assembly
+    with pytest.raises(CoefficientError, match=message):
+        CRProblem(domain_kind="cylinder", fiber=fiber,
+                  ends=(EndSpec("negative", neg, weight), EndSpec("positive", pos, weight)))
+
+
+def test_coupled_backend_handles_t_dependent_coefficients():
+    spec = LoopOperatorSpec(dim=2, coeff=_rotating)
     from crlab.problems import CRProblem, EndSpec
     ends = (EndSpec("negative", spec, 0.0, 0), EndSpec("positive", spec, 0.0, 0))
 
     def coeff_st(s, t):
-        return S_of_t(t)
+        return _rotating(t)
 
     p = CRProblem(domain_kind="cylinder", ends=ends, fiber="contact_fiber",
                   truncation=Truncation(6.0, 3.0), coeff_st=coeff_st)
@@ -461,27 +481,38 @@ def test_matrix_market_export(tmp_path):
     assert M.shape == (op.rows, op.cols)
 
 
-def test_problem_serialization_roundtrip():
+_TINY = Truncation(4.0, 1.0)
+# one problem of each kind per example: trivial cylinders with every accepted
+# shift pattern, planes with 0 and 2 shifts, and a contact cylinder
+BUILT_PROBLEMS = st.tuples(
+    *[st.builds(lambda w, sd=sd: build_trivial_cylinder(w, sd, _TINY, label="trivial"),
+                st.tuples(SIGNED_WEIGHTS, SIGNED_WEIGHTS))
+      for sd in [(0, 0), (2, 2), (1, 2), (2, 1), (2, 0), (0, 2), (1, 0), (0, 1)]],
+    *[st.builds(lambda w, sd=sd: build_plane(w, sd, _TINY, label="plane"), SIGNED_WEIGHTS)
+      for sd in (0, 2)],
+    st.tuples(st.tuples(SYMMETRIC_2X2, SYMMETRIC_2X2),
+              st.tuples(*[st.integers(-8, 8).map(lambda n: n / 4.0)] * 2))
+    .filter(lambda c: clear_of_walls(*c))
+    .map(lambda c: build_contact_fiber_cylinder(
+        *(LoopOperatorSpec(dim=2, coeff=S) for S in c[0]), _TINY, c[1], label="contact")),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(problems=BUILT_PROBLEMS)
+def test_problem_serialization_roundtrip(problems):
     from crlab.problems import problem_from_json
-    p = build_trivial_cylinder((1.0, -0.5), (2, 0), Truncation(10.0, 5.0), label="t")
-    q = problem_from_json(p.to_json())
-    assert q.to_json() == p.to_json()
-    S = LoopOperatorSpec(dim=2, coeff=np.diag([1.0, 2.0]))
-    p2 = build_contact_fiber_cylinder(S, S, weights=(0.3, -0.3))
-    q2 = problem_from_json(p2.to_json())
-    assert q2.to_json() == p2.to_json()
-    # JSON has no form for a t-dependent coefficient or a glued weight
-    # profile: writing one would read back as a different problem
-    from crlab.gluing import glue
-    t_dependent = replace(p2, coeff_s=None, coeff_st=lambda s, t: np.eye(2))
-    glued, _ = glue(p2, replace(p2, ends=(replace(p2.negative_end, weight=0.3),
-                                          p2.positive_end)), 10.0)
-    for refused in (t_dependent, glued):
-        with pytest.raises(CoefficientError):
-            refused.to_json()
+    for p in problems:
+        d = p.to_json()
+        for ends in (d["ends"], d["ends"][::-1]):     # either end may come first
+            q = problem_from_json(dict(d, ends=ends))
+            assert q.to_json() == d
+        grid = GridSpec(max(required_s_nodes(p), 32), 16)
+        assert index_of(q, grid).to_json() == index_of(p, grid).to_json()
 
 
 def test_problem_with_its_own_coefficient_has_no_json_form():
+    from crlab.gluing import glue
     from crlab.problems import problem_from_json
     eye = LoopOperatorSpec(dim=2, coeff=np.eye(2))
     p = build_contact_fiber_cylinder(eye, eye)
@@ -489,8 +520,12 @@ def test_problem_with_its_own_coefficient_has_no_json_form():
     # the builder's ramp, with B(0)[0, 0] = 1.0
     bumped = replace(p, coeff_s=lambda s: (1.0 + np.exp(-s * s)) * np.eye(2))
     assert bumped.coefficient(0.0)[0, 0] == 2.0
-    with pytest.raises(CoefficientError):
-        bumped.to_json()
+    # nor has a t-dependent coefficient or a glued weight profile a JSON form
+    t_dependent = replace(p, coeff_st=lambda s, t: np.eye(2))
+    glued, _ = glue(p, p, 10.0)
+    for refused in (bumped, t_dependent, glued):
+        with pytest.raises(CoefficientError):
+            refused.to_json()
     # the builder's ramp is the problem's own default, which JSON rebuilds
     assert p.coeff_s is None
     q = problem_from_json(p.to_json())

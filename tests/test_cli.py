@@ -357,6 +357,12 @@ def _pair_with_misspelt_key(tmp_path):
     return _vdim_with_graphs(tmp_path, {"degenerate": 0, "smooth": 1, "expect_codimm": 7})
 
 
+def _contact_with_shifts(tmp_path):
+    p = contact_problem_json([1.0, 1.0], [1.0, 1.0])
+    p["ends"][0]["shift_dims"] = 2
+    return _config_argv(tmp_path, "index", {"problem": p})
+
+
 def _config_argv(tmp_path, kind, inputs):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"name": "bad", "kind": kind, "inputs": inputs,
@@ -381,6 +387,8 @@ def _sweep_with_negative_delta(tmp_path):
     (_cylinder_without_negative_end,
      "ERROR: ValueError: a cylinder needs one negative and one positive end"),
     (_plane_with_negative_end, "ERROR: ValueError: a plane needs exactly one positive end"),
+    (_contact_with_shifts,
+     "ERROR: ValueError: augmentation shifts live on the complex-line part only"),
     (_index_with_misspelt_grid,
      "config error: /inputs: Additional properties are not allowed ('grdi' was unexpected)"),
     (_glue_with_grid,
@@ -415,7 +423,8 @@ def _sweep_with_negative_delta(tmp_path):
      "config error: /inputs/pairs/0: Additional properties are not allowed "
      "('expect_codimm' was unexpected)"),
 ], ids=["odd_grid", "pair_of_missing_graph", "vdim_unknown_case",
-        "cylinder_without_negative_end", "plane_with_negative_end", "index_with_misspelt_grid",
+        "cylinder_without_negative_end", "plane_with_negative_end", "contact_with_shifts",
+        "index_with_misspelt_grid",
         "glue_with_grid", "sweep_with_negative_delta", "index_with_extra_grid_key",
         "truncation_with_extra_key", "diag_with_misspelt_values", "diag_without_values",
         "constant_without_matrix", "zero_with_values", "diag_with_matrix",

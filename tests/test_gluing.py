@@ -137,7 +137,7 @@ def test_iso_pair_has_empty_approximate_kernel():
     glued, cfg = glue(pu, pw, 10.0)
     op = assemble(glued)
     n_tau = approximate_kernel(ker_u, ker_w, cfg, op)
-    assert n_tau.size == 0
+    assert len(n_tau) == 0
     # the constant equals the global minimum singular value, positive
     c = stability_constant(op, n_tau)
     assert c == min(op.block_values(i)[-1] for i in range(len(op.blocks)))
@@ -165,11 +165,11 @@ def test_transplant_gram_approaches_identity():
     glued, cfg = glue(pu, pw, 12.0)
     op = assemble(glued)
     n_tau = approximate_kernel(ker_u, ker_w, cfg, op)
-    assert n_tau.size == 2
+    assert len(n_tau) == 2
     # transplants of different modes are orthogonal; the cutoffs' disjoint
     # supports drive the Gram condition number to one as tau grows
-    G = np.array([[np.vdot(vi, vj) if ki == kj else 0.0 for kj, vj in n_tau.vectors]
-                  for ki, vi in n_tau.vectors])
+    G = np.array([[np.vdot(vi, vj) if ki == kj else 0.0 for kj, vj in n_tau]
+                  for ki, vi in n_tau])
     assert np.linalg.cond(G) < 1.0 + 1e-6
 
 
@@ -199,7 +199,7 @@ def test_dimension_matching_at_large_tau():
     rep = numerical_index(op)
     n_tau = approximate_kernel(ker_u, ker_w, cfg, op)
     assert rep.decisive
-    assert rep.dim_ker == n_tau.size == rep_u.dim_ker + rep_w.dim_ker
+    assert rep.dim_ker == len(n_tau) == rep_u.dim_ker + rep_w.dim_ker
 
 
 def test_control_experiment_kernel_in_complement():
@@ -220,7 +220,7 @@ def restricted_minimum(op, n_tau):
     """Dense reference: min ||D eta|| / ||eta|| over the orthogonal complement
     of N_tau, block by block (QR of the transplants, null_space, dense SVD)."""
     by_mode = {}
-    for k, v in n_tau.vectors:
+    for k, v in n_tau:
         by_mode.setdefault(k, []).append(v)
     best = np.inf
     for b in op.blocks:
@@ -297,7 +297,7 @@ def test_augmented_component_transplants_decay_at_weight_rate():
         rep = numerical_index(op)
         assert rep.index == rep_u.index + rep_w.index == 2
         n_tau = approximate_kernel(ker_u, ker_w, cfg, op)
-        assert n_tau.size == 2
+        assert len(n_tau) == 2
         res[tau] = max(transplant_residuals(op, n_tau))
     for t0, t1 in ((6.0, 8.0), (8.0, 10.0)):
         ratio = res[t1] / res[t0]
@@ -370,7 +370,7 @@ def test_each_block_is_decomposed_at_most_once_per_gluing_pass(monkeypatch):
         return sum((sv >= theta).sum() < b.matrix.shape[1] for b, sv in zip(op.blocks, svs))
 
     deficient = sum(rank_deficient(op) for op in ops[:2])      # the two components
-    carrying = sum(len({k for k, _ in n_tau.vectors}) for n_tau in kernels)
+    carrying = sum(len({k for k, _ in n_tau}) for n_tau in kernels)
     assert deficient >= 1 and carrying >= 1
     assert len(full) == deficient
 
@@ -410,9 +410,9 @@ def test_reduced_glued_transplant_keeps_params_in_own_columns():
         layout = augmentation_layout(glued)
         op = assemble(glued, GridSpec(int(8 * (tau + 12)) + 1, 32))
         n_tau = approximate_kernel(ker_u, ker_w, cfg, op)
-        assert n_tau.size == len(ker_u) + len(ker_w)
+        assert len(n_tau) == len(ker_u) + len(ker_w)
         N = op.grid[0]
-        for i, (_, v) in enumerate(n_tau.vectors):
+        for i, (_, v) in enumerate(n_tau):
             own = "negative" if i < len(ker_u) else "positive"
             keys = {layout[j] for j in np.flatnonzero(v[2 * N:])}
             assert all(end == own for end, _ in keys)

@@ -10,10 +10,16 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import mode_oracle_eigenvalues, random_nondegenerate_symmetric, t_dependent_copy
+from conftest import (
+    SIGNED_WEIGHTS,
+    SYMMETRIC_2X2,
+    clear_of_walls,
+    random_nondegenerate_symmetric,
+    t_dependent_copy,
+)
 
 from crlab.assemble import DiscreteOperator, ModeBlock, assemble, kernel_vectors, required_s_nodes
-from crlab.gluing import ApproximateKernel, stability_constant
+from crlab.gluing import stability_constant
 from crlab.indexing import (
     REL_THRESHOLD,
     REPORTED_VALUES,
@@ -443,15 +449,12 @@ def assert_certified_route_matches_full(problem, grid):
     # the complement of nothing, and of the kernel: certified blocks then count
     # through their floors only
     for pieces, pieces_ref in (([], []), (found, found_ref)):
-        n_tau, n_tau_ref = (ApproximateKernel(vectors=[(b.k, V[:, j]) for b, V in p
-                                                       for j in range(V.shape[1])])
+        n_tau, n_tau_ref = ([(b.k, V[:, j]) for b, V in p for j in range(V.shape[1])]
                             for p in (pieces, pieces_ref))
         assert stability_constant(op, n_tau) == stability_constant(ref, n_tau_ref)
 
 
 SMALL_TRUNC = Truncation(s_max=4.0, n_prime=1.0)
-QUARTERS = st.integers(1, 12).map(lambda n: n / 4.0)          # weight magnitudes 0.25..3
-SIGNED_WEIGHTS = st.tuples(st.sampled_from([-1.0, 1.0]), QUARTERS).map(lambda p: p[0] * p[1])
 
 
 @settings(derandomize=True, deadline=None, max_examples=20)
@@ -463,25 +466,13 @@ def test_certified_route_matches_full_decomposition_trivial(weights, shifts, t_n
     assert_certified_route_matches_full(problem, GridSpec(required_s_nodes(problem), t_nodes))
 
 
-def _symmetric_2x2(vals):
-    a, b, c = (v / 4.0 for v in vals)
-    return np.array([[a, b], [b, c]])
-
-
-SYMMETRIC_2X2 = st.tuples(*[st.integers(-12, 12)] * 3).map(_symmetric_2x2)
-
-
 @settings(derandomize=True, deadline=None, max_examples=20)
 @given(ends=st.tuples(SYMMETRIC_2X2, SYMMETRIC_2X2),
        weights=st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
        t_nodes=st.sampled_from([16, 32]))
 def test_certified_route_matches_full_decomposition_contact(ends, weights, t_nodes):
     weights = tuple(w / 4.0 for w in weights)
-    for S, w in zip(ends, weights):
-        lam = mode_oracle_eigenvalues(S, kmax=6)
-        # nondegenerate ends, weights clear of the walls on either side
-        assume(np.abs(lam).min() >= 0.2 and np.abs(lam - w).min() >= 0.2
-               and np.abs(lam + w).min() >= 0.2)
+    assume(clear_of_walls(ends, weights))
     problem = build_contact_fiber_cylinder(
         *(LoopOperatorSpec(dim=2, coeff=S) for S in ends), weights=weights,
         truncation=SMALL_TRUNC)
@@ -498,7 +489,7 @@ def assert_fresh_questions_match_full(problem, grid):
     found, found_ref = (kernel_vectors(o, threshold) for o in (assemble(problem, grid), ref))
     assert [(b.tag, V.shape[1]) for b, V in found] == [(b.tag, V.shape[1]) for b, V in found_ref]
     assert all(np.array_equal(V, V_ref) for (_, V), (_, V_ref) in zip(found, found_ref))
-    empty = ApproximateKernel(vectors=[])
+    empty = []
     assert stability_constant(assemble(problem, grid), empty) == stability_constant(ref, empty)
 
 
@@ -517,10 +508,7 @@ def test_fresh_questions_match_full_decomposition_trivial(weights, shifts, t_nod
        t_nodes=st.sampled_from([16, 32]))
 def test_fresh_questions_match_full_decomposition_contact(ends, weights, t_nodes):
     weights = tuple(w / 4.0 for w in weights)
-    for S, w in zip(ends, weights):
-        lam = mode_oracle_eigenvalues(S, kmax=6)
-        assume(np.abs(lam).min() >= 0.2 and np.abs(lam - w).min() >= 0.2
-               and np.abs(lam + w).min() >= 0.2)
+    assume(clear_of_walls(ends, weights))
     problem = build_contact_fiber_cylinder(
         *(LoopOperatorSpec(dim=2, coeff=S) for S in ends), weights=weights,
         truncation=SMALL_TRUNC)
@@ -553,10 +541,7 @@ def test_settled_sigma_max_is_the_dense_one_trivial(weights, shifts, t_nodes):
        t_nodes=st.sampled_from([8, 16, 32]))
 def test_settled_sigma_max_is_the_dense_one_contact(ends, weights, t_nodes):
     weights = tuple(w / 4.0 for w in weights)
-    for S, w in zip(ends, weights):
-        lam = mode_oracle_eigenvalues(S, kmax=6)
-        assume(np.abs(lam).min() >= 0.2 and np.abs(lam - w).min() >= 0.2
-               and np.abs(lam + w).min() >= 0.2)
+    assume(clear_of_walls(ends, weights))
     problem = build_contact_fiber_cylinder(
         *(LoopOperatorSpec(dim=2, coeff=S) for S in ends), weights=weights,
         truncation=SMALL_TRUNC)
@@ -570,10 +555,7 @@ def test_settled_sigma_max_is_the_dense_one_contact(ends, weights, t_nodes):
 def test_duality_on_contact_cylinders(ends, weights):
     # the dual is the reflection: ends swapped, B(-s), weights (-delta+, -delta-)
     weights = tuple(w / 4.0 for w in weights)
-    for S, w in zip(ends, weights):
-        lam = mode_oracle_eigenvalues(S, kmax=6)
-        assume(np.abs(lam).min() >= 0.2 and np.abs(lam - w).min() >= 0.2
-               and np.abs(lam + w).min() >= 0.2)
+    assume(clear_of_walls(ends, weights))
     problem = build_contact_fiber_cylinder(
         *(LoopOperatorSpec(dim=2, coeff=S) for S in ends), weights=weights,
         truncation=SMALL_TRUNC)
@@ -769,8 +751,7 @@ def test_stability_constant_decomposes_certified_blocks_below_its_minimum():
         if i not in certified:
             _, sv, Vh = np.linalg.svd(b.matrix)
             vectors += [(b.k, v) for v in Vh[sv <= 2.0 * top_min].conj()]
-    n_tau = ApproximateKernel(vectors=vectors)
-    assert stability_constant(op, n_tau) == stability_constant(ref, n_tau)
+    assert stability_constant(op, vectors) == stability_constant(ref, vectors)
     assert any(op.known_values(i) is not None for i in certified)
 
 
@@ -810,10 +791,7 @@ def test_certificate_band_matches_direct_band_trivial(weights, shifts, t_nodes):
        t_nodes=st.sampled_from([8, 16]))
 def test_certificate_band_matches_direct_band_contact(ends, weights, t_nodes):
     weights = tuple(w / 4.0 for w in weights)
-    for S, w in zip(ends, weights):
-        lam = mode_oracle_eigenvalues(S, kmax=6)
-        assume(np.abs(lam).min() >= 0.2 and np.abs(lam - w).min() >= 0.2
-               and np.abs(lam + w).min() >= 0.2)
+    assume(clear_of_walls(ends, weights))
     problem = build_contact_fiber_cylinder(
         *(LoopOperatorSpec(dim=2, coeff=S) for S in ends), weights=weights,
         truncation=SMALL_TRUNC)
