@@ -39,8 +39,10 @@ holomorphically over the disk.
 
 Storage.  Every row of a mode lives in an 8-node window (8F columns on F
 fields), so a mode block is stored as row windows: the 8F values of each
-row and the column its window starts at, negative-end rows first, then the
-stencil rows, then the positive-end rows (``ModeBlock.windows``).  On the
+row and the column its window starts at (``ModeBlock.windows``).  A block
+has one row order, the one its dense view and its products read: the
+stencil rows, then the negative-end rows, then the positive-end rows, with
+``ModeBlock.pde_rows`` marking where the end rows begin.  On the
 2-dimensional contact fiber that is 16 columns per row against 2N, about
 1/48 of the dense bytes at N = 384.  The realified mode 0 that carries
 shift columns and the coupled block, with or without them, are written out
@@ -200,15 +202,16 @@ class ModeBlock:
     A block with the stencil row layout (every unshifted decoupled block) is
     stored as row windows: ``windows[r]`` holds the 8F entries of row r from
     column ``starts[r]`` on, F being the fields per s-node.  The rows are
-    stored negative-end rows first (``neg_rows`` of them), then the stencil
-    rows, then the positive-end rows, so the windows start in nondecreasing
-    order.  Every other block is stored ``dense``, and a block given both
-    storages or neither raises ``ValueError``.  ``matrix`` is the dense view
-    in the layout stencil rows, negative-end rows, positive-end rows: the
-    given ``dense``, or the windows materialized on first read and kept, so
-    only the readers that need the dense entries pay for them.  ``shape``
-    never materializes.  The columns are the fields node-major and
-    field-minor, then the ``aug_cols`` shift columns.
+    stored in the one order every reader sees: the ``pde_rows`` stencil rows,
+    then the negative-end rows, whose windows start at column 0, then the
+    positive-end rows, whose windows start where the last stencil row's
+    does.  Every other block is stored ``dense``, and a block given both
+    storages or neither raises ``ValueError``.  ``matrix`` is the dense view,
+    row r of it being row r of the windows: the given ``dense``, or the
+    windows materialized on first read and kept, so only the readers that
+    need the dense entries pay for them.  ``shape`` never materializes.  The
+    columns are the fields node-major and field-minor, then the ``aug_cols``
+    shift columns.
 
     ``gram_terms`` is the Gram band of the stencil rows that the row-window
     blocks of one assembled operator share (``_GramTerms``, mode factor
@@ -226,13 +229,11 @@ class ModeBlock:
     k: object
     mult: int
     pde_rows: int
-    bc_rows: int
     aug_cols: int = 0
     tag: str = ""
     dense: np.ndarray = None
     windows: np.ndarray = None
     starts: np.ndarray = None
-    neg_rows: int = 0
     gram_terms: object = field(default=None, init=False)
 
     def __post_init__(self):
@@ -247,29 +248,19 @@ class ModeBlock:
     def shape(self):
         if self.windows is None:
             return self.dense.shape
-        # the last window ends at the last column
-        return len(self.windows), int(self.starts[-1]) + self.windows.shape[1]
+        # the last stencil row's window ends at the last column
+        return len(self.windows), int(self.starts[self.pde_rows - 1]) + self.windows.shape[1]
 
     @functools.cached_property
     def matrix(self):
         return self.dense if self.windows is None else _materialize(self)
 
     def __matmul__(self, v):
-        """M v in ``matrix``'s row order, without making a row-window block dense."""
+        """M v, without making a row-window block dense."""
         if self.windows is None:
             return self.dense @ v
         w = self.windows.shape[1]
-        Mv = np.einsum("rj,rj->r", self.windows, v[self.starts[:, None] + np.arange(w)])
-        p, q = self.pde_rows, self.neg_rows
-        return np.r_[Mv[q:q + p], Mv[:q], Mv[q + p:]]
-
-    @property
-    def real_rows(self):
-        return self.mult * self.shape[0]
-
-    @property
-    def real_cols(self):
-        return self.mult * self.shape[1]
+        return np.einsum("rj,rj->r", self.windows, v[self.starts[:, None] + np.arange(w)])
 
     def realified(self):
         """Real matrix carrying this block's full real multiplicity."""
@@ -281,13 +272,10 @@ class ModeBlock:
 
 
 def _materialize(b):
-    """Dense matrix of a row-window block, rows in the order stencil,
-    negative-end, positive-end."""
+    """Dense matrix of a row-window block."""
     n, width = b.windows.shape
-    p, q = b.pde_rows, b.neg_rows
-    dest = np.r_[p:p + q, :p, p + q:n]
     M = np.zeros(b.shape, dtype=b.windows.dtype)
-    M[dest[:, None], b.starts[:, None] + np.arange(width)] = b.windows
+    M[np.arange(n)[:, None], b.starts[:, None] + np.arange(width)] = b.windows
     return M
 
 
@@ -323,8 +311,9 @@ def _gram_band(b):
 
     Every row lives in its window of 8F columns.  The band is the shared
     terms at the block's mode plus its end rows, read from its windows now,
-    or without shared terms the sum over all its rows.  On a wide block it
-    holds the n_cols - n_rows structural zero eigenvalues besides sigma_i^2.
+    each end's rows summed as one group in its window, or without shared
+    terms the sum over all its rows.  On a wide block it holds the
+    n_cols - n_rows structural zero eigenvalues besides sigma_i^2.
     """
     V, starts = b.windows, b.starts
     if b.gram_terms is None:
@@ -332,7 +321,10 @@ def _gram_band(b):
     ab = b.gram_terms.band(b.k)
     width = V.shape[1]
     p, q = _triu(width)
-    for rows, start in ((V[:b.neg_rows], starts[0]), (V[b.neg_rows + b.pde_rows:], starts[-1])):
+    # the end rows follow the stencil rows; the negative end's start at column 0
+    e = b.pde_rows
+    pos = e + np.count_nonzero(starts[e:] == 0)
+    for rows, start in ((V[e:pos], 0), (V[pos:], starts[e - 1])):
         ab[width - 1 + p - q, start + q] += (rows.conj()[:, p] * rows[:, q]).sum(axis=0)
     return ab
 
@@ -522,8 +514,7 @@ class DiscreteOperator:
     (``ModeBlock``); ``matrix`` materializes the full real rectangular
     matrix (block diagonal over modes, every block made dense) for export
     and transpose experiments.  cols - rows equals the analytic index
-    candidate once the boundary rows are installed; both row groups are
-    recorded.
+    candidate once the boundary rows are installed.
 
     Each block is decomposed at most once per operator, in ``block_values``
     (banded Gram eigenvalues for row-window blocks, dense SVD for the others
@@ -553,19 +544,11 @@ class DiscreteOperator:
 
     @property
     def rows(self):
-        return sum(b.real_rows for b in self.blocks)
+        return sum(b.mult * b.shape[0] for b in self.blocks)
 
     @property
     def cols(self):
-        return sum(b.real_cols for b in self.blocks)
-
-    @property
-    def pde_rows(self):
-        return sum(b.mult * b.pde_rows for b in self.blocks)
-
-    @property
-    def bc_rows(self):
-        return sum(b.mult * b.bc_rows for b in self.blocks)
+        return sum(b.mult * b.shape[1] for b in self.blocks)
 
     @property
     def index_candidate(self):
@@ -673,8 +656,8 @@ class DiscreteOperator:
         return list(self._routes)
 
     def transposed(self):
-        blocks = [ModeBlock(k=b.k, mult=b.mult, pde_rows=0, bc_rows=0,
-                            tag=b.tag + "^T", dense=b.matrix.conj().T)
+        blocks = [ModeBlock(k=b.k, mult=b.mult, pde_rows=0, tag=b.tag + "^T",
+                            dense=b.matrix.conj().T)
                   for b in self.blocks]
         return DiscreteOperator(blocks=blocks, grid=self.grid, problem=self.problem)
 
@@ -701,7 +684,8 @@ def _check_resolution(problem, grid):
 
 
 def required_s_nodes(problem):
-    """Smallest s_nodes at the default density passing the weight-resolution rule."""
+    """Fewest s-nodes, and no fewer than round(8 s_max), that pass the
+    weight-resolution rule s_max/s_nodes <= 0.25/max|delta|."""
     dmax = max((abs(e.weight) for e in problem.ends), default=0.0)
     base = int(round(8 * problem.truncation.s_max))
     if dmax <= 0:
@@ -799,12 +783,11 @@ def _mode_block(k, mult, tag, problem, base, B_mid, end_matrix, stencil, prof, t
         ends.append(_end_rows(A, end.sign == "negative", first, gamma,
                               f"{tag} at {end.sign} end"))
     neg, pos = ends
-    windows = np.vstack([neg, pde, pos])
+    windows = np.vstack([pde, neg, pos])
     _finite_or_raise(windows, tag)
-    starts = np.concatenate([np.zeros(len(neg), dtype=int), pde_starts,
+    starts = np.concatenate([pde_starts, np.zeros(len(neg), dtype=int),
                              np.full(len(pos), pde_starts[-1])])
-    b = ModeBlock(k=k, mult=mult, pde_rows=len(pde), bc_rows=len(neg) + len(pos), tag=tag,
-                  windows=windows, starts=starts, neg_rows=len(neg))
+    b = ModeBlock(k=k, mult=mult, pde_rows=len(pde), tag=tag, windows=windows, starts=starts)
     b.gram_terms = terms
     return b
 
@@ -850,8 +833,8 @@ def _shifted(b, problem, s, prof):
         cols[:b.pde_rows, j] = c / nrm
     M = np.hstack([M, cols])
     _finite_or_raise(M, b.tag)
-    return ModeBlock(k=b.k, mult=b.mult, pde_rows=b.pde_rows, bc_rows=b.bc_rows,
-                     aug_cols=len(layout), tag=b.tag, dense=M)
+    return ModeBlock(k=b.k, mult=b.mult, pde_rows=b.pde_rows, aug_cols=len(layout), tag=b.tag,
+                     dense=M)
 
 
 # ---------------------------------------------------------------------------

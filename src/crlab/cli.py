@@ -82,18 +82,17 @@ def write_json(path, obj):
 
 
 class ExperimentConfig:
-    """Validated experiment description; round-trips through JSON."""
+    """Experiment description, checked against the schema when constructed
+    (``ConfigError``); round-trips through JSON."""
 
     def __init__(self, name, kind, inputs=None, output_dir="out", seed=0):
-        if not name:
-            raise ConfigError("name must be nonempty", "/name")
-        if kind not in EXPERIMENTS:
-            raise ConfigError(f"unknown kind {kind!r}", "/kind")
         self.name = name
         self.kind = kind
         self.inputs = inputs or {}
         self.output_dir = output_dir
-        self.seed = int(seed)
+        self.seed = seed
+        validate_config(self.to_json())
+        self.seed = int(seed)       # the schema's integers include 3.0
 
     def to_json(self):
         return {"name": self.name, "kind": self.kind, "inputs": self.inputs,
@@ -101,11 +100,8 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(d):
-        validate_config(d)
-        return ExperimentConfig(name=d["name"], kind=d["kind"],
-                                inputs=d.get("inputs", {}),
-                                output_dir=d.get("output_dir", "out"),
-                                seed=d.get("seed", 0))
+        validate_config(d)      # an unknown or missing key: a ConfigError, not a TypeError
+        return ExperimentConfig(**d)
 
     def __eq__(self, other):
         return isinstance(other, ExperimentConfig) and self.to_json() == other.to_json()

@@ -257,6 +257,12 @@ def delta_sweep(problem, deltas, grid=None):
     window count of the end spectra between consecutive magnitudes: growth
     ends raise the index when the window is crossed outward, decay ends
     lower it.  Equal consecutive magnitudes cross no window.
+
+    A sample runs on ``grid`` (by default ``default_grid_for``) with its
+    s-nodes raised to ``required_s_nodes`` where the sample's weight needs
+    more, even when the grid was given: ``index_of`` on that grid would
+    raise ``ResolutionError``.  The report does not record the grid a sample
+    ran on.
     """
     rows = []
     signs = {e.sign: (1.0 if e.weight >= 0 else -1.0) for e in problem.ends}

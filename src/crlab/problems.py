@@ -136,7 +136,9 @@ class GridSpec:
 
 
 def default_grid_for(truncation):
-    """Default resolution policy: 8 s-nodes per unit length, 32 t-nodes."""
+    """Default resolution policy: round(8 s_max) s-nodes, at least 16, and 32
+    t-nodes.  That is about 4 s-nodes per unit length on a cylinder, whose
+    domain is [-s_max, s_max], and 8 on a plane, whose domain is [0, s_max]."""
     return GridSpec(s_nodes=max(16, int(round(8 * truncation.s_max))), t_nodes=32)
 
 

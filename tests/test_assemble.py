@@ -178,7 +178,7 @@ def test_row_and_column_bookkeeping():
     p = build_trivial_cylinder((1.0, 1.0), (2, 2))
     op = assemble(p)
     assert op.cols - op.rows == op.index_candidate == 2
-    assert op.pde_rows > 0 and op.bc_rows > 0
+    assert 0 < sum(b.mult * b.pde_rows for b in op.blocks) < op.rows
     rep = numerical_index(op)
     assert rep.index == op.index_candidate
 
@@ -299,10 +299,35 @@ def test_materialized_block_is_the_dense_layout():
     grid = GridSpec(64, 8)
     op = assemble(p, grid)
     for b in op.blocks:
-        assert b.windows is not None and b.neg_rows > 0
+        assert b.windows is not None and b.starts[b.pde_rows] == 0   # negative-end rows
         dense = _dense_contact_block(p, grid, b.k)
         assert b.shape == dense.shape
         assert b.matrix.dtype == dense.dtype and b.matrix.tobytes() == dense.tobytes()
+
+
+def _glued_flow_pair():
+    from crlab.gluing import glue
+    from test_gluing import flow_pair
+    return glue(*flow_pair(), 6.0)[0], GridSpec(144, 8)
+
+
+@pytest.mark.parametrize("make_case", [
+    lambda: (build_trivial_cylinder((1.0, 1.0)), GridSpec(96, 8)),
+    lambda: (build_contact_fiber_cylinder(LoopOperatorSpec(dim=2, coeff=np.diag([-2.0, 3.0])),
+                                          _S1, weights=(1.0, 0.5)), GridSpec(64, 8)),
+    # modes k < 0 store a disk-cap row last and no positive-end row
+    lambda: (build_plane(-1.0), GridSpec(96, 8)),
+    _glued_flow_pair,
+], ids=["trivial_cylinder", "contact_cylinder", "plane_growth", "glued"])
+def test_row_windows_are_the_rows_of_the_dense_view(make_case):
+    op = assemble(*make_case())
+    windowed = [b for b in op.blocks if b.windows is not None]
+    assert windowed
+    for b in windowed:
+        assert b.shape == b.matrix.shape
+        w = b.windows.shape[1]
+        for r, start in enumerate(b.starts):
+            assert np.array_equal(b.windows[r], b.matrix[r, start:start + w]), (b.tag, r)
 
 
 def test_dense_view_is_materialized_once(monkeypatch):
@@ -317,7 +342,7 @@ def test_dense_view_is_materialized_once(monkeypatch):
 
     monkeypatch.setattr(assemble_module, "_materialize", spy)
     b = assemble(build_contact_fiber_cylinder(_S1, _S1), GridSpec(64, 8)).blocks[1]
-    assert b.shape == (128, 128) and b.real_cols == 256
+    assert b.shape == (128, 128) and b.mult == 2
     assert calls == []
     assert b.matrix is b.matrix
     assert calls == [b]
@@ -348,7 +373,7 @@ def test_block_given_a_dense_matrix_is_decided_from_it():
     M = b.matrix.copy()
     M[0] *= 3.0
     given = [replace(b, dense=M, windows=None, starts=None),
-             ModeBlock(k=b.k, mult=b.mult, pde_rows=b.pde_rows, bc_rows=b.bc_rows, dense=M)]
+             ModeBlock(k=b.k, mult=b.mult, pde_rows=b.pde_rows, dense=M)]
     for g in given:
         assert g.matrix is M and g.windows is None and g.shape == M.shape
         dec = replace(op, blocks=[g])
@@ -366,7 +391,7 @@ def test_block_takes_exactly_one_storage(storage):
              "windows_without_starts": dict(windows=b.windows),
              "neither": {}}[storage]
     with pytest.raises(ValueError, match="either dense or windows and starts"):
-        ModeBlock(k=b.k, mult=b.mult, pde_rows=b.pde_rows, bc_rows=b.bc_rows, **given)
+        ModeBlock(k=b.k, mult=b.mult, pde_rows=b.pde_rows, **given)
 
 
 def test_block_replaced_with_other_windows_is_decided_from_them():

@@ -53,6 +53,21 @@ def test_schema_rejects_unknown_kind():
         ExperimentConfig.from_json({"name": "x", "kind": "nonsense"})
 
 
+@pytest.mark.parametrize("fields, message", [
+    (dict(inputs={"problem": trivial_problem_json(), "expect_indx": 5}),
+     "/inputs: Additional properties are not allowed ('expect_indx' was unexpected)"),
+    (dict(inputs={"problem": trivial_problem_json()}, seed=1.7),
+     "/seed: 1.7 is not of type 'integer'"),
+], ids=["misspelt_key", "float_seed"])
+def test_constructed_config_is_checked_like_its_json(fields, message):
+    # a direct construction and its JSON form are refused with one message
+    cfg = {"name": "typo", "kind": "index", **fields}
+    for make in (lambda: ExperimentConfig(**cfg), lambda: ExperimentConfig.from_json(cfg)):
+        with pytest.raises(ConfigError) as err:
+            make()
+        assert str(err.value) == message
+
+
 def test_schema_reports_pointer():
     bad = {"name": "x", "kind": "index",
            "inputs": {"problem": {"domain_kind": "torus", "ends": [], "fiber": "complex_line",

@@ -205,7 +205,7 @@ def test_dim_ker_monotone_in_wall_free_interval():
 
 def test_weak_gap_is_flagged_at_the_fixed_policy():
     # threshold 1e-6 falls between 1e-5 (kept) and 1e-7 (discarded): gap 100
-    block = ModeBlock(k=0, mult=1, pde_rows=3, bc_rows=0, dense=np.diag([1.0, 1e-5, 1e-7]))
+    block = ModeBlock(k=0, mult=1, pde_rows=3, dense=np.diag([1.0, 1e-5, 1e-7]))
     rep = numerical_index(DiscreteOperator(blocks=[block], grid=(96, 32, 12.0)))
     assert rep.threshold == pytest.approx(REL_THRESHOLD) and rep.gap_ratio == pytest.approx(100.0)
     assert (rep.dim_ker, rep.dim_coker, rep.index, rep.decisive) == (1, 1, 0, False)
@@ -662,8 +662,8 @@ def test_settled_top_is_the_first_grid_point_that_factors(offset, monkeypatch):
 
 def _variant(b, k, windows):
     """A row-window block with b's layout, mode label k and the given windows."""
-    return ModeBlock(k=k, mult=b.mult, pde_rows=b.pde_rows, bc_rows=b.bc_rows, tag=f"variant k={k}",
-                     windows=windows, starts=b.starts, neg_rows=b.neg_rows)
+    return ModeBlock(k=k, mult=b.mult, pde_rows=b.pde_rows, tag=f"variant k={k}",
+                     windows=windows, starts=b.starts)
 
 
 def _last_row_scaled(b, k, scale):
