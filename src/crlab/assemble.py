@@ -3,11 +3,13 @@
 The s-direction uses an eighth-order finite-difference collocation on a
 uniform node grid: the PDE is collocated at the N-1 interval midpoints, each
 row built from an 8-node local stencil (Fornberg weights), so the matrix has
-one fewer residual block than unknown blocks.  The t-direction is represented
-by real trigonometric modes with band limit K = t_nodes/2 - 1; when the
-coefficient field is independent of t the operator block-diagonalizes over
-modes and each block is assembled and decomposed separately, otherwise a
-coupled all-mode matrix is built.
+one fewer residual block than unknown blocks.  The stencils are stored as
+(N-1) x 8 weight bands (``fd_operators``), O(N) memory, their first nodes set
+by one rule, ``_stencil_starts``, that gluing's interpolation shares.  The
+t-direction is represented by real trigonometric modes with band limit
+K = t_nodes/2 - 1; when the coefficient field is independent of t the
+operator block-diagonalizes over modes and each block is assembled and
+decomposed separately, otherwise a coupled all-mode matrix is built.
 
 At a truncation boundary the admissible trace components are selected by the
 spectral projections of the weight-shifted asymptotic operator: components
@@ -157,20 +159,22 @@ def fornberg_weights(x0, nodes, max_order=1):
 
 
 def fd_operators(s_lo, s_hi, n_nodes):
-    """Midpoint derivative/interpolation matrices on a uniform grid.
+    """Midpoint derivative/interpolation stencils on a uniform grid.
 
-    Returns (D, P, s, mids): D and P are (n_nodes-1, n_nodes); row i holds the
-    8-node stencil differentiating (D) or interpolating (P) at the midpoint
-    of interval i.  Stencils shift near the edges but never widen, so every
-    row touches at most 8 consecutive nodes.  The arrays are cached per grid
-    and shared between callers, so they are read-only.
+    Returns (D, P, s, mids): D and P are (n_nodes-1, 8) weight bands; row i
+    holds the 8-node stencil differentiating (D) or interpolating (P) at the
+    midpoint of interval i, on the nodes from ``_stencil_starts(s, mids)[i]``
+    on.  The bands are cached per grid and shared between callers, so they
+    are read-only; they take O(n_nodes) memory.
     """
     return _fd_operators(round(float(s_lo), 12), round(float(s_hi), 12), int(n_nodes))
 
 
-def _stencil_starts(n_mids, N):
-    """First node of each midpoint's 8-node stencil: centred, shifted at the edges."""
-    return np.clip(np.arange(n_mids) - (_FD_STENCIL // 2 - 1), 0, N - _FD_STENCIL)
+def _stencil_starts(s, x):
+    """First node of the 8-node stencil at each point x of the uniform grid s:
+    centred on x's interval, shifted at the edges, never widened."""
+    first = np.floor((x - s[0]) / (s[1] - s[0])).astype(int) - (_FD_STENCIL // 2 - 1)
+    return np.clip(first, 0, len(s) - _FD_STENCIL)
 
 
 @functools.lru_cache(maxsize=32)
@@ -179,13 +183,9 @@ def _fd_operators(s_lo, s_hi, N):
         raise ResolutionError(f"need at least {_FD_STENCIL + 1} s-nodes, got {N}")
     s = np.linspace(s_lo, s_hi, N)
     mids = 0.5 * (s[:-1] + s[1:])
-    rows = np.arange(N - 1)[:, None]
-    cols = _stencil_starts(N - 1, N)[:, None] + np.arange(_FD_STENCIL)
+    cols = _stencil_starts(s, mids)[:, None] + np.arange(_FD_STENCIL)
     cc = fornberg_weights(mids, s[cols], 1)
-    D = np.zeros((N - 1, N))
-    P = np.zeros((N - 1, N))
-    D[rows, cols] = cc[..., 1]
-    P[rows, cols] = cc[..., 0]
+    D, P = cc[..., 1].copy(), cc[..., 0].copy()
     for a in (D, P, s, mids):
         a.flags.writeable = False
     return D, P, s, mids
@@ -353,7 +353,7 @@ _CERT_MARGIN = 1e-12
 class _GramTerms:
     """The Gram band of the stencil rows of every mode of one operator.
 
-    The decoupled modes of an operator share the stencil matrices D and P
+    The decoupled modes of an operator share the stencil bands D and P
     and the coefficient A(s) = B(s) - w'(s); mode k only adds k X, with
     X = 2 pi i J on the contact fiber and [-2 pi] on the complex line.  So
     mode k's stencil rows are W0 + k WX, W0 the rows of d/ds + A and WX those
@@ -365,15 +365,15 @@ class _GramTerms:
     mode's own stencil rows by rounding, of order eps max|G|.
     """
 
-    def __init__(self, D, P, A, Y, phase):
-        self._rows = (D, P, A, Y, phase)
+    def __init__(self, stencil, A, Y, phase):
+        self._rows = (stencil, A, Y, phase)
 
     @functools.cached_property
     def bands(self):
-        D, P, A, Y, phase = self._rows
-        W0, starts = _stencil_rows(D, P, A)
-        WY, _ = _stencil_rows(None, P, np.broadcast_to(Y, A.shape))
-        n_cols = D.shape[1] * A.shape[1]
+        stencil, A, Y, phase = self._rows
+        W0, starts = _stencil_rows(stencil, A)
+        WY, _ = _stencil_rows((None,) + stencil[1:], np.broadcast_to(Y, A.shape))
+        n_cols = len(stencil[2]) * A.shape[1]
         g1 = _window_band(W0, WY, starts, n_cols) * phase
         g1 += _window_band(WY, W0, starts, n_cols) * np.conj(phase)
         return _window_band(W0, W0, starts, n_cols), g1, _window_band(WY, WY, starts, n_cols)
@@ -717,24 +717,21 @@ def _bc_scale(s):
 # rows shared by every mode block
 # ---------------------------------------------------------------------------
 
-def _stencil_rows(D, P, C):
+def _stencil_rows(stencil, C):
     """Row windows of the collocated rows of d/ds + C(s) on F = C.shape[1] fields.
 
-    Row block i is sum_j D[i, j] I + P[i, j] C[i], node-major and field-minor;
-    it is nonzero only on its 8-node stencil.  Returns the (n F, 8F) windows
-    and the first column of each: the band products are the same einsum
-    products as the dense formula, so the bytes agree with it, signed zeros
-    included.  With D None the rows are those of C(s) alone.
+    ``stencil`` is ``fd_operators``' (D, P, s, mids).  Row block i is
+    sum_b D[i, b] I + P[i, b] C[i] on its 8 stencil nodes, node-major and
+    field-minor.  Returns the (n F, 8F) windows and the first column of each:
+    the same einsum products as the dense formula, so the bytes agree with
+    it, signed zeros included.  With D None the rows are those of C(s) alone.
     """
+    D, P, s, mids = stencil
     n, F = C.shape[:2]
-    N = P.shape[1]
-    rows = np.arange(n)[:, None]
-    first = _stencil_starts(n, N)
-    cols = first[:, None] + np.arange(_FD_STENCIL)
-    band = np.einsum("ib,ifg->ifbg", P[rows, cols], C)
+    band = np.einsum("ib,ifg->ifbg", P, C)
     if D is not None:
-        band = np.einsum("ib,fg->ifbg", D[rows, cols], np.eye(F)).astype(C.dtype) + band
-    return band.reshape(n * F, _FD_STENCIL * F), np.repeat(first * F, F)
+        band = np.einsum("ib,fg->ifbg", D, np.eye(F)).astype(C.dtype) + band
+    return band.reshape(n * F, _FD_STENCIL * F), np.repeat(_stencil_starts(s, mids) * F, F)
 
 
 def _end_rows(A, keep_positive, first, gamma, what=None):
@@ -768,10 +765,10 @@ def _mode_block(k, mult, tag, problem, base, B_mid, end_matrix, stencil, prof, t
     keeps the positive eigenspace of ``base``.  ``terms`` are the Gram
     terms of the operator's stencil rows (``_GramTerms``), with mode factor k.
     """
-    D, P, s, mids = stencil
+    s, mids = stencil[2:]
     eye = np.eye(len(base))
     C = base[None, :, :] + B_mid - prof.wprime(mids)[:, None, None] * eye[None, :, :]
-    pde, pde_starts = _stencil_rows(D, P, C)
+    pde, pde_starts = _stencil_rows(stencil, C)
     gamma = _bc_scale(s)
     ends = []
     for end, first, s_end in ((problem.negative_end, True, problem.s_lo),
@@ -851,8 +848,8 @@ def _complex_line_blocks(problem, grid, stencil, prof):
     """
     K = grid.t_nodes // 2 - 1
     n_aug = problem.augmentation_dims
-    D, P, _, mids = stencil
-    terms = _GramTerms(D, P, -prof.wprime(mids)[:, None, None], np.array([[-2.0 * np.pi]]), 1.0)
+    mids = stencil[3]
+    terms = _GramTerms(stencil, -prof.wprime(mids)[:, None, None], np.array([[-2.0 * np.pi]]), 1.0)
     blocks = [_mode_block(k, 2, f"scalar k={k}", problem, np.array([[-2.0 * np.pi * k]]), 0.0,
                           lambda end: 0.0, stencil, prof, terms)
               for k in range(-K, K + 1) if k or not n_aug]
@@ -868,9 +865,9 @@ def _contact_blocks(problem, grid, stencil, prof):
     stands for the conjugate pair +-k."""
     F = problem.fiber_dim
     J = standard_j(F)
-    D, P, _, mids = stencil
+    mids = stencil[3]
     B_mid = np.array([problem.coefficient(m) for m in mids])
-    terms = _GramTerms(D, P, B_mid - prof.wprime(mids)[:, None, None] * np.eye(F),
+    terms = _GramTerms(stencil, B_mid - prof.wprime(mids)[:, None, None] * np.eye(F),
                        2.0 * np.pi * J, 1j)
 
     def block(k):

@@ -27,7 +27,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import profiles
-from .assemble import assemble, augmentation_layout, kernel_vectors
+from .assemble import (_FD_STENCIL, _stencil_starts, assemble, augmentation_layout,
+                       fd_operators, fornberg_weights, kernel_vectors)
 from .exceptions import IncompatibleEndsError
 from .indexing import numerical_index
 from .problems import CRProblem, GridSpec, Truncation, default_grid_for
@@ -103,14 +104,11 @@ def glue(problem_u, problem_w, tau):
     trunc = Truncation(s_max=tau + s_comp, n_prime=tau + npr)
 
     Bu, Bw = problem_u.coefficient, problem_w.coefficient
+    coeff_s = coeff_st = None
     if problem_u.t_dependent or problem_w.t_dependent:
-        coeff_s = None
-
         def coeff_st(s, t):
             return Bu(s + tau, t) if s <= 0 else Bw(s - tau, t)
-    else:
-        coeff_st = None
-
+    elif problem_u.fiber == "contact_fiber":    # a complex-line B is zero
         def coeff_s(s):
             return Bu(s + tau) if s <= 0 else Bw(s - tau)
 
@@ -156,7 +154,7 @@ def component_kernel(problem, grid=None):
     grid = grid or default_grid_for(problem.truncation)
     op = assemble(problem, grid)
     rep = numerical_index(op)
-    s = np.linspace(problem.s_lo, problem.truncation.s_max, grid.s_nodes)
+    s = fd_operators(problem.s_lo, problem.truncation.s_max, grid.s_nodes)[2]
     out = []
     for block, V in kernel_vectors(op, rep.threshold):
         # orthonormalize within the block
@@ -172,23 +170,19 @@ def component_kernel(problem, grid=None):
 
 
 def _interp_columns(x_src, values, x_tgt):
-    """Local 8-point polynomial interpolation of uniformly sampled columns."""
-    from .assemble import fornberg_weights
-    N = len(x_src)
-    h = x_src[1] - x_src[0]
-    first = np.clip(np.floor((x_tgt - x_src[0]) / h) - 3, 0, N - 8).astype(int)
-    weights = fornberg_weights(x_tgt, x_src[first[:, None] + np.arange(8)], 0)[..., 0]
+    """Local 8-point interpolation of uniformly sampled columns, on the collocation stencils."""
+    first = _stencil_starts(x_src, x_tgt)
+    weights = fornberg_weights(x_tgt, x_src[first[:, None] + np.arange(_FD_STENCIL)], 0)[..., 0]
     out = np.zeros((len(x_tgt),) + values.shape[1:], dtype=values.dtype)
     for i, (j, w) in enumerate(zip(first, weights)):
-        out[i] = w @ values[j:j + 8]
+        out[i] = w @ values[j:j + _FD_STENCIL]
     return out
 
 
 def _glued_block_vector(glued_op, kv, shift, cutoff, side):
     """Interpolate a component kernel vector onto a glued block's columns."""
     problem = glued_op.problem
-    s_nodes = glued_op.grid[0]
-    sg = np.linspace(problem.s_lo, problem.truncation.s_max, s_nodes)
+    sg = fd_operators(problem.s_lo, problem.truncation.s_max, glued_op.grid[0])[2]
     src = sg + shift
     inside = (src >= kv.s[0]) & (src <= kv.s[-1])
     F = kv.field.shape[1]

@@ -9,11 +9,12 @@ asymptotic coefficient matrices, and the one-ended plane problem whose disk
 cap is realized as a boundary condition.
 
 Every problem rule lives in ``CRProblem.__post_init__``: the domain's ends,
-complex-line ends that are i d/dt, contact ends of one dimension and without
-shifts, constant ends under the builders' coefficient, and each end's
-Fredholm weight.  The builders are presets over that one constructor, and
-``problem_from_json`` is the inverse of ``CRProblem.to_json``, so ``glue``,
-``with_weights`` and JSON input are held to the same rules.
+complex-line ends that are i d/dt, no ``coeff_s`` on the complex line,
+contact ends of one dimension and without shifts, constant ends under the
+builders' coefficient, and each end's Fredholm weight.  The builders are
+presets over that one constructor, and ``problem_from_json`` is the inverse
+of ``CRProblem.to_json``, so ``glue``, ``with_weights`` and JSON input are
+held to the same rules.
 """
 
 from __future__ import annotations
@@ -148,10 +149,11 @@ class CRProblem:
 
     ``coeff_s`` maps s to the fiber coefficient matrix B(s) for problems whose
     coefficient is constant in t (the common case, enabling the decoupled
-    per-mode assembly); ``coeff_st`` maps (s, t) to B(s, t) otherwise.  With
-    neither set, B is the builders' coefficient (``coefficient``).  At
-    |s| = s_max the coefficient must agree with each end's asymptotic matrix
-    to within e^{-(s_max - n')} (``check_end_decay``).
+    per-mode assembly; a complex-line problem, whose decoupled B is zero,
+    refuses it); ``coeff_st`` maps (s, t) to B(s, t) otherwise.  With neither
+    set, B is the builders' coefficient (``coefficient``).  At |s| = s_max the
+    coefficient must agree with each end's asymptotic matrix to within
+    e^{-(s_max - n')} (``check_end_decay``).
     """
 
     domain_kind: str
@@ -179,6 +181,9 @@ class CRProblem:
             if self.fiber != "complex_line":
                 raise ValueError("a plane needs the complex-line fiber")
         if self.fiber == "complex_line":
+            if self.coeff_s is not None:
+                raise CoefficientError(
+                    "a complex-line problem's B is zero; a coefficient needs coeff_st")
             for e in ends:
                 a = e.asymptotic
                 if a.dim != 2 or not a.is_constant or np.any(a.constant_matrix()):

@@ -1,6 +1,7 @@
 """Discretization properties: conjugation, boundary rows, augmentation, locality."""
 
 import importlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 
 from crlab.assemble import (
     ModeBlock,
+    _fd_operators,
     _stencil_rows,
+    _stencil_starts,
     assemble,
     augmentation_layout,
     fd_operators,
@@ -71,19 +74,20 @@ def _scalar_fornberg(x0, nodes, max_order):
     return c
 
 
-@pytest.mark.parametrize("N", [96, 192, 384])
+@pytest.mark.parametrize("N", [96, 192, 384, 12288])
 def test_fornberg_weights_over_rows_match_the_scalar_recurrence(N):
-    # the stencil matrices, and weights at off-grid points, byte for byte
+    # the stencil bands, their first nodes, and weights at off-grid points,
+    # byte for byte; at 12288 nodes rounding in the start rule's floor could first show
     D, P, s, mids = fd_operators(-12.0, 12.0, N)
     first = np.clip(np.arange(N - 1) - 3, 0, N - 8)
+    assert np.array_equal(_stencil_starts(s, mids), first)
     ref = [_scalar_fornberg(float(m), [float(x) for x in s[w:w + 8]], 1) for m, w in zip(mids, first)]
-    assert np.stack([D[i, w:w + 8] for i, w in enumerate(first)]).tobytes() == \
-        np.stack([c[:, 1] for c in ref]).tobytes()
-    assert np.stack([P[i, w:w + 8] for i, w in enumerate(first)]).tobytes() == \
-        np.stack([c[:, 0] for c in ref]).tobytes()
+    assert D.tobytes() == np.stack([c[:, 1] for c in ref]).tobytes()
+    assert P.tobytes() == np.stack([c[:, 0] for c in ref]).tobytes()
     x = np.random.default_rng(N).uniform(s[0], s[-1], 40)
-    nodes = s[np.clip(np.floor((x - s[0]) / (s[1] - s[0])).astype(int) - 3, 0, N - 8)[:, None]
-              + np.arange(8)]
+    starts = np.clip(np.floor((x - s[0]) / (s[1] - s[0])).astype(int) - 3, 0, N - 8)
+    assert np.array_equal(_stencil_starts(s, x), starts)
+    nodes = s[starts[:, None] + np.arange(8)]
     batch = fornberg_weights(x, nodes, 0)
     assert batch.shape == (40, 8, 1)
     assert batch.tobytes() == np.stack([_scalar_fornberg(float(a), [float(v) for v in row], 0)
@@ -91,10 +95,28 @@ def test_fornberg_weights_over_rows_match_the_scalar_recurrence(N):
 
 
 def test_stencils_stay_local():
-    D, P, s, mids = fd_operators(-12.0, 12.0, 96)
-    for i in range(D.shape[0]):
-        nz = np.flatnonzero(np.abs(D[i]) + np.abs(P[i]))
-        assert nz[-1] - nz[0] <= 7
+    # one 8-node band row per midpoint, on 8 consecutive nodes around it:
+    # centred where the grid allows, shifted but never widened at the edges
+    for N in (9, 96):
+        D, P, s, mids = fd_operators(-12.0, 12.0, N)
+        assert D.shape == P.shape == (N - 1, 8)
+        first = _stencil_starts(s, mids)
+        assert first.min() == 0 and first.max() == N - 8
+        assert (s[first] < mids).all() and (mids < s[first + 7]).all()
+        inner = (first > 0) & (first < N - 8)
+        assert np.allclose(mids[inner], 0.5 * (s[first + 3] + s[first + 4])[inner],
+                           rtol=0, atol=1e-12)
+        assert set(np.diff(first)) <= {0, 1}
+
+
+def _dense_stencils(D, P, s, mids):
+    """``fd_operators``' bands written out as the dense (N-1) x N matrices."""
+    N = len(s)
+    rows = np.arange(N - 1)[:, None]
+    cols = np.clip(np.arange(N - 1) - 3, 0, N - 8)[:, None] + np.arange(8)
+    dense = np.zeros((2, N - 1, N))
+    dense[0][rows, cols], dense[1][rows, cols] = D, P
+    return dense
 
 
 def test_cached_stencils_are_read_only():
@@ -103,6 +125,25 @@ def test_cached_stencils_are_read_only():
     for a in (D, P, s, mids):
         with pytest.raises(ValueError):
             a[0] = 1.0
+
+
+def test_stencils_and_assembly_take_memory_linear_in_the_s_nodes():
+    # no (N-1) x N stencil matrix on the way: at 3072 nodes one would take
+    # 75 MB; the grid is cleared from the cache so that its stencils are built
+    problem = build_contact_fiber_cylinder(_S1, _S1)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for build in (lambda: fd_operators(-12.0, 12.0, 3072),
+                      lambda: assemble(problem, GridSpec(3072, 8))):
+            _fd_operators.cache_clear()
+            tracemalloc.reset_peak()
+            build()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] < 2 * 2**20
+    assert peaks[1] < 20 * 2**20
 
 
 def test_weight_conjugation_equals_shifted_asymptotics():
@@ -254,7 +295,8 @@ def test_stencil_rows_match_dense_formula(F, dtype):
     # byte for byte, signed zeros included: the rank decisions downstream
     # read the signs through LAPACK's Householder reflections
     rng = np.random.default_rng(F)
-    D, P, _, _ = fd_operators(-3.0, 3.0, 24)
+    stencil = fd_operators(-3.0, 3.0, 24)
+    D, P = _dense_stencils(*stencil)
     C = rng.normal(size=(23, F, F)).astype(dtype)
     if dtype is complex:
         C += 1j * rng.normal(size=C.shape)
@@ -262,7 +304,7 @@ def test_stencil_rows_match_dense_formula(F, dtype):
     C[1::5] = -0.0
     dense = (np.einsum("ij,fg->ifjg", D, np.eye(F)).astype(dtype)
              + np.einsum("ij,ifg->ifjg", P, C)).reshape(23 * F, 24 * F)
-    windows, starts = _stencil_rows(D, P, C)
+    windows, starts = _stencil_rows(stencil, C)
     assert windows.dtype == dense.dtype and windows.shape == (23 * F, 8 * F)
     M = np.zeros_like(dense)
     M[np.arange(23 * F)[:, None], starts[:, None] + np.arange(8 * F)] = windows
@@ -274,7 +316,8 @@ def _dense_contact_block(p, grid, k):
     of d/ds + 2 pi i k J + B - w', then the negative-end and the positive-end
     spectral rows at the first and last node."""
     F = p.fiber_dim
-    D, P, s, mids = fd_operators(p.s_lo, p.truncation.s_max, grid.s_nodes)
+    stencil = fd_operators(p.s_lo, p.truncation.s_max, grid.s_nodes)
+    (D, P), (s, mids) = _dense_stencils(*stencil), stencil[2:]
     N, prof, eye = len(s), p.weight_profile(), np.eye(F)
     base = (2.0j * np.pi * k * standard_j(F)).astype(complex) if k else np.zeros((F, F))
     C = (base + np.array([p.coefficient(m) for m in mids])
@@ -406,6 +449,24 @@ def test_block_replaced_with_other_windows_is_decided_from_them():
     assert dec.block_routes() == ["banded_gram"]
     np.testing.assert_allclose(dec.block_values(0), np.linalg.svd(g.matrix, compute_uv=False),
                                rtol=1e-9)
+
+
+def test_complex_line_coefficient_needs_coeff_st():
+    # the decoupled complex-line backend has B = 0 and never reads coeff_s,
+    # so a complex-line problem that sets one is refused; the coupled
+    # backend honours the same coefficient given as coeff_st
+    p = build_trivial_cylinder((1.0, 1.0), truncation=_SMALL)
+
+    def bump(s):
+        return np.diag([3.0, -2.0]) * np.exp(-s * s)
+
+    with pytest.raises(CoefficientError, match="coeff_st"):
+        replace(p, coeff_s=bump)
+    grid = GridSpec(48, 8)
+    plain = assemble(t_dependent_copy(p), grid)
+    bumped = assemble(replace(p, coeff_st=lambda s, t: bump(s)), grid)
+    assert np.abs(bumped.blocks[0].matrix - plain.blocks[0].matrix).max() > 1.0
+    assert numerical_index(bumped).index == numerical_index(plain).index == analytic_index(p)
 
 
 def test_contact_fiber_plane_rejected():

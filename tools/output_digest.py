@@ -4,10 +4,11 @@ Usage:
   python3 tools/output_digest.py [--out DIR]
 
 The set: ``reproduce-all``; ``index`` on acceptance criterion 6 (the contact
-isomorphism) at 96x32, 192x64 and 384x64; ``glue`` on the reproduce-all flow
-pair at tau 6, 8, 10 and 12, and on two shifted complex-line cylinders (u with
-weights (1, 1) and shifts (2, 0), w with weights (-1, 1) and shifts (0, 2)) at
-tau 6, 10 and 14; one ``sweep-delta`` on the trivial cylinder;
+isomorphism) at 96x32, 192x64 and 384x64, and on the refinement grid 1536x8;
+``glue`` on the reproduce-all flow pair at tau 6, 8, 10 and 12, and on two
+shifted complex-line cylinders (u with weights (1, 1) and shifts (2, 0), w
+with weights (-1, 1) and shifts (0, 2)) at tau 6, 10 and 14; one
+``sweep-delta`` on the trivial cylinder;
 ``index`` on the blocks that carry shift columns: the trivial cylinder
 with weights (1, 1) and shifts (2, 2), its reduced pattern (1, 2), and the
 plane with weight 1 and 2 shifts; ``index`` on the plane with weight -1,
@@ -100,7 +101,7 @@ SEEDS = {"vdim_ladder": 3}
 def experiments():
     """(name, subcommand, config inputs or None) of every run, in order."""
     runs = [("reproduce_all", "reproduce-all", None)]
-    for s_nodes, t_nodes in ((96, 32), (192, 64), (384, 64)):
+    for s_nodes, t_nodes in ((96, 32), (192, 64), (384, 64), (1536, 8)):
         runs.append((f"criterion6_{s_nodes}x{t_nodes}", "index",
                      {"problem": _contact([1.0, 1.0], [1.0, 1.0]),
                       "grid": {"s_nodes": s_nodes, "t_nodes": t_nodes}}))
