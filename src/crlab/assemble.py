@@ -52,9 +52,10 @@ dense once by ``_shifted`` from their row windows and stored dense
 (``ModeBlock.dense``); a block holds one storage, and it decides the block.
 ``ModeBlock.matrix`` materializes a row-window block on first read and
 keeps it; only the dense fallback below, ``kernel_vectors`` on
-rank-deficient blocks, ``transposed``, ``DiscreteOperator.matrix`` and its
-Matrix Market export read it.  The rank decision reads ``ModeBlock.shape``,
-the gluing residuals the product ``ModeBlock @ v``.
+rank-deficient blocks and ``transposed`` read it.  The rank decision reads
+``ModeBlock.shape``, the gluing residuals the product ``ModeBlock @ v``,
+and ``DiscreteOperator.matrix`` (the Matrix Market export) builds its CSR
+matrix from the windows.
 The row-window blocks of one decoupled operator also share one object
 (``ModeBlock.gram_terms``, ``_GramTerms``): mode k's stencil rows are
 W0 + k WX, so their Gram band is G0 + k G1 + k^2 G2, three bands built once
@@ -82,10 +83,11 @@ A row-window block whose values cannot reach a report is not decomposed at
 all but certified: a banded Cholesky factorization of its Gram matrix
 shifted by x I succeeds only when every Gram eigenvalue lies above x (of
 x I - G: below x), up to rounding, in O(n kd^2).  Every rank decision asks
-one question of a block, ``DiscreteOperator.values_below(i, cut)``: its
-singular values, or None when all of them are certified to exceed the cut.
-The operator keeps, per block, either its values or a certified floor with
-all its values strictly between the floor and sigma_max; the callers (the
+one question of a block, ``DiscreteOperator.values_below(i, cut, most)``:
+its singular values, or None when all of them are certified to exceed the
+cut.  The operator keeps, per block, its values, a certified floor with all
+its values strictly between the floor and sigma_max, or both the floor and
+its smallest values from the partial route below; the callers (the
 index walk in ``crlab.indexing``, ``kernel_vectors``, the gluing stability
 constant) choose the cuts.  A wide block's structural zeros would fail
 every floor certificate, so it is always decomposed; its sigma_max
@@ -94,6 +96,21 @@ block's values come from, so a certified floor and any values computed
 later for that block describe one matrix.  The shared terms differ
 from a band summed over the block's own rows by rounding, of order
 eps max|G|, inside the certificates' relative room of 1e-12.
+
+A row-window block that holds values the caller reads is still not
+decomposed when it is large: with at least _PARTIAL_MIN_COLS columns, not
+wide, and its full rank certified, ``values_below`` takes the partial route
+(``_lowest_gram``) and returns only its smallest values, the ones below the
+cut or the ``most`` smallest.  The banded Cholesky factor of G - sigma I,
+sigma at the guard's 1e-8 lambda_top, certifies that floor; shift-invert
+block Lanczos on that factor (Ericsson & Ruhe, 1980) proposes the values;
+Kahan's residual bound puts each within rounding of a distinct eigenvalue;
+and a Sylvester inertia count at a point y in the gap after them, from an
+unpivoted block LDL^H of G - y I (``_count_below``), shows that exactly that
+many eigenvalues lie below y.  It costs O(n kd) per Lanczos step and O(n
+kd^2) per factorization, against eig_banded's O(n^2 kd), which only pays
+below _PARTIAL_MIN_COLS columns.  A block that fails a check is decomposed;
+``block_values`` stays the full reference.
 
 No row-window block is decomposed for sigma_max either
 (``DiscreteOperator.sigma_max``).  A block's top Gram eigenvalue is settled
@@ -271,6 +288,30 @@ class ModeBlock:
         return scipy.linalg.block_diag(M, M) if self.mult == 2 else M
 
 
+def _realified_csr(b):
+    """``b.realified()`` as CSR, without dense entries for a row-window block:
+    each window realified in place, [[Re, -Im], [Im, Re]] for a complex
+    block and two copies for a real one of multiplicity 2, explicit zeros
+    dropped as ``sp.csr_matrix`` drops them from a dense matrix."""
+    if b.windows is None:
+        return sp.csr_matrix(b.realified())
+    (n_rows, n_cols), width = b.shape, b.windows.shape[1]
+    r = np.repeat(np.arange(n_rows), width)
+    c = (b.starts[:, None] + np.arange(width)).ravel()
+    v = b.windows.ravel()
+    if np.iscomplexobj(v):
+        parts = [(r, c, v.real), (r, c + n_cols, -v.imag),
+                 (r + n_rows, c, v.imag), (r + n_rows, c + n_cols, v.real)]
+    elif b.mult == 2:
+        parts = [(r, c, v), (r + n_rows, c + n_cols, v)]
+    else:
+        parts = [(r, c, v)]
+    r, c, v = (np.concatenate(x) for x in zip(*parts))
+    keep = v != 0
+    copies = 1 if len(parts) == 1 else 2
+    return sp.csr_matrix((v[keep], (r[keep], c[keep])), shape=(copies * n_rows, copies * n_cols))
+
+
 def _materialize(b):
     """Dense matrix of a row-window block."""
     n, width = b.windows.shape
@@ -417,7 +458,8 @@ _LANCZOS_STEPS = 64
 
 def _band_matvec(ab):
     """x -> G x for the Hermitian G of upper band storage ``ab``: one product
-    of the n x (2 kd + 1) rows of G with the windows of x, O(n kd)."""
+    of the n x (2 kd + 1) rows of G with the windows of x, O(n kd) per
+    vector; x is one vector or a p x n block of them, one per row."""
     kd, n = len(ab) - 1, ab.shape[1]
     rows = np.empty((n, 2 * kd + 1), dtype=ab.dtype)     # rows[i, kd + e] = G[i, i + e]
     rows[:, :kd + 1] = ab.conj().T
@@ -425,12 +467,18 @@ def _band_matvec(ab):
     # since it meets the zero padding of x
     i, e = np.arange(n)[:, None], np.arange(1, kd + 1)
     rows[:, kd + 1:] = ab[kd - e, np.minimum(i + e, n - 1)]
-    padded = np.zeros(n + 2 * kd, dtype=ab.dtype)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * kd + 1)
+
+    buffers = {}        # x's leading shape and dtype -> zero-padded copy and its windows
 
     def matvec(x):
-        padded[kd:kd + n] = x
-        return np.einsum("id,id->i", rows, windows)
+        key = x.shape[:-1] + (x.dtype,)
+        if key not in buffers:
+            padded = np.zeros(x.shape[:-1] + (n + 2 * kd,), dtype=np.result_type(ab, x))
+            buffers[key] = padded, np.lib.stride_tricks.sliding_window_view(
+                padded, 2 * kd + 1, axis=-1)
+        padded, windows = buffers[key]
+        padded[..., kd:kd + n] = x
+        return np.einsum("id,...id->...i", rows, windows)
 
     return matvec
 
@@ -506,6 +554,181 @@ def _norm_bound(b):
     return float(A.sum(axis=1).max() * cols.max())
 
 
+# The partial route takes blocks of at least this many columns: below it
+# eig_banded is as fast (measured on the contact fiber, 2 cores).  Its
+# Lanczos basis grows to at most _LANCZOS_DIM vectors, each block of them
+# _LANCZOS_POWER solves from the last, with _LANCZOS_CHECK blocks between
+# its Rayleigh-Ritz checks.
+_PARTIAL_MIN_COLS = 512
+_LANCZOS_DIM = 96
+_LANCZOS_POWER = 3
+_LANCZOS_CHECK = 4
+
+
+def _orthonormal(W):
+    """Orthonormal rows spanning the rows of the p x n block W (Cholesky QR,
+    twice), or None when W is numerically rank-deficient.  einsum, not BLAS,
+    as in ``_ritz_top``."""
+    for _ in range(2):
+        try:
+            L = np.linalg.cholesky(np.einsum("pn,qn->pq", W.conj(), W))
+        except np.linalg.LinAlgError:
+            return None
+        W = np.einsum("pq,qn->pn", np.linalg.inv(L).conj(), W)
+    return W
+
+
+def _pivot_inertia(lu, ipiv, room):
+    """Negative eigenvalues of the block-diagonal D of a Bunch-Kaufman
+    factorization (``?sytrf``/``?hetrf``, lower), or None when one of its 1x1
+    or 2x2 pivots has an eigenvalue within ``room`` of zero."""
+    eig = lu.diagonal().real
+    if ipiv.min() < 0:
+        k = np.flatnonzero(ipiv < 0)[::2]       # a 2x2 pivot marks both its rows
+        mid = 0.5 * (eig[k] + eig[k + 1])
+        r = np.hypot(0.5 * (eig[k] - eig[k + 1]), abs(lu[k + 1, k]))
+        eig = np.concatenate([eig[ipiv > 0], mid - r, mid + r])
+    return None if np.abs(eig).min() <= room else int((eig < 0).sum())
+
+
+def _count_below(ab, y, room):
+    """How many eigenvalues of the Hermitian G of upper band ``ab`` lie below
+    y, by Sylvester's law of inertia, or None when the count cannot be
+    trusted.
+
+    G - y I is block tridiagonal in blocks of kd + 1 (padded with identity
+    rows, which add positive eigenvalues only).  Its block LDL^H, unpivoted
+    across blocks, has as D the Schur complements S_0 = A_00, S_{j+1} =
+    A_{j+1,j+1} - A_{j+1,j} S_j^-1 A_{j,j+1}, and the count is theirs; each
+    one's inertia is read from its Bunch-Kaufman factorization.  A pivot
+    within ``room`` of singular refuses the count.
+    """
+    kd, n = len(ab) - 1, ab.shape[1]
+    b = kd + 1
+    nb = -(-n // b)
+    padded = np.zeros((b, nb * b), dtype=ab.dtype)
+    padded[:, :n] = ab
+    padded[-1, n:] = 1.0 + y
+    p, q = np.arange(b)[:, None], np.arange(b)
+    starts = np.arange(nb)[:, None, None] * b
+    # diagonal blocks from their upper triangles; the super-diagonal block
+    # G[jb + p, (j + 1) b + q] is nonzero only for q < p, at offset b + q - p
+    upper = np.where(q >= p, padded[kd - np.abs(q - p), starts + q], 0.0)
+    diag = (upper + np.swapaxes(upper, 1, 2).conj()
+            - np.eye(b) * (padded[-1][starts + q].real + y))
+    sup = np.where(q < p, padded[np.maximum(p - q - 1, 0),
+                                 np.minimum(starts + b + q, nb * b - 1)], 0.0)
+    trf, trs = scipy.linalg.get_lapack_funcs(
+        ("hetrf", "hetrs") if np.iscomplexobj(ab) else ("sytrf", "sytrs"), (diag,))
+    count, S = 0, diag[0]
+    for j in range(nb):
+        lu, ipiv, info = trf(S, lower=1)
+        neg = None if info else _pivot_inertia(lu, ipiv, room)
+        if neg is None:
+            return None
+        count += neg
+        if j + 1 < nb:
+            S = diag[j + 1] - sup[j].conj().T @ trs(lu, ipiv, sup[j], lower=1)[0]
+    return count
+
+
+def _lowest_gram(ab, m, shift, room, top=np.inf):
+    """The smallest eigenvalues of the Hermitian G of upper band ``ab``,
+    certified without decomposing G: (values, y), the values ascending and
+    every eigenvalue of G below y among them; or None.  They are at least the
+    m smallest, or every eigenvalue below ``top`` when fewer lie there.
+
+    G - shift I is factored by banded Cholesky, which certifies that G has
+    no eigenvalue below ``shift``, and a shift-invert block Lanczos on that
+    factor (Ericsson & Ruhe, 1980) proposes the values: one Krylov vector
+    per field from a seeded random start, each new block (G - shift I)^-k
+    times the last, k = _LANCZOS_POWER, fully reorthogonalized; the values
+    are the Rayleigh-Ritz values of G on the basis
+    (``_accepted_ritz_values``).  A proposal of c values with Ritz vectors X
+    and residual R = G X - X Theta, ||R||_F <= ``room``, puts c eigenvalues
+    of G, multiplicities counted, within ``room`` of them (Kahan's theorem),
+    all below a point y in the gap after them; an inertia count at y
+    (``_count_below``) that finds exactly c makes them the c smallest.  A
+    failed factorization or count, or no proposal within _LANCZOS_DIM Krylov
+    vectors, returns None.  The products are einsum, the solves and the
+    small eigenproblems LAPACK without level-3 BLAS, so the values do not
+    depend on the BLAS thread count and no BLAS thread spins afterwards.
+    """
+    kd, n = len(ab) - 1, ab.shape[1]
+    factor = ab.copy()
+    factor[-1] -= shift
+    pbtrf, pbtrs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"), (factor,))
+    factor, info = pbtrf(factor, lower=0, overwrite_ab=1)
+    if info:
+        return None
+    matvec = _band_matvec(ab)
+    p = (kd + 1) // _FD_STENCIL
+    dim = min(n, _LANCZOS_DIM) // p * p
+    # the basis and G times it, one Krylov vector per row, and H = V^H G V
+    V, GV = np.zeros((dim, n), dtype=ab.dtype), np.zeros((dim, n), dtype=ab.dtype)
+    H = np.zeros((dim, dim), dtype=ab.dtype)
+    W = np.random.default_rng(n).standard_normal((p, n)).astype(ab.dtype)
+    for j in range(p, dim + 1, p):
+        for _ in range(2):
+            W -= np.einsum("jp,jn->pn",
+                           np.einsum("jn,pn->jp", V[:j - p], W.conj()).conj(), V[:j - p])
+        Q = _orthonormal(W)
+        if Q is None:
+            return None
+        V[j - p:j], GV[j - p:j] = Q, matvec(Q)
+        H[:j, j - p:j] = np.einsum("jn,pn->jp", V[:j], GV[j - p:j].conj()).conj()
+        H[j - p:j, :j] = H[:j, j - p:j].conj().T
+        if j > m + p and (j // p % _LANCZOS_CHECK == 0 or j == dim):
+            found = _accepted_ritz_values(V[:j], GV[:j], H[:j, :j], m, p, room, top)
+            if found is not None:
+                return found if _count_below(ab, found[1], room) == len(found[0]) else None
+        W = Q.T
+        for _ in range(_LANCZOS_POWER):
+            W = pbtrs(factor, W, lower=0)[0]
+        W = W.T
+    return None
+
+
+def _small_eigh(H):
+    """Eigenvalues, ascending, and eigenvectors of the small Hermitian H, by
+    LAPACK's band eigensolver on H as one full band: ``?syevd`` would call
+    threaded level-3 BLAS, whose idle threads spin afterwards."""
+    d = len(H)
+    i, j = np.triu_indices(d)
+    band = np.zeros((d, d), dtype=H.dtype)
+    band[d - 1 - (j - i), j] = H[i, j]
+    sbevd, = scipy.linalg.get_lapack_funcs(("hbevd" if np.iscomplexobj(H) else "sbevd",), (band,))
+    w, Z, info = sbevd(band)
+    if info:
+        raise NumericalError(f"band eigensolver failed on a {d}x{d} Rayleigh-Ritz matrix")
+    return w, Z
+
+
+def _accepted_ritz_values(V, GV, H, m, p, room, top):
+    """Rayleigh-Ritz on the orthonormal rows V, GV their products with G and
+    H = V^H G V: the c smallest Ritz values and a point y after them, or
+    None.
+
+    c is the first count from m on, within one Krylov block, at which the
+    Ritz values leave a gap wider than 2 ``room``, y the gap's midpoint; or,
+    when fewer than m Ritz values lie below ``top``, c counts those and y is
+    at least ``top``.  The c Ritz vectors' residual must be within ``room``
+    in Frobenius norm.
+    """
+    theta, Y = _small_eigh(H)
+    below = int(np.searchsorted(theta, top))
+    splits = range(m, min(m + p, len(theta) - 1) + 1) if below >= m else [below] * (below > 0)
+    for c in splits:
+        if theta[c] - theta[c - 1] > 2.0 * room:
+            Yc = Y[:, :c]
+            R = np.einsum("jc,jn->cn", Yc, GV) - theta[:c, None] * np.einsum("jc,jn->cn", Yc, V)
+            if np.linalg.norm(R) > room:
+                return None
+            y = 0.5 * (theta[c - 1] + theta[c])
+            return theta[:c], (y if c >= m else max(y, top))
+    return None
+
+
 @dataclass
 class DiscreteOperator:
     """Assembled rectangular operator with grid metadata.
@@ -519,13 +742,15 @@ class DiscreteOperator:
     Each block is decomposed at most once per operator, in ``block_values``
     (banded Gram eigenvalues for row-window blocks, dense SVD for the others
     and for the blocks the guard rejects).  The evidence on a block is its
-    cached values or a certified floor: ``sigma_max`` settles the top of the
-    spectrum without decomposing any row-window block, and ``values_below``
-    answers whether a block holds a value below a cut, from its values, its
-    floor or one new certificate, decomposing it only when none settles the
-    question.  The rank decision, the kernel directions and the gluing
-    stability constant all ask ``values_below``.  ``block_routes`` says
-    which route computed each block.  The evidence belongs to one operator:
+    cached values, its certified smallest values or a certified floor:
+    ``sigma_max`` settles the top of the spectrum without decomposing any
+    row-window block, and ``values_below`` answers whether a block holds a
+    value below a cut, from its evidence or one new certificate, and, when
+    none settles the question, with the block's smallest values (the
+    partial route) or all of them.  The rank decision, the kernel directions
+    and the gluing stability constant all ask ``values_below``.
+    ``block_routes`` says which route computed each block.  The evidence
+    belongs to one operator:
     it is allocated empty at construction, so a copy by
     ``dataclasses.replace`` decides its blocks afresh.  Values from
     the banded route agree with dense SVD to about eps (sigma_max / sigma)^2
@@ -537,9 +762,12 @@ class DiscreteOperator:
     problem: object = None
 
     def __post_init__(self):
-        # per block: values once decomposed, how they were computed, a floor once certified
+        # per block: values once decomposed, how they were computed, a floor
+        # once certified, and (values, bound) once the partial route found
+        # every value below bound
         n = len(self.blocks)
         self._svals, self._routes, self._floors = [None] * n, [None] * n, [None] * n
+        self._lowest = [None] * n
         self._sigma_max = None
 
     @property
@@ -556,16 +784,18 @@ class DiscreteOperator:
 
     @functools.cached_property
     def matrix(self):
-        return sp.block_diag([sp.csr_matrix(b.realified()) for b in self.blocks], format="csr")
+        return sp.block_diag([_realified_csr(b) for b in self.blocks], format="csr")
 
     def block_values(self, i):
         """Singular values of block i: all min(rows, cols), descending.
 
-        Computed on first use and cached on the operator, so each block is
-        decomposed at most once.  A row-window block (``ModeBlock.windows``)
-        takes the banded route (``_banded_singular_values``); every dense
-        block, and every block the route's accuracy guard rejects, takes the
-        reference values-only ``np.linalg.svd`` of ``ModeBlock.matrix``.
+        The full reference: computed on first use and cached on the
+        operator, so each block is decomposed at most once, whatever the
+        partial route found before.  A row-window block
+        (``ModeBlock.windows``) takes the banded route
+        (``_banded_singular_values``); every dense block, and every block the
+        route's accuracy guard rejects, takes the reference values-only
+        ``np.linalg.svd`` of ``ModeBlock.matrix``.
         """
         if self._svals[i] is None:
             b = self.blocks[i]
@@ -580,7 +810,10 @@ class DiscreteOperator:
         return self._svals[i]
 
     def known_values(self, i):
-        """Block i's singular values if it has been decomposed, else None."""
+        """Block i's singular values if it has been decomposed, its smallest
+        ones if the partial route found them, else None."""
+        if self._svals[i] is None and self._lowest[i] is not None:
+            return self._lowest[i][0]
         return self._svals[i]
 
     def sigma_max(self):
@@ -617,33 +850,53 @@ class DiscreteOperator:
             self._sigma_max = top
         return self._sigma_max
 
-    def values_below(self, i, cut):
-        """Block i's singular values, or None when every one of them is
-        certified to exceed ``cut``: the block then has full rank, and no
-        value below ``cut`` reads it.
+    def values_below(self, i, cut, most=None):
+        """Block i's singular values, descending, or None when every one of
+        them is certified to exceed ``cut``: the block then has full rank,
+        and no value below ``cut`` reads it.  The values returned are all of
+        them, or, on a block whose full rank is certified, its smallest ones:
+        every one below ``cut``, or at least the ``most`` smallest.
 
-        A decomposed block returns its values.  Otherwise a floor certified
-        earlier that is at least ``cut`` answers; failing that, a row-window
-        block that is not wide tries one banded Cholesky certificate of its
-        Gram matrix at the shift max(cut^2, 1e-8 lambda_top) (1 + 1e-12) +
-        1e-12 lambda_top, lambda_top = sigma_max^2, and keeps the square root
-        of max(cut^2, 1e-8 lambda_top) as its floor.  A certified block so
-        also passes the banded route's guard: its route is ``banded_gram``.
-        A dense block, a wide block (its Gram matrix holds structural zeros
-        below any shift) and an infinite cut are decomposed
-        (``block_values``).
+        A decomposed block returns its values, and smallest values found
+        before answer when they hold every value below ``cut`` or ``most`` of
+        them.  Otherwise a floor certified earlier that is at least ``cut``
+        answers; failing that, a row-window block that is not wide tries one
+        banded Cholesky certificate of its Gram matrix at the shift
+        max(cut^2, 1e-8 lambda_top) (1 + 1e-12) + 1e-12 lambda_top,
+        lambda_top = sigma_max^2, and keeps the square root of max(cut^2,
+        1e-8 lambda_top) as its floor.  When that fails above the guard's
+        1e-8 lambda_top, ``most`` is given and the block has at least
+        _PARTIAL_MIN_COLS columns, the partial route (``_lowest_gram``)
+        certifies the guard's floor and finds the values; a block it refuses
+        is decomposed.  A certified block so also passes the banded route's
+        guard: its route is ``banded_gram``.  A dense block, a wide block
+        (its Gram matrix holds structural zeros below any shift) and an
+        infinite cut without ``most`` are decomposed (``block_values``).
         """
-        if self._svals[i] is None:
-            floor, b = self._floors[i], self.blocks[i]
-            if floor is not None and floor >= cut:
+        if self._svals[i] is not None:
+            return self._svals[i]
+        lowest, b = self._lowest[i], self.blocks[i]
+        if lowest is not None and (cut <= lowest[1] or len(lowest[0]) >= (most or np.inf)):
+            return lowest[0]
+        floor = self._floors[i]
+        if floor is not None and floor >= cut:
+            return None
+        if b.windows is not None and b.shape[0] >= b.shape[1]:
+            lam_top = self.sigma_max() ** 2
+            guard, room = _GRAM_GUARD * lam_top, _CERT_MARGIN * lam_top
+            lam = max(cut * cut, guard)
+            if np.isfinite(cut) and _gram_certified(b, lam * (1 + _CERT_MARGIN) + room,
+                                                    below=False):
+                self._floors[i], self._routes[i] = float(np.sqrt(lam)), "banded_gram"
                 return None
-            if b.windows is not None and b.shape[0] >= b.shape[1] and np.isfinite(cut):
-                lam_top = self.sigma_max() ** 2
-                lam = max(cut * cut, _GRAM_GUARD * lam_top)
-                if _gram_certified(b, lam * (1 + _CERT_MARGIN) + _CERT_MARGIN * lam_top,
-                                   below=False):
-                    self._floors[i], self._routes[i] = float(np.sqrt(lam)), "banded_gram"
-                    return None
+            if most is not None and lam > guard and b.shape[1] >= _PARTIAL_MIN_COLS:
+                found = _lowest_gram(_gram_band(b), most, guard * (1 + _CERT_MARGIN) + room,
+                                     room, lam)
+                if found is not None:
+                    self._floors[i] = max(floor or 0.0, float(np.sqrt(guard)))
+                    self._routes[i] = "banded_gram"
+                    self._lowest[i] = (np.sqrt(found[0][::-1]), float(np.sqrt(found[1])))
+                    return self._lowest[i][0]
         return self.block_values(i)
 
     def block_routes(self):
@@ -964,13 +1217,15 @@ def kernel_vectors(op, threshold):
     (block_cols, n_small); structural kernel directions of wide blocks are
     included through the rank decision.  Each block's rank comes from
     ``DiscreteOperator.values_below(i, threshold)``: a block certified above
-    the threshold has full rank and is not decomposed.  Only rank-deficient
-    blocks are made dense and run the full SVD.
+    the threshold has full rank and is not decomposed, and otherwise the
+    rank is min(shape) less the values below the threshold, which every
+    answer holds.  Only rank-deficient blocks are made dense and run the
+    full SVD.
     """
     out = []
     for i, b in enumerate(op.blocks):
         sv = op.values_below(i, threshold)
-        rank = min(b.shape) if sv is None else int((sv >= threshold).sum())
+        rank = min(b.shape) - (0 if sv is None else int((sv < threshold).sum()))
         if rank < b.shape[1]:
             Vh = np.linalg.svd(b.matrix)[2]
             out.append((b, Vh[rank:].conj().T))

@@ -240,8 +240,10 @@ def stability_constant(glued_op, n_tau):
     ||eta|| off the transplants' span from above: equal when the span is the
     block's bottom right-singular subspace, apart at second order in the
     transplant error (the residuals) otherwise.  Blocks are asked
-    ``values_below(i, best)`` under the running minimum best, those that carry
-    transplants or are decomposed already first, so that best is finite.
+    ``values_below(i, best, a + 1 - zeros)`` under the running minimum best,
+    for the values up to sigma_{a+1} at most, those that carry transplants or
+    have known values first, so that best is finite.  Values are read from
+    the bottom of the list, which may hold only a block's smallest ones.
     """
     carried = Counter(k for k, _ in n_tau)
     blocks, best = glued_op.blocks, np.inf
@@ -251,7 +253,7 @@ def stability_constant(glued_op, n_tau):
         zeros = max(cols - rows, 0)
         if a < zeros:   # exact null vectors remain in the complement
             return 0.0
-        sv = glued_op.values_below(i, best)
+        sv = glued_op.values_below(i, best, a + 1 - zeros)
         if sv is not None and len(sv) > a - zeros:
             best = min(best, float(sv[zeros - a - 1]))
     return best

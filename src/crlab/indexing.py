@@ -15,15 +15,20 @@ reads lies at or below (``DiscreteOperator.values_below``), and a block
 certified by banded Cholesky to have all its values above the cut is not
 decomposed.  A certified block has full rank; a wide block, whose Gram
 matrix holds its structural kernel, is never certified and always
-decomposed.  A block's storage chooses its route: every row-window block
-(each block without shift columns from the decoupled backend) gets its
-singular values from the banded eigenvalues of its one Gram matrix M^H M;
-dense blocks (those with shift columns, the coupled block) and any block
-with sigma_min < 1e-4 sigma_max (the accuracy guard), from dense SVD.
+decomposed.  Each block is asked for at most REPORTED_VALUES values: a
+large full-rank block that holds some of them (criterion 6's k=0 from 512
+columns on) gives only its smallest values, by the partial route of
+``crlab.assemble``, shift-invert Lanczos certified by an inertia count, and
+is not decomposed.  A block's storage chooses its route: every row-window
+block (each block without shift columns from the decoupled backend) gets
+its singular values from the banded eigenvalues of its one Gram matrix
+M^H M; dense blocks (those with shift columns, the coupled block) and any
+block with sigma_min < 1e-4 sigma_max (the accuracy guard), from dense SVD.
 Every rank-deficient block is therefore decided by dense SVD, and a banded
 value carries a relative error of order 1e-8 at worst (below 1e-11 on the
-operators of ``reproduce-all``).  The report's ``method`` names the routes that
-decided; a certified block passes the guard and counts as ``banded_gram``.
+operators of ``reproduce-all``).  The report's ``method`` names the routes
+that decided; a certified block passes the guard and counts as
+``banded_gram``, as does a block the partial route took.
 
 The analytic route never assembles the two-dimensional operator: on the
 complex-line fiber it anchors at the invertible mixed-weight cylinder and
@@ -70,7 +75,7 @@ REL_THRESHOLD = 1e-6
 GAP_MIN = 1e3
 
 # how many of the smallest singular values an IndexReport lists; the rank
-# decision decomposes every block that can hold one of them
+# decision asks every block that can hold one of them for at most this many
 REPORTED_VALUES = 10
 
 
@@ -123,8 +128,11 @@ def numerical_index(op):
     Only the blocks whose values can reach the report are decomposed.
     sigma_max is settled first (``DiscreteOperator.sigma_max``), decomposing
     only dense blocks.  Then one walk asks every block for its values below
-    a running cut (``DiscreteOperator.values_below``): dense blocks first,
-    then the row-window blocks in ascending |k|.  The cut is the larger of
+    a running cut, at most REPORTED_VALUES of them
+    (``DiscreteOperator.values_below``): dense blocks first, then the
+    row-window blocks in ascending |k|.  A block answered with only its
+    smallest values has full rank certified, so its rank is min(shape) less
+    its values below the threshold, here none.  The cut is the larger of
     the REPORTED_VALUES-th smallest value seen so far (counted with
     multiplicity) and the smallest seen value >= threshold.  It only falls
     as values are seen, so every block certified above it has full rank and
@@ -142,10 +150,10 @@ def numerical_index(op):
                                                          abs(op.blocks[i].k or 0)))
     for i in order:
         b = op.blocks[i]
-        sv = op.values_below(i, max(low[-1], least_kept))
+        sv = op.values_below(i, max(low[-1], least_kept), REPORTED_VALUES)
         rank = min(b.shape)
         if sv is not None:
-            rank = int((sv >= theta).sum())
+            rank -= int((sv < theta).sum())
             known.append(np.repeat(sv, b.mult))
             low = np.sort(np.concatenate([low, known[-1][-REPORTED_VALUES:]]))[:REPORTED_VALUES]
             least_kept = min(least_kept, float(sv[sv >= theta].min(initial=np.inf)))

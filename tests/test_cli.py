@@ -589,8 +589,9 @@ def test_float_formatting_fixed_width():
 
 @pytest.mark.parametrize("s_nodes", [384, 192], ids=["384x64", "192x64"])
 def test_index_files_identical_across_blas_threads(tmp_path, s_nodes):
-    # criterion 6's isomorphism: every block takes the banded route, whose
-    # output does not depend on the number of BLAS threads.  Dense SVD differs
+    # criterion 6's isomorphism: every block takes the banded route, or at
+    # 384x64 block k=0 the partial route, whose output does not depend on the
+    # number of BLAS threads.  Dense SVD differs
     # in the low digits, so outside this contract stay the blocks with shift
     # columns, the blocks the Gram guard rejects and the full SVD in
     # kernel_vectors -- and with them the stability column of ``glue`` on a

@@ -301,6 +301,7 @@ def test_criterion_6_is_decided_from_row_windows(monkeypatch):
         return real(b)
 
     monkeypatch.setattr(assemble_module, "_materialize", spy)
+    eig_banded = _eig_banded_calls(monkeypatch)
     S = LoopOperatorSpec(dim=2, coeff=np.diag([1.0, 1.0]))
     problem = build_contact_fiber_cylinder(S, S)
     tracemalloc.start()
@@ -313,9 +314,11 @@ def test_criterion_6_is_decided_from_row_windows(monkeypatch):
     assert (rep.index, rep.dim_ker, rep.decisive) == (0, 0, True)
     assert materialized == []
     assert peak < 64 * 2**20
-    # block k=0 holds the reported values and the gap and is the one block
-    # decomposed; sigma_max is settled on k=31 and the other 31 are certified
+    # block k=0 holds the reported values and the gap: the partial route finds
+    # its ten smallest values, and no block is decomposed; sigma_max is
+    # settled on k=31 and the other 31 are certified
     assert [op.blocks[i].k for i in range(len(op.blocks)) if op.known_values(i) is not None] == [0]
+    assert len(op.known_values(0)) == REPORTED_VALUES and eig_banded == []
 
 
 def _guard_rejected():
@@ -393,10 +396,15 @@ def test_reproduce_all_operators_match_dense_reference(tmp_path, monkeypatch):
     monkeypatch.setattr(scipy.linalg, "eig_banded",
                         lambda *args, **kwargs: eig_banded.append(1)
                         or real_eig_banded(*args, **kwargs))
+    partial = []
+    real_lowest = assemble_module._lowest_gram
+    monkeypatch.setattr(assemble_module, "_lowest_gram",
+                        lambda *args: partial.append(1) or real_lowest(*args))
     assert cli.main(["reproduce-all", "--out", str(tmp_path)]) == cli.EXIT_OK
     monkeypatch.undo()
-    # the work: 62 banded decompositions, every other row-window block certified
-    assert len(eig_banded) == 62
+    # the work: 62 banded decompositions, every other row-window block
+    # certified; every block lies below the partial route's size
+    assert len(eig_banded) == 62 and partial == []
 
     blocks = [b for op in ops for b in op.blocks]
     # 8 index rows, the two gluing components and the glued problems at 4 taus
@@ -829,10 +837,12 @@ def _window_band_calls(monkeypatch):
 
 
 def test_criterion_6_sums_no_block_from_all_its_rows(monkeypatch):
-    # 80 blocks over the three grids: 8 decomposed, 72 certified (108
-    # certificates), each grid's top block settled by two more factorizations;
-    # every band, for values, certificates and settlements alike, reads the
-    # shared terms, and the only sums over rows are each operator's four terms
+    # 80 blocks over the three grids: 7 decomposed, 1 (k=0 at 384x64, 768
+    # columns) given its smallest values by the partial route, 72 certified
+    # (108 certificates), each grid's top block settled by two more
+    # factorizations; every band, for values, certificates, settlements and
+    # the partial route alike, reads the shared terms, and the only sums over
+    # rows are each operator's four terms
     calls = _window_band_calls(monkeypatch)
     S = LoopOperatorSpec(dim=2, coeff=np.diag([1.0, 1.0]))
     problem = build_contact_fiber_cylinder(S, S)
@@ -842,7 +852,9 @@ def test_criterion_6_sums_no_block_from_all_its_rows(monkeypatch):
     blocks = [b for op in ops for b in op.blocks]
     assert len(blocks) == 80 and len(calls) == 4 * len(ops)
     assert not any(U is b.windows for U in calls for b in blocks)
-    assert sum(op.known_values(i) is not None for op in ops for i in range(len(op.blocks))) == 8
+    assert sum(op._svals[i] is not None for op in ops for i in range(len(op.blocks))) == 7
+    assert [(op.grid_tag(), op.blocks[i].k) for op in ops for i in range(len(op.blocks))
+            if op._lowest[i] is not None] == [("384x64@S12", 0)]
 
 
 def test_block_from_other_windows_takes_the_direct_band(monkeypatch):
@@ -874,3 +886,124 @@ def test_certificate_reads_end_rows_edited_in_place():
     assert np.abs(band - direct).max() <= 1e-13 * np.abs(direct).max()
     assert not assemble_module._gram_certified(b, shift, below=False)
     assert assemble_module._banded_singular_values(b) is None
+
+
+# ---------------------------------------------------------------------------
+# the partial route: certified smallest values of large full-rank blocks
+# ---------------------------------------------------------------------------
+
+PARTIAL_COLS = assemble_module._PARTIAL_MIN_COLS
+
+
+def _eig_banded_calls(monkeypatch):
+    """One entry per ``scipy.linalg.eig_banded`` call from now on."""
+    calls = []
+    real = scipy.linalg.eig_banded
+    monkeypatch.setattr(scipy.linalg, "eig_banded",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    return calls
+
+
+def assert_partial_route_matches_eig_banded(problem, grid):
+    """Each block that takes the partial route from a fresh operator returns
+    its smallest values, multiplicities included, equal to eig_banded's within
+    rtol 1e-9; the rank decision equals the fully decomposed copy's."""
+    op, ref = assemble(problem, grid), full_reference(problem, grid)
+    taken = 0
+    for i, b in enumerate(op.blocks):
+        fresh = replace(op)
+        sv = fresh.values_below(i, np.inf, REPORTED_VALUES)
+        if fresh._lowest[i] is None:
+            assert fresh.known_values(i) is None or len(sv) == min(b.shape)
+            continue
+        taken += 1
+        assert b.windows is not None and b.shape[0] >= b.shape[1] >= PARTIAL_COLS
+        assert len(sv) >= REPORTED_VALUES
+        np.testing.assert_allclose(sv, ref.block_values(i)[-len(sv):], rtol=1e-9)
+        assert fresh.block_routes()[i] == "banded_gram"
+    rep, rep_ref = numerical_index(op), numerical_index(ref)
+    assert (rep.dim_ker, rep.dim_coker, rep.index, rep.decisive, rep.method) == (
+        rep_ref.dim_ker, rep_ref.dim_coker, rep_ref.index, rep_ref.decisive, rep_ref.method)
+    np.testing.assert_allclose(rep.singular_values, rep_ref.singular_values, rtol=1e-9)
+    np.testing.assert_allclose([rep.gap_ratio, rep.min_singular_value, rep.sigma_max],
+                               [rep_ref.gap_ratio, rep_ref.min_singular_value,
+                                rep_ref.sigma_max], rtol=1e-9)
+    return taken
+
+
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(weights=st.tuples(SIGNED_WEIGHTS, SIGNED_WEIGHTS),
+       s_nodes=st.sampled_from([PARTIAL_COLS, 640]))
+def test_partial_route_matches_eig_banded_trivial(weights, s_nodes):
+    # scalar blocks of s_nodes columns, one field
+    problem = build_trivial_cylinder(weights, truncation=SMALL_TRUNC)
+    assert_partial_route_matches_eig_banded(problem, GridSpec(s_nodes, 8))
+
+
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(ends=st.tuples(SYMMETRIC_2X2, SYMMETRIC_2X2),
+       weights=st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
+       s_nodes=st.sampled_from([PARTIAL_COLS // 2, 320]))
+def test_partial_route_matches_eig_banded_contact(ends, weights, s_nodes):
+    # blocks of 2 s_nodes columns on the 2-dimensional fiber
+    weights = tuple(w / 4.0 for w in weights)
+    assume(clear_of_walls(ends, weights))
+    problem = build_contact_fiber_cylinder(
+        *(LoopOperatorSpec(dim=2, coeff=S) for S in ends), weights=weights,
+        truncation=SMALL_TRUNC)
+    assert_partial_route_matches_eig_banded(problem, GridSpec(s_nodes, 8))
+
+
+def test_partial_route_takes_doubled_values():
+    # criterion 6's block k=0 has every value doubled (S = I on two fields)
+    S = LoopOperatorSpec(dim=2, coeff=np.eye(2))
+    assert assert_partial_route_matches_eig_banded(build_contact_fiber_cylinder(S, S),
+                                                   GridSpec(288, 8)) >= 1
+
+
+def test_proposal_missing_one_copy_of_a_doubled_value_is_refused(monkeypatch):
+    # one copy of the smallest doubled value of block k=0 dropped from the
+    # accepted proposal: the inertia count finds one more value below y, and
+    # the block falls back to eig_banded
+    S = LoopOperatorSpec(dim=2, coeff=np.eye(2))
+    problem, grid = build_contact_fiber_cylinder(S, S), GridSpec(288, 32)
+    real = assemble_module._accepted_ritz_values
+    proposals = []
+
+    def drop_one_copy(*args):
+        found = real(*args)
+        if found is not None:
+            values, y = found
+            assert values[1] - values[0] <= 1e-12 * values[0]
+            proposals.append(values)
+            return values[1:], y
+        return found
+
+    monkeypatch.setattr(assemble_module, "_accepted_ritz_values", drop_one_copy)
+    eig_banded = _eig_banded_calls(monkeypatch)
+    op = assemble(problem, grid)
+    rep = numerical_index(op)
+    monkeypatch.undo()
+    assert len(proposals) == 1 and op.blocks[0].k == 0
+    assert op.known_values(0) is not None and op._lowest[0] is None
+    assert len(eig_banded) == 1 and len(op.block_values(0)) == op.blocks[0].shape[1]
+    assert rep == numerical_index(full_reference(problem, grid))
+
+
+def _wide():
+    # mode 0 of the growth cylinder: 599 x 600 row windows
+    op = assemble(*banded_cases()["wide"])
+    return op, next(i for i, b in enumerate(op.blocks) if b.shape[0] < b.shape[1])
+
+
+@pytest.mark.parametrize("make_op", [_wide, _guard_rejected_windows, _guard_rejected,
+                                     _bandwidth_rejected],
+                         ids=["wide", "guard_windows", "dense_guard", "dense_shifts"])
+def test_wide_rejected_and_dense_blocks_never_take_the_partial_route(make_op):
+    op, i = make_op()
+    b = op.blocks[i]
+    assert b.shape[1] >= PARTIAL_COLS
+    rep = numerical_index(op)
+    assert op._lowest[i] is None
+    assert len(op.values_below(i, np.inf, REPORTED_VALUES)) == min(b.shape)
+    assert_reports_agree(rep, numerical_index(dense_reference(op)))

@@ -4,7 +4,8 @@ Usage:
   python3 tools/output_digest.py [--out DIR]
 
 The set: ``reproduce-all``; ``index`` on acceptance criterion 6 (the contact
-isomorphism) at 96x32, 192x64 and 384x64, and on the refinement grid 1536x8;
+isomorphism) at 96x32, 192x64 and 384x64, and on the refinement grids 1536x8
+and 3072x32, and once more at 96x32 with its Matrix Market export;
 ``glue`` on the reproduce-all flow pair at tau 6, 8, 10 and 12, and on two
 shifted complex-line cylinders (u with weights (1, 1) and shifts (2, 0), w
 with weights (-1, 1) and shifts (0, 2)) at tau 6, 10 and 14; one
@@ -101,10 +102,13 @@ SEEDS = {"vdim_ladder": 3}
 def experiments():
     """(name, subcommand, config inputs or None) of every run, in order."""
     runs = [("reproduce_all", "reproduce-all", None)]
-    for s_nodes, t_nodes in ((96, 32), (192, 64), (384, 64), (1536, 8)):
+    for s_nodes, t_nodes in ((96, 32), (192, 64), (384, 64), (1536, 8), (3072, 32)):
         runs.append((f"criterion6_{s_nodes}x{t_nodes}", "index",
                      {"problem": _contact([1.0, 1.0], [1.0, 1.0]),
                       "grid": {"s_nodes": s_nodes, "t_nodes": t_nodes}}))
+    runs.append(("criterion6_96x32_export", "index",
+                 {"problem": _contact([1.0, 1.0], [1.0, 1.0]),
+                  "grid": {"s_nodes": 96, "t_nodes": 32}, "export_matrix": True}))
     runs.append(("glue_flow_pair", "glue",
                  {"problem_u": _contact([-2.0, -2.0], [1.0, 1.0], (1.0, 0.5), 3.0),
                   "problem_w": _contact([1.0, 1.0], [3.0, 3.0], (-0.5, 1.5), 3.0),
