@@ -717,7 +717,10 @@ def _accepted_ritz_values(V, GV, H, m, p, room, top):
     """
     theta, Y = _small_eigh(H)
     below = int(np.searchsorted(theta, top))
-    splits = range(m, min(m + p, len(theta) - 1) + 1) if below >= m else [below] * (below > 0)
+    if below >= m:
+        splits = range(m, min(m + p, len(theta) - 1) + 1)
+    else:
+        splits = [below] if below else []
     for c in splits:
         if theta[c] - theta[c - 1] > 2.0 * room:
             Yc = Y[:, :c]
@@ -734,9 +737,9 @@ class DiscreteOperator:
     """Assembled rectangular operator with grid metadata.
 
     ``blocks`` hold the per-mode factors, as row windows or dense
-    (``ModeBlock``); ``matrix`` materializes the full real rectangular
-    matrix (block diagonal over modes, every block made dense) for export
-    and transpose experiments.  cols - rows equals the analytic index
+    (``ModeBlock``); ``matrix`` builds the full real rectangular matrix as
+    CSR (block diagonal over modes, a row-window block from its windows,
+    never made dense) for export and transpose experiments.  cols - rows equals the analytic index
     candidate once the boundary rows are installed.
 
     Each block is decomposed at most once per operator, in ``block_values``
