@@ -30,17 +30,20 @@ operators of ``reproduce-all``).  The report's ``method`` names the routes
 that decided; a certified block passes the guard and counts as
 ``banded_gram``, as does a block the partial route took.
 
-The analytic route never assembles the two-dimensional operator: on the
-complex-line fiber it anchors at the invertible mixed-weight cylinder and
-walks to the requested weights by wall-crossing window counts; on the
-contact fiber it equals minus the spectral flow of the interpolation path,
-read off the negative-eigenvalue counts of its two end operators alone.
+The analytic route never assembles the two-dimensional operator: the index
+is decided by the ends alone.  With A_- the negative end's asymptotic
+operator plus delta_- I and A_+ the positive end's minus delta_+ I, it is
+n_-(A_-) - n_-(A_+) plus the augmentation dimensions, n_- counting the
+negative eigenvalues on the circle grid.  One formula covers every fiber and
+domain: a plane's disk cap is a negative end of weight -pi on i d/dt, and a
+t-dependent end enters as its coefficient loop.  A sweep's crossed
+multiplicity is the change of this count between two weights.
 
-Orientation convention for the analytic contact-fiber index: the interpolation
-path is traversed from the positive end to the negative end.  With the
-crossing convention of :mod:`crlab.loops` (flow = #(neg->pos) - #(pos->neg))
-this fixes  Ind(d/ds + A(s)) = -spectral_flow(path from A_+ to A_-),
-equivalently +spectral_flow of the negative-to-positive traversal.
+Orientation convention: the count is computed as the spectral flow of a path
+traversed from A_+ to A_-.  With the crossing convention of
+:mod:`crlab.loops` (flow = #(neg->pos) - #(pos->neg)) this fixes
+Ind(d/ds + A(s)) = -spectral_flow(path from A_+ to A_-), equivalently
++spectral_flow of the negative-to-positive traversal.
 """
 
 from __future__ import annotations
@@ -50,24 +53,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assemble import assemble, required_s_nodes
-from .exceptions import (
-    AmbiguousWindowError,
-    AssemblyError,
-    FredholmWeightError,
-    InstabilityError,
-)
-from .loops import (
-    T_RESOLUTION,
-    LoopOperatorSpec,
-    assemble_loop_operator,
-    count_window,
-    spectral_flow,
-    spectrum,
-)
-from .problems import GridSpec, default_grid_for, with_weights
-
-TWO_PI = 2.0 * np.pi
-
+from .exceptions import AssemblyError, DegenerateEndError, FredholmWeightError, InstabilityError
+from .loops import LoopOperatorSpec, spectral_flow
+from .problems import EndSpec, GridSpec, default_grid_for, with_weights
 
 # The rank decision: threshold = REL_THRESHOLD sigma_max, decisive when the
 # kept/discarded singular-value ratio is at least GAP_MIN
@@ -188,44 +176,36 @@ def index_of(problem, grid=None):
 # analytic route
 # ---------------------------------------------------------------------------
 
-def _integer_multiples_between(lo, hi):
-    """Real multiplicity of the trivial asymptotic spectrum 2 pi Z in (lo, hi),
-    counted through the loop-operator window machinery."""
-    if not lo < hi:
-        return 0
-    spec2 = LoopOperatorSpec(dim=2)
-    rep = spectrum(assemble_loop_operator(spec2, T_RESOLUTION))
-    return count_window(rep, lo, hi)
+# a plane's disk cap read as a negative end: like any negative end with a
+# weight in (-2 pi, 0) on i d/dt, it constrains the trace along the
+# eigenvalues above 0
+_DISK_CAP = EndSpec("negative", LoopOperatorSpec(dim=2), -np.pi)
+
+
+def _weight_shifted(end):
+    """The end's asymptotic operator minus its weight slope: A - w' I.  A
+    coefficient loop S(t) is shifted as the loop t -> S(t) - w' I."""
+    a = end.asymptotic
+    shift = end.slope * np.eye(a.dim)
+    if a.is_constant:
+        return LoopOperatorSpec(dim=a.dim, coeff=a.constant_matrix() - shift)
+    return LoopOperatorSpec(dim=a.dim, coeff=lambda t: a.sample(t)[0] - shift)
 
 
 def analytic_index(problem):
-    """Integer index without assembling the 2-D operator.
+    """Integer index from the two weight-shifted end operators alone.
 
-    Complex-line fiber: the count of trivial-spectrum points between the
-    shifted end exponents (wall-crossing from the invertible mixed-weight
-    case) plus the augmentation dimensions.  Contact fiber: minus the
-    spectral flow of the interpolation path traversed from the positive to
-    the negative end.
+    A_- is the negative end's asymptotic operator plus delta_- I, A_+ the
+    positive end's minus delta_+ I, and the index is
+    n_-(A_-) - n_-(A_+) + augmentation_dims, with n_- the count of negative
+    eigenvalues on the circle grid: minus the spectral flow from A_+ to A_-
+    (Robbin & Salamon, 1995), which depends on its endpoints alone.  A
+    plane's disk cap is the negative end ``_DISK_CAP``.  The formula has no
+    branch on fiber or domain, and a t-dependent end enters as its loop.
     """
-    if problem.fiber == "complex_line":
-        dm, dp = problem.weights()
-        if problem.domain_kind == "plane":
-            base = 2 if dp < 0 else 0
-            return base + problem.augmentation_dims
-        plus = _integer_multiples_between(dm, -dp)
-        minus = _integer_multiples_between(-dp, dm)
-        return plus - minus + problem.augmentation_dims
-
-    prof = problem.weight_profile()
-    s_max = problem.truncation.s_max
-    dim = problem.fiber_dim
-
-    def path(u):
-        s_phys = s_max * (1.0 - 2.0 * u)      # positive end -> negative end
-        B = problem.coefficient(s_phys) - float(prof.wprime(s_phys)) * np.eye(dim)
-        return LoopOperatorSpec(dim=dim, coeff=0.5 * (B + B.T))
-
-    return -spectral_flow(path)
+    a_minus = _weight_shifted(problem.negative_end or _DISK_CAP)
+    a_plus = _weight_shifted(problem.positive_end)
+    return problem.augmentation_dims - spectral_flow(lambda u: a_plus if u < 0.5 else a_minus)
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +240,12 @@ def delta_sweep(problem, deltas, grid=None):
     """Recompute the index across weight magnitudes, recording index jumps.
 
     Each sample keeps the sign pattern of the problem's weights and replaces
-    the magnitudes by delta.  Samples whose shifted spectrum degenerates are
-    skipped and flagged.  The crossed multiplicity of each jump is the signed
-    window count of the end spectra between consecutive magnitudes: growth
-    ends raise the index when the window is crossed outward, decay ends
-    lower it.  Equal consecutive magnitudes cross no window.
+    the magnitudes by delta.  Samples whose weight or shifted end degenerates
+    are skipped and flagged.  The crossed multiplicity of each jump is the
+    change of ``analytic_index`` between consecutive valid samples: as
+    n_-(A - c_2) - n_-(A - c_1) counts the eigenvalues of A between the two
+    shifts, it is the signed window count of the end spectra crossed
+    (Lockhart & McOwen, 1985).  Equal consecutive magnitudes cross nothing.
 
     A sample runs on ``grid`` (by default ``default_grid_for``) with its
     s-nodes raised to ``required_s_nodes`` where the sample's weight needs
@@ -273,6 +254,7 @@ def delta_sweep(problem, deltas, grid=None):
     ran on.
     """
     rows = []
+    valid = []                 # (delta, index, analytic index) of each valid sample
     signs = {e.sign: (1.0 if e.weight >= 0 else -1.0) for e in problem.ends}
     for d in deltas:
         d = float(d)
@@ -283,31 +265,13 @@ def delta_sweep(problem, deltas, grid=None):
             g = grid or default_grid_for(p.truncation)
             if g.s_nodes < required_s_nodes(p):
                 g = GridSpec(s_nodes=required_s_nodes(p), t_nodes=g.t_nodes)
+            ana = analytic_index(p)
             rows.append(SweepRow(delta=d, report=index_of(p, g)))
-        except (FredholmWeightError, ValueError) as exc:
+            valid.append((d, rows[-1].report.index, ana))
+        except (DegenerateEndError, FredholmWeightError, ValueError) as exc:
             rows.append(SweepRow(delta=d, report=None, skipped=True, reason=str(exc)))
-    jumps = []
-    valid = [r for r in rows if not r.skipped]
-    end_spectra = [(e, spectrum(assemble_loop_operator(e.asymptotic, T_RESOLUTION)))
-                   for e in problem.ends]
-    for r1, r2 in zip(valid, valid[1:]):
-        jump = r2.report.index - r1.report.index
-        lo, hi = sorted((abs(r1.delta), abs(r2.delta)))
-        crossed = 0
-        for e, rep in (end_spectra if lo < hi else ()):
-            try:
-                pos_cnt = count_window(rep, lo, hi)
-                neg_cnt = count_window(rep, -hi, -lo)
-            except AmbiguousWindowError:
-                continue
-            # a growing magnitude tightens decay ends (negative-end walls sit
-            # at the negative eigenvalues) and loosens growth ends
-            if e.sign == "negative":
-                crossed += pos_cnt if e.weight < 0 else -neg_cnt
-            else:
-                crossed += neg_cnt if e.weight < 0 else -pos_cnt
-        orient = 1 if abs(r2.delta) >= abs(r1.delta) else -1
-        jumps.append((r1.delta, r2.delta, jump, orient * crossed))
+    jumps = [(d1, d2, i2 - i1, a2 - a1)
+             for (d1, i1, a1), (d2, i2, a2) in zip(valid, valid[1:])]
     return SweepReport(rows=rows, jumps=jumps)
 
 

@@ -8,10 +8,11 @@ a path of such operators computes indices of the cylinder operators built in
 :mod:`crlab.assemble`.  On the discrete operators the flow is the drop in the
 number of negative eigenvalues between the endpoints: only those are solved.
 
-A constant S on the Fourier grid is stored as its mode blocks: the DFT splits
-the operator into the Hermitian blocks S + 2 pi k (i J0), |k| <= (M-1)/2, and
+A constant S is stored as its mode blocks: the DFT splits the operator into
+the Hermitian blocks S + sigma(k) (i J0), |k| <= (M-1)/2, with sigma(k) =
+2 pi k on the Fourier grid and M sin(2 pi k / M) for finite differences, and
 one batched ``eigvalsh`` over them gives its spectrum.  The dense matrix on
-the grid stays the reference; finite differences and t-dependent S read it.
+the grid stays the reference; only a t-dependent S reads it.
 
 Sign convention, fixed once for the whole package:
 
@@ -172,11 +173,11 @@ class LoopOperatorSpec:
 class DiscreteLoopOperator:
     """A on a circle grid of ``t_resolution`` (odd) nodes.
 
-    ``modes`` holds the (M, dim, dim) Hermitian blocks S + 2 pi k (i J0) of a
-    constant S on the Fourier grid, k in ``np.fft.fftfreq`` order, and is None
-    otherwise.  ``matrix`` is the real symmetric (M dim, M dim) matrix; it is
-    built on first read, and every operator without ``modes`` has it from
-    assembly on.
+    ``modes`` holds the (M, dim, dim) Hermitian blocks S + sigma(k) (i J0) of
+    a constant S, k in ``np.fft.fftfreq`` order, with the symbol sigma(k) of
+    the method (``assemble_loop_operator``), and is None otherwise.
+    ``matrix`` is the real symmetric (M dim, M dim) matrix; it is built on
+    first read, and every operator without ``modes`` has it from assembly on.
     """
 
     spec: LoopOperatorSpec
@@ -199,12 +200,20 @@ class DiscreteLoopOperator:
         return 0.5 * (A + A.T)
 
     def eigenvalues(self):
-        """All eigenvalues, sorted: one batched ``eigvalsh`` over ``modes``,
-        or ``eigvalsh(matrix)`` without them."""
+        """All eigenvalues, sorted: ``mode_eigenvalues`` flattened, or
+        ``eigvalsh(matrix)`` without ``modes``."""
+        if self.modes is not None:
+            return np.sort(self.mode_eigenvalues().ravel())
+        return self._eigvalsh(self.matrix)
+
+    def mode_eigenvalues(self):
+        """One batched ``eigvalsh`` over ``modes``: row j of the (M, dim)
+        result holds the eigenvalues of mode ``np.fft.fftfreq(M, 1 / M)[j]``."""
+        return self._eigvalsh(self.modes)
+
+    def _eigvalsh(self, a):
         try:
-            if self.modes is None:
-                return np.linalg.eigvalsh(self.matrix)
-            return np.sort(np.linalg.eigvalsh(self.modes).ravel())
+            return np.linalg.eigvalsh(a)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
             raise NumericalError(
                 f"eigensolver failed on the {self.method} operator at "
@@ -234,10 +243,11 @@ def _fd_diff_matrix(M):
 def assemble_loop_operator(spec, t_resolution, method="fourier"):
     """Assemble A = J0 d/dt + S(t) on a t-grid as a :class:`DiscreteLoopOperator`.
 
-    A constant S with the Fourier method is stored as its mode blocks, on
-    which spectral differentiation is exact; the dense matrix is then built
-    only when read.  Any other operator is assembled dense, its coefficient
-    loop sampled and checked here.  Even requested resolutions are rounded up
+    A constant S is stored as its mode blocks, S + sigma(k) (i J0) with the
+    symbol sigma(k) = 2 pi k of spectral differentiation (exact) or
+    M sin(2 pi k / M) of centered differences; the dense matrix is then
+    built only when read.  A t-dependent operator is assembled dense, its
+    coefficient loop sampled and checked here.  Even requested resolutions are rounded up
     to the next odd node count: an even periodic grid carries a Nyquist mode
     that spectral differentiation annihilates, which would contaminate the
     low spectrum with copies of the eigenvalues of S alone.
@@ -249,9 +259,10 @@ def assemble_loop_operator(spec, t_resolution, method="fourier"):
     spec.check_periodicity(t_resolution)
     M = int(t_resolution) | 1
     op = DiscreteLoopOperator(spec=spec, t_resolution=M, method=method)
-    if method == "fourier" and spec.is_constant:
+    if spec.is_constant:
         k = np.fft.fftfreq(M, d=1.0 / M)
-        op.modes = spec.constant_matrix() + (2j * np.pi * k)[:, None, None] * standard_j(spec.dim)
+        symbol = 2j * np.pi * k if method == "fourier" else 1j * M * np.sin(2 * np.pi * k / M)
+        op.modes = spec.constant_matrix() + symbol[:, None, None] * standard_j(spec.dim)
     else:
         op.matrix  # built now, so that a bad coefficient loop raises here
     return op
@@ -288,23 +299,30 @@ def spectrum(op):
 
     Eigenvalues within 1e-6 (1 + max |lambda|) of each other form one group.
     Eigenvalues outside the resolvable band |lambda| > (pi/2) * resolution are
-    reported but flagged unreliable.  The Fourier method reads
-    ``op.eigenvalues()``.  For the finite-difference method, eigenvectors
-    dominated by near-Nyquist modes are also flagged: centered differences
-    fold the top of the band back to small eigenvalues, and those folded
-    copies carry no spectral information.
+    reported but flagged unreliable.  For the finite-difference method,
+    eigenvalues of modes |k| > M/4 are also flagged: centered differences fold
+    the top of the band back to small eigenvalues, and those folded copies
+    carry no spectral information.  An operator with ``modes`` knows the mode
+    of each eigenvalue; without them, a dense ``eigh`` classifies each
+    eigenvector by its FFT energy on |k| <= M/4.
     """
     M = op.t_resolution
     band = 0.5 * np.pi * M
-    if op.method == "finite_difference":
+    low = np.abs(np.fft.fftfreq(M, d=1.0 / M)) <= M / 4.0
+    if op.modes is not None:
+        lam = op.mode_eigenvalues()
+        ok = np.abs(lam) <= band
+        if op.method == "finite_difference":
+            ok &= low[:, None]
+        order = np.argsort(lam, axis=None)
+        lam, ok = lam.ravel()[order], ok.ravel()[order]
+    elif op.method == "finite_difference":
         try:
             lam, vec = np.linalg.eigh(op.matrix)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
             raise NumericalError(
                 f"eigensolver failed on {op.matrix.shape} {op.method} matrix: {exc}") from exc
         modes = np.fft.fft(vec.reshape(M, op.spec.dim, -1), axis=0)
-        freqs = np.abs(np.fft.fftfreq(M, d=1.0 / M))
-        low = freqs <= M / 4.0
         energy = np.abs(modes) ** 2
         frac = energy[low].sum(axis=(0, 1)) / energy.sum(axis=(0, 1))
         ok = (np.abs(lam) <= band) & (frac >= 0.5)

@@ -11,10 +11,11 @@ cap is realized as a boundary condition.
 Every problem rule lives in ``CRProblem.__post_init__``: the domain's ends,
 complex-line ends that are i d/dt, no ``coeff_s`` on the complex line,
 contact ends of one dimension and without shifts, constant ends under the
-builders' coefficient, and each end's Fredholm weight.  The builders are
-presets over that one constructor, and ``problem_from_json`` is the inverse
-of ``CRProblem.to_json``, so ``glue``, ``with_weights`` and JSON input are
-held to the same rules.
+builders' coefficient, each end's Fredholm weight, and a set weight
+profile's slope at each end.  The builders are presets over that one
+constructor, and ``problem_from_json`` is the inverse of
+``CRProblem.to_json``, so ``glue``, ``with_weights`` and JSON input are held
+to the same rules.
 """
 
 from __future__ import annotations
@@ -56,6 +57,12 @@ class EndSpec:
         if self.shift_dims not in (0, 1, 2):
             raise ValueError(f"shift_dims must be 0, 1 or 2, got {self.shift_dims}")
 
+    @property
+    def slope(self):
+        """The weight profile's slope w' at this end: -weight at the negative
+        end, +weight at the positive one."""
+        return self.weight if self.sign == "positive" else -self.weight
+
     def validate_weight(self, fiber):
         """Fredholm criterion: the weight must avoid the asymptotic spectrum.
 
@@ -76,8 +83,7 @@ class EndSpec:
         if not margin > tol:
             raise DegenerateEndError(
                 f"contact-fiber end has degenerate asymptotic operator (margin {margin:.2e})")
-        shift = -self.weight if self.sign == "negative" else self.weight
-        shifted_margin = float(np.abs(lam - shift).min())
+        shifted_margin = float(np.abs(lam - self.slope).min())
         if shifted_margin <= tol:
             raise FredholmWeightError(
                 f"weight {self.weight} hits the asymptotic spectrum "
@@ -153,7 +159,10 @@ class CRProblem:
     refuses it); ``coeff_st`` maps (s, t) to B(s, t) otherwise.  With neither
     set, B is the builders' coefficient (``coefficient``).  At |s| = s_max the
     coefficient must agree with each end's asymptotic matrix to within
-    e^{-(s_max - n')} (``check_end_decay``).
+    e^{-(s_max - n')} (``check_end_decay``).  A ``profile_override`` must
+    realize the end weights: its slope w' is -delta_- at s_lo and delta_+ at
+    s_max, within 1e-9 (1 + |delta|).  The default erf profile is exempt: on
+    a small box its transition has not yet reached the end weights.
     """
 
     domain_kind: str
@@ -201,6 +210,13 @@ class CRProblem:
                     "t-dependent asymptotics require an explicit coeff_st problem")
         for e in ends:
             e.validate_weight(self.fiber)
+            if self.profile_override is not None:
+                s_end = self.truncation.s_max if e.sign == "positive" else self.s_lo
+                got = float(self.profile_override.wprime(s_end))
+                if abs(got - e.slope) > 1e-9 * (1.0 + abs(e.weight)):
+                    raise ValueError(
+                        f"{e.sign} end: weight {e.weight:g} needs the weight profile's "
+                        f"slope {e.slope:g} at s = {s_end:g}, got {got:g}")
         sd = sorted(e.shift_dims for e in ends)
         if len(ends) == 2 and sd == [1, 1]:
             raise ValueError("shift_dims (1,1) is not a supported augmentation pattern")

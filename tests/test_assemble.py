@@ -284,6 +284,7 @@ def test_full_and_decoupled_backends_agree(p):
     assert (rep_c.index, rep_c.dim_ker, rep_c.dim_coker, rep_c.decisive) == \
         (rep_d.index, rep_d.dim_ker, rep_d.dim_coker, rep_d.decisive)
     assert rep_d.index == analytic_index(p)
+    assert analytic_index(t_dependent_copy(p)) == rep_c.index
     assert abs(rep_d.sigma_max - rep_c.sigma_max) < 1e-8 * rep_d.sigma_max
     assert np.allclose(rep_c.singular_values, rep_d.singular_values, rtol=0, atol=1e-8)
     assert abs(rep_d.min_singular_value - rep_c.min_singular_value) < 1e-8

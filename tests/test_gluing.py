@@ -18,7 +18,7 @@ from crlab.gluing import (
     transplant_residuals,
     verify_additivity,
 )
-from crlab.indexing import index_of, numerical_index
+from crlab.indexing import delta_sweep, index_of, numerical_index
 from crlab.loops import LoopOperatorSpec
 from crlab.problems import (
     GridSpec,
@@ -26,6 +26,7 @@ from crlab.problems import (
     build_contact_fiber_cylinder,
     build_trivial_cylinder,
     default_grid_for,
+    with_weights,
 )
 
 # the package's ``assemble`` attribute is the function, not the module
@@ -126,6 +127,22 @@ def test_glue_of_trivial_problems_is_trivial():
     assert glued.weights() == (-1.0, 1.0)
     rep = index_of(glued)
     assert rep.index == 0 == index_of(pu).index + index_of(pw).index
+
+
+def test_reweighting_a_glued_problem_refuses_its_profile():
+    # the glued profile's slopes realize the component weights (1, 1): a copy
+    # claiming (-1, 1) would still realize delta_- = 1, index -2 against the
+    # analytic 0
+    pu = build_trivial_cylinder((1.0, 1.0), truncation=TRUNC)
+    pw = build_trivial_cylinder((-1.0, 1.0), truncation=TRUNC)
+    glued, _ = glue(pu, pw, 6.0)
+    assert glued.weights() == (1.0, 1.0)
+    with pytest.raises(ValueError, match="negative end: weight -1 needs the weight "
+                                         "profile's slope 1 at s = -18, got -1"):
+        with_weights(glued, (-1.0, 1.0))
+    rep = delta_sweep(glued, [1.0, 2.0])
+    assert not rep.rows[0].skipped and rep.rows[0].report.index == -2
+    assert rep.rows[1].skipped and "weight profile's slope" in rep.rows[1].reason
 
 
 def test_iso_pair_has_empty_approximate_kernel():

@@ -30,7 +30,7 @@ from crlab.indexing import (
     index_of,
     numerical_index,
 )
-from crlab.loops import LoopOperatorSpec
+from crlab.loops import LoopOperatorSpec, standard_j
 from crlab.problems import (
     GridSpec,
     Truncation,
@@ -128,6 +128,66 @@ def test_delta_sweep_contact_wall_crossing():
     (d1, d2, jump, crossed) = rep.jumps[0]
     assert jump == -2
     assert crossed == -2
+
+
+def test_delta_sweep_counts_a_wall_at_the_window_edge():
+    # 1 + 1e-6 lies within 2e-6 of the eigenvalue 1 of the ends, inside a
+    # window count's tolerance; the negative-eigenvalue counts still read it
+    S = LoopOperatorSpec(dim=2, coeff=np.diag([1.0, 1.0]))
+    p = build_contact_fiber_cylinder(S, S, weights=(0.5, 0.5))
+    rep = delta_sweep(p, [0.5, 1.0 + 1e-6])
+    assert all(r.report.decisive for r in rep.rows)
+    assert rep.jumps == [(0.5, 1.0 + 1e-6, -2, -2)]
+
+
+MAGNITUDES = st.floats(1e-7, 2.0 * np.pi - 1e-7)
+SHIFT_PATTERNS = [(0, 0), (2, 2), (1, 2), (2, 1), (2, 0), (0, 2), (1, 0), (0, 1)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=250)
+@given(signs=st.tuples(st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0])),
+       mags=st.tuples(MAGNITUDES, MAGNITUDES), shifts=st.sampled_from(SHIFT_PATTERNS),
+       plane=st.booleans())
+def test_analytic_index_closed_form_on_the_complex_line(signs, mags, shifts, plane):
+    # cylinders: growth/growth +2, decay/decay -2, mixed 0; a plane 2 when
+    # its end permits growth; plus the shift columns
+    dm, dp = signs[0] * mags[0], signs[1] * mags[1]
+    if plane:
+        p, base = build_plane(dp, shifts[1]), (2 if dp < 0 else 0)
+    else:
+        p, base = build_trivial_cylinder((dm, dp), shifts), {-2.0: 2, 0.0: 0, 2.0: -2}[sum(signs)]
+    assert analytic_index(p) == base + p.augmentation_dims
+
+
+def _gauged(S, m):
+    """The loop t -> R(t) (S + 2 pi m I) R(t)^T, R(t) = exp(2 pi m J0 t): its
+    operator is conjugate to J0 d/dt + S by the rotation z -> R(t) z."""
+    J = standard_j(2)
+
+    def loop(t):
+        R = np.cos(2 * np.pi * m * t) * np.eye(2) + np.sin(2 * np.pi * m * t) * J
+        return R @ (S + 2 * np.pi * m * np.eye(2)) @ R.T
+
+    return loop
+
+
+@pytest.mark.parametrize("m", [-1, 1, 2])
+def test_analytic_index_of_a_gauge_family_is_the_constant_one(m):
+    # the whole operator is conjugate to the constant problem's, so every
+    # weight pair reads the constant index, which differs across the pairs
+    ends = [LoopOperatorSpec(dim=2, coeff=np.array(S)) for S in
+            ([[1.0, 0.3], [0.3, 2.0]], [[-1.5, 0.4], [0.4, 0.5]])]
+    for weights, want in (((0.0, 0.0), -1), ((-2.2, 0.0), 1), ((3.0, 3.0), -2)):
+        const = build_contact_fiber_cylinder(*ends, truncation=SMALL_TRUNC, weights=weights)
+        gauged = replace(const, coeff_st=lambda s, t: _gauged(const.coefficient(s), m)(t),
+                         ends=tuple(replace(e, asymptotic=LoopOperatorSpec(
+                             dim=2, coeff=_gauged(e.asymptotic.constant_matrix(), m)))
+                             for e in const.ends))
+        assert gauged.t_dependent
+        assert analytic_index(gauged) == analytic_index(const) == want
+        if weights == (0.0, 0.0):      # the coupled numerical index agrees
+            rep = index_of(gauged, GridSpec(48, 16))
+            assert rep.decisive and rep.index == want
 
 
 def test_delta_sweep_jump_consistency_randomized(rng):

@@ -22,6 +22,7 @@ from crlab.exceptions import (
     ResolutionError,
 )
 from crlab.loops import (
+    DiscreteLoopOperator,
     LoopOperatorSpec,
     _eigenvalues,
     assemble_loop_operator,
@@ -297,11 +298,12 @@ RESOLUTIONS = st.one_of(st.just(8), st.integers(5, 40).map(lambda n: 2 * n),
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
-@given(S=st.sampled_from([2, 4, 6]).flatmap(_symmetric_matrices), res=RESOLUTIONS)
-def test_mode_eigenvalues_match_the_dense_matrix(S, res):
+@given(S=st.sampled_from([2, 4, 6]).flatmap(_symmetric_matrices), res=RESOLUTIONS,
+       method=st.sampled_from(["fourier", "finite_difference"]))
+def test_mode_eigenvalues_match_the_dense_matrix(S, res, method):
     S = np.array(S)
-    op = assemble_loop_operator(LoopOperatorSpec(dim=S.shape[0], coeff=S), res)
-    assert op.modes is not None
+    op = assemble_loop_operator(LoopOperatorSpec(dim=S.shape[0], coeff=S), res, method)
+    assert op.modes is not None and "matrix" not in vars(op)
     got = op.eigenvalues()
     want = np.linalg.eigvalsh(op.matrix)
     scale = 1.0 + float(np.abs(want).max())
@@ -310,6 +312,11 @@ def test_mode_eigenvalues_match_the_dense_matrix(S, res):
     # the sign of an eigenvalue at zero is round-off; count where 0 is separated
     if np.abs(want).min() > 1e-12 * scale:
         assert np.count_nonzero(got < 0) == np.count_nonzero(want < 0)
+    # the reliability flags read each value's mode; the dense route reads each
+    # eigenvector's FFT energy
+    dense = DiscreteLoopOperator(spec=op.spec, t_resolution=op.t_resolution, method=method)
+    by_modes, by_matrix = spectrum(op).eigenvalues, spectrum(dense).eigenvalues
+    assert [(m, r) for _, m, r in by_modes] == [(m, r) for _, m, r in by_matrix]
 
 
 def _recorded_operators(monkeypatch):
@@ -341,7 +348,7 @@ def test_constant_fourier_solves_read_mode_blocks_only(monkeypatch):
     assert all(op.modes is not None and "matrix" not in vars(op) for op in ops)
 
 
-def test_t_dependent_and_finite_difference_operators_are_dense(monkeypatch):
+def test_t_dependent_operators_are_dense(monkeypatch):
     def S(t):
         c = np.cos(2 * np.pi * t)
         return np.array([[0.5 + 0.3 * c, 0.1], [0.1, 1.0 + 0.3 * c]])
@@ -351,7 +358,3 @@ def test_t_dependent_and_finite_difference_operators_are_dense(monkeypatch):
     _solve_every_way(spec, spec)
     assert len(ops) == 5
     assert all(op.modes is None and "matrix" in vars(op) for op in ops)
-    fd = assemble_loop_operator(LoopOperatorSpec(dim=2, coeff=np.eye(2)), 64,
-                                "finite_difference")
-    assert fd.modes is None and "matrix" in vars(fd)
-    assert np.array_equal(fd.eigenvalues(), np.linalg.eigvalsh(fd.matrix))

@@ -8,14 +8,15 @@ isomorphism) at 96x32, 192x64 and 384x64, and on the refinement grids 1536x8
 and 3072x32, and once more at 96x32 with its Matrix Market export;
 ``glue`` on the reproduce-all flow pair at tau 6, 8, 10 and 12, and on two
 shifted complex-line cylinders (u with weights (1, 1) and shifts (2, 0), w
-with weights (-1, 1) and shifts (0, 2)) at tau 6, 10 and 14; one
-``sweep-delta`` on the trivial cylinder;
+with weights (-1, 1) and shifts (0, 2)) at tau 6, 10 and 14; ``sweep-delta``
+on the trivial cylinder and on the contact cylinder S = I with weights
+(0.5, 0.5), whose magnitudes cross the wall at 1;
 ``index`` on the blocks that carry shift columns: the trivial cylinder
 with weights (1, 1) and shifts (2, 2), its reduced pattern (1, 2), and the
 plane with weight 1 and 2 shifts; ``index`` on the plane with weight -1,
 whose mode 0 is a wide row-window block; ``spectrum`` of a non-diagonal
-dim-4 constant loop operator by the Fourier method (its mode blocks) and by
-finite differences (its dense matrix); and ``vdim`` at seed 3 on six
+dim-4 constant loop operator by the Fourier method and by finite
+differences (both by its mode blocks); and ``vdim`` at seed 3 on six
 configuration graphs, written out as literal JSON: two degenerations with
 their smooth families (codimension 1 each) and a spliced two-level splitting
 against the single cylinder (codimension 3, the known splice tension), plus
@@ -120,6 +121,9 @@ def experiments():
                   "taus": [6.0, 10.0, 14.0]}))
     runs.append(("sweep_trivial", "sweep-delta",
                  {"problem": _cylinder("complex_line", zero, zero, (-1.0, 1.0)),
+                  "deltas": [0.5, 1.5, 2.5]}))
+    runs.append(("sweep_contact", "sweep-delta",
+                 {"problem": _contact([1.0, 1.0], [1.0, 1.0], (0.5, 0.5)),
                   "deltas": [0.5, 1.5, 2.5]}))
     for shifts in ((2, 2), (1, 2)):
         runs.append((f"shifted_cylinder_{shifts[0]}{shifts[1]}", "index",
