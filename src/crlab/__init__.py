@@ -27,7 +27,6 @@ from .loops import (
     LoopOperatorSpec,
     SpectrumReport,
     assemble_loop_operator,
-    count_window,
     is_nondegenerate,
     spectral_flow,
     spectrum,

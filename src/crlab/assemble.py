@@ -84,12 +84,14 @@ all but certified: a banded Cholesky factorization of its Gram matrix
 shifted by x I succeeds only when every Gram eigenvalue lies above x (of
 x I - G: below x), up to rounding, in O(n kd^2).  Every rank decision asks
 one question of a block, ``DiscreteOperator.values_below(i, cut, most)``:
-its singular values, or None when all of them are certified to exceed the
-cut.  The operator keeps, per block, its values, a certified floor with all
-its values strictly between the floor and sigma_max, or both the floor and
-its smallest values from the partial route below; the callers (the
-index walk in ``crlab.indexing``, ``kernel_vectors``, the gluing stability
-constant) choose the cuts.  A wide block's structural zeros would fail
+its singular values below the cut, an empty array when all of them are
+certified to exceed it.  The operator keeps one record per block
+(``Evidence``), the statement "these are every singular value of the block
+below b": a decomposition gives all of them with b = inf, a floor
+certificate none with b the floor, and the partial route (below) the
+smallest ones with b its inertia point.  The callers (the index walk in
+``crlab.indexing``, ``kernel_vectors``, the gluing stability constant)
+choose the cuts.  A wide block's structural zeros would fail
 every floor certificate, so it is always decomposed; its sigma_max
 certificate holds as on any block.  A certificate factors the same band the
 block's values come from, so a certified floor and any values computed
@@ -128,6 +130,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -732,6 +735,15 @@ def _accepted_ritz_values(V, GV, H, m, p, room, top):
     return None
 
 
+class Evidence(NamedTuple):
+    """One block's record: ``values``, descending, are every singular value
+    of the block below ``bound``, computed or certified by ``route``."""
+
+    values: np.ndarray
+    bound: float
+    route: str
+
+
 @dataclass
 class DiscreteOperator:
     """Assembled rectangular operator with grid metadata.
@@ -744,20 +756,19 @@ class DiscreteOperator:
 
     Each block is decomposed at most once per operator, in ``block_values``
     (banded Gram eigenvalues for row-window blocks, dense SVD for the others
-    and for the blocks the guard rejects).  The evidence on a block is its
-    cached values, its certified smallest values or a certified floor:
-    ``sigma_max`` settles the top of the spectrum without decomposing any
-    row-window block, and ``values_below`` answers whether a block holds a
-    value below a cut, from its evidence or one new certificate, and, when
-    none settles the question, with the block's smallest values (the
-    partial route) or all of them.  The rank decision, the kernel directions
-    and the gluing stability constant all ask ``values_below``.
-    ``block_routes`` says which route computed each block.  The evidence
-    belongs to one operator:
-    it is allocated empty at construction, so a copy by
-    ``dataclasses.replace`` decides its blocks afresh.  Values from
-    the banded route agree with dense SVD to about eps (sigma_max / sigma)^2
-    relative, not bit for bit.
+    and for the blocks the guard rejects).  The operator keeps one record of
+    evidence per block (``Evidence``): every singular value of the block
+    below a bound, with the route that found them.  ``sigma_max`` settles
+    the top of the spectrum without decomposing any row-window block, and
+    ``values_below`` answers with a block's values below a cut, from its
+    record or one new certificate, and, when none settles the question,
+    from the block's smallest values (the partial route) or all of them.
+    The rank decision, the kernel directions and the gluing stability
+    constant all ask ``values_below``.  ``block_routes`` says which route
+    computed each block.  The evidence belongs to one operator: it is
+    allocated empty at construction, so a copy by ``dataclasses.replace``
+    decides its blocks afresh.  Values from the banded route agree with
+    dense SVD to about eps (sigma_max / sigma)^2 relative, not bit for bit.
     """
 
     blocks: list
@@ -765,12 +776,7 @@ class DiscreteOperator:
     problem: object = None
 
     def __post_init__(self):
-        # per block: values once decomposed, how they were computed, a floor
-        # once certified, and (values, bound) once the partial route found
-        # every value below bound
-        n = len(self.blocks)
-        self._svals, self._routes, self._floors = [None] * n, [None] * n, [None] * n
-        self._lowest = [None] * n
+        self._evidence = [None] * len(self.blocks)
         self._sigma_max = None
 
     @property
@@ -792,32 +798,32 @@ class DiscreteOperator:
     def block_values(self, i):
         """Singular values of block i: all min(rows, cols), descending.
 
-        The full reference: computed on first use and cached on the
-        operator, so each block is decomposed at most once, whatever the
-        partial route found before.  A row-window block
-        (``ModeBlock.windows``) takes the banded route
-        (``_banded_singular_values``); every dense block, and every block the
-        route's accuracy guard rejects, takes the reference values-only
-        ``np.linalg.svd`` of ``ModeBlock.matrix``.
+        The full reference: computed when block i's record does not hold
+        all of them (no record, or a finite bound) and kept as its record,
+        so each block is decomposed at most once, whatever was certified
+        before.  A row-window block (``ModeBlock.windows``) takes the banded
+        route (``_banded_singular_values``); every dense block, and every
+        block the route's accuracy guard rejects, takes the reference
+        values-only ``np.linalg.svd`` of ``ModeBlock.matrix``.
         """
-        if self._svals[i] is None:
+        ev = self._evidence[i]
+        if ev is None or ev.bound < np.inf:
             b = self.blocks[i]
             try:
                 sv = _banded_singular_values(b) if b.windows is not None else None
-                self._routes[i] = "direct_svd" if sv is None else "banded_gram"
+                route = "direct_svd" if sv is None else "banded_gram"
                 if sv is None:
                     sv = np.linalg.svd(b.matrix, compute_uv=False)
             except np.linalg.LinAlgError as exc:  # pragma: no cover
                 raise NumericalError(f"SVD failed on block {b.tag}: {exc}") from exc
-            self._svals[i] = sv
-        return self._svals[i]
+            ev = self._evidence[i] = Evidence(sv, np.inf, route)
+        return ev.values
 
     def known_values(self, i):
-        """Block i's singular values if it has been decomposed, its smallest
-        ones if the partial route found them, else None."""
-        if self._svals[i] is None and self._lowest[i] is not None:
-            return self._lowest[i][0]
-        return self._svals[i]
+        """The values block i's record holds: all of them once decomposed,
+        its smallest ones after the partial route, else None."""
+        ev = self._evidence[i]
+        return ev.values if ev is not None and len(ev.values) else None
 
     def sigma_max(self):
         """Largest singular value of the operator.
@@ -854,62 +860,57 @@ class DiscreteOperator:
         return self._sigma_max
 
     def values_below(self, i, cut, most=None):
-        """Block i's singular values, descending, or None when every one of
-        them is certified to exceed ``cut``: the block then has full rank,
-        and no value below ``cut`` reads it.  The values returned are all of
-        them, or, on a block whose full rank is certified, its smallest ones:
-        every one below ``cut``, or at least the ``most`` smallest.
+        """Block i's singular values below ``cut``, descending: all of them,
+        or, on a block whose full rank is certified, its smallest ones, every
+        one below ``cut`` or at least the ``most`` smallest.  Empty when
+        every value is certified to exceed ``cut``: the block then has full
+        rank, and no value below ``cut`` reads it.
 
-        A decomposed block returns its values, and smallest values found
-        before answer when they hold every value below ``cut`` or ``most`` of
-        them.  Otherwise a floor certified earlier that is at least ``cut``
-        answers; failing that, a row-window block that is not wide tries one
-        banded Cholesky certificate of its Gram matrix at the shift
-        max(cut^2, 1e-8 lambda_top) (1 + 1e-12) + 1e-12 lambda_top,
-        lambda_top = sigma_max^2, and keeps the square root of max(cut^2,
-        1e-8 lambda_top) as its floor.  When that fails above the guard's
-        1e-8 lambda_top, ``most`` is given and the block has at least
+        The block's record answers when its bound is at least ``cut`` or it
+        holds ``most`` values.  Failing that, a row-window block that is not
+        wide tries one banded Cholesky certificate of its Gram matrix at the
+        shift max(cut^2, 1e-8 lambda_top) (1 + 1e-12) + 1e-12 lambda_top,
+        lambda_top = sigma_max^2, and records no values below the square
+        root of max(cut^2, 1e-8 lambda_top).  When that fails above the
+        guard's 1e-8 lambda_top, ``most`` is given and the block has at least
         _PARTIAL_MIN_COLS columns, the partial route (``_lowest_gram``)
-        certifies the guard's floor and finds the values; a block it refuses
-        is decomposed.  A certified block so also passes the banded route's
-        guard: its route is ``banded_gram``.  A dense block, a wide block
-        (its Gram matrix holds structural zeros below any shift) and an
-        infinite cut without ``most`` are decomposed (``block_values``).
+        finds its smallest values and records them below the square root of
+        its inertia point; a block it refuses is decomposed.  A certified
+        block so also passes the banded route's guard: its route is
+        ``banded_gram``.  A dense block, a wide block (its Gram matrix holds
+        structural zeros below any shift) and an infinite cut without
+        ``most`` are decomposed (``block_values``).  A new record replaces
+        the old one exactly: a floor is certified only above every recorded
+        value, so never after a partial answer.
         """
-        if self._svals[i] is not None:
-            return self._svals[i]
-        lowest, b = self._lowest[i], self.blocks[i]
-        if lowest is not None and (cut <= lowest[1] or len(lowest[0]) >= (most or np.inf)):
-            return lowest[0]
-        floor = self._floors[i]
-        if floor is not None and floor >= cut:
-            return None
+        ev, b = self._evidence[i], self.blocks[i]
+        if ev is not None and (cut <= ev.bound or len(ev.values) >= (most or np.inf)):
+            return ev.values
         if b.windows is not None and b.shape[0] >= b.shape[1]:
             lam_top = self.sigma_max() ** 2
             guard, room = _GRAM_GUARD * lam_top, _CERT_MARGIN * lam_top
             lam = max(cut * cut, guard)
             if np.isfinite(cut) and _gram_certified(b, lam * (1 + _CERT_MARGIN) + room,
                                                     below=False):
-                self._floors[i], self._routes[i] = float(np.sqrt(lam)), "banded_gram"
-                return None
+                ev = self._evidence[i] = Evidence(np.zeros(0), float(np.sqrt(lam)), "banded_gram")
+                return ev.values
             if most is not None and lam > guard and b.shape[1] >= _PARTIAL_MIN_COLS:
                 found = _lowest_gram(_gram_band(b), most, guard * (1 + _CERT_MARGIN) + room,
                                      room, lam)
                 if found is not None:
-                    self._floors[i] = max(floor or 0.0, float(np.sqrt(guard)))
-                    self._routes[i] = "banded_gram"
-                    self._lowest[i] = (np.sqrt(found[0][::-1]), float(np.sqrt(found[1])))
-                    return self._lowest[i][0]
+                    ev = self._evidence[i] = Evidence(np.sqrt(found[0][::-1]),
+                                                      float(np.sqrt(found[1])), "banded_gram")
+                    return ev.values
         return self.block_values(i)
 
     def block_routes(self):
         """How each block's singular values were computed: "banded_gram" or
         "direct_svd".  A certified block names the banded route, whose guard
         it passes; a block with no evidence yet is decomposed."""
-        for i, r in enumerate(self._routes):
-            if r is None:
+        for i, ev in enumerate(self._evidence):
+            if ev is None:
                 self.block_values(i)
-        return list(self._routes)
+        return [ev.route for ev in self._evidence]
 
     def transposed(self):
         blocks = [ModeBlock(k=b.k, mult=b.mult, pde_rows=0, tag=b.tag + "^T",
@@ -1218,17 +1219,15 @@ def kernel_vectors(op, threshold):
 
     Returns a list of (block, vectors) where vectors has shape
     (block_cols, n_small); structural kernel directions of wide blocks are
-    included through the rank decision.  Each block's rank comes from
-    ``DiscreteOperator.values_below(i, threshold)``: a block certified above
-    the threshold has full rank and is not decomposed, and otherwise the
-    rank is min(shape) less the values below the threshold, which every
-    answer holds.  Only rank-deficient blocks are made dense and run the
-    full SVD.
+    included through the rank decision.  Each block's rank is min(shape)
+    less its values below the threshold, which
+    ``DiscreteOperator.values_below(i, threshold)`` holds: none on a block
+    certified above the threshold, which is not decomposed.  Only
+    rank-deficient blocks are made dense and run the full SVD.
     """
     out = []
     for i, b in enumerate(op.blocks):
-        sv = op.values_below(i, threshold)
-        rank = min(b.shape) - (0 if sv is None else int((sv < threshold).sum()))
+        rank = min(b.shape) - int((op.values_below(i, threshold) < threshold).sum())
         if rank < b.shape[1]:
             Vh = np.linalg.svd(b.matrix)[2]
             out.append((b, Vh[rank:].conj().T))

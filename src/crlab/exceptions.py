@@ -17,10 +17,6 @@ class FredholmWeightError(CRLabError):
     """A weight exponent collides with the asymptotic spectrum."""
 
 
-class AmbiguousWindowError(CRLabError):
-    """A counting-window endpoint sits on an eigenvalue within tolerance."""
-
-
 class DegenerateEndError(CRLabError):
     """An asymptotic operator required to be nondegenerate has a zero eigenvalue."""
 

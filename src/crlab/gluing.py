@@ -243,7 +243,8 @@ def stability_constant(glued_op, n_tau):
     ``values_below(i, best, a + 1 - zeros)`` under the running minimum best,
     for the values up to sigma_{a+1} at most, those that carry transplants or
     have known values first, so that best is finite.  Values are read from
-    the bottom of the list, which may hold only a block's smallest ones.
+    the bottom of the answer, which may hold only a block's smallest ones,
+    or none when the block is certified above best.
     """
     carried = Counter(k for k, _ in n_tau)
     blocks, best = glued_op.blocks, np.inf
@@ -254,7 +255,7 @@ def stability_constant(glued_op, n_tau):
         if a < zeros:   # exact null vectors remain in the complement
             return 0.0
         sv = glued_op.values_below(i, best, a + 1 - zeros)
-        if sv is not None and len(sv) > a - zeros:
+        if len(sv) > a - zeros:
             best = min(best, float(sv[zeros - a - 1]))
     return best
 

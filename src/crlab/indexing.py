@@ -12,10 +12,10 @@ banded Cholesky certificates alone on the row-window blocks, so its block
 is decomposed only when it also holds reported values; then one walk asks
 every block for its values below a running cut that every value the report
 reads lies at or below (``DiscreteOperator.values_below``), and a block
-certified by banded Cholesky to have all its values above the cut is not
-decomposed.  A certified block has full rank; a wide block, whose Gram
-matrix holds its structural kernel, is never certified and always
-decomposed.  Each block is asked for at most REPORTED_VALUES values: a
+certified by banded Cholesky to have all its values above the cut answers
+with none and is not decomposed.  A certified block has full rank; a wide
+block, whose Gram matrix holds its structural kernel, is never certified
+and always decomposed.  Each block is asked for at most REPORTED_VALUES values: a
 large full-rank block that holds some of them (criterion 6's k=0 from 512
 columns on) gives only its smallest values, by the partial route of
 ``crlab.assemble``, shift-invert Lanczos certified by an inertia count, and
@@ -118,9 +118,10 @@ def numerical_index(op):
     only dense blocks.  Then one walk asks every block for its values below
     a running cut, at most REPORTED_VALUES of them
     (``DiscreteOperator.values_below``): dense blocks first, then the
-    row-window blocks in ascending |k|.  A block answered with only its
-    smallest values has full rank certified, so its rank is min(shape) less
-    its values below the threshold, here none.  The cut is the larger of
+    row-window blocks in ascending |k|.  Every block's rank is min(shape)
+    less its values below the threshold among the answer: all of its
+    values, none when it is certified above the cut, or only its smallest
+    ones when its full rank is certified.  The cut is the larger of
     the REPORTED_VALUES-th smallest value seen so far (counted with
     multiplicity) and the smallest seen value >= threshold.  It only falls
     as values are seen, so every block certified above it has full rank and
@@ -139,15 +140,13 @@ def numerical_index(op):
     for i in order:
         b = op.blocks[i]
         sv = op.values_below(i, max(low[-1], least_kept), REPORTED_VALUES)
-        rank = min(b.shape)
-        if sv is not None:
-            rank -= int((sv < theta).sum())
-            known.append(np.repeat(sv, b.mult))
-            low = np.sort(np.concatenate([low, known[-1][-REPORTED_VALUES:]]))[:REPORTED_VALUES]
-            least_kept = min(least_kept, float(sv[sv >= theta].min(initial=np.inf)))
+        rank = min(b.shape) - int((sv < theta).sum())
+        known.append(np.repeat(sv, b.mult))
+        low = np.sort(np.concatenate([low, known[-1][-REPORTED_VALUES:]]))[:REPORTED_VALUES]
+        least_kept = min(least_kept, float(sv[sv >= theta].min(initial=np.inf)))
         ker += b.mult * (b.shape[1] - rank)
         coker += b.mult * (b.shape[0] - rank)
-    merged = np.sort(np.concatenate(known)) if known else np.zeros(0)
+    merged = np.sort(np.concatenate(known))
     discarded = merged[merged < theta]
     kept = merged[merged >= theta]
     if len(discarded) == 0 or len(kept) == 0:

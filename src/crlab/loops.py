@@ -31,7 +31,6 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import (
-    AmbiguousWindowError,
     CoefficientError,
     DegenerateEndError,
     NumericalError,
@@ -334,24 +333,6 @@ def spectrum(op):
               for i, j in _clusters(lam, cluster_tol)]
     return SpectrumReport(eigenvalues=groups, dim=op.spec.dim, t_resolution=M,
                           method=op.method, raw=lam)
-
-
-def count_window(report, lo, hi):
-    """Total multiplicity of eigenvalues strictly inside (lo, hi).
-
-    Raises :class:`AmbiguousWindowError` when an endpoint sits within
-    1e-8 (1 + max |lambda|) of an eigenvalue; the caller must perturb the
-    window.
-    """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got ({lo}, {hi})")
-    lam = report.raw
-    tol = 1e-8 * (1.0 + float(np.abs(lam).max(initial=0.0)))
-    for edge in (lo, hi):
-        if np.any(np.abs(lam - edge) <= tol):
-            raise AmbiguousWindowError(
-                f"window endpoint {edge} within {tol:.2e} of an eigenvalue")
-    return int(np.count_nonzero((lam > lo) & (lam < hi)))
 
 
 def _eigenvalues(spec):

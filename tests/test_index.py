@@ -1,8 +1,10 @@
 """Index computations against the analytic formulas and the sweep machinery."""
 
+import functools
 import importlib
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +20,8 @@ from conftest import (
     t_dependent_copy,
 )
 
-from crlab.assemble import DiscreteOperator, ModeBlock, assemble, kernel_vectors, required_s_nodes
+from crlab.assemble import (DiscreteOperator, Evidence, ModeBlock, assemble, kernel_vectors,
+                            required_s_nodes)
 from crlab.gluing import stability_constant
 from crlab.indexing import (
     REL_THRESHOLD,
@@ -157,6 +160,34 @@ def test_analytic_index_closed_form_on_the_complex_line(signs, mags, shifts, pla
     else:
         p, base = build_trivial_cylinder((dm, dp), shifts), {-2.0: 2, 0.0: 0, 2.0: -2}[sum(signs)]
     assert analytic_index(p) == base + p.augmentation_dims
+
+
+# magnitudes anywhere in (0, 2 pi), and within 0.05 of either wall
+WALL_NEAR_MAGNITUDES = (st.floats(1e-3, 2.0 * np.pi - 1e-3) | st.floats(1e-3, 0.05)
+                        | st.floats(2.0 * np.pi - 0.05, 2.0 * np.pi - 1e-3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(signs=st.tuples(st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0])),
+       mags=st.tuples(WALL_NEAR_MAGNITUDES, WALL_NEAR_MAGNITUDES),
+       shifts=st.sampled_from(SHIFT_PATTERNS), plane=st.booleans(),
+       s_maxes=st.sampled_from([(6.0, 8.0), (6.0, 12.0), (8.0, 12.0)]),
+       t_nodes=st.sampled_from([8, 16, 32]))
+def test_numerical_index_is_invariant_under_refinement_and_s_max(signs, mags, shifts, plane,
+                                                                  s_maxes, t_nodes):
+    # complex-line cylinders over every shift pattern and planes with 0-2
+    # shifts: at two boxes, each on its fewest admissible s-nodes n, n + 16,
+    # n + 32 and 1.5 n, every report is decisive and reads the analytic index
+    dm, dp = signs[0] * mags[0], signs[1] * mags[1]
+    for s_max in s_maxes:
+        box = Truncation(s_max, s_max / 2)
+        p = (build_plane(dp, shifts[1], truncation=box) if plane
+             else build_trivial_cylinder((dm, dp), shifts, truncation=box))
+        want = analytic_index(p)
+        n = max(round(8 * s_max), 16, required_s_nodes(p))
+        for s_nodes in (n, n + 16, n + 32, round(1.5 * n)):
+            rep = index_of(p, GridSpec(s_nodes, t_nodes))
+            assert (rep.index, rep.decisive) == (want, True), (s_max, s_nodes)
 
 
 def _gauged(S, m):
@@ -307,8 +338,8 @@ def decompose_all(op):
 def dense_reference(op):
     """The same operator with every block decomposed by values-only dense SVD."""
     ref = replace(op)
-    ref._svals[:] = [np.linalg.svd(b.matrix, compute_uv=False) for b in op.blocks]
-    ref._routes[:] = ["direct_svd"] * len(op.blocks)
+    ref._evidence[:] = [Evidence(np.linalg.svd(b.matrix, compute_uv=False), np.inf, "direct_svd")
+                        for b in op.blocks]
     return ref
 
 
@@ -757,7 +788,7 @@ def test_block_on_the_cut_is_decomposed(above, certified):
     assert op.known_values(1) is not None
     assert (op.known_values(2) is None) == certified
     # a certified block answers the same cut from its floor, still undecomposed
-    assert (op.values_below(2, cut) is None) == certified
+    assert (len(op.values_below(2, cut)) == 0) == certified
 
 
 def _decide_against_full(parts):
@@ -800,7 +831,7 @@ def test_block_the_guard_rejects_is_never_certified():
     assert op.known_values(1) is None
     sv = np.linalg.svd(near.matrix, compute_uv=False)
     assert 1e-5 * sv[0] < sv[-1] < 1e-4 * sv[0]
-    assert op.values_below(1, 0.5 * sv[-1]) is not None
+    assert len(op.values_below(1, 0.5 * sv[-1])) > 0
     assert op.block_routes()[1] == "direct_svd"
 
 
@@ -912,9 +943,9 @@ def test_criterion_6_sums_no_block_from_all_its_rows(monkeypatch):
     blocks = [b for op in ops for b in op.blocks]
     assert len(blocks) == 80 and len(calls) == 4 * len(ops)
     assert not any(U is b.windows for U in calls for b in blocks)
-    assert sum(op._svals[i] is not None for op in ops for i in range(len(op.blocks))) == 7
-    assert [(op.grid_tag(), op.blocks[i].k) for op in ops for i in range(len(op.blocks))
-            if op._lowest[i] is not None] == [("384x64@S12", 0)]
+    assert sum(ev.bound == np.inf for op in ops for ev in op._evidence) == 7
+    assert [(op.grid_tag(), op.blocks[i].k) for op in ops for i, ev in enumerate(op._evidence)
+            if ev.bound < np.inf and len(ev.values)] == [("384x64@S12", 0)]
 
 
 def test_block_from_other_windows_takes_the_direct_band(monkeypatch):
@@ -973,7 +1004,7 @@ def assert_partial_route_matches_eig_banded(problem, grid):
     for i, b in enumerate(op.blocks):
         fresh = replace(op)
         sv = fresh.values_below(i, np.inf, REPORTED_VALUES)
-        if fresh._lowest[i] is None:        # decomposed: every value
+        if fresh._evidence[i].bound == np.inf:      # decomposed: every value
             assert len(sv) == min(b.shape)
             continue
         taken += 1
@@ -1045,7 +1076,7 @@ def test_proposal_missing_one_copy_of_a_doubled_value_is_refused(monkeypatch):
     rep = numerical_index(op)
     monkeypatch.undo()
     assert len(proposals) == 1 and op.blocks[0].k == 0
-    assert op.known_values(0) is not None and op._lowest[0] is None
+    assert op.known_values(0) is not None and op._evidence[0].bound == np.inf
     assert len(eig_banded) == 1 and len(op.block_values(0)) == op.blocks[0].shape[1]
     assert rep == numerical_index(full_reference(problem, grid))
 
@@ -1064,6 +1095,48 @@ def test_wide_rejected_and_dense_blocks_never_take_the_partial_route(make_op):
     b = op.blocks[i]
     assert b.shape[1] >= PARTIAL_COLS
     rep = numerical_index(op)
-    assert op._lowest[i] is None
+    assert op._evidence[i].bound == np.inf or len(op._evidence[i].values) == 0
     assert len(op.values_below(i, np.inf, REPORTED_VALUES)) == min(b.shape)
     assert_reports_agree(rep, numerical_index(dense_reference(op)))
+
+
+# ---------------------------------------------------------------------------
+# one record per block: floors, partial answers and decompositions in turn
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _evidence_case(name):
+    """An assembled operator, its blocks' fully decomposed values, and the
+    geometric midpoints between the operator's distinct values, ascending."""
+    if name == "criterion6_384x64":      # 32 contact blocks of 768 columns
+        S = LoopOperatorSpec(dim=2, coeff=np.eye(2))
+        problem, grid = build_contact_fiber_cylinder(S, S), GridSpec(384, 64)
+    else:                                 # scalar blocks of 600 columns
+        problem, grid = build_trivial_cylinder((D, D)), GridSpec(600, 8)
+    ref = decompose_all(assemble(problem, grid))
+    merged = np.sort(np.concatenate(ref))
+    distinct = merged[np.r_[True, np.diff(merged) > 1e-6 * merged[1:]]]
+    return assemble(problem, grid), ref, np.sqrt(distinct[:-1] * distinct[1:])
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(name=st.sampled_from(["criterion6_384x64", "decay_600x8"]), data=st.data())
+def test_one_operator_answers_across_evidence_kinds(name, data):
+    # 2-5 questions in a row to one fresh operator, at cuts low in its
+    # spectrum (certificates, partial answers) or anywhere (decompositions):
+    # each answer is the tail of the block's full values, holds every value
+    # below the cut or the ``most`` smallest, and no block is decomposed twice
+    base, ref, cuts = _evidence_case(name)
+    op = replace(base)
+    real = assemble_module._banded_singular_values
+    with mock.patch.object(assemble_module, "_banded_singular_values", wraps=real) as banded:
+        for _ in range(data.draw(st.integers(2, 5))):
+            i = data.draw(st.integers(0, len(op.blocks) - 1))
+            rank = data.draw(st.none() | st.integers(0, 40) | st.integers(0, len(cuts) - 1))
+            cut = np.inf if rank is None else float(cuts[rank])
+            most = data.draw(st.sampled_from([None, 1, 2, 5, REPORTED_VALUES]))
+            sv, full = op.values_below(i, cut, most), ref[i]
+            np.testing.assert_allclose(sv, full[len(full) - len(sv):], rtol=1e-9)
+            assert len(sv) >= min(np.count_nonzero(full < cut), most or np.inf)
+            decomposed = [id(args[0]) for args, _ in banded.call_args_list]
+            assert len(decomposed) == len(set(decomposed))

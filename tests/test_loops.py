@@ -1,4 +1,4 @@
-"""Loop operator assembly, spectra, window counts, and spectral flow."""
+"""Loop operator assembly, spectra, and spectral flow."""
 
 import json
 
@@ -16,7 +16,6 @@ from conftest import (
 
 from crlab import problems
 from crlab.exceptions import (
-    AmbiguousWindowError,
     CoefficientError,
     DegenerateEndError,
     ResolutionError,
@@ -26,7 +25,6 @@ from crlab.loops import (
     LoopOperatorSpec,
     _eigenvalues,
     assemble_loop_operator,
-    count_window,
     is_nondegenerate,
     linear_path,
     spectral_flow,
@@ -117,26 +115,6 @@ def test_random_constant_coefficients_match_oracle(rng):
             flag, margin = is_nondegenerate(LoopOperatorSpec(dim=dim, coeff=S))
             assert flag
             assert abs(margin - oracle_min_abs_eigenvalue(S)) < 1e-8
-
-
-def test_count_window_trivial_model():
-    rep = spectrum(assemble_loop_operator(LoopOperatorSpec(dim=2), 64))
-    assert count_window(rep, -1.0, 1.0) == 2
-    assert count_window(rep, 1.0, TWO_PI - 1.0) == 0
-
-
-def test_count_window_shifted_model():
-    rep = spectrum(assemble_loop_operator(
-        LoopOperatorSpec(dim=2, coeff=np.diag([1.0, 1.0])), 64))
-    assert count_window(rep, -0.5, 0.5) == 0
-    # window jumps by the crossed multiplicity once the eigenvalue at 1 enters
-    assert count_window(rep, -1.1, 1.1) == 2
-
-
-def test_count_window_ambiguous_endpoint():
-    rep = spectrum(assemble_loop_operator(LoopOperatorSpec(dim=2), 64))
-    with pytest.raises(AmbiguousWindowError):
-        count_window(rep, -1.0, 0.0)
 
 
 def test_nondegeneracy_margins():
