@@ -145,6 +145,26 @@ def test_spectral_flow_degenerate_endpoint_rejected():
         spectral_flow(path)
 
 
+@pytest.mark.parametrize("c, lo, hi, want", [
+    (0.0, -1.0, 1.0, 2),                # the kernel of J0 d/dt
+    (0.0, 1.0, TWO_PI - 1.0, 0),        # the gap above it
+    (1.0, -0.5, 0.5, 0),                # S = I shifts the k = 0 pair to 1
+    (1.0, -1.1, 1.1, 2),                # and the window takes it in
+    (1.0, -0.5, 1.0 + 1e-6, 2),         # an edge 1e-6 past the pair
+    (1.0, 1.0 - 1e-6, 1.5, 2),          # an edge 1e-6 short of it
+])
+def test_window_count_is_the_flow_across_the_window(c, lo, hi, want):
+    # the eigenvalues strictly inside (lo, hi), as reproduce-all and criterion
+    # 4 count them, are the flow of A - s from s = hi down to s = lo
+    # (A - s is the loop operator of S - s I), edges near an eigenvalue included
+    S = c * np.eye(2)
+    lam = _eigenvalues(LoopOperatorSpec(dim=2, coeff=S))
+    assert int(np.count_nonzero((lam > lo) & (lam < hi))) == want
+    path = linear_path(LoopOperatorSpec(dim=2, coeff=S - hi * np.eye(2)),
+                       LoopOperatorSpec(dim=2, coeff=S - lo * np.eye(2)))
+    assert spectral_flow(path) == want
+
+
 def _symmetric_matrices(dim):
     # entries in [-6, 6] on a 0.1 grid; the upper triangle is mirrored
     upper = np.triu_indices(dim)
