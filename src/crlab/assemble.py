@@ -100,19 +100,23 @@ from a band summed over the block's own rows by rounding, of order
 eps max|G|, inside the certificates' relative room of 1e-12.
 
 A row-window block that holds values the caller reads is still not
-decomposed when it is large: with at least _PARTIAL_MIN_COLS columns, not
-wide, and its full rank certified, ``values_below`` takes the partial route
-(``_lowest_gram``) and returns only its smallest values, the ones below the
-cut or the ``most`` smallest.  The banded Cholesky factor of G - sigma I,
-sigma at the guard's 1e-8 lambda_top, certifies that floor; shift-invert
-block Lanczos on that factor (Ericsson & Ruhe, 1980) proposes the values;
-Kahan's residual bound puts each within rounding of a distinct eigenvalue;
-and a Sylvester inertia count at a point y in the gap after them, from an
-unpivoted block LDL^H of G - y I (``_count_below``), shows that exactly that
-many eigenvalues lie below y.  It costs O(n kd) per Lanczos step and O(n
-kd^2) per factorization, against eig_banded's O(n^2 kd), which only pays
-below _PARTIAL_MIN_COLS columns.  A block that fails a check is decomposed;
-``block_values`` stays the full reference.
+decomposed when it is large: not wide, its full rank certified, and with
+at least _PARTIAL_FINITE_MIN_COLS columns under a finite cut (which asks
+for the one or two values below it) or _PARTIAL_MIN_COLS under an infinite
+cut (which asks for the ``most`` smallest), ``values_below`` takes the
+partial route (``_lowest_gram``) and returns only its smallest values, the
+ones below the cut or the ``most`` smallest.  The banded Cholesky factor of
+G - sigma I, sigma at the guard's 1e-8 lambda_top, certifies that floor;
+shift-invert block Lanczos on that factor (Ericsson & Ruhe, 1980) proposes
+the values; Kahan's residual bound puts each within rounding of a distinct
+eigenvalue; and a Sylvester inertia count at a point y in the gap after
+them, from an unpivoted block LDL^H of G - y I (``_count_below``), shows
+that exactly that many eigenvalues lie below y.  It costs O(n kd) per
+Lanczos step and O(n kd^2) per factorization, against eig_banded's O(n^2
+kd), which only pays below those sizes; under a finite cut the route
+checks its Ritz values after every Krylov block, so it stops once the few
+values below the cut have converged.  A block that fails a check is
+decomposed; ``block_values`` stays the full reference.
 
 No row-window block is decomposed for sigma_max either
 (``DiscreteOperator.sigma_max``).  A block's top Gram eigenvalue is settled
@@ -557,12 +561,16 @@ def _norm_bound(b):
     return float(A.sum(axis=1).max() * cols.max())
 
 
-# The partial route takes blocks of at least this many columns: below it
-# eig_banded is as fast (measured on the contact fiber, 2 cores).  Its
+# The partial route takes blocks of at least this many columns when it is
+# asked for the ``most`` smallest values (an infinite cut), and of at least
+# _PARTIAL_FINITE_MIN_COLS when asked for the few below a finite cut: below
+# them eig_banded is as fast (measured on the contact fiber, 1 thread).  Its
 # Lanczos basis grows to at most _LANCZOS_DIM vectors, each block of them
-# _LANCZOS_POWER solves from the last, with _LANCZOS_CHECK blocks between
-# its Rayleigh-Ritz checks.
+# _LANCZOS_POWER solves from the last; under an infinite cut _LANCZOS_CHECK
+# blocks lie between its Rayleigh-Ritz checks, under a finite one a check
+# follows every block.
 _PARTIAL_MIN_COLS = 512
+_PARTIAL_FINITE_MIN_COLS = 192
 _LANCZOS_DIM = 96
 _LANCZOS_POWER = 3
 _LANCZOS_CHECK = 4
@@ -647,7 +655,10 @@ def _lowest_gram(ab, m, shift, room, top=np.inf):
     per field from a seeded random start, each new block (G - shift I)^-k
     times the last, k = _LANCZOS_POWER, fully reorthogonalized; the values
     are the Rayleigh-Ritz values of G on the basis
-    (``_accepted_ritz_values``).  A proposal of c values with Ritz vectors X
+    (``_accepted_ritz_values``), checked after every Krylov block from the
+    second on when ``top`` is finite (the caller reads the few values below
+    it), else once the basis exceeds m + p vectors and then every
+    _LANCZOS_CHECK blocks.  A proposal of c values with Ritz vectors X
     and residual R = G X - X Theta, ||R||_F <= ``room``, puts c eigenvalues
     of G, multiplicities counted, within ``room`` of them (Kahan's theorem),
     all below a point y in the gap after them; an inertia count at y
@@ -681,7 +692,8 @@ def _lowest_gram(ab, m, shift, room, top=np.inf):
         V[j - p:j], GV[j - p:j] = Q, matvec(Q)
         H[:j, j - p:j] = np.einsum("jn,pn->jp", V[:j], GV[j - p:j].conj()).conj()
         H[j - p:j, :j] = H[:j, j - p:j].conj().T
-        if j > m + p and (j // p % _LANCZOS_CHECK == 0 or j == dim):
+        if (j > p and np.isfinite(top)) or (
+                j > m + p and (j // p % _LANCZOS_CHECK == 0 or j == dim)):
             found = _accepted_ritz_values(V[:j], GV[:j], H[:j, :j], m, p, room, top)
             if found is not None:
                 return found if _count_below(ab, found[1], room) == len(found[0]) else None
@@ -715,15 +727,16 @@ def _accepted_ritz_values(V, GV, H, m, p, room, top):
     c is the first count from m on, within one Krylov block, at which the
     Ritz values leave a gap wider than 2 ``room``, y the gap's midpoint; or,
     when fewer than m Ritz values lie below ``top``, c counts those and y is
-    at least ``top``.  The c Ritz vectors' residual must be within ``room``
-    in Frobenius norm.
+    at least ``top``; when every Ritz value lies below ``top`` there is no
+    gap to test, and the basis must grow.  The c Ritz vectors' residual must
+    be within ``room`` in Frobenius norm.
     """
     theta, Y = _small_eigh(H)
     below = int(np.searchsorted(theta, top))
     if below >= m:
         splits = range(m, min(m + p, len(theta) - 1) + 1)
     else:
-        splits = [below] if below else []
+        splits = [below] if 0 < below < len(theta) else []
     for c in splits:
         if theta[c] - theta[c - 1] > 2.0 * room:
             Yc = Y[:, :c]
@@ -873,13 +886,14 @@ class DiscreteOperator:
         lambda_top = sigma_max^2, and records no values below the square
         root of max(cut^2, 1e-8 lambda_top).  When that fails above the
         guard's 1e-8 lambda_top, ``most`` is given and the block has at least
-        _PARTIAL_MIN_COLS columns, the partial route (``_lowest_gram``)
-        finds its smallest values and records them below the square root of
-        its inertia point; a block it refuses is decomposed.  A certified
-        block so also passes the banded route's guard: its route is
-        ``banded_gram``.  A dense block, a wide block (its Gram matrix holds
-        structural zeros below any shift) and an infinite cut without
-        ``most`` are decomposed (``block_values``).  A new record replaces
+        _PARTIAL_FINITE_MIN_COLS columns under a finite cut, or
+        _PARTIAL_MIN_COLS under an infinite one, the partial route
+        (``_lowest_gram``) finds its smallest values and records them below
+        the square root of its inertia point; a block it refuses is
+        decomposed.  A certified block so also passes the banded route's
+        guard: its route is ``banded_gram``.  A dense block, a wide block
+        (its Gram matrix holds structural zeros below any shift) and an
+        infinite cut without ``most`` are decomposed (``block_values``).  A new record replaces
         the old one exactly: a floor is certified only above every recorded
         value, so never after a partial answer.
         """
@@ -894,7 +908,8 @@ class DiscreteOperator:
                                                     below=False):
                 ev = self._evidence[i] = Evidence(np.zeros(0), float(np.sqrt(lam)), "banded_gram")
                 return ev.values
-            if most is not None and lam > guard and b.shape[1] >= _PARTIAL_MIN_COLS:
+            least = _PARTIAL_FINITE_MIN_COLS if np.isfinite(cut) else _PARTIAL_MIN_COLS
+            if most is not None and lam > guard and b.shape[1] >= least:
                 found = _lowest_gram(_gram_band(b), most, guard * (1 + _CERT_MARGIN) + room,
                                      room, lam)
                 if found is not None:

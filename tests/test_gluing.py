@@ -157,7 +157,8 @@ def test_iso_pair_has_empty_approximate_kernel():
     assert len(n_tau) == 0
     # the constant equals the global minimum singular value, positive
     c = stability_constant(op, n_tau)
-    assert c == min(op.block_values(i)[-1] for i in range(len(op.blocks)))
+    np.testing.assert_allclose(c, min(op.block_values(i)[-1] for i in range(len(op.blocks))),
+                               rtol=1e-9)
     dense = min(np.linalg.svd(b.matrix, compute_uv=False)[-1] for b in op.blocks)
     np.testing.assert_allclose(c, dense, rtol=1e-9)
     assert c > 0.3
@@ -364,15 +365,17 @@ def test_each_block_is_decomposed_at_most_once_per_gluing_pass(monkeypatch):
     assert all(id(a) in block_ids for a, uv in calls if not uv)
     assert null_spaces == []
     # every assembled block: at most one decomposition, banded or values-only
-    # dense; every other block is certified
+    # dense; every other block is certified or given its smallest values by
+    # the partial route, and neither is decomposed
     decomposed = values_only + banded
     assert len(set(decomposed)) == len(decomposed)
     certified = [(op, i) for op in ops for i in range(len(op.blocks))
                  if op.known_values(i) is None]
-    assert all(op.known_values(i) is None and id(op.blocks[i].matrix) not in decomposed
-               for op, i in certified)
-    assert len(decomposed) + len(certified) == len(block_ids)
-    assert certified
+    partial = [(op, i) for op in ops for i, ev in enumerate(op._evidence)
+               if ev is not None and ev.bound < np.inf and len(ev.values)]
+    assert all(id(op.blocks[i].matrix) not in decomposed for op, i in certified + partial)
+    assert len(decomposed) + len(partial) + len(certified) == len(block_ids)
+    assert certified and partial
     # a certified block's values lie strictly between its floor and sigma_max:
     # its floor answers every value its operator's report read
     for op, i in certified:

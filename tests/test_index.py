@@ -16,6 +16,7 @@ from conftest import (
     SIGNED_WEIGHTS,
     SYMMETRIC_2X2,
     clear_of_walls,
+    mode_oracle_eigenvalues,
     random_nondegenerate_symmetric,
     t_dependent_copy,
 )
@@ -186,6 +187,32 @@ def test_numerical_index_is_invariant_under_refinement_and_s_max(signs, mags, sh
         want = analytic_index(p)
         n = max(round(8 * s_max), 16, required_s_nodes(p))
         for s_nodes in (n, n + 16, n + 32, round(1.5 * n)):
+            rep = index_of(p, GridSpec(s_nodes, t_nodes))
+            assert (rep.index, rep.decisive) == (want, True), (s_max, s_nodes)
+
+
+# symmetric 2x2 ends whose mode spectra (|k| <= 6) stay 0.3 clear of zero:
+# weights in [-0.2, 0.2] then cross no wall
+CLEAR_2X2 = SYMMETRIC_2X2.filter(lambda S: np.abs(mode_oracle_eigenvalues(S, kmax=6)).min() >= 0.3)
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(ends=st.tuples(CLEAR_2X2, CLEAR_2X2),
+       weights=st.tuples(st.floats(-0.2, 0.2), st.floats(-0.2, 0.2)),
+       s_maxes=st.sampled_from([(6.0, 8.0), (6.0, 12.0), (8.0, 12.0)]),
+       t_nodes=st.sampled_from([16, 32]))
+def test_numerical_index_is_invariant_under_refinement_and_s_max_contact(ends, weights, s_maxes,
+                                                                         t_nodes):
+    # contact cylinders: at two boxes, each on its fewest admissible s-nodes
+    # n, n + 16 and 1.5 n, every report is decisive and reads the analytic
+    # index; the blocks of 192 columns and more take the partial route
+    specs = [LoopOperatorSpec(dim=2, coeff=S) for S in ends]
+    for s_max in s_maxes:
+        p = build_contact_fiber_cylinder(*specs, weights=weights,
+                                         truncation=Truncation(s_max, s_max / 2))
+        want = analytic_index(p)
+        n = max(round(8 * s_max), 16, required_s_nodes(p))
+        for s_nodes in (n, n + 16, round(1.5 * n)):
             rep = index_of(p, GridSpec(s_nodes, t_nodes))
             assert (rep.index, rep.decisive) == (want, True), (s_max, s_nodes)
 
@@ -363,6 +390,18 @@ def assert_reports_agree(rep, ref):
                                [ref.sigma_max, ref.threshold], rtol=1e-9)
 
 
+def assert_same_decision(rep, ref):
+    """``rep`` equals ``ref`` in every integer, flag, method and tag, and in
+    the settled sigma_max and threshold; its values, where one of the two
+    read a block's smallest values from the partial route and the other from
+    eig_banded, agree within rtol 1e-9."""
+    floats = ("singular_values", "gap_ratio", "min_singular_value")
+    assert replace(rep, **{f: getattr(ref, f) for f in floats}) == ref
+    np.testing.assert_allclose([getattr(rep, f) for f in floats[1:]] + rep.singular_values,
+                               [getattr(ref, f) for f in floats[1:]] + ref.singular_values,
+                               rtol=1e-9)
+
+
 @pytest.mark.parametrize("case", sorted(banded_cases()))
 def test_banded_route_matches_dense_reference(case):
     problem, grid = banded_cases()[case]
@@ -489,13 +528,18 @@ def test_reproduce_all_operators_match_dense_reference(tmp_path, monkeypatch):
                         or real_eig_banded(*args, **kwargs))
     partial = []
     real_lowest = assemble_module._lowest_gram
-    monkeypatch.setattr(assemble_module, "_lowest_gram",
-                        lambda *args: partial.append(1) or real_lowest(*args))
+
+    def lowest_spy(*args):
+        partial.append(real_lowest(*args))
+        return partial[-1]
+
+    monkeypatch.setattr(assemble_module, "_lowest_gram", lowest_spy)
     assert cli.main(["reproduce-all", "--out", str(tmp_path)]) == cli.EXIT_OK
     monkeypatch.undo()
-    # the work: 62 banded decompositions, every other row-window block
-    # certified; every block lies below the partial route's size
-    assert len(eig_banded) == 62 and partial == []
+    # the work: 44 banded decompositions and 18 partial answers, none
+    # refused (the contact blocks of 192-320 columns under a finite cut),
+    # every other row-window block certified
+    assert len(eig_banded) == 44 and len(partial) == 18 and None not in partial
 
     blocks = [b for op in ops for b in op.blocks]
     # 8 index rows, the two gluing components and the glued problems at 4 taus
@@ -736,7 +780,7 @@ def test_failed_sigma_max_certificate_settles_the_block(monkeypatch):
     assert failed and ref.blocks[top].k in failed and settled == [0] + failed
     assert all(op.known_values(i) is None for i in range(len(op.blocks)))
     assert sigma_max == ref.sigma_max()
-    assert numerical_index(op) == numerical_index(ref)
+    assert_same_decision(numerical_index(op), numerical_index(ref))
 
 
 @pytest.mark.parametrize("offset", [-2.0 ** 50, -3.0, 0.0, 5.0, 2.0 ** 30, 2.0 ** 50],
@@ -792,11 +836,12 @@ def test_block_on_the_cut_is_decomposed(above, certified):
 
 
 def _decide_against_full(parts):
-    """Rank decisions of the blocks ``parts`` with and without certificates, equal."""
+    """Rank decisions of the blocks ``parts`` with and without certificates,
+    the same decision (``assert_same_decision``)."""
     op = DiscreteOperator(blocks=parts, grid=(96, 32, 12.0))
     ref = DiscreteOperator(blocks=parts, grid=(96, 32, 12.0))
     decompose_all(ref)
-    assert numerical_index(op) == numerical_index(ref)
+    assert_same_decision(numerical_index(op), numerical_index(ref))
     return op, ref
 
 
@@ -817,7 +862,8 @@ def test_smallest_kept_value_behind_ten_discarded_is_decomposed():
     rep = numerical_index(op)
     assert (rep.dim_ker, rep.dim_coker, rep.decisive) == (10, 10, True)
     assert max(rep.singular_values) < rep.threshold
-    assert rep.min_singular_value == float(min(kept)) > 0.09
+    assert rep.min_singular_value > 0.09
+    np.testing.assert_allclose(rep.min_singular_value, min(kept), rtol=1e-9)
 
 
 def test_block_the_guard_rejects_is_never_certified():
@@ -836,10 +882,10 @@ def test_block_the_guard_rejects_is_never_certified():
 
 
 def test_stability_constant_decomposes_certified_blocks_below_its_minimum():
-    # N_tau holds the right singular vectors of every decomposed block up to
-    # past every certified block's smallest value: the restricted blocks then
-    # lie above them, and the certified blocks must be decomposed to find the
-    # minimum
+    # N_tau holds the right singular vectors of every block with known values
+    # up to past every certified block's smallest value: the restricted blocks
+    # then lie above them, and the certified blocks must be decomposed, or
+    # given their smallest values by the partial route, to find the minimum
     problem, grid = _isomorphism_96x32()
     op, ref = assemble(problem, grid), full_reference(problem, grid)
     numerical_index(op)
@@ -850,7 +896,8 @@ def test_stability_constant_decomposes_certified_blocks_below_its_minimum():
         if i not in certified:
             _, sv, Vh = np.linalg.svd(b.matrix)
             vectors += [(b.k, v) for v in Vh[sv <= 2.0 * top_min].conj()]
-    assert stability_constant(op, vectors) == stability_constant(ref, vectors)
+    np.testing.assert_allclose(stability_constant(op, vectors),
+                               stability_constant(ref, vectors), rtol=1e-9)
     assert any(op.known_values(i) is not None for i in certified)
 
 
@@ -928,9 +975,10 @@ def _window_band_calls(monkeypatch):
 
 
 def test_criterion_6_sums_no_block_from_all_its_rows(monkeypatch):
-    # 80 blocks over the three grids: 7 decomposed, 1 (k=0 at 384x64, 768
-    # columns) given its smallest values by the partial route, 72 certified
-    # (108 certificates), each grid's top block settled by two more
+    # 80 blocks over the three grids: 2 decomposed (k=0 at 96x32 and
+    # 192x64), 6 given their smallest values by the partial route (k=1..5 of
+    # 192 columns at 96x32 under a finite cut, k=0 of 768 columns at 384x64),
+    # 72 certified (108 certificates), each grid's top block settled by two more
     # factorizations; every band, for values, certificates, settlements and
     # the partial route alike, reads the shared terms, and the only sums over
     # rows are each operator's four terms
@@ -943,9 +991,10 @@ def test_criterion_6_sums_no_block_from_all_its_rows(monkeypatch):
     blocks = [b for op in ops for b in op.blocks]
     assert len(blocks) == 80 and len(calls) == 4 * len(ops)
     assert not any(U is b.windows for U in calls for b in blocks)
-    assert sum(ev.bound == np.inf for op in ops for ev in op._evidence) == 7
+    assert sum(ev.bound == np.inf for op in ops for ev in op._evidence) == 2
     assert [(op.grid_tag(), op.blocks[i].k) for op in ops for i, ev in enumerate(op._evidence)
-            if ev.bound < np.inf and len(ev.values)] == [("384x64@S12", 0)]
+            if ev.bound < np.inf and len(ev.values)] == (
+        [("96x32@S12", k) for k in range(1, 6)] + [("384x64@S12", 0)])
 
 
 def test_block_from_other_windows_takes_the_direct_band(monkeypatch):
@@ -1079,6 +1128,114 @@ def test_proposal_missing_one_copy_of_a_doubled_value_is_refused(monkeypatch):
     assert op.known_values(0) is not None and op._evidence[0].bound == np.inf
     assert len(eig_banded) == 1 and len(op.block_values(0)) == op.blocks[0].shape[1]
     assert rep == numerical_index(full_reference(problem, grid))
+
+
+FINITE_COLS = assemble_module._PARTIAL_FINITE_MIN_COLS
+
+
+def _distinct(sv):
+    """The distinct values of the descending ``sv``, ascending (values within
+    1e-6 relative of each other are one value)."""
+    low = sv[::-1]
+    return low[np.r_[True, np.diff(low) > 1e-6 * low[1:]]]
+
+
+def assert_finite_cut_takes_the_partial_route(op, ref, i, cut):
+    """A fresh copy of ``op`` asked for block i's values below the finite
+    ``cut`` answers from the partial route, with no eig_banded call: exactly
+    the values eig_banded finds below the cut, multiplicities included,
+    within rtol 1e-9, recorded below a bound at least the cut."""
+    fresh = replace(op)
+    fresh.sigma_max()
+    with mock.patch.object(scipy.linalg, "eig_banded", wraps=scipy.linalg.eig_banded) as eig:
+        sv = fresh.values_below(i, cut, REPORTED_VALUES)
+    full = ref.block_values(i)
+    below = full[full < cut]
+    assert eig.call_count == 0 and fresh.block_routes()[i] == "banded_gram"
+    assert len(sv) == len(below) > 0
+    np.testing.assert_allclose(sv, below, rtol=1e-9)
+    assert fresh._evidence[i].bound >= cut
+
+
+@settings(derandomize=True, deadline=None, max_examples=6)
+@given(ends=st.tuples(SYMMETRIC_2X2, SYMMETRIC_2X2),
+       weights=st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
+       s_nodes=st.integers(FINITE_COLS // 2, 160), t_nodes=st.sampled_from([8, 16, 32]),
+       after=st.integers(1, 3))
+def test_finite_cut_partial_route_matches_eig_banded(ends, weights, s_nodes, t_nodes, after):
+    # contact blocks of 192-320 columns, each fresh block asked for its values
+    # below the geometric midpoint after its 1st, 2nd or 3rd smallest
+    # distinct value, so doubled values lie below the cut in pairs
+    weights = tuple(w / 4.0 for w in weights)
+    assume(clear_of_walls(ends, weights))
+    problem = build_contact_fiber_cylinder(
+        *(LoopOperatorSpec(dim=2, coeff=S) for S in ends), weights=weights,
+        truncation=SMALL_TRUNC)
+    grid = GridSpec(s_nodes, t_nodes)
+    op, ref = assemble(problem, grid), full_reference(problem, grid)
+    square = [i for i, b in enumerate(op.blocks) if b.shape[0] >= b.shape[1]]
+    assert square and all(op.blocks[i].shape[1] >= FINITE_COLS for i in square)
+    for i in square:
+        low = _distinct(ref.block_values(i))
+        assert_finite_cut_takes_the_partial_route(
+            op, ref, i, float(np.sqrt(low[after - 1] * low[after])))
+
+
+def _criterion_6_block(k):
+    """Criterion 6 at 96x32 (S = I on both ends), its block of mode k (192
+    columns) and that block's fully decomposed values."""
+    S = LoopOperatorSpec(dim=2, coeff=np.eye(2))
+    problem, grid = build_contact_fiber_cylinder(S, S), GridSpec(96, 32)
+    op = assemble(problem, grid)
+    i = next(i for i, b in enumerate(op.blocks) if b.k == k)
+    return op, i, full_reference(problem, grid).block_values(i)
+
+
+def test_finite_cut_check_with_every_ritz_value_below_goes_on(monkeypatch):
+    # block k=1 asked for its ten smallest values below a cut under its
+    # largest one: the checks after 2, 3 and 4 Krylov blocks hold 4, 6 and 8
+    # Ritz values, all below the cut, fewer than ten and with no gap after
+    # them to test; the route goes on and answers
+    op, i, full = _criterion_6_block(1)
+    top = _distinct(full)[-2:]
+    real = assemble_module._accepted_ritz_values
+    checks = []
+
+    def spy(V, GV, H, m, p, room, top):
+        theta = np.linalg.eigvalsh(H)
+        checks.append((len(theta), int((theta < top).sum())))
+        return real(V, GV, H, m, p, room, top)
+
+    monkeypatch.setattr(assemble_module, "_accepted_ritz_values", spy)
+    op.sigma_max()
+    with mock.patch.object(scipy.linalg, "eig_banded", wraps=scipy.linalg.eig_banded) as eig:
+        sv = op.values_below(i, float(np.sqrt(top[0] * top[1])), REPORTED_VALUES)
+    assert eig.call_count == 0 and checks[:3] == [(4, 4), (6, 6), (8, 8)]
+    assert len(sv) >= REPORTED_VALUES and op._evidence[i].bound < np.inf
+    np.testing.assert_allclose(sv, full[-len(sv):], rtol=1e-9)
+
+
+def test_partial_answer_with_a_miscounted_inertia_is_decomposed(monkeypatch):
+    # block k=1 asked for its values below the midpoint after its smallest:
+    # the inertia count off by one refuses the proposal, and the block takes
+    # exactly one eig_banded call, its full values
+    op, i, full = _criterion_6_block(1)
+    low = _distinct(full)
+    op.sigma_max()
+    real = assemble_module._count_below
+    counts = []
+
+    def off_by_one(ab, y, room):
+        counts.append(real(ab, y, room))
+        return counts[-1] + 1
+
+    monkeypatch.setattr(assemble_module, "_count_below", off_by_one)
+    calls = _eig_banded_calls(monkeypatch)
+    sv = op.values_below(i, float(np.sqrt(low[0] * low[1])), REPORTED_VALUES)
+    monkeypatch.undo()
+    assert counts == [1] and len(calls) == 1
+    assert op._evidence[i].bound == np.inf and len(sv) == op.blocks[i].shape[1]
+    np.testing.assert_array_equal(sv, full)
 
 
 def _wide():
