@@ -29,11 +29,12 @@ function, ``_mode_block``, as row windows.  A mode is given by its
 t-derivative part ``base`` (the 1x1 [-2 pi k] of a scalar complex-line
 mode, the 2x2 zero of the realified complex-line mode 0 with its two real
 fields (a, theta), 2 pi i k J of a contact mode, the trig-basis derivative
-of the coupled block), B at the midpoints, and each end's asymptotic
-matrix.  ``_stencil_rows`` computes the 8-node band of the collocated rows,
-node-major and field-minor; ``_end_rows`` the spectral projection at an
-end, in the first or last window.  ``_shifted`` makes a block dense and
-appends its shift columns, on both backends: so every block's unknowns are
+of the coupled block), B at the midpoints, and its end rows.
+``_stencil_rows`` computes the 8-node band of the collocated rows,
+node-major and field-minor; ``_end_rows`` the spectral projections at both
+ends of every mode of an operator, in the first or last window, from one
+stacked eigensolver call per end.  ``_shifted`` appends a block's shift
+columns as its ``border``, on both backends: so every block's unknowns are
 its fields node-major and field-minor, then the shift parameters.  The
 disk cap of a plane is one rule: the trace is constrained along the
 positive eigenspace of ``base``, the Fourier modes that do not extend
@@ -47,87 +48,112 @@ stencil rows, then the negative-end rows, then the positive-end rows, with
 ``ModeBlock.pde_rows`` marking where the end rows begin.  On the
 2-dimensional contact fiber that is 16 columns per row against 2N, about
 1/48 of the dense bytes at N = 384.  The realified mode 0 that carries
-shift columns and the coupled block, with or without them, are written out
-dense once by ``_shifted`` from their row windows and stored dense
-(``ModeBlock.dense``); a block holds one storage, and it decides the block.
-``ModeBlock.matrix`` materializes a row-window block on first read and
-keeps it; only the dense fallback below, ``kernel_vectors`` on
-rank-deficient blocks and ``transposed`` read it.  The rank decision reads
-``ModeBlock.shape``, the gluing residuals the product ``ModeBlock @ v``,
-and ``DiscreteOperator.matrix`` (the Matrix Market export) builds its CSR
-matrix from the windows.
+shift columns keeps them beside its windows as a dense ``border`` of at
+most 4 columns (``ModeBlock.border``), zero in its end rows.  Only the
+coupled block, with or without shift columns, is written out dense and
+stored dense (``ModeBlock.dense``); a block holds one storage, and it
+decides the block.  ``ModeBlock.matrix`` materializes a row-window block on
+first read and keeps it; only the dense fallback below and ``transposed``
+read it.  The rank decision reads ``ModeBlock.shape``, the gluing
+residuals the product ``ModeBlock @ v``, and ``DiscreteOperator.matrix``
+(the Matrix Market export) builds its CSR matrix from the windows and the
+border.
 The row-window blocks of one decoupled operator also share one object
 (``ModeBlock.gram_terms``, ``_GramTerms``): mode k's stencil rows are
 W0 + k WX, so their Gram band is G0 + k G1 + k^2 G2, three bands built once
 per operator, on its first decomposition or certificate.
 
-Each block is decomposed at most once per operator, lazily, by one of two
-routes chosen by the block's storage alone.  A row-window block M has one
-Gram matrix, M^H M, whatever its shape: banded on its columns with
-bandwidth 8F - 1 (7 on a scalar mode, 15 on the 2-dimensional contact
-fiber).  It gets its singular values as square roots of the Gram
-eigenvalues from LAPACK's banded eigensolver, in O(n^2 kd) instead of
-O(n^3).  A wide block's Gram matrix also holds its structural kernel:
-eig(M^H M) is {sigma_i^2} and n_cols - n_rows zeros, and those smallest
-eigenvalues are dropped.  Its one Gram band (``_gram_band``) is the shared
-terms at its k plus its end rows' outer products (two axpys and a few
-rows, not a band rebuilt from every window), or the sum over all its rows
-without shared terms.  Dense blocks take the values-only dense SVD, which
-stays the reference.  A guard sends a row-window block to dense SVD when
-its smallest kept Gram eigenvalue is below 1e-8 times its largest
-(sigma_min < 1e-4 sigma_max), because squaring blurs values near the rank
-threshold; so every rank-deficient or near-deficient block is decided by
-dense SVD.
+The Gram matrix.  A row-window block M = [W C], C its border, has one Gram
+matrix, M^H M, whatever its shape (``_gram``, ``_Gram``): the band W^H W
+on its window columns, with bandwidth 8F - 1 (7 on a scalar mode, 15 on
+the 2-dimensional contact fiber), and the dense border W^H C, C^H C.  A
+wide block's Gram matrix also holds its structural kernel: eig(M^H M) is
+{sigma_i^2} and n_cols - n_rows zeros.  Its band (``_gram_band``) is the
+shared terms at its k plus its end rows' outer products (two axpys and a
+few rows, not a band rebuilt from every window), or the sum over all its
+rows without shared terms.  Every certified primitive reads a band with or
+without its border: a banded Cholesky factorization of the band, and on a
+bordered matrix the Schur complement of the band, at most 4x4, by
+Haynsworth's inertia additivity, In(K) = In(K11) + In(K/K11) (Haynsworth,
+1968), in O(n kd^2) plus O(n kd a) for a border of a columns.
+
+Each block is decomposed at most once per operator, lazily, and a
+decomposition is the exception.  An unbordered row-window block gets its
+singular values as square roots of its Gram eigenvalues from LAPACK's
+banded eigensolver, in O(n^2 kd) instead of O(n^3), the structural zeros
+of a wide block dropped.  Squaring blurs values below 1e-4 sigma_max, near
+the rank threshold: where the block's smallest kept Gram eigenvalue is
+below 1e-8 times its largest (the guard), its values below the guard come
+from the partial route at a negative shift (below) instead.  A bordered
+block's Gram matrix is no band, so its full decomposition is the dense
+SVD; every question the rank walk, the kernel directions and the gluing
+stability constant ask of it from 192 columns on is answered by the
+partial route.  The coupled block takes the values-only dense SVD, which
+stays the reference, as does every block whose route refuses a check.
 
 A row-window block whose values cannot reach a report is not decomposed at
 all but certified: a banded Cholesky factorization of its Gram matrix
 shifted by x I succeeds only when every Gram eigenvalue lies above x (of
-x I - G: below x), up to rounding, in O(n kd^2).  Every rank decision asks
-one question of a block, ``DiscreteOperator.values_below(i, cut, most)``:
-its singular values below the cut, an empty array when all of them are
+x I - G: below x), up to rounding, in O(n kd^2).  A wide block's Gram
+matrix holds its structural zeros below any shift, so its floor is
+certified by an inertia count (``_count_below``) that finds exactly those
+n_cols - n_rows eigenvalues below x.  Every rank decision asks one
+question of a block, ``DiscreteOperator.values_below(i, cut, most)``: its
+singular values below the cut, an empty array when all of them are
 certified to exceed it.  The operator keeps one record per block
 (``Evidence``), the statement "these are every singular value of the block
 below b": a decomposition gives all of them with b = inf, a floor
 certificate none with b the floor, and the partial route (below) the
 smallest ones with b its inertia point.  The callers (the index walk in
 ``crlab.indexing``, ``kernel_vectors``, the gluing stability constant)
-choose the cuts.  A wide block's structural zeros would fail
-every floor certificate, so it is always decomposed; its sigma_max
-certificate holds as on any block.  A certificate factors the same band the
-block's values come from, so a certified floor and any values computed
-later for that block describe one matrix.  The shared terms differ
-from a band summed over the block's own rows by rounding, of order
-eps max|G|, inside the certificates' relative room of 1e-12.
+choose the cuts.  A block's sigma_max certificate holds as on any block.
+A certificate factors the same Gram matrix the block's values come from,
+so a certified floor and any values computed later for that block
+describe one matrix.  The shared terms differ from a band summed over the
+block's own rows by rounding, of order eps max|G|, inside the
+certificates' relative room of 1e-12.
 
 A row-window block that holds values the caller reads is still not
-decomposed when it is large: not wide, its full rank certified, and with
-at least _PARTIAL_FINITE_MIN_COLS columns under a finite cut (which asks
-for the one or two values below it) or _PARTIAL_MIN_COLS under an infinite
-cut (which asks for the ``most`` smallest), ``values_below`` takes the
-partial route (``_lowest_gram``) and returns only its smallest values, the
-ones below the cut or the ``most`` smallest.  The banded Cholesky factor of
-G - sigma I, sigma at the guard's 1e-8 lambda_top, certifies that floor;
-shift-invert block Lanczos on that factor (Ericsson & Ruhe, 1980) proposes
+decomposed when it is large: with at least _PARTIAL_FINITE_MIN_COLS
+columns under a finite cut (which asks for the one or two values below
+it) or _PARTIAL_MIN_COLS under an infinite cut (which asks for the
+``most`` smallest), and a bordered block from _PARTIAL_FINITE_MIN_COLS
+under either, ``values_below`` takes the partial route (``_lowest_gram``)
+and returns only its smallest values, the ones below the cut or the
+``most`` smallest.  A block whose Gram matrix has no eigenvalue below the
+guard's 1e-8 lambda_top is factored there, G - sigma I by banded Cholesky,
+which certifies that floor, and its values are the square roots of the
+certified eigenvalues.  A bordered block with no such floor (wide,
+rank-deficient, or with a value below the guard) is factored at the
+negative shift -1e-8 lambda_top, which needs none; its values are the
+singular values of the thin product M X, X the Ritz vectors of the
+eigenvalues below the inertia point, read from the windows and border,
+less its structural zeros: by interlacing each is an upper bound on the
+value it stands for, accurate to about eps sigma_max as a dense SVD's.
+Shift-invert block Lanczos on the factor (Ericsson & Ruhe, 1980) proposes
 the values; Kahan's residual bound puts each within rounding of a distinct
 eigenvalue; and a Sylvester inertia count at a point y in the gap after
 them, from an unpivoted block LDL^H of G - y I (``_count_below``), shows
-that exactly that many eigenvalues lie below y.  It costs O(n kd) per
-Lanczos step and O(n kd^2) per factorization, against eig_banded's O(n^2
-kd), which only pays below those sizes; under a finite cut the route
-checks its Ritz values after every Krylov block, so it stops once the few
-values below the cut have converged.  A block that fails a check is
-decomposed; ``block_values`` stays the full reference.
+that exactly that many eigenvalues lie below y, structural zeros
+included.  It costs O(n kd) per Lanczos step and O(n kd^2) per
+factorization, against eig_banded's O(n^2 kd), which only pays below those
+sizes; under a finite cut the route checks its Ritz values after every
+Krylov block, so it stops once the few values below the cut have
+converged.  A block that fails a check is decomposed; ``block_values``
+stays the full reference.  The kernel directions come from the same
+route: ``DiscreteOperator.kernel`` takes the right singular vectors of
+M X below the threshold, mapped back by X.
 
 No row-window block is decomposed for sigma_max either
 (``DiscreteOperator.sigma_max``).  A block's top Gram eigenvalue is settled
-by the same certificate (``_gram_top``): a short Lanczos run on the band,
-with matrix-vector products in O(n kd), proposes it, and it is fixed as
-the smallest point of a grid h Z, h about 2^-46 of the block's norm bound,
-at which x I - G factors.  The settled value is a function of the band
-alone, not of the Lanczos rounding, the search path or the BLAS thread
-count, so an operator and a copy with every block decomposed agree on
-sigma_max bit for bit; it lies within h of lambda_max, a few 1e-14
-relative.
+by the same certificate (``_gram_top``): a short Lanczos run on its Gram
+matrix, with matrix-vector products in O(n kd), proposes it, and it is
+fixed as the smallest point of a grid h Z, h about 2^-46 of the block's
+norm bound, at which x I - G factors.  The settled value is a function of
+the Gram matrix alone, not of the Lanczos rounding, the search path or the
+BLAS thread count, so an operator and a copy with every block decomposed
+agree on sigma_max bit for bit; it lies within h of lambda_max, a few
+1e-14 relative.
 """
 
 from __future__ import annotations
@@ -223,23 +249,27 @@ class ModeBlock:
     scalar complex-line mode (identical real and imaginary copies) and for a
     contact-fiber mode k >= 1 (conjugate pair +-k), 1 for realified blocks.
 
-    A block with the stencil row layout (every unshifted decoupled block) is
-    stored as row windows: ``windows[r]`` holds the 8F entries of row r from
-    column ``starts[r]`` on, F being the fields per s-node.  The rows are
-    stored in the one order every reader sees: the ``pde_rows`` stencil rows,
-    then the negative-end rows, whose windows start at column 0, then the
+    A block with the stencil row layout (every decoupled block) is stored
+    as row windows: ``windows[r]`` holds the 8F entries of row r from column
+    ``starts[r]`` on, F being the fields per s-node.  The rows are stored in
+    the one order every reader sees: the ``pde_rows`` stencil rows, then the
+    negative-end rows, whose windows start at column 0, then the
     positive-end rows, whose windows start where the last stencil row's
-    does.  Every other block is stored ``dense``, and a block given both
-    storages or neither raises ``ValueError``.  ``matrix`` is the dense view,
-    row r of it being row r of the windows: the given ``dense``, or the
-    windows materialized on first read and kept, so only the readers that
-    need the dense entries pay for them.  ``shape`` never materializes.  The
-    columns are the fields node-major and field-minor, then the ``aug_cols``
-    shift columns.
+    does.  A row-window block with shift columns keeps them as its
+    ``border``, the n_rows x ``aug_cols`` dense columns after the windows'
+    columns.  The coupled block is stored ``dense``; a block given both
+    storages or neither, or a border without windows or of another width
+    than ``aug_cols``, raises ``ValueError``.  ``matrix`` is the dense view,
+    row r of it being row r of the windows and the border: the given
+    ``dense``, or the windows materialized on first read and kept, so only
+    the readers that need the dense entries pay for them.  ``shape`` never
+    materializes.  The columns are the fields node-major and field-minor,
+    then the ``aug_cols`` shift columns.
 
     ``gram_terms`` is the Gram band of the stencil rows that the row-window
     blocks of one assembled operator share (``_GramTerms``, mode factor
-    ``k``); the block's Gram band reads it instead of summing every row.
+    ``k``; the realified mode 0 has terms of its own); the block's Gram band
+    reads it instead of summing every row.
     It is set only by the assembler and is no constructor argument, so a
     block built from other windows (directly or by ``dataclasses.replace``)
     carries no shared terms and sums its band over its own rows.  The
@@ -258,12 +288,16 @@ class ModeBlock:
     dense: np.ndarray = None
     windows: np.ndarray = None
     starts: np.ndarray = None
+    border: np.ndarray = None
     gram_terms: object = field(default=None, init=False)
 
     def __post_init__(self):
         given = (self.dense is not None, self.windows is not None, self.starts is not None)
         if given not in ((True, False, False), (False, True, True)):
             raise ValueError(f"block {self.tag!r} takes either dense or windows and starts")
+        if self.border is not None and (self.windows is None
+                                        or self.border.shape != (len(self.windows), self.aug_cols)):
+            raise ValueError(f"block {self.tag!r}: a border is aug_cols columns beside windows")
 
     def __repr__(self):         # the generated repr would print every array
         return f"ModeBlock({self.tag!r}, shape={self.shape})"
@@ -272,19 +306,24 @@ class ModeBlock:
     def shape(self):
         if self.windows is None:
             return self.dense.shape
-        # the last stencil row's window ends at the last column
-        return len(self.windows), int(self.starts[self.pde_rows - 1]) + self.windows.shape[1]
+        # the last stencil row's window ends at the last column before the border
+        return (len(self.windows),
+                int(self.starts[self.pde_rows - 1]) + self.windows.shape[1] + self.aug_cols)
 
     @functools.cached_property
     def matrix(self):
         return self.dense if self.windows is None else _materialize(self)
 
     def __matmul__(self, v):
-        """M v, without making a row-window block dense."""
+        """M v, without making a row-window block dense; v may also hold one
+        vector per column."""
         if self.windows is None:
             return self.dense @ v
         w = self.windows.shape[1]
-        return np.einsum("rj,rj->r", self.windows, v[self.starts[:, None] + np.arange(w)])
+        out = np.einsum("rj,rj...->r...", self.windows, v[self.starts[:, None] + np.arange(w)])
+        if self.border is not None:
+            out = out + np.einsum("ra,a...->r...", self.border, v[len(v) - self.aug_cols:])
+        return out
 
     def realified(self):
         """Real matrix carrying this block's full real multiplicity."""
@@ -306,6 +345,10 @@ def _realified_csr(b):
     r = np.repeat(np.arange(n_rows), width)
     c = (b.starts[:, None] + np.arange(width)).ravel()
     v = b.windows.ravel()
+    if b.border is not None:    # each row's border entries after its window's
+        r = np.concatenate([r, np.repeat(np.arange(n_rows), b.aug_cols)])
+        c = np.concatenate([c, np.tile(np.arange(n_cols - b.aug_cols, n_cols), n_rows)])
+        v = np.concatenate([v, b.border.ravel()])
     if np.iscomplexobj(v):
         parts = [(r, c, v.real), (r, c + n_cols, -v.imag),
                  (r + n_rows, c, v.imag), (r + n_rows, c + n_cols, v.real)]
@@ -324,6 +367,8 @@ def _materialize(b):
     n, width = b.windows.shape
     M = np.zeros(b.shape, dtype=b.windows.dtype)
     M[np.arange(n)[:, None], b.starts[:, None] + np.arange(width)] = b.windows
+    if b.border is not None:
+        M[:, M.shape[1] - b.aug_cols:] = b.border
     return M
 
 
@@ -365,7 +410,7 @@ def _gram_band(b):
     """
     V, starts = b.windows, b.starts
     if b.gram_terms is None:
-        return _window_band(V, V, starts, b.shape[1])
+        return _window_band(V, V, starts, b.shape[1] - b.aug_cols)
     ab = b.gram_terms.band(b.k)
     width = V.shape[1]
     p, q = _triu(width)
@@ -393,6 +438,24 @@ def _banded_singular_values(b):
     return np.sqrt(lam[::-1])
 
 
+def _guarded_singular_values(b):
+    """Singular values of an unbordered row-window block that the guard of
+    ``_banded_singular_values`` rejects, descending: below the square root
+    of the inertia point y of the partial route at a negative shift, asked
+    for every Gram eigenvalue below 1e-8 lambda_max (``_ritz_below``), the
+    singular values of M X^T on its Ritz vectors X (``_thin_svd``), less the
+    structural zeros; above it the square roots of the banded eigenvalues.
+    None when the route refuses."""
+    lam = scipy.linalg.eig_banded(_gram_band(b), eigvals_only=True, overwrite_a_band=True,
+                                  check_finite=False)
+    guard = _GRAM_GUARD * lam[-1]
+    found = _ritz_below(_gram(b), b.shape[1], guard, _CERT_MARGIN * lam[-1], guard)
+    if not found:
+        return None
+    low = _thin_svd(b, found[2])[0][_structural_zeros(b):]
+    return np.sort(np.concatenate([np.sqrt(lam[len(found[0]):]), low]))[::-1]
+
+
 # Relative room a certificate leaves for the rounding of the Cholesky
 # factorization and of the eigensolver, both of order kd eps ||G||.
 _CERT_MARGIN = 1e-12
@@ -414,47 +477,130 @@ class _GramTerms:
     """
 
     def __init__(self, stencil, A, Y, phase):
-        self._rows = (stencil, A, Y, phase)
+        self._terms = (stencil, A, Y, phase)
+
+    @functools.cached_property
+    def _rows(self):
+        stencil, A, Y, phase = self._terms
+        W0, starts = _stencil_rows(stencil, A)
+        WY, _ = _stencil_rows((None,) + stencil[1:], np.broadcast_to(Y, A.shape))
+        return W0, WY, starts, len(stencil[2]) * A.shape[1], phase
+
+    @functools.cached_property
+    def g0(self):
+        W0, _, starts, n_cols, _ = self._rows
+        return _window_band(W0, W0, starts, n_cols)
 
     @functools.cached_property
     def bands(self):
-        stencil, A, Y, phase = self._rows
-        W0, starts = _stencil_rows(stencil, A)
-        WY, _ = _stencil_rows((None,) + stencil[1:], np.broadcast_to(Y, A.shape))
-        n_cols = len(stencil[2]) * A.shape[1]
+        W0, WY, starts, n_cols, phase = self._rows
         g1 = _window_band(W0, WY, starts, n_cols) * phase
         g1 += _window_band(WY, W0, starts, n_cols) * np.conj(phase)
-        return _window_band(W0, W0, starts, n_cols), g1, _window_band(WY, WY, starts, n_cols)
+        return self.g0, g1, _window_band(WY, WY, starts, n_cols)
 
     def band(self, k):
-        """Gram band of mode k's stencil rows: G0 alone at k = 0."""
-        g0, g1, g2 = self.bands
+        """Gram band of mode k's stencil rows: G0 alone at k = 0, which
+        builds neither G1 nor G2."""
         if not k:
-            return g0.copy()
+            return self.g0.copy()
+        g0, g1, g2 = self.bands
         ab = g1 * k
         ab += g0
         ab += g2 * (k * k)
         return ab
 
 
-def _definite(ab, shift, below):
+class _Gram(NamedTuple):
+    """The Gram matrix M^H M of a row-window block M = [W C], C its border
+    of shift columns: ``band``, the upper band storage of W^H W, and the
+    dense ``cross`` = W^H C and ``corner`` = C^H C, both None without a
+    border.  Every certified primitive takes it, or a band alone."""
+
+    band: np.ndarray
+    cross: np.ndarray = None
+    corner: np.ndarray = None
+
+
+def _parts(g):
+    return g if isinstance(g, _Gram) else _Gram(g)
+
+
+def _size(g):
+    """Order and dtype of the Hermitian matrix of ``g``."""
+    ab, cross, _ = _parts(g)
+    if cross is None:
+        return ab.shape[1], ab.dtype
+    return ab.shape[1] + cross.shape[1], np.result_type(ab, cross)
+
+
+def _gram(b):
+    """The Gram matrix of row-window block b (``_Gram``): its band
+    (``_gram_band``), and for a bordered block the products of the border
+    with each row's window and with itself, O(n_rows F a)."""
+    ab = _gram_band(b)
+    if b.border is None:
+        return _Gram(ab)
+    width = b.windows.shape[1]
+    idx = (b.starts[:, None] + np.arange(width)).ravel()
+    prod = (b.windows.conj()[:, :, None] * b.border[:, None, :]).reshape(len(idx), -1)
+    cross = np.stack([np.bincount(idx, p.real, ab.shape[1]) for p in prod.T], axis=1)
+    if np.iscomplexobj(prod):
+        cross = cross + 1j * np.stack([np.bincount(idx, p.imag, ab.shape[1]) for p in prod.T],
+                                      axis=1)
+    return _Gram(ab, cross, np.einsum("ra,rb->ab", b.border.conj(), b.border))
+
+
+def _schur_factor(factor, cross, corner, scale):
+    """Haynsworth's step for a bordered Hermitian K = [[K11, X], [X^H, Y]]
+    whose band K11 has the banded Cholesky factor ``factor``: K is
+    positive definite exactly when the Schur complement S = Y - X^H K11^-1 X
+    is (In(K) = In(K11) + In(S)).  Returns K11^-1 X and the Cholesky factor
+    of S, or None when S is not positive definite by more than the room its
+    rounding needs, _CERT_MARGIN ``scale`` (1 + ||K11^-1 X||_F^2), ``scale``
+    bounding ||K||."""
+    pbtrs, = scipy.linalg.get_lapack_funcs(("pbtrs",), (factor,))
+    X = pbtrs(factor, cross, lower=0)[0]
+    S = corner - np.einsum("na,nb->ab", cross.conj(), X)
+    S = 0.5 * (S + S.conj().T)
+    room = _CERT_MARGIN * scale * (1.0 + np.vdot(X, X).real)
+    potrf, = scipy.linalg.get_lapack_funcs(("potrf",), (S,))
+    if potrf(S - room * np.eye(len(S)), lower=1)[1]:
+        return None
+    L, info = potrf(S, lower=1, clean=1)
+    return None if info else (X, L)
+
+
+def _scale(ab, shift):
+    """A bound on ||G - shift I||, G Hermitian of upper band ``ab``."""
+    return abs(shift) + (2 * len(ab) - 1) * float(np.abs(ab).max(initial=0.0))
+
+
+def _definite(g, shift, below):
     """Whether shift I - G (``below``) or G - shift I is positive definite, up
-    to rounding, G the Hermitian matrix of upper band storage ``ab``: whether
-    LAPACK's banded Cholesky factorization of it succeeds (the inertia
-    argument), in O(n kd^2).  ``ab`` is left as it was."""
+    to rounding, G the Hermitian matrix of ``g`` (a band or a ``_Gram``):
+    whether LAPACK's banded Cholesky factorization of its band succeeds (the
+    inertia argument), in O(n kd^2), and on a bordered G whether its Schur
+    complement is positive definite too (``_schur_factor``), in O(n kd a).
+    ``g`` is left as it was."""
+    ab, cross, corner = _parts(g)
     c = np.negative(ab) if below else ab.copy()
     c[-1] += shift if below else -shift
     pbtrf, = scipy.linalg.get_lapack_funcs(("pbtrf",), (c,))
-    return pbtrf(c, lower=0, overwrite_ab=1)[1] == 0
+    factor, info = pbtrf(c, lower=0, overwrite_ab=1)
+    if info or cross is None:
+        return info == 0
+    sign = -1.0 if below else 1.0
+    return _schur_factor(factor, sign * cross, sign * (corner - shift * np.eye(len(corner))),
+                         _scale(ab, shift)) is not None
 
 
 def _gram_certified(b, shift, below):
     """Whether every eigenvalue of the Gram matrix G = M^H M of a row-window
     block M lies below (``below``) or above ``shift`` (``_definite``), against
-    the eigensolver's O(n^2 kd).  It factors the band the block's values come
-    from (``_gram_band``).
+    the eigensolver's O(n^2 kd).  It factors the Gram matrix the block's
+    values come from (``_gram``).
     """
-    return _definite(_gram_band(b), shift, below)
+    return _definite(_gram(b), shift, below)
 
 
 # Grid step of a settled top Gram eigenvalue relative to the block's norm
@@ -463,10 +609,12 @@ _TOP_STEP = 2.0 ** -46
 _LANCZOS_STEPS = 64
 
 
-def _band_matvec(ab):
-    """x -> G x for the Hermitian G of upper band storage ``ab``: one product
-    of the n x (2 kd + 1) rows of G with the windows of x, O(n kd) per
-    vector; x is one vector or a p x n block of them, one per row."""
+def _band_matvec(g):
+    """x -> G x for the Hermitian G of ``g`` (a band or a ``_Gram``): one
+    product of the n x (2 kd + 1) rows of the band with the windows of x,
+    O(n kd) per vector, plus the border's products, O(n a); x is one vector
+    or a p x n block of them, one per row."""
+    ab, cross, corner = _parts(g)
     kd, n = len(ab) - 1, ab.shape[1]
     rows = np.empty((n, 2 * kd + 1), dtype=ab.dtype)     # rows[i, kd + e] = G[i, i + e]
     rows[:, :kd + 1] = ab.conj().T
@@ -477,7 +625,7 @@ def _band_matvec(ab):
 
     buffers = {}        # x's leading shape and dtype -> zero-padded copy and its windows
 
-    def matvec(x):
+    def band(x):
         key = x.shape[:-1] + (x.dtype,)
         if key not in buffers:
             padded = np.zeros(x.shape[:-1] + (n + 2 * kd,), dtype=np.result_type(ab, x))
@@ -487,18 +635,28 @@ def _band_matvec(ab):
         padded[..., kd:kd + n] = x
         return np.einsum("id,...id->...i", rows, windows)
 
+    if cross is None:
+        return band
+
+    def matvec(x):
+        head, tail = x[..., :n], x[..., n:]
+        return np.concatenate(
+            [band(head) + np.einsum("na,...a->...n", cross, tail),
+             np.einsum("na,...n->...a", cross.conj(), head) + np.einsum("ab,...b->...a",
+                                                                        corner, tail)], axis=-1)
+
     return matvec
 
 
-def _ritz_top(ab, step):
+def _ritz_top(g, step):
     """Lanczos estimate of the largest eigenvalue of the Hermitian matrix of
-    upper band ``ab``, from a seeded random start with full
+    ``g`` (a band or a ``_Gram``), from a seeded random start with full
     reorthogonalization.  It stops when the Ritz residual bound, sharpened by
     the gap to the next Ritz value, is below ``step``, or after
     _LANCZOS_STEPS steps.  Only a proposal: ``_gram_top`` certifies it."""
-    n = ab.shape[1]
-    matvec = _band_matvec(ab)
-    Q = np.zeros((min(n, _LANCZOS_STEPS), n), dtype=ab.dtype)
+    n, dtype = _size(g)
+    matvec = _band_matvec(g)
+    Q = np.zeros((min(n, _LANCZOS_STEPS), n), dtype=dtype)
     q = np.random.default_rng(n).standard_normal(n)
     Q[0] = q / np.linalg.norm(q)
     alpha, off = np.zeros(len(Q)), np.zeros(len(Q))     # the tridiagonal Q^H G Q
@@ -534,22 +692,25 @@ def _gram_top(b, bound):
     """
     if not bound:
         return 0.0
-    ab = _gram_band(b)
+    g = _gram(b)
     h = 2.0 ** (np.frexp(bound)[1] - 1) * _TOP_STEP
-    lo, hi = int(ab[-1].real.max() // h), int(bound // h) + 2   # fails at lo h, factors at hi h
+    diagonal = g.band[-1].real.max()
+    if g.corner is not None:
+        diagonal = max(diagonal, g.corner.diagonal().real.max())
+    lo, hi = int(diagonal // h), int(bound // h) + 2   # fails at lo h, factors at hi h
     untried = hi
-    m = min(max(int(np.ceil(_ritz_top(ab, h) / h)), lo + 1), hi - 1)
-    down = _definite(ab, m * h, below=True)
+    m = min(max(int(np.ceil(_ritz_top(g, h) / h)), lo + 1), hi - 1)
+    down = _definite(g, m * h, below=True)
     lo, hi = (lo, m) if down else (m, hi)
     step = 1
     while hi - lo > 1:
         m = hi - step if down else lo + step
         if not lo < m < hi:
             m = (lo + hi) // 2
-        ok = _definite(ab, m * h, below=True)
+        ok = _definite(g, m * h, below=True)
         step = 2 * step if ok == down else 0
         lo, hi = (lo, m) if ok else (m, hi)
-    if hi == untried and not _definite(ab, hi * h, below=True):
+    if hi == untried and not _definite(g, hi * h, below=True):
         raise NumericalError(f"no Cholesky certificate above the norm bound of block {b.tag}")
     return float(hi * h)
 
@@ -557,8 +718,12 @@ def _gram_top(b, bound):
 def _norm_bound(b):
     """||M||_1 ||M||_inf of a row-window block, an upper bound on sigma_max^2."""
     A = np.abs(b.windows)
+    rows = A.sum(axis=1)
     cols = np.bincount((b.starts[:, None] + np.arange(A.shape[1])).ravel(), A.ravel())
-    return float(A.sum(axis=1).max() * cols.max())
+    if b.border is not None:
+        C = np.abs(b.border)
+        rows, cols = rows + C.sum(axis=1), np.concatenate([cols, C.sum(axis=0)])
+    return float(rows.max() * cols.max())
 
 
 # The partial route takes blocks of at least this many columns when it is
@@ -602,18 +767,22 @@ def _pivot_inertia(lu, ipiv, room):
     return None if np.abs(eig).min() <= room else int((eig < 0).sum())
 
 
-def _count_below(ab, y, room):
-    """How many eigenvalues of the Hermitian G of upper band ``ab`` lie below
-    y, by Sylvester's law of inertia, or None when the count cannot be
-    trusted.
+def _count_below(g, y, room):
+    """How many eigenvalues of the Hermitian G of ``g`` (a band or a
+    ``_Gram``) lie below y, by Sylvester's law of inertia, or None when the
+    count cannot be trusted.
 
     G - y I is block tridiagonal in blocks of kd + 1 (padded with identity
     rows, which add positive eigenvalues only).  Its block LDL^H, unpivoted
     across blocks, has as D the Schur complements S_0 = A_00, S_{j+1} =
     A_{j+1,j+1} - A_{j+1,j} S_j^-1 A_{j,j+1}, and the count is theirs; each
-    one's inertia is read from its Bunch-Kaufman factorization.  A pivot
-    within ``room`` of singular refuses the count.
+    one's inertia is read from its Bunch-Kaufman factorization.  A bordered
+    G adds its border as a last block row and column: each step also
+    eliminates block j from the border, and the border's own Schur
+    complement adds its inertia last (Haynsworth, 1968), in O(n kd a).  A
+    pivot within ``room`` of singular refuses the count.
     """
+    ab, cross, corner = _parts(g)
     kd, n = len(ab) - 1, ab.shape[1]
     b = kd + 1
     nb = -(-n // b)
@@ -629,8 +798,14 @@ def _count_below(ab, y, room):
             - np.eye(b) * (padded[-1][starts + q].real + y))
     sup = np.where(q < p, padded[np.maximum(p - q - 1, 0),
                                  np.minimum(starts + b + q, nb * b - 1)], 0.0)
+    if cross is not None:
+        border = np.zeros((nb * b, cross.shape[1]), dtype=np.result_type(ab, cross))
+        border[:n] = cross
+        border = border.reshape(nb, b, -1)
+        tail = corner - y * np.eye(len(corner))
+        diag, sup = diag.astype(border.dtype), sup.astype(border.dtype)
     trf, trs = scipy.linalg.get_lapack_funcs(
-        ("hetrf", "hetrs") if np.iscomplexobj(ab) else ("sytrf", "sytrs"), (diag,))
+        ("hetrf", "hetrs") if np.iscomplexobj(diag) else ("sytrf", "sytrs"), (diag,))
     count, S = 0, diag[0]
     for j in range(nb):
         lu, ipiv, info = trf(S, lower=1)
@@ -638,50 +813,89 @@ def _count_below(ab, y, room):
         if neg is None:
             return None
         count += neg
+        if cross is not None:
+            Z = trs(lu, ipiv, border[j], lower=1)[0]
+            tail = tail - border[j].conj().T @ Z
         if j + 1 < nb:
             S = diag[j + 1] - sup[j].conj().T @ trs(lu, ipiv, sup[j], lower=1)[0]
+            if cross is not None:
+                border[j + 1] -= sup[j].conj().T @ Z
+    if cross is not None:
+        lu, ipiv, info = trf(0.5 * (tail + tail.conj().T), lower=1)
+        neg = None if info else _pivot_inertia(lu, ipiv, room)
+        if neg is None:
+            return None
+        count += neg
     return count
 
 
-def _lowest_gram(ab, m, shift, room, top=np.inf):
-    """The smallest eigenvalues of the Hermitian G of upper band ``ab``,
-    certified without decomposing G: (values, y), the values ascending and
-    every eigenvalue of G below y among them; or None.  They are at least the
-    m smallest, or every eigenvalue below ``top`` when fewer lie there.
-
-    G - shift I is factored by banded Cholesky, which certifies that G has
-    no eigenvalue below ``shift``, and a shift-invert block Lanczos on that
-    factor (Ericsson & Ruhe, 1980) proposes the values: one Krylov vector
-    per field from a seeded random start, each new block (G - shift I)^-k
-    times the last, k = _LANCZOS_POWER, fully reorthogonalized; the values
-    are the Rayleigh-Ritz values of G on the basis
-    (``_accepted_ritz_values``), checked after every Krylov block from the
-    second on when ``top`` is finite (the caller reads the few values below
-    it), else once the basis exceeds m + p vectors and then every
-    _LANCZOS_CHECK blocks.  A proposal of c values with Ritz vectors X
-    and residual R = G X - X Theta, ||R||_F <= ``room``, puts c eigenvalues
-    of G, multiplicities counted, within ``room`` of them (Kahan's theorem),
-    all below a point y in the gap after them; an inertia count at y
-    (``_count_below``) that finds exactly c makes them the c smallest.  A
-    failed factorization or count, or no proposal within _LANCZOS_DIM Krylov
-    vectors, returns None.  The products are einsum, the solves and the
-    small eigenproblems LAPACK without level-3 BLAS, so the values do not
-    depend on the BLAS thread count and no BLAS thread spins afterwards.
-    """
-    kd, n = len(ab) - 1, ab.shape[1]
+def _shift_solver(g, shift):
+    """x -> (G - shift I)^-1 x on the columns of x, G the Hermitian matrix of
+    ``g`` (a band or a ``_Gram``), or None when G - shift I is not positive
+    definite: the banded Cholesky factor of its band and, on a bordered G,
+    the Cholesky factor of its Schur complement (``_schur_factor``), each
+    solve one pass through both by block elimination."""
+    ab, cross, corner = _parts(g)
     factor = ab.copy()
     factor[-1] -= shift
     pbtrf, pbtrs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"), (factor,))
     factor, info = pbtrf(factor, lower=0, overwrite_ab=1)
     if info:
         return None
-    matvec = _band_matvec(ab)
-    p = (kd + 1) // _FD_STENCIL
+    if cross is None:
+        return lambda R: pbtrs(factor, R, lower=0)[0]
+    schur = _schur_factor(factor, cross, corner - shift * np.eye(len(corner)),
+                          _scale(ab, shift))
+    if schur is None:
+        return None
+    X, L = schur
+    potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (L,))
+    n = ab.shape[1]
+
+    def solve(R):
+        head = pbtrs(factor, R[:n], lower=0)[0]
+        tail = potrs(L, R[n:] - np.einsum("na,nk->ak", cross.conj(), head), lower=1)[0]
+        return np.concatenate([head - np.einsum("na,ak->nk", X, tail), tail])
+
+    return solve
+
+
+def _lowest_gram(g, m, solve, room, top=np.inf, vectors=False, power=_LANCZOS_POWER):
+    """The smallest eigenvalues of the Hermitian G of ``g`` (a band or a
+    ``_Gram``), certified without decomposing G: (values, y), the values
+    ascending and every eigenvalue of G below y among them, and with
+    ``vectors`` their Ritz vectors, one per row; or None.  They are at least
+    the m smallest, or every eigenvalue below ``top`` when fewer lie there.
+
+    ``solve`` applies (G - shift I)^-1 (``_shift_solver``).  At a shift
+    below which G has no eigenvalue its factors certify that floor; a
+    negative shift serves G with eigenvalues at or near zero.  A
+    shift-invert block Lanczos on it (Ericsson & Ruhe, 1980) proposes the
+    values: one Krylov vector per field and block from a seeded random
+    start, each new block (G - shift I)^-k times the last, k =
+    ``power``, fully reorthogonalized; the values are the
+    Rayleigh-Ritz values of G on the basis (``_accepted_ritz_values``),
+    checked after every Krylov block from the second on when ``top`` is
+    finite (the caller reads the few values below it), else once the basis
+    exceeds m + p vectors and then every _LANCZOS_CHECK blocks.  A proposal
+    of c values with Ritz vectors X and residual R = G X - X Theta, ||R||_F
+    <= ``room``, puts c eigenvalues of G, multiplicities counted, within
+    ``room`` of them (Kahan's theorem), all below a point y in the gap after
+    them; an inertia count at y (``_count_below``) that finds exactly c
+    makes them the c smallest.  A failed count, or no proposal within
+    _LANCZOS_DIM Krylov vectors, returns None.  The products are einsum, the
+    solves and the small eigenproblems LAPACK without level-3 BLAS, so the
+    values do not depend on the BLAS thread count and no BLAS thread spins
+    afterwards.
+    """
+    n, dtype = _size(g)
+    matvec = _band_matvec(g)
+    p = len(_parts(g).band) // _FD_STENCIL
     dim = min(n, _LANCZOS_DIM) // p * p
     # the basis and G times it, one Krylov vector per row, and H = V^H G V
-    V, GV = np.zeros((dim, n), dtype=ab.dtype), np.zeros((dim, n), dtype=ab.dtype)
-    H = np.zeros((dim, dim), dtype=ab.dtype)
-    W = np.random.default_rng(n).standard_normal((p, n)).astype(ab.dtype)
+    V, GV = np.zeros((dim, n), dtype=dtype), np.zeros((dim, n), dtype=dtype)
+    H = np.zeros((dim, dim), dtype=dtype)
+    W = np.random.default_rng(n).standard_normal((p, n)).astype(dtype)
     for j in range(p, dim + 1, p):
         for _ in range(2):
             W -= np.einsum("jp,jn->pn",
@@ -696,12 +910,33 @@ def _lowest_gram(ab, m, shift, room, top=np.inf):
                 j > m + p and (j // p % _LANCZOS_CHECK == 0 or j == dim)):
             found = _accepted_ritz_values(V[:j], GV[:j], H[:j, :j], m, p, room, top)
             if found is not None:
-                return found if _count_below(ab, found[1], room) == len(found[0]) else None
+                if _count_below(g, found[1], room) != len(found[0]):
+                    return None
+                if not vectors:
+                    return found
+                Y = _small_eigh(H[:j, :j])[1][:, :len(found[0])]
+                return found + (np.einsum("jc,jn->cn", Y, V[:j]),)
         W = Q.T
-        for _ in range(_LANCZOS_POWER):
-            W = pbtrs(factor, W, lower=0)[0]
+        for _ in range(power):
+            W = solve(W)
         W = W.T
     return None
+
+
+def _ritz_below(g, m, guard, room, top=np.inf):
+    """``_lowest_gram`` with its vectors, on the factor at the negative
+    shift -``guard``, which needs no floor: a Gram matrix with eigenvalues
+    at or near zero factors there.  Its Krylov blocks take one solve each,
+    not _LANCZOS_POWER: a cluster at zero grows by 1/``guard`` at every
+    solve, and within a few solves its rounding buries the next
+    eigenvectors: on 52 runs (the blocks with shift columns of
+    ``reproduce-all`` and of trivial cylinders and planes of every shift
+    pattern, and their kernel directions), two or three solves per block
+    refused up to 45 of them at shifts of 1 to 100 times the guard (two
+    solves at 100 times none, and no faster than one), one solve none.
+    """
+    solve = _shift_solver(g, -guard)
+    return solve and _lowest_gram(g, m, solve, room, top, vectors=True, power=1)
 
 
 def _small_eigh(H):
@@ -748,6 +983,77 @@ def _accepted_ritz_values(V, GV, H, m, p, room, top):
     return None
 
 
+def _triangular(P):
+    """R of a Householder QR of the tall n x c matrix P, its reflections
+    applied by einsum, so that its bytes do not depend on the BLAS thread
+    count."""
+    A = P.astype(np.result_type(P, 1.0))
+    for j in range(A.shape[1]):
+        x = A[j:, j]
+        nrm = np.sqrt(np.vdot(x, x).real)
+        if nrm == 0.0:
+            continue
+        v = x.copy()
+        v[0] += (x[0] / abs(x[0]) if x[0] else 1.0) * nrm
+        A[j:, j:] -= np.outer(v, np.einsum("i,ik->k", v.conj(), A[j:, j:]) / np.vdot(v, v).real
+                              * 2.0)
+    return np.triu(A[:A.shape[1]])
+
+
+def _thin_svd(b, X):
+    """Singular values, ascending, of the thin product M X^T of row-window
+    block M with the c orthonormal rows X, and its right singular vectors,
+    one per column, in the coordinates of X: a QR of M X^T by
+    ``_triangular``, then the SVD of its c x c factor.  M X^T is read from
+    the windows and border (``ModeBlock.__matmul__``), so each value is
+    accurate to about eps sigma_max absolutely, as a dense SVD's."""
+    _, sv, Wh = scipy.linalg.svd(_triangular(b @ X.T), check_finite=False)
+    return sv[::-1], Wh[::-1].conj().T
+
+
+def _structural_zeros(b):
+    """The n_cols - n_rows zero eigenvalues a wide block's Gram matrix holds."""
+    return max(b.shape[1] - b.shape[0], 0)
+
+
+def _floor_certified(g, shift, zeros, room):
+    """Whether every eigenvalue of the Gram matrix g but its ``zeros``
+    structural ones lies above ``shift``: its Cholesky factorization
+    (``_definite``) or, with structural zeros, an inertia count that finds
+    exactly them below it (``_count_below``)."""
+    if not zeros:
+        return _definite(g, shift, below=False)
+    return _count_below(g, shift, room) == zeros
+
+
+def _lowest_values(b, g, m, guard, room, top=np.inf):
+    """Row-window block b's smallest singular values by the partial route
+    on its Gram matrix g (``_lowest_gram``): (values, y), the values
+    descending and every singular value below sqrt(y) among them, at least
+    the m smallest or every one below sqrt(top); or None.
+
+    A block whose Gram matrix factors at the guard's floor, ``guard`` (1 +
+    1e-12) + ``room``, takes that factor and the square roots of the
+    certified eigenvalues.  A bordered block that has no such floor (wide,
+    rank-deficient, or with a value below the floor) takes the factor at
+    the negative shift -``guard`` (``_ritz_below``) and asks for m more than
+    its structural zeros; its values are the singular values of M X^T, X
+    the Ritz vectors of the eigenvalues below y (``_thin_svd``), less their
+    structural zeros, the smallest.  By interlacing each is an upper bound
+    on the value it stands for, within rounding of it.  An unbordered block
+    without the floor is left to its band eigensolver.
+    """
+    zeros = _structural_zeros(b)
+    solve = None if zeros else _shift_solver(g, guard * (1 + _CERT_MARGIN) + room)
+    if solve is not None:
+        found = _lowest_gram(g, m, solve, room, top)
+        return None if found is None else (np.sqrt(found[0][::-1]), found[1])
+    found = b.border is not None and _ritz_below(g, m + zeros, guard, room, top)
+    if not found:
+        return None
+    return _thin_svd(b, found[2])[0][zeros:][::-1], found[1]
+
+
 class Evidence(NamedTuple):
     """One block's record: ``values``, descending, are every singular value
     of the block below ``bound``, computed or certified by ``route``."""
@@ -761,27 +1067,31 @@ class Evidence(NamedTuple):
 class DiscreteOperator:
     """Assembled rectangular operator with grid metadata.
 
-    ``blocks`` hold the per-mode factors, as row windows or dense
-    (``ModeBlock``); ``matrix`` builds the full real rectangular matrix as
-    CSR (block diagonal over modes, a row-window block from its windows,
-    never made dense) for export and transpose experiments.  cols - rows equals the analytic index
-    candidate once the boundary rows are installed.
+    ``blocks`` hold the per-mode factors, as row windows (with their border
+    of shift columns) or dense (``ModeBlock``); ``matrix`` builds the full
+    real rectangular matrix as CSR (block diagonal over modes, a row-window
+    block from its windows and border, never made dense) for export and
+    transpose experiments.  cols - rows equals the analytic index candidate
+    once the boundary rows are installed.
 
     Each block is decomposed at most once per operator, in ``block_values``
-    (banded Gram eigenvalues for row-window blocks, dense SVD for the others
-    and for the blocks the guard rejects).  The operator keeps one record of
+    (banded Gram eigenvalues for unbordered row-window blocks, with the
+    values below the guard from the partial route; dense SVD for the others
+    and for the blocks a route refuses).  The operator keeps one record of
     evidence per block (``Evidence``): every singular value of the block
     below a bound, with the route that found them.  ``sigma_max`` settles
     the top of the spectrum without decomposing any row-window block, and
     ``values_below`` answers with a block's values below a cut, from its
     record or one new certificate, and, when none settles the question,
     from the block's smallest values (the partial route) or all of them.
-    The rank decision, the kernel directions and the gluing stability
-    constant all ask ``values_below``.  ``block_routes`` says which route
-    computed each block.  The evidence belongs to one operator: it is
-    allocated empty at construction, so a copy by ``dataclasses.replace``
-    decides its blocks afresh.  Values from the banded route agree with
-    dense SVD to about eps (sigma_max / sigma)^2 relative, not bit for bit.
+    The rank decision, the kernel directions (``kernel``) and the gluing
+    stability constant all ask ``values_below``.  ``block_routes`` says
+    which route computed each block.  The evidence belongs to one operator:
+    it is allocated empty at construction, so a copy by
+    ``dataclasses.replace`` decides its blocks afresh.  Values from the
+    banded route agree with dense SVD to about eps (sigma_max / sigma)^2
+    relative, those from M X on the Ritz vectors X to about eps sigma_max
+    absolutely, not bit for bit.
     """
 
     blocks: list
@@ -814,16 +1124,23 @@ class DiscreteOperator:
         The full reference: computed when block i's record does not hold
         all of them (no record, or a finite bound) and kept as its record,
         so each block is decomposed at most once, whatever was certified
-        before.  A row-window block (``ModeBlock.windows``) takes the banded
-        route (``_banded_singular_values``); every dense block, and every
-        block the route's accuracy guard rejects, takes the reference
+        before.  An unbordered row-window block (``ModeBlock.windows``)
+        takes the banded route (``_banded_singular_values``), and when its
+        accuracy guard rejects the block, the partial route at a negative
+        shift for the values below the guard (``_guarded_singular_values``).
+        Every dense block, every bordered block (its Gram matrix is no band)
+        and every block the partial route refuses takes the reference
         values-only ``np.linalg.svd`` of ``ModeBlock.matrix``.
         """
         ev = self._evidence[i]
         if ev is None or ev.bound < np.inf:
             b = self.blocks[i]
             try:
-                sv = _banded_singular_values(b) if b.windows is not None else None
+                sv = None
+                if b.windows is not None and b.border is None:
+                    sv = _banded_singular_values(b)
+                    if sv is None:
+                        sv = _guarded_singular_values(b)
                 route = "direct_svd" if sv is None else "banded_gram"
                 if sv is None:
                     sv = np.linalg.svd(b.matrix, compute_uv=False)
@@ -874,49 +1191,78 @@ class DiscreteOperator:
 
     def values_below(self, i, cut, most=None):
         """Block i's singular values below ``cut``, descending: all of them,
-        or, on a block whose full rank is certified, its smallest ones, every
-        one below ``cut`` or at least the ``most`` smallest.  Empty when
+        or only its smallest ones, every one below ``cut`` or at least the
+        ``most`` smallest.  Empty when
         every value is certified to exceed ``cut``: the block then has full
         rank, and no value below ``cut`` reads it.
 
         The block's record answers when its bound is at least ``cut`` or it
-        holds ``most`` values.  Failing that, a row-window block that is not
-        wide tries one banded Cholesky certificate of its Gram matrix at the
-        shift max(cut^2, 1e-8 lambda_top) (1 + 1e-12) + 1e-12 lambda_top,
-        lambda_top = sigma_max^2, and records no values below the square
-        root of max(cut^2, 1e-8 lambda_top).  When that fails above the
-        guard's 1e-8 lambda_top, ``most`` is given and the block has at least
+        holds ``most`` values.  Failing that, a row-window block tries one
+        certificate of its Gram matrix at the shift max(cut^2, 1e-8
+        lambda_top) (1 + 1e-12) + 1e-12 lambda_top, lambda_top =
+        sigma_max^2 (``_floor_certified``: a Cholesky factorization, or on a
+        wide block an inertia count that finds only its structural zeros
+        below the shift), and records no values below the square root of
+        max(cut^2, 1e-8 lambda_top).  When that fails above the guard's 1e-8
+        lambda_top, ``most`` is given and the block has at least
         _PARTIAL_FINITE_MIN_COLS columns under a finite cut, or
-        _PARTIAL_MIN_COLS under an infinite one, the partial route
-        (``_lowest_gram``) finds its smallest values and records them below
+        _PARTIAL_MIN_COLS under an infinite one (a bordered block
+        _PARTIAL_FINITE_MIN_COLS under either), the partial route
+        (``_lowest_values``) finds its smallest values and records them below
         the square root of its inertia point; a block it refuses is
-        decomposed.  A certified block so also passes the banded route's
-        guard: its route is ``banded_gram``.  A dense block, a wide block
-        (its Gram matrix holds structural zeros below any shift) and an
-        infinite cut without ``most`` are decomposed (``block_values``).  A new record replaces
+        decomposed.  An unbordered wide block takes no partial route.  A
+        certified block so also passes the banded route's guard: its route
+        is ``banded_gram``.  A dense block and an infinite cut without
+        ``most`` are decomposed (``block_values``).  A new record replaces
         the old one exactly: a floor is certified only above every recorded
         value, so never after a partial answer.
         """
         ev, b = self._evidence[i], self.blocks[i]
         if ev is not None and (cut <= ev.bound or len(ev.values) >= (most or np.inf)):
             return ev.values
-        if b.windows is not None and b.shape[0] >= b.shape[1]:
+        if b.windows is not None:
             lam_top = self.sigma_max() ** 2
             guard, room = _GRAM_GUARD * lam_top, _CERT_MARGIN * lam_top
             lam = max(cut * cut, guard)
-            if np.isfinite(cut) and _gram_certified(b, lam * (1 + _CERT_MARGIN) + room,
-                                                    below=False):
+            g = _gram(b)
+            if np.isfinite(cut) and _floor_certified(g, lam * (1 + _CERT_MARGIN) + room,
+                                                     _structural_zeros(b), room):
                 ev = self._evidence[i] = Evidence(np.zeros(0), float(np.sqrt(lam)), "banded_gram")
                 return ev.values
-            least = _PARTIAL_FINITE_MIN_COLS if np.isfinite(cut) else _PARTIAL_MIN_COLS
+            # a bordered block has no band eigensolver to fall back on
+            least = (_PARTIAL_FINITE_MIN_COLS if np.isfinite(cut) or b.border is not None
+                     else _PARTIAL_MIN_COLS)
             if most is not None and lam > guard and b.shape[1] >= least:
-                found = _lowest_gram(_gram_band(b), most, guard * (1 + _CERT_MARGIN) + room,
-                                     room, lam)
+                found = _lowest_values(b, g, most, guard, room, lam)
                 if found is not None:
-                    ev = self._evidence[i] = Evidence(np.sqrt(found[0][::-1]),
-                                                      float(np.sqrt(found[1])), "banded_gram")
+                    ev = self._evidence[i] = Evidence(found[0], float(np.sqrt(found[1])),
+                                                      "banded_gram")
                     return ev.values
         return self.block_values(i)
+
+    def kernel(self, i, threshold):
+        """Orthonormal columns spanning block i's right singular vectors
+        with singular value below ``threshold``, its structural kernel
+        included: as many as its rank decision (``values_below``) counts.
+
+        A row-window block takes them from the Ritz vectors X of the
+        partial route at a negative shift (``_ritz_below``): the right
+        singular vectors of M X^T below the threshold, mapped back by X.
+        A block whose M X^T counts otherwise than its rank decision, one
+        the route refuses, and a dense block take the full dense SVD.
+        """
+        b = self.blocks[i]
+        d = b.shape[1] - min(b.shape) + int((self.values_below(i, threshold) < threshold).sum())
+        if not d:
+            return np.zeros((b.shape[1], 0))
+        if b.windows is not None:
+            lam_top = self.sigma_max() ** 2
+            found = _ritz_below(_gram(b), d, _GRAM_GUARD * lam_top, _CERT_MARGIN * lam_top)
+            if found:
+                sv, W = _thin_svd(b, found[2])
+                if np.count_nonzero(sv < threshold) == d:
+                    return np.einsum("cn,ck->nk", found[2], W[:, :d])
+        return np.linalg.svd(b.matrix)[2][b.shape[1] - d:].conj().T
 
     def block_routes(self):
         """How each block's singular values were computed: "banded_gram" or
@@ -1006,51 +1352,62 @@ def _stencil_rows(stencil, C):
     return band.reshape(n * F, _FD_STENCIL * F), np.repeat(_stencil_starts(s, mids) * F, F)
 
 
-def _end_rows(A, keep_positive, first, gamma, what=None):
-    """Boundary row windows at the first (``first``) or last s-node.
+def _end_rows(problem, bases, end_matrix, prof, gamma, tags):
+    """Boundary row windows of every mode, (negative-end rows, positive-end
+    rows) per mode, each in the first or last 8-node window.
 
-    One row per eigenvector of the Hermitian A with positive
-    (``keep_positive``) or negative eigenvalue, conjugated and scaled by
-    gamma, in the first or last 8-node window.  ``what`` names the end for
-    the spectral-gap guard; the disk cap passes None, its zero eigenvalues
-    being exact.
+    Mode j's operator at an end is the Hermitian A_j = bases[j] + B_end -
+    w'(s_end), B_end = ``end_matrix(end)``; the end keeps one row per
+    eigenvector of A_j whose decay direction points out of the box
+    (positive eigenvalues at the negative end, negative ones at the
+    positive end), conjugated and scaled by gamma.  A plane's disk cap
+    keeps the positive eigenspace of the base.  The eigenvectors of each end
+    come from one stacked ``np.linalg.eigh`` per dtype, which runs the same
+    LAPACK routine on each matrix as one call per mode.  The spectral-gap
+    guard reads the modes in order, each mode's negative end first, and
+    names the mode by its tag; the disk cap's zero eigenvalues are exact
+    and not guarded.
     """
-    lam, V = np.linalg.eigh(A)
-    if what is not None:
-        _guard_shifted_spectrum(lam, what)
-    sel = lam > 0 if keep_positive else lam < 0
-    F = len(A)
-    r = np.zeros((int(sel.sum()), _FD_STENCIL * F), dtype=A.dtype)
-    r[:, slice(0, F) if first else slice(-F, None)] = gamma * V[:, sel].conj().T
-    return r
+    F = bases[0].shape[-1]
+    sides = []
+    for end, first, s_end in ((problem.negative_end, True, problem.s_lo),
+                              (problem.positive_end, False, problem.truncation.s_max)):
+        if end is None:
+            A = bases
+        else:
+            B_end, slope = end_matrix(end), float(prof.wprime(s_end))
+            A = [base + B_end - slope * np.eye(F) for base in bases]
+        side = [None] * len(A)
+        for dtype in dict.fromkeys(a.dtype for a in A):
+            group = [j for j, a in enumerate(A) if a.dtype == dtype]
+            lam, V = np.linalg.eigh(np.stack([A[j] for j in group]))
+            # row i of mode j: eigenvector i conjugated and scaled, in its window
+            rows = np.zeros((len(group), F, _FD_STENCIL * F), dtype=dtype)
+            rows[:, :, slice(0, F) if first else slice(-F, None)] = gamma * V.conj().swapaxes(1, 2)
+            keep = lam > 0 if end is None or end.sign == "negative" else lam < 0
+            for j, w, r, sel in zip(group, lam, rows, keep):
+                side[j] = (w, r[sel])
+        sides.append((end, side))
+    for j, tag in enumerate(tags):
+        for end, side in sides:
+            if end is not None:
+                _guard_shifted_spectrum(side[j][0], f"{tag} at {end.sign} end")
+    return [(neg[1], pos[1]) for neg, pos in zip(sides[0][1], sides[1][1])]
 
 
-def _mode_block(k, mult, tag, problem, base, B_mid, end_matrix, stencil, prof, terms=None):
+def _mode_block(k, mult, tag, problem, base, B_mid, ends, stencil, prof, terms=None):
     """Row-window block of one mode.
 
     The mode's operator is d/ds + base + B(s) - w'(s) on F = len(base)
-    fields: ``base`` is its t-derivative part, ``B_mid`` holds B at the
-    collocation midpoints and ``end_matrix(end)`` gives B at a cylindrical
-    end.  An end keeps the trace components along which the weight-shifted
-    asymptotic matrix decays out of the box: positive eigenvalues at the
-    negative end, negative ones at the positive end.  A plane's disk cap
-    keeps the positive eigenspace of ``base``.  ``terms`` are the Gram
-    terms of the operator's stencil rows (``_GramTerms``), with mode factor k.
+    fields: ``base`` is its t-derivative part and ``B_mid`` holds B at the
+    collocation midpoints.  ``ends`` are its negative- and positive-end
+    rows (``_end_rows``).  ``terms`` are the Gram terms of the operator's
+    stencil rows (``_GramTerms``), with mode factor k.
     """
     s, mids = stencil[2:]
     eye = np.eye(len(base))
     C = base[None, :, :] + B_mid - prof.wprime(mids)[:, None, None] * eye[None, :, :]
     pde, pde_starts = _stencil_rows(stencil, C)
-    gamma = _bc_scale(s)
-    ends = []
-    for end, first, s_end in ((problem.negative_end, True, problem.s_lo),
-                              (problem.positive_end, False, problem.truncation.s_max)):
-        if end is None:         # a plane's disk cap
-            ends.append(_end_rows(base, True, first, gamma))
-            continue
-        A = base + end_matrix(end) - float(prof.wprime(s_end)) * eye
-        ends.append(_end_rows(A, end.sign == "negative", first, gamma,
-                              f"{tag} at {end.sign} end"))
     neg, pos = ends
     windows = np.vstack([pde, neg, pos])
     _finite_or_raise(windows, tag)
@@ -1077,33 +1434,36 @@ def augmentation_layout(problem):
 
 
 def _shifted(b, problem, s, prof):
-    """Dense block of row-window block b with its shift columns appended.
+    """Row-window block b with its shift columns as its ``border``.
 
     Shift column (end, comp), in ``augmentation_layout`` order, is b's
     stencil rows applied to the sampled conjugated shift shape e^{w} beta_end
     placed in field comp of every node, normalized; its end rows are zero.
-    Without shifts the block is only made dense.
+    Without shifts b is returned as it is.
     """
+    layout = augmentation_layout(problem)
+    if not layout:
+        return b
     npr = problem.truncation.n_prime
     ew = np.exp(prof.w(s))
     shapes = {"positive": ew * profiles.cutoff(s, npr),
               "negative": ew * profiles.cutoff(-s, npr)}
     shapes["shared"] = shapes["positive"] + shapes["negative"]
-    layout = augmentation_layout(problem)
-    M = b.matrix
-    cols = np.zeros((len(M), len(layout)))
+    n_cols = b.shape[1]
+    fields = np.zeros((n_cols, len(layout)))
     for j, (end, comp) in enumerate(layout):
-        field = np.zeros((len(s), M.shape[1] // len(s)))
-        field[:, comp] = shapes[end]
-        c = M[:b.pde_rows] @ field.reshape(-1)
-        nrm = np.linalg.norm(c)
-        if nrm == 0:
-            raise AssemblyError("augmentation column vanished")
-        cols[:b.pde_rows, j] = c / nrm
-    M = np.hstack([M, cols])
-    _finite_or_raise(M, b.tag)
-    return ModeBlock(k=b.k, mult=b.mult, pde_rows=b.pde_rows, aug_cols=len(layout), tag=b.tag,
-                     dense=M)
+        fields[comp::n_cols // len(s), j] = shapes[end]
+    border = np.zeros((len(b.windows), len(layout)))
+    border[:b.pde_rows] = (b @ fields)[:b.pde_rows]
+    nrm = np.sqrt(np.einsum("ra,ra->a", border, border))
+    if not nrm.all():
+        raise AssemblyError("augmentation column vanished")
+    border /= nrm
+    _finite_or_raise(border, b.tag)
+    shifted = ModeBlock(k=b.k, mult=b.mult, pde_rows=b.pde_rows, aug_cols=len(layout), tag=b.tag,
+                        windows=b.windows, starts=b.starts, border=border)
+    shifted.gram_terms = b.gram_terms
+    return shifted
 
 
 # ---------------------------------------------------------------------------
@@ -1120,14 +1480,21 @@ def _complex_line_blocks(problem, grid, stencil, prof):
     """
     K = grid.t_nodes // 2 - 1
     n_aug = problem.augmentation_dims
-    mids = stencil[3]
+    mids, gamma = stencil[3], _bc_scale(stencil[2])
     terms = _GramTerms(stencil, -prof.wprime(mids)[:, None, None], np.array([[-2.0 * np.pi]]), 1.0)
-    blocks = [_mode_block(k, 2, f"scalar k={k}", problem, np.array([[-2.0 * np.pi * k]]), 0.0,
-                          lambda end: 0.0, stencil, prof, terms)
-              for k in range(-K, K + 1) if k or not n_aug]
+    modes = [k for k in range(-K, K + 1) if k or not n_aug]
+    bases = [np.array([[-2.0 * np.pi * k]]) for k in modes]
+    tags = [f"scalar k={k}" for k in modes]
+    ends = _end_rows(problem, bases, lambda end: 0.0, prof, gamma, tags)
+    blocks = [_mode_block(k, 2, tag, problem, base, 0.0, e, stencil, prof, terms)
+              for k, base, tag, e in zip(modes, bases, tags, ends)]
     if n_aug:
-        b = _mode_block(0, 1, "realified k=0 + shifts", problem, np.zeros((2, 2)), 0.0,
-                        lambda end: 0.0, stencil, prof)
+        tag, base = "realified k=0 + shifts", np.zeros((2, 2))
+        e, = _end_rows(problem, [base], lambda end: 0.0, prof, gamma, [tag])
+        # mode 0 reads G0 alone, so its terms need no X
+        own = _GramTerms(stencil, -prof.wprime(mids)[:, None, None] * np.eye(2), np.zeros((2, 2)),
+                         1.0)
+        b = _mode_block(0, 1, tag, problem, base, 0.0, e, stencil, prof, own)
         blocks.append(_shifted(b, problem, stencil[2], prof))
     return blocks
 
@@ -1142,12 +1509,13 @@ def _contact_blocks(problem, grid, stencil, prof):
     terms = _GramTerms(stencil, B_mid - prof.wprime(mids)[:, None, None] * np.eye(F),
                        2.0 * np.pi * J, 1j)
 
-    def block(k):
-        base = (2.0j * np.pi * k * J).astype(complex) if k else np.zeros((F, F))
-        return _mode_block(k, 1 if k == 0 else 2, f"contact k={k}", problem, base, B_mid,
-                           lambda end: end.asymptotic.constant_matrix(), stencil, prof, terms)
-
-    return [block(k) for k in range(grid.t_nodes // 2)]
+    modes = range(grid.t_nodes // 2)
+    bases = [(2.0j * np.pi * k * J).astype(complex) if k else np.zeros((F, F)) for k in modes]
+    tags = [f"contact k={k}" for k in modes]
+    ends = _end_rows(problem, bases, lambda end: end.asymptotic.constant_matrix(), prof,
+                     _bc_scale(stencil[2]), tags)
+    return [_mode_block(k, 1 if k == 0 else 2, tag, problem, base, B_mid, e, stencil, prof, terms)
+            for k, base, tag, e in zip(modes, bases, tags, ends)]
 
 
 # ---------------------------------------------------------------------------
@@ -1198,9 +1566,13 @@ def _coupled_block(problem, grid, stencil, prof):
     T, t = _trig_basis(grid.t_nodes, K)
     B_mid = np.array([_trig_coupling(np.stack([problem.coefficient(m, tj) for tj in t]), T)
                       for m in mids])
-    b = _mode_block(None, 1, "coupled", problem, _trig_derivative(K, problem.fiber_dim), B_mid,
-                    lambda end: _trig_coupling(end.asymptotic.sample(t), T), stencil, prof)
-    return _shifted(b, problem, s, prof)
+    base = _trig_derivative(K, problem.fiber_dim)
+    e, = _end_rows(problem, [base], lambda end: _trig_coupling(end.asymptotic.sample(t), T), prof,
+                   _bc_scale(s), ["coupled"])
+    b = _shifted(_mode_block(None, 1, "coupled", problem, base, B_mid, e, stencil, prof),
+                 problem, s, prof)
+    return ModeBlock(k=b.k, mult=b.mult, pde_rows=b.pde_rows, aug_cols=b.aug_cols, tag=b.tag,
+                     dense=_materialize(b))
 
 
 # ---------------------------------------------------------------------------
@@ -1233,17 +1605,12 @@ def kernel_vectors(op, threshold):
     """Right-singular directions with singular value below threshold, per block.
 
     Returns a list of (block, vectors) where vectors has shape
-    (block_cols, n_small); structural kernel directions of wide blocks are
-    included through the rank decision.  Each block's rank is min(shape)
-    less its values below the threshold, which
-    ``DiscreteOperator.values_below(i, threshold)`` holds: none on a block
-    certified above the threshold, which is not decomposed.  Only
-    rank-deficient blocks are made dense and run the full SVD.
+    (block_cols, n_small), for the rank-deficient blocks only; structural
+    kernel directions of wide blocks are included through the rank
+    decision.  Each block's directions come from ``DiscreteOperator.kernel``,
+    as many as its rank decision counts: min(shape) less its values below
+    the threshold, which ``DiscreteOperator.values_below(i, threshold)``
+    holds, none on a block certified above the threshold.
     """
-    out = []
-    for i, b in enumerate(op.blocks):
-        rank = min(b.shape) - int((op.values_below(i, threshold) < threshold).sum())
-        if rank < b.shape[1]:
-            Vh = np.linalg.svd(b.matrix)[2]
-            out.append((b, Vh[rank:].conj().T))
-    return out
+    pieces = [(b, op.kernel(i, threshold)) for i, b in enumerate(op.blocks)]
+    return [(b, V) for b, V in pieces if V.shape[1]]

@@ -139,8 +139,11 @@ class KernelVector:
     has F = 1: a scalar mode's real profile, or on the realified mode 0 that
     carries the shifts the complex profile a + i theta of its two real
     fields (a, theta).  ``params`` maps each ``augmentation_layout`` key of
-    the component to its shift coefficient, the block's columns after the
-    fields.
+    the component to its shift coefficient, the block's border columns
+    after the fields.  The vectors come from ``kernel_vectors``: the Ritz
+    vectors of the partial route at a negative shift, orthonormalized here,
+    so they span the block's kernel to rounding but are not the dense SVD's
+    basis, and ``max_residual`` reads this basis.
     """
 
     k: object

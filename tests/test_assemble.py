@@ -392,9 +392,10 @@ def test_dense_view_is_materialized_once(monkeypatch):
     assert calls == [b]
 
 
-@pytest.mark.parametrize("shifts", [(0, 0), (2, 0)], ids=["row_windows", "dense"])
+@pytest.mark.parametrize("shifts", [(0, 0), (2, 0)], ids=["row_windows", "bordered"])
 def test_block_product_matches_the_dense_view(monkeypatch, shifts):
-    # M v from the row windows, in the dense view's row order, never materialized
+    # M v from the row windows and the border of shift columns, in the dense
+    # view's row order, never materialized
     assemble_module = importlib.import_module("crlab.assemble")
     op = assemble(build_trivial_cylinder((1.0, 1.0), shifts), GridSpec(64, 8))
     rng = np.random.default_rng(0)
@@ -403,7 +404,7 @@ def test_block_product_matches_the_dense_view(monkeypatch, shifts):
     monkeypatch.setattr(assemble_module, "_materialize", None)
     products = [b @ v for b, v in zip(op.blocks, vs)]
     monkeypatch.undo()
-    assert any(b.windows is None for b in op.blocks) == (shifts != (0, 0))
+    assert any(b.border is not None for b in op.blocks) == (shifts != (0, 0))
     for b, v, Mv in zip(op.blocks, vs, products):
         np.testing.assert_allclose(Mv, b.matrix @ v, rtol=0, atol=1e-12 * np.abs(b.matrix).max())
 
@@ -709,3 +710,46 @@ def test_plane_profile_is_exactly_linear():
         prof = p.weight_profile()
         assert np.array_equal(prof.w(s), d * s)
         assert np.array_equal(prof.wprime(s), np.full_like(s, d))
+
+
+def _end_rows_one_mode(A, keep_positive, first, gamma):
+    """One end's boundary rows of one mode, by its own ``np.linalg.eigh``
+    call: the rule the stacked call in ``_end_rows`` must reproduce."""
+    lam, V = np.linalg.eigh(A)
+    sel = lam > 0 if keep_positive else lam < 0
+    F = len(A)
+    r = np.zeros((int(sel.sum()), 8 * F), dtype=A.dtype)
+    r[:, slice(0, F) if first else slice(-F, None)] = gamma * V[:, sel].conj().T
+    return r
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(problems=BUILT_PROBLEMS, t_nodes=st.sampled_from([8, 16, 32]))
+def test_end_rows_of_every_mode_are_the_one_by_one_bytes(problems, t_nodes):
+    # the end rows of every assembled block, batched over modes by one stacked
+    # eigh per end and dtype, equal byte for byte those of one eigh per mode
+    # and end; a plane's disk cap keeps the positive eigenspace of the base
+    for p in problems:
+        grid = GridSpec(max(required_s_nodes(p), 32), t_nodes)
+        op = assemble(p, grid)
+        s = fd_operators(p.s_lo, p.truncation.s_max, grid.s_nodes)[2]
+        gamma = 1.0 / np.sqrt(s[1] - s[0])
+        for b in op.blocks:
+            F = b.windows.shape[1] // 8
+            if p.fiber == "contact_fiber" and b.k:
+                base = (2.0j * np.pi * b.k * standard_j(F)).astype(complex)
+            elif p.fiber == "contact_fiber" or b.border is not None:
+                base = np.zeros((F, F))
+            else:
+                base = np.array([[-2.0 * np.pi * b.k]])
+            want = []
+            for end, first, s_end in ((p.negative_end, True, p.s_lo),
+                                      (p.positive_end, False, p.truncation.s_max)):
+                if end is None:
+                    want.append(_end_rows_one_mode(base, True, first, gamma))
+                    continue
+                B = end.asymptotic.constant_matrix() if p.fiber == "contact_fiber" else 0.0
+                A = base + B - float(p.weight_profile().wprime(s_end)) * np.eye(F)
+                want.append(_end_rows_one_mode(A, end.sign == "negative", first, gamma))
+            got = b.windows[b.pde_rows:]
+            assert got.dtype == want[0].dtype and got.tobytes() == np.vstack(want).tobytes()

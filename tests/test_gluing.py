@@ -392,7 +392,8 @@ def test_each_block_is_decomposed_at_most_once_per_gluing_pass(monkeypatch):
     deficient = sum(rank_deficient(op) for op in ops[:2])      # the two components
     carrying = sum(len({k for k, _ in n_tau}) for n_tau in kernels)
     assert deficient >= 1 and carrying >= 1
-    assert len(full) == deficient
+    # the kernel directions come from the partial route's Ritz vectors
+    assert full == []
 
 
 @pytest.mark.parametrize("problem", [
@@ -401,6 +402,8 @@ def test_each_block_is_decomposed_at_most_once_per_gluing_pass(monkeypatch):
     build_trivial_cylinder((1.0, -1.0), (2, 0), truncation=TRUNC),
 ], ids=["flow_u", "flow_w", "augmented"])
 def test_kernel_vectors_match_full_svd_reference(problem):
+    # the directions come from the partial route, not the full SVD: the same
+    # subspace within an angle of 1e-8, in orthonormal columns
     op = assemble(problem)
     rep = numerical_index(op)
     found = kernel_vectors(op, rep.threshold)
@@ -409,10 +412,18 @@ def test_kernel_vectors_match_full_svd_reference(problem):
         _, sv, Vh = np.linalg.svd(b.matrix)
         rank = int((sv >= rep.threshold).sum())
         if rank < b.matrix.shape[1]:
-            assert np.array_equal(pieces[id(b)], Vh[rank:].conj().T)
+            assert subspace_sine(pieces[id(b)], Vh[rank:].conj().T) <= 1e-8
         else:
             assert id(b) not in pieces
     assert sum(b.mult * V.shape[1] for b, V in found) == rep.dim_ker
+
+
+def subspace_sine(V, ref):
+    """Sine of the largest principal angle between the column spans of V and
+    of the orthonormal ``ref``, with V's columns orthonormal too."""
+    assert V.shape == ref.shape
+    np.testing.assert_allclose(V.conj().T @ V, np.eye(V.shape[1]), atol=1e-12)
+    return float(np.linalg.norm(V - ref @ (ref.conj().T @ V), 2))
 
 
 def test_reduced_glued_transplant_keeps_params_in_own_columns():

@@ -390,6 +390,23 @@ def assert_reports_agree(rep, ref):
                                [ref.sigma_max, ref.threshold], rtol=1e-9)
 
 
+def assert_kept_values_agree(rep, ref):
+    """``rep`` equals ``ref`` in every integer and flag and in its values at
+    or above the threshold within rtol 1e-9; the values below it, which
+    the partial route computes to rounding of sigma_max and not to relative
+    accuracy, lie below the threshold in both."""
+    assert (rep.dim_ker, rep.dim_coker, rep.index, rep.decisive) == (
+        ref.dim_ker, ref.dim_coker, ref.index, ref.decisive)
+    np.testing.assert_allclose([rep.sigma_max, rep.threshold],
+                               [ref.sigma_max, ref.threshold], rtol=1e-9)
+    for got, want in ((rep.singular_values, ref.singular_values),
+                      ([rep.min_singular_value], [ref.min_singular_value])):
+        got, want = np.asarray(got), np.asarray(want)
+        kept = want >= ref.threshold
+        assert np.array_equal(got >= rep.threshold, kept)
+        np.testing.assert_allclose(got[kept], want[kept], rtol=1e-9)
+
+
 def assert_same_decision(rep, ref):
     """``rep`` equals ``ref`` in every integer, flag, method and tag, and in
     the settled sigma_max and threshold; its values, where one of the two
@@ -477,9 +494,8 @@ def _bandwidth_rejected():
     return op, len(op.blocks) - 1
 
 
-@pytest.mark.parametrize("rejected", [_guard_rejected, _guard_rejected_windows,
-                                      _bandwidth_rejected],
-                         ids=["guard", "guard_windows", "bandwidth"])
+@pytest.mark.parametrize("rejected", [_guard_rejected, _bandwidth_rejected],
+                         ids=["guard", "bandwidth"])
 def test_rejected_block_takes_one_dense_svd(rejected, monkeypatch):
     op, i = rejected()
     M = op.blocks[i].matrix
@@ -494,11 +510,30 @@ def test_rejected_block_takes_one_dense_svd(rejected, monkeypatch):
     assert rep.dim_ker == 2
 
 
+def test_guard_rejected_row_window_block_takes_no_dense_svd(monkeypatch):
+    # the square block with a kernel: its banded values above the guard, and
+    # below it the singular values of M X^T on the Ritz vectors of the
+    # partial route at a negative shift
+    op, i = _guard_rejected_windows()
+    M = op.blocks[i].matrix
+    calls = svd_calls(monkeypatch)
+    sv = decompose_all(op)[i]
+    rep = numerical_index(op)
+    monkeypatch.undo()
+    assert calls == [] and op.block_routes() == ["banded_gram"]
+    ref = np.linalg.svd(M, compute_uv=False)
+    theta = REL_THRESHOLD * op.sigma_max()
+    assert sv.shape == ref.shape and np.array_equal(sv < theta, ref < theta)
+    np.testing.assert_allclose(sv[ref >= theta], ref[ref >= theta], rtol=1e-9)
+    assert_kept_values_agree(rep, numerical_index(dense_reference(op)))
+    assert rep.dim_ker == 2
+
+
 def test_reproduce_all_operators_match_dense_reference(tmp_path, monkeypatch):
     import crlab.cli as cli
     import crlab.gluing as gluing
     import crlab.indexing as indexing
-    ops, rejected, values_only, eig_banded = [], [], [], []
+    ops, rejected, svds, eig_banded = [], [], [], []
     real_assemble, real_banded, real_svd = (indexing.assemble,
                                             assemble_module._banded_singular_values,
                                             np.linalg.svd)
@@ -515,8 +550,7 @@ def test_reproduce_all_operators_match_dense_reference(tmp_path, monkeypatch):
         return sv
 
     def svd(a, *args, **kwargs):
-        if not kwargs.get("compute_uv", True):
-            values_only.append(a)
+        svds.append(a)
         return real_svd(a, *args, **kwargs)
 
     for module in (indexing, gluing):
@@ -529,29 +563,37 @@ def test_reproduce_all_operators_match_dense_reference(tmp_path, monkeypatch):
     partial = []
     real_lowest = assemble_module._lowest_gram
 
-    def lowest_spy(*args):
-        partial.append(real_lowest(*args))
-        return partial[-1]
+    def lowest_spy(*args, **kwargs):
+        partial.append((kwargs.get("vectors", False), real_lowest(*args, **kwargs)))
+        return partial[-1][1]
 
     monkeypatch.setattr(assemble_module, "_lowest_gram", lowest_spy)
     assert cli.main(["reproduce-all", "--out", str(tmp_path)]) == cli.EXIT_OK
     monkeypatch.undo()
-    # the work: 44 banded decompositions and 18 partial answers, none
-    # refused (the contact blocks of 192-320 columns under a finite cut),
-    # every other row-window block certified
-    assert len(eig_banded) == 44 and len(partial) == 18 and None not in partial
+    # the work: 44 banded decompositions and 22 partial answers, none
+    # refused: 18 on the floor (the contact blocks of 192-320 columns under
+    # a finite cut) and 4 at a negative shift (the three blocks with shift
+    # columns, and the kernel directions of the component's wide contact
+    # block k=0); every other row-window block certified, and no dense SVD
+    assert len(eig_banded) == 44 and svds == [] and rejected == []
+    assert [vectors for vectors, _ in partial].count(True) == 4 and len(partial) == 22
+    assert all(found is not None for _, found in partial)
 
     blocks = [b for op in ops for b in op.blocks]
     # 8 index rows, the two gluing components and the glued problems at 4 taus
     assert len(ops) == 14 and sum(op.problem.label.startswith("glue(") for op in ops) == 4
-    block_ids = {id(b.matrix) for b in blocks}
-    dense = [a for a in values_only if id(a) in block_ids]
-    assert len(dense) == sum(b.aug_cols > 0 for b in blocks) + len(rejected)
+    assert sum(b.border is not None for b in blocks) == 3
+    assert all(b.windows is not None for b in blocks)
     for op in ops:
         ref = dense_reference(op)
         rep, rep_ref = numerical_index(op), numerical_index(ref)
-        assert_reports_agree(rep, rep_ref)
-        np.testing.assert_allclose(rep.gap_ratio, rep_ref.gap_ratio, rtol=1e-9)
+        assert_kept_values_agree(rep, rep_ref)
+        # a gap ratio divides by the largest discarded value, which a block
+        # with shift columns computes from M X to rounding of sigma_max
+        if any(b.border is not None for b in op.blocks):
+            assert (rep.gap_ratio == np.inf) == (rep_ref.gap_ratio == np.inf)
+        else:
+            np.testing.assert_allclose(rep.gap_ratio, rep_ref.gap_ratio, rtol=1e-9)
         for sv, sv_ref in zip(decompose_all(op), decompose_all(ref)):
             np.testing.assert_allclose(sv, sv_ref, rtol=1e-9)
 
@@ -563,7 +605,7 @@ def _isomorphism():
 
 @pytest.mark.parametrize("make_op, method", [
     (_isomorphism, "banded_gram"),
-    (lambda: assemble(build_trivial_cylinder((D, D), (2, 2))), "banded_gram+direct_svd"),
+    (lambda: assemble(build_trivial_cylinder((D, D), (2, 2))), "banded_gram"),
     (lambda: _guard_rejected()[0], "direct_svd"),
 ], ids=["isomorphism", "augmented", "guard_rejected"])
 def test_report_method_names_the_routes(make_op, method):
@@ -868,8 +910,9 @@ def test_smallest_kept_value_behind_ten_discarded_is_decomposed():
 
 def test_block_the_guard_rejects_is_never_certified():
     # its last row scaled by 1e-3: sigma_min < 1e-4 sigma_max, so the banded
-    # route's guard sends it to dense SVD, and no cut below sigma_min certifies
-    # it; sigma_min lies well above the rounding room of the certificate
+    # route's guard sends its values below the guard to the partial route at
+    # a negative shift, and no cut below sigma_min certifies it; sigma_min
+    # lies well above the rounding room of the certificate
     b = assemble(*_isomorphism_96x32()).blocks[2]
     near = _last_row_scaled(b, 2, 1e-3)
     op = DiscreteOperator(blocks=[_variant(b, 3, 1.01 * near.windows), near], grid=(96, 32, 12.0))
@@ -878,7 +921,8 @@ def test_block_the_guard_rejects_is_never_certified():
     sv = np.linalg.svd(near.matrix, compute_uv=False)
     assert 1e-5 * sv[0] < sv[-1] < 1e-4 * sv[0]
     assert len(op.values_below(1, 0.5 * sv[-1])) > 0
-    assert op.block_routes()[1] == "direct_svd"
+    assert op.block_routes()[1] == "banded_gram"
+    np.testing.assert_allclose(op.block_values(1), sv, rtol=1e-9)
 
 
 def test_stability_constant_decomposes_certified_blocks_below_its_minimum():
@@ -907,7 +951,7 @@ def test_stability_constant_decomposes_certified_blocks_below_its_minimum():
 
 def _all_rows_band(b):
     """The Gram band of a row-window block summed over all its rows."""
-    return assemble_module._window_band(b.windows, b.windows, b.starts, b.shape[1])
+    return assemble_module._window_band(b.windows, b.windows, b.starts, b.shape[1] - b.aug_cols)
 
 
 def assert_certificate_bands_match(op):
@@ -1244,9 +1288,8 @@ def _wide():
     return op, next(i for i, b in enumerate(op.blocks) if b.shape[0] < b.shape[1])
 
 
-@pytest.mark.parametrize("make_op", [_wide, _guard_rejected_windows, _guard_rejected,
-                                     _bandwidth_rejected],
-                         ids=["wide", "guard_windows", "dense_guard", "dense_shifts"])
+@pytest.mark.parametrize("make_op", [_wide, _guard_rejected_windows, _guard_rejected],
+                         ids=["wide", "guard_windows", "dense_guard"])
 def test_wide_rejected_and_dense_blocks_never_take_the_partial_route(make_op):
     op, i = make_op()
     b = op.blocks[i]
@@ -1254,7 +1297,27 @@ def test_wide_rejected_and_dense_blocks_never_take_the_partial_route(make_op):
     rep = numerical_index(op)
     assert op._evidence[i].bound == np.inf or len(op._evidence[i].values) == 0
     assert len(op.values_below(i, np.inf, REPORTED_VALUES)) == min(b.shape)
-    assert_reports_agree(rep, numerical_index(dense_reference(op)))
+    assert_kept_values_agree(rep, numerical_index(dense_reference(op)))
+
+
+def test_bordered_block_takes_the_partial_route_at_a_negative_shift(monkeypatch):
+    # the (2, 2)-shifted mode 0 of 532 columns, 4 of them shift columns, asked
+    # first with an infinite cut: its ten smallest values and its two
+    # structural zeros from the partial route, no decomposition
+    op, i = _bandwidth_rejected()
+    b = op.blocks[i]
+    assert b.border is not None and b.shape == (530, 532)
+    calls = svd_calls(monkeypatch)
+    eig = _eig_banded_calls(monkeypatch)
+    rep = numerical_index(op)
+    monkeypatch.undo()
+    assert calls == [] and len(eig) < len(op.blocks)
+    assert 0 < op._evidence[i].bound < np.inf
+    assert len(op._evidence[i].values) >= REPORTED_VALUES
+    ref = np.linalg.svd(b.matrix, compute_uv=False)
+    sv = op._evidence[i].values
+    np.testing.assert_allclose(sv, ref[len(ref) - len(sv):], rtol=1e-9)
+    assert_kept_values_agree(rep, numerical_index(dense_reference(op)))
 
 
 # ---------------------------------------------------------------------------
@@ -1297,3 +1360,124 @@ def test_one_operator_answers_across_evidence_kinds(name, data):
             assert len(sv) >= min(np.count_nonzero(full < cut), most or np.inf)
             decomposed = [id(args[0]) for args, _ in banded.call_args_list]
             assert len(decomposed) == len(set(decomposed))
+
+
+# ---------------------------------------------------------------------------
+# bordered bands: the certified primitives on band plus border
+# ---------------------------------------------------------------------------
+
+def _bordered_matrix(seed, n, kd, a, complex_):
+    """A random Hermitian band of order n and bandwidth kd with a border of a
+    dense columns, as its ``_Gram`` and as the dense matrix."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if complex_ else x
+
+    G = np.zeros((n + a, n + a), dtype=complex if complex_ else float)
+    i, j = np.triu_indices(n)
+    inside = j - i <= kd
+    G[i[inside], j[inside]] = draw(int(inside.sum()))
+    G[:n, n:] = draw(n, a)
+    G[n:, n:] = draw(a, a)
+    G = np.triu(G) + np.triu(G, 1).conj().T
+    G[np.diag_indices(n + a)] = G.diagonal().real
+    band = np.zeros((kd + 1, n), dtype=G.dtype)
+    for e in range(kd + 1):                 # band[kd - e, c] = G[c - e, c]
+        band[kd - e, e:] = G[np.arange(n - e), np.arange(e, n)]
+    return assemble_module._Gram(band, G[:n, n:].copy(), G[n:, n:].copy()), G
+
+
+BORDERED = st.tuples(st.integers(0, 2 ** 16), st.integers(20, 64), st.sampled_from([7, 15]),
+                     st.integers(1, 4), st.booleans())
+# where a shift falls: on an eigenvalue, within rounding of it, or between two
+NEAR = st.tuples(st.integers(0, 200), st.sampled_from([0.0, 1e-15, -1e-15, 1e-12, -1e-12,
+                                                       1e-9, -1e-9, 1e-6, 0.5]))
+
+
+def _near(lam, near):
+    j, offset = near
+    j %= len(lam)
+    gap = lam[min(j + 1, len(lam) - 1)] - lam[j] if offset == 0.5 else np.abs(lam).max()
+    return lam[j] + offset * gap
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(case=BORDERED, near=NEAR)
+def test_bordered_count_is_correct_or_refused(case, near):
+    g, G = _bordered_matrix(*case)
+    lam = np.linalg.eigvalsh(G)
+    y = _near(lam, near)
+    count = assemble_module._count_below(g, y, 1e-12 * np.abs(lam).max())
+    assert count is None or count == int((lam < y).sum())
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(case=BORDERED, near=NEAR, below=st.booleans())
+def test_bordered_definite_is_correct_or_refused(case, near, below):
+    # a Cholesky certificate that holds is never wrong beyond rounding, and
+    # one a margin of 1e-3 ||G|| clears never fails
+    g, G = _bordered_matrix(*case)
+    lam = np.linalg.eigvalsh(G)
+    shift, scale = _near(lam, near), np.abs(lam).max()
+    margin = shift - lam[-1] if below else lam[0] - shift
+    ok = assemble_module._definite(g, shift, below)
+    assert not ok or margin > -1e-12 * scale
+    assert ok or margin < 1e-3 * scale
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(case=BORDERED, near=NEAR, p=st.integers(1, 3))
+def test_bordered_matvec_and_solve_match_dense(case, near, p):
+    g, G = _bordered_matrix(*case)
+    n = len(G)
+    X = np.random.default_rng(case[0]).standard_normal((n, p)).astype(G.dtype)
+    np.testing.assert_allclose(assemble_module._band_matvec(g)(X.T), (G @ X).T, rtol=0,
+                               atol=1e-12 * np.abs(G).max() * n)
+    # G - shift I at a shift at or near an eigenvalue, or below the least one
+    lam = np.linalg.eigvalsh(G)
+    for shift in (_near(lam, near), lam[0] - 0.5 * (lam[1] - lam[0])):
+        solve = assemble_module._shift_solver(g, shift)
+        if solve is None:
+            continue
+        K = G - shift * np.eye(n)
+        assert lam[0] - shift > -1e-12 * np.abs(lam).max()
+        Y = solve(X)
+        assert np.abs(K @ Y - X).max() <= 1e-9 * np.abs(K).max() * np.abs(Y).max() * n
+
+
+# every shift pattern of the trivial cylinder, the reduced ones included,
+# planes with 0-2 shifts, decaying and growing
+SHIFTED_PROBLEMS = st.one_of(
+    st.builds(lambda w, sd: build_trivial_cylinder(w, sd, truncation=SMALL_TRUNC),
+              st.tuples(SIGNED_WEIGHTS, SIGNED_WEIGHTS),
+              st.sampled_from([(2, 2), (1, 2), (2, 1), (2, 0), (0, 2), (1, 0), (0, 1)])),
+    st.builds(lambda w, sd: build_plane(w, sd, truncation=SMALL_TRUNC), SIGNED_WEIGHTS,
+              st.sampled_from([0, 1, 2])))
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(problem=SHIFTED_PROBLEMS, s_nodes=st.sampled_from([96, 128]))
+def test_rank_walk_on_bordered_blocks_matches_dense_reference(problem, s_nodes):
+    # blocks with shift columns of 192-260 columns take the partial route at
+    # a negative shift; the rank walk, its kept values and the kernel
+    # directions match the dense SVD of every block
+    from test_gluing import subspace_sine
+    op = assemble(problem, GridSpec(s_nodes, 8))
+    rep = numerical_index(op)
+    ref = dense_reference(op)
+    rep_ref = numerical_index(ref)
+    assert_kept_values_agree(rep, rep_ref)
+    assert rep.method == "banded_gram"
+    for i, b in enumerate(op.blocks):
+        if b.border is not None:
+            assert op._evidence[i].bound < np.inf and len(op._evidence[i].values)
+    found = {id(b): V for b, V in kernel_vectors(op, rep.threshold)}
+    for b in op.blocks:
+        _, sv, Vh = np.linalg.svd(b.matrix)
+        rank = int((sv >= rep.threshold).sum())
+        if rank < b.shape[1]:
+            assert subspace_sine(found[id(b)], Vh[rank:].conj().T) <= 1e-8
+        else:
+            assert id(b) not in found

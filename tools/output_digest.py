@@ -12,8 +12,8 @@ with weights (-1, 1) and shifts (0, 2)) at tau 6, 10 and 14; ``sweep-delta``
 on the trivial cylinder and on the contact cylinder S = I with weights
 (0.5, 0.5), whose magnitudes cross the wall at 1;
 ``index`` on the blocks that carry shift columns: the trivial cylinder
-with weights (1, 1) and shifts (2, 2), its reduced pattern (1, 2), and the
-plane with weight 1 and 2 shifts; ``index`` on the plane with weight -1,
+with weights (1, 1) and shifts (2, 2), at its default grid and at 1536x32,
+its reduced pattern (1, 2), and the plane with weight 1 and 2 shifts; ``index`` on the plane with weight -1,
 whose mode 0 is a wide row-window block; ``spectrum`` of a non-diagonal
 dim-4 constant loop operator by the Fourier method and by finite
 differences (both by its mode blocks); and ``vdim`` at seed 3 on six
@@ -129,6 +129,9 @@ def experiments():
         runs.append((f"shifted_cylinder_{shifts[0]}{shifts[1]}", "index",
                      {"problem": _cylinder("complex_line", zero, zero, (1.0, 1.0),
                                            shift_dims=shifts)}))
+    runs.append(("shifted_cylinder_22_1536x32", "index",
+                 {"problem": _cylinder("complex_line", zero, zero, (1.0, 1.0), shift_dims=(2, 2)),
+                  "grid": {"s_nodes": 1536, "t_nodes": 32}}))
     for name, weight, shift_dims in (("shifted_plane", 1.0, 2), ("plane_growth", -1.0, 0)):
         runs.append((name, "index",
                      {"problem": {"domain_kind": "plane", "fiber": "complex_line",
