@@ -117,15 +117,15 @@ A row-window block that holds values the caller reads is still not
 decomposed when it is large: with at least _PARTIAL_FINITE_MIN_COLS
 columns under a finite cut (which asks for the one or two values below
 it) or _PARTIAL_MIN_COLS under an infinite cut (which asks for the
-``most`` smallest), and a bordered block from _PARTIAL_FINITE_MIN_COLS
-under either, ``values_below`` takes the partial route (``_lowest_gram``)
-and returns only its smallest values, the ones below the cut or the
-``most`` smallest.  A block whose Gram matrix has no eigenvalue below the
-guard's 1e-8 lambda_top is factored there, G - sigma I by banded Cholesky,
-which certifies that floor, and its values are the square roots of the
-certified eigenvalues.  A bordered block with no such floor (wide,
-rank-deficient, or with a value below the guard) is factored at the
-negative shift -1e-8 lambda_top, which needs none; its values are the
+``most`` smallest), and a bordered block at any size, since its Gram
+matrix is no band for eig_banded, ``values_below`` takes the partial
+route (``_lowest_gram``) and returns only its smallest values, the ones
+below the cut or the ``most`` smallest.  A block whose Gram matrix has no
+eigenvalue below the guard's 1e-8 lambda_top is factored there, G - sigma
+I by banded Cholesky, which certifies that floor, and its values are the
+square roots of the certified eigenvalues.  A bordered block with no such
+floor (wide, rank-deficient, or with a value below the guard) is factored
+at the negative shift -1e-8 lambda_top, which needs none; its values are the
 singular values of the thin product M X, X the Ritz vectors of the
 eigenvalues below the inertia point, read from the windows and border,
 less its structural zeros: by interlacing each is an upper bound on the
@@ -142,7 +142,8 @@ Krylov block, so it stops once the few values below the cut have
 converged.  A block that fails a check is decomposed; ``block_values``
 stays the full reference.  The kernel directions come from the same
 route: ``DiscreteOperator.kernel`` takes the right singular vectors of
-M X below the threshold, mapped back by X.
+M X below the threshold, mapped back by X, the X the block's record
+keeps from its rank decision when it has one.
 
 No row-window block is decomposed for sigma_max either
 (``DiscreteOperator.sigma_max``).  A block's top Gram eigenvalue is settled
@@ -423,36 +424,30 @@ def _gram_band(b):
 
 
 def _banded_singular_values(b):
-    """Singular values of a row-window block from the eigenvalues of its
-    Gram matrix M^H M (``_gram_band``), by LAPACK's banded eigensolver.
+    """Singular values of an unbordered row-window block, descending, from
+    the eigenvalues of its Gram matrix M^H M (``_gram_band``), by LAPACK's
+    banded eigensolver; a wide block's n_cols - n_rows smallest eigenvalues
+    are its structural zeros and are dropped.
 
-    A wide block's n_cols - n_rows smallest eigenvalues are its structural
-    zeros and are dropped.  Returns None when lambda_min < 1e-8 lambda_max
-    among the rest; the caller then decomposes the block densely.
+    When lambda_min < 1e-8 lambda_max among the rest (the guard), the
+    values below the square root of the inertia point y of the partial
+    route at a negative shift on the same band, asked for every Gram
+    eigenvalue below the guard (``_ritz_below``), are the singular values
+    of M X^T on its Ritz vectors X (``_thin_svd``), less the structural
+    zeros; above it they are the square roots of the banded eigenvalues.
+    Returns None when that route refuses; the caller then decomposes the
+    block densely.
     """
-    n_rows, n_cols = b.shape
-    lam = scipy.linalg.eig_banded(_gram_band(b), eigvals_only=True, overwrite_a_band=True,
-                                  check_finite=False)[max(n_cols - n_rows, 0):]
-    if lam[0] < _GRAM_GUARD * lam[-1]:
-        return None
-    return np.sqrt(lam[::-1])
-
-
-def _guarded_singular_values(b):
-    """Singular values of an unbordered row-window block that the guard of
-    ``_banded_singular_values`` rejects, descending: below the square root
-    of the inertia point y of the partial route at a negative shift, asked
-    for every Gram eigenvalue below 1e-8 lambda_max (``_ritz_below``), the
-    singular values of M X^T on its Ritz vectors X (``_thin_svd``), less the
-    structural zeros; above it the square roots of the banded eigenvalues.
-    None when the route refuses."""
-    lam = scipy.linalg.eig_banded(_gram_band(b), eigvals_only=True, overwrite_a_band=True,
-                                  check_finite=False)
+    ab = _gram_band(b)
+    lam = scipy.linalg.eig_banded(ab, eigvals_only=True, check_finite=False)
+    zeros = _structural_zeros(b)
     guard = _GRAM_GUARD * lam[-1]
-    found = _ritz_below(_gram(b), b.shape[1], guard, _CERT_MARGIN * lam[-1], guard)
+    if lam[zeros] >= guard:
+        return np.sqrt(lam[zeros:][::-1])
+    found = _ritz_below(ab, b.shape[1], guard, _CERT_MARGIN * lam[-1], guard)
     if not found:
         return None
-    low = _thin_svd(b, found[2])[0][_structural_zeros(b):]
+    low = _thin_svd(b, found[2])[0][zeros:]
     return np.sort(np.concatenate([np.sqrt(lam[len(found[0]):]), low]))[::-1]
 
 
@@ -1028,9 +1023,10 @@ def _floor_certified(g, shift, zeros, room):
 
 def _lowest_values(b, g, m, guard, room, top=np.inf):
     """Row-window block b's smallest singular values by the partial route
-    on its Gram matrix g (``_lowest_gram``): (values, y), the values
+    on its Gram matrix g (``_lowest_gram``): (values, y, X), the values
     descending and every singular value below sqrt(y) among them, at least
-    the m smallest or every one below sqrt(top); or None.
+    the m smallest or every one below sqrt(top), and X the Ritz vectors
+    they were read from or None; or None.
 
     A block whose Gram matrix factors at the guard's floor, ``guard`` (1 +
     1e-12) + ``room``, takes that factor and the square roots of the
@@ -1039,28 +1035,32 @@ def _lowest_values(b, g, m, guard, room, top=np.inf):
     the negative shift -``guard`` (``_ritz_below``) and asks for m more than
     its structural zeros; its values are the singular values of M X^T, X
     the Ritz vectors of the eigenvalues below y (``_thin_svd``), less their
-    structural zeros, the smallest.  By interlacing each is an upper bound
-    on the value it stands for, within rounding of it.  An unbordered block
-    without the floor is left to its band eigensolver.
+    structural zeros, the smallest, and X is returned with them.  By
+    interlacing each is an upper bound on the value it stands for, within
+    rounding of it.  An unbordered block without the floor is left to its
+    band eigensolver.
     """
     zeros = _structural_zeros(b)
     solve = None if zeros else _shift_solver(g, guard * (1 + _CERT_MARGIN) + room)
     if solve is not None:
         found = _lowest_gram(g, m, solve, room, top)
-        return None if found is None else (np.sqrt(found[0][::-1]), found[1])
+        return None if found is None else (np.sqrt(found[0][::-1]), found[1], None)
     found = b.border is not None and _ritz_below(g, m + zeros, guard, room, top)
     if not found:
         return None
-    return _thin_svd(b, found[2])[0][zeros:][::-1], found[1]
+    return _thin_svd(b, found[2])[0][zeros:][::-1], found[1], found[2]
 
 
 class Evidence(NamedTuple):
     """One block's record: ``values``, descending, are every singular value
-    of the block below ``bound``, computed or certified by ``route``."""
+    of the block below ``bound``, computed or certified by ``route``.
+    ``ritz`` holds the Ritz vectors, one per row, whose M X^T gave the
+    values when the partial route at a negative shift did, else None."""
 
     values: np.ndarray
     bound: float
     route: str
+    ritz: np.ndarray = None
 
 
 @dataclass
@@ -1125,12 +1125,11 @@ class DiscreteOperator:
         all of them (no record, or a finite bound) and kept as its record,
         so each block is decomposed at most once, whatever was certified
         before.  An unbordered row-window block (``ModeBlock.windows``)
-        takes the banded route (``_banded_singular_values``), and when its
-        accuracy guard rejects the block, the partial route at a negative
-        shift for the values below the guard (``_guarded_singular_values``).
-        Every dense block, every bordered block (its Gram matrix is no band)
-        and every block the partial route refuses takes the reference
-        values-only ``np.linalg.svd`` of ``ModeBlock.matrix``.
+        takes the banded route (``_banded_singular_values``), which reads
+        the values below its accuracy guard from the partial route at a
+        negative shift.  Every dense block, every bordered block (its Gram
+        matrix is no band) and every block the partial route refuses takes
+        the reference values-only ``np.linalg.svd`` of ``ModeBlock.matrix``.
         """
         ev = self._evidence[i]
         if ev is None or ev.bound < np.inf:
@@ -1139,8 +1138,6 @@ class DiscreteOperator:
                 sv = None
                 if b.windows is not None and b.border is None:
                     sv = _banded_singular_values(b)
-                    if sv is None:
-                        sv = _guarded_singular_values(b)
                 route = "direct_svd" if sv is None else "banded_gram"
                 if sv is None:
                     sv = np.linalg.svd(b.matrix, compute_uv=False)
@@ -1203,13 +1200,15 @@ class DiscreteOperator:
         sigma_max^2 (``_floor_certified``: a Cholesky factorization, or on a
         wide block an inertia count that finds only its structural zeros
         below the shift), and records no values below the square root of
-        max(cut^2, 1e-8 lambda_top).  When that fails above the guard's 1e-8
-        lambda_top, ``most`` is given and the block has at least
-        _PARTIAL_FINITE_MIN_COLS columns under a finite cut, or
-        _PARTIAL_MIN_COLS under an infinite one (a bordered block
-        _PARTIAL_FINITE_MIN_COLS under either), the partial route
-        (``_lowest_values``) finds its smallest values and records them below
-        the square root of its inertia point; a block it refuses is
+        max(cut^2, 1e-8 lambda_top).  When that fails, a bordered block of
+        any size with ``most`` given or under a finite cut (then asked for
+        every value below it), or an unbordered one with ``most`` given,
+        above the guard's 1e-8 lambda_top and with at least
+        _PARTIAL_FINITE_MIN_COLS columns under a finite cut or
+        _PARTIAL_MIN_COLS under an infinite one, takes the partial route
+        (``_lowest_values``): it finds the block's smallest values and
+        records them below the square root of its inertia point, with the
+        Ritz vectors they were read from; a block it refuses is
         decomposed.  An unbordered wide block takes no partial route.  A
         certified block so also passes the banded route's guard: its route
         is ``banded_gram``.  A dense block and an infinite cut without
@@ -1229,14 +1228,17 @@ class DiscreteOperator:
                                                      _structural_zeros(b), room):
                 ev = self._evidence[i] = Evidence(np.zeros(0), float(np.sqrt(lam)), "banded_gram")
                 return ev.values
-            # a bordered block has no band eigensolver to fall back on
-            least = (_PARTIAL_FINITE_MIN_COLS if np.isfinite(cut) or b.border is not None
-                     else _PARTIAL_MIN_COLS)
-            if most is not None and lam > guard and b.shape[1] >= least:
+            # a bordered block has no band eigensolver to fall back on; under a
+            # finite cut it is asked for every value below the cut
+            least = _PARTIAL_FINITE_MIN_COLS if np.isfinite(cut) else _PARTIAL_MIN_COLS
+            if most is None and b.border is not None and np.isfinite(cut):
+                most = b.shape[1]
+            if most is not None and (b.border is not None
+                                     or (lam > guard and b.shape[1] >= least)):
                 found = _lowest_values(b, g, most, guard, room, lam)
                 if found is not None:
                     ev = self._evidence[i] = Evidence(found[0], float(np.sqrt(found[1])),
-                                                      "banded_gram")
+                                                      "banded_gram", found[2])
                     return ev.values
         return self.block_values(i)
 
@@ -1246,22 +1248,26 @@ class DiscreteOperator:
         included: as many as its rank decision (``values_below``) counts.
 
         A row-window block takes them from the Ritz vectors X of the
-        partial route at a negative shift (``_ritz_below``): the right
-        singular vectors of M X^T below the threshold, mapped back by X.
-        A block whose M X^T counts otherwise than its rank decision, one
-        the route refuses, and a dense block take the full dense SVD.
+        partial route at a negative shift: the right singular vectors of
+        M X^T below the threshold, mapped back by X.  X is the one its
+        record keeps when the rank decision read its values from M X^T,
+        else a new run of the route (``_ritz_below``).  A block whose M X^T
+        counts otherwise than its rank decision, one the route refuses, and
+        a dense block take the full dense SVD.
         """
         b = self.blocks[i]
         d = b.shape[1] - min(b.shape) + int((self.values_below(i, threshold) < threshold).sum())
         if not d:
             return np.zeros((b.shape[1], 0))
-        if b.windows is not None:
+        X = self._evidence[i].ritz
+        if X is None and b.windows is not None:
             lam_top = self.sigma_max() ** 2
             found = _ritz_below(_gram(b), d, _GRAM_GUARD * lam_top, _CERT_MARGIN * lam_top)
-            if found:
-                sv, W = _thin_svd(b, found[2])
-                if np.count_nonzero(sv < threshold) == d:
-                    return np.einsum("cn,ck->nk", found[2], W[:, :d])
+            X = found[2] if found else None
+        if X is not None:
+            sv, W = _thin_svd(b, X)
+            if np.count_nonzero(sv < threshold) == d:
+                return np.einsum("cn,ck->nk", X, W[:, :d])
         return np.linalg.svd(b.matrix)[2][b.shape[1] - d:].conj().T
 
     def block_routes(self):

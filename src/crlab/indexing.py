@@ -17,7 +17,7 @@ with none and is not decomposed.  A certified block has full rank, but for
 the structural kernel of a wide block, whose floor an inertia count
 certifies.  Each block is asked for at most REPORTED_VALUES values: a large
 block that holds some of them (criterion 6's k=0 from 512 columns on, a
-block with shift columns from 192) gives only its smallest values, by the
+block with shift columns at any size) gives only its smallest values, by the
 partial route of ``crlab.assemble``, shift-invert Lanczos certified by an
 inertia count, and is not decomposed.  A block's storage chooses its route:
 every row-window block of the decoupled backend, with its shift columns as
@@ -26,11 +26,11 @@ banded or band plus border: from its banded eigenvalues, its certified
 smallest eigenvalues, or, below the accuracy guard sigma < 1e-4 sigma_max
 and on a block with shift columns that has no floor there, as the singular
 values of M X on the Ritz vectors X of the partial route at a negative
-shift.  The coupled block, a block with shift columns under 192 columns
-(its Gram matrix is no band) and any block whose route refuses a check
-are decided by dense SVD.  So no other rank-deficient block of the
-decoupled backend needs dense SVD, nor do its kernel directions
-(``kernel_vectors``), which come from the same Ritz vectors; a banded
+shift.  The coupled block and any block whose route refuses a check are
+decided by dense SVD.  So no other rank-deficient block of the decoupled
+backend needs dense SVD, nor do its kernel directions
+(``kernel_vectors``), which come from the same Ritz vectors, those of its
+rank decision when it read its values from them; a banded
 value carries a relative error of
 order 1e-8 at worst (below 1e-11 on the operators of ``reproduce-all``), a
 value of M X an absolute one of about eps sigma_max.  The report's

@@ -587,12 +587,14 @@ def test_reproduce_all_operators_match_dense_reference(tmp_path, monkeypatch):
     for op in ops:
         ref = dense_reference(op)
         rep, rep_ref = numerical_index(op), numerical_index(ref)
-        assert_kept_values_agree(rep, rep_ref)
-        # a gap ratio divides by the largest discarded value, which a block
-        # with shift columns computes from M X to rounding of sigma_max
+        # a block with shift columns computes its discarded values, and so the
+        # gap ratio that divides by the largest, from M X to rounding of
+        # sigma_max; every other block is held to relative accuracy
         if any(b.border is not None for b in op.blocks):
+            assert_kept_values_agree(rep, rep_ref)
             assert (rep.gap_ratio == np.inf) == (rep_ref.gap_ratio == np.inf)
         else:
+            assert_reports_agree(rep, rep_ref)
             np.testing.assert_allclose(rep.gap_ratio, rep_ref.gap_ratio, rtol=1e-9)
         for sv, sv_ref in zip(decompose_all(op), decompose_all(ref)):
             np.testing.assert_allclose(sv, sv_ref, rtol=1e-9)
@@ -623,9 +625,40 @@ def full_reference(problem, grid):
     return ref
 
 
+def assert_bordered_walk_matches_full(op, ref, rep):
+    """The rank walk ``rep`` of ``op``, which has a block with shift columns,
+    against its fully decomposed copy ``ref``, which decides that block by
+    dense SVD while the walk reads its smallest values from the partial
+    route: the reports equal in every field but the values, the gap ratio
+    and the method, the values as ``assert_kept_values_agree`` has them; the
+    kernel directions span the reference's within a subspace angle of 1e-8;
+    the stability constants agree within rtol 1e-9, or lie below the
+    threshold both."""
+    from test_gluing import subspace_sine
+    rep_ref = numerical_index(ref)
+    floats = ("singular_values", "gap_ratio", "min_singular_value", "method")
+    assert replace(rep, **{f: getattr(rep_ref, f) for f in floats}) == rep_ref
+    assert_kept_values_agree(rep, rep_ref)
+    assert (rep.gap_ratio == np.inf) == (rep_ref.gap_ratio == np.inf)
+    found, found_ref = kernel_vectors(op, rep.threshold), kernel_vectors(ref, rep.threshold)
+    assert [(b.tag, V.shape[1]) for b, V in found] == [(b.tag, V.shape[1]) for b, V in found_ref]
+    assert all(subspace_sine(V, V_ref) <= 1e-8 for (_, V), (_, V_ref) in zip(found, found_ref))
+    for pieces, pieces_ref in (([], []), (found, found_ref)):
+        n_tau, n_tau_ref = ([(b.k, V[:, j]) for b, V in p for j in range(V.shape[1])]
+                            for p in (pieces, pieces_ref))
+        c, c_ref = stability_constant(op, n_tau), stability_constant(ref, n_tau_ref)
+        if c_ref < rep.threshold:
+            assert c < rep.threshold
+        else:
+            np.testing.assert_allclose(c, c_ref, rtol=1e-9)
+
+
 def assert_certified_route_matches_full(problem, grid):
     op, ref = assemble(problem, grid), full_reference(problem, grid)
     rep = numerical_index(op)
+    if any(b.border is not None for b in op.blocks):
+        assert_bordered_walk_matches_full(op, ref, rep)
+        return
     assert rep == numerical_index(ref)
     assert_reports_agree(rep, numerical_index(dense_reference(op)))
     found, found_ref = kernel_vectors(op, rep.threshold), kernel_vectors(ref, rep.threshold)
@@ -1069,7 +1102,9 @@ def test_certificate_reads_end_rows_edited_in_place():
     band, direct = assemble_module._gram_band(b), _all_rows_band(b)
     assert np.abs(band - direct).max() <= 1e-13 * np.abs(direct).max()
     assert not assemble_module._gram_certified(b, shift, below=False)
-    assert assemble_module._banded_singular_values(b) is None
+    # the banded route's guard rejects it: sigma_min < 1e-4 sigma_max
+    sv = assemble_module._banded_singular_values(b)
+    assert sv[-1] < 1e-4 * sv[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1297,7 +1332,12 @@ def test_wide_rejected_and_dense_blocks_never_take_the_partial_route(make_op):
     rep = numerical_index(op)
     assert op._evidence[i].bound == np.inf or len(op._evidence[i].values) == 0
     assert len(op.values_below(i, np.inf, REPORTED_VALUES)) == min(b.shape)
-    assert_kept_values_agree(rep, numerical_index(dense_reference(op)))
+    # the row-window block the guard rejects reads its values below the
+    # guard from M X^T on the Ritz vectors, to rounding of sigma_max
+    if make_op is _guard_rejected_windows:
+        assert_kept_values_agree(rep, numerical_index(dense_reference(op)))
+    else:
+        assert_reports_agree(rep, numerical_index(dense_reference(op)))
 
 
 def test_bordered_block_takes_the_partial_route_at_a_negative_shift(monkeypatch):
@@ -1318,6 +1358,40 @@ def test_bordered_block_takes_the_partial_route_at_a_negative_shift(monkeypatch)
     sv = op._evidence[i].values
     np.testing.assert_allclose(sv, ref[len(ref) - len(sv):], rtol=1e-9)
     assert_kept_values_agree(rep, numerical_index(dense_reference(op)))
+
+
+@pytest.mark.parametrize("walk", [True, False], ids=["walk", "fresh"])
+@pytest.mark.parametrize("shifts", [(2, 2), (1, 2)])
+@pytest.mark.parametrize("s_nodes", [48, 96])
+def test_bordered_kernel_takes_one_route_run_and_no_dense_svd(s_nodes, shifts, walk,
+                                                              monkeypatch):
+    # the shifted mode 0 of 99-196 columns, on either side of the 192 columns
+    # from which an unbordered block takes the partial route; with shifts
+    # (1, 2) it has a value below the threshold besides its structural zero.
+    # Its kernel directions, asked after the rank walk or of a fresh operator,
+    # take one run of the route at a negative shift, the one the rank
+    # decision read its values from when it took one, and no dense SVD
+    from test_gluing import subspace_sine
+    op = assemble(build_trivial_cylinder((D, D), shifts), GridSpec(s_nodes, 8))
+    i = next(i for i, b in enumerate(op.blocks) if b.border is not None)
+    b = op.blocks[i]
+    assert b.shape[1] == 2 * s_nodes + sum(shifts)
+    threshold = REL_THRESHOLD * op.sigma_max()
+    calls, runs = svd_calls(monkeypatch), []
+    real = assemble_module._ritz_below
+    monkeypatch.setattr(assemble_module, "_ritz_below",
+                        lambda *args: runs.append(args) or real(*args))
+    rep = numerical_index(op) if walk else None
+    found = kernel_vectors(op, threshold)
+    monkeypatch.undo()
+    assert calls == [] and len(runs) == 1
+    if walk:
+        assert op._evidence[i].ritz is not None and rep.method == "banded_gram"
+        assert_kept_values_agree(rep, numerical_index(dense_reference(op)))
+    _, sv, Vh = np.linalg.svd(b.matrix)
+    rank = int((sv >= threshold).sum())
+    assert [(blk.tag, V.shape[1]) for blk, V in found] == [(b.tag, b.shape[1] - rank)]
+    assert subspace_sine(found[0][1], Vh[rank:].conj().T) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
