@@ -84,49 +84,50 @@ banded eigensolver, in O(n^2 kd) instead of O(n^3), the structural zeros
 of a wide block dropped.  Squaring blurs values below 1e-4 sigma_max, near
 the rank threshold: where the block's smallest kept Gram eigenvalue is
 below 1e-8 times its largest (the guard), its values below the guard come
-from the partial route at a negative shift (below) instead.  A bordered
-block's Gram matrix is no band, so its full decomposition is the dense
-SVD; every question the rank walk, the kernel directions and the gluing
-stability constant ask of it from 192 columns on is answered by the
-partial route.  The coupled block takes the values-only dense SVD, which
-stays the reference, as does every block whose route refuses a check.
+from the M X route (below) instead.  A bordered block's Gram matrix is no
+band, so its full decomposition is the dense SVD; every question the rank
+walk, the kernel directions and the gluing stability constant ask of it
+is answered by the partial route, at any size.  The coupled block takes
+the values-only dense SVD, which stays the reference, as does every block
+whose route refuses a check.
 
 A row-window block whose values cannot reach a report is not decomposed at
 all but certified: a banded Cholesky factorization of its Gram matrix
-shifted by x I succeeds only when every Gram eigenvalue lies above x (of
-x I - G: below x), up to rounding, in O(n kd^2).  A wide block's Gram
-matrix holds its structural zeros below any shift, so its floor is
-certified by an inertia count (``_count_below``) that finds exactly those
-n_cols - n_rows eigenvalues below x.  Every rank decision asks one
-question of a block, ``DiscreteOperator.values_below(i, cut, most)``: its
+shifted by x I (``_cholesky``) succeeds only when every Gram eigenvalue
+lies above x (of x I - G: below x), up to rounding, in O(n kd^2).  A wide
+block's Gram matrix holds its structural zeros below any shift, so its
+floor is certified by an inertia count (``_count_below``) that finds
+exactly those n_cols - n_rows eigenvalues below x.  Every question to a
+block is one call, ``DiscreteOperator.values_below(i, cut, most)``: its
 singular values below the cut, an empty array when all of them are
-certified to exceed it.  The operator keeps one record per block
-(``Evidence``), the statement "these are every singular value of the block
-below b": a decomposition gives all of them with b = inf, a floor
-certificate none with b the floor, and the partial route (below) the
-smallest ones with b its inertia point.  The callers (the index walk in
-``crlab.indexing``, ``kernel_vectors``, the gluing stability constant)
-choose the cuts.  A block's sigma_max certificate holds as on any block.
-A certificate factors the same Gram matrix the block's values come from,
-so a certified floor and any values computed later for that block
-describe one matrix.  The shared terms differ from a band summed over the
-block's own rows by rounding, of order eps max|G|, inside the
-certificates' relative room of 1e-12.
+certified to exceed it; ``values_below(i, inf)`` is the full
+decomposition.  The operator keeps one record per block (``Evidence``),
+the statement "these are every singular value of the block below b": a
+decomposition gives all of them with b = inf, a floor certificate none
+with b the floor, and the partial route (below) the smallest ones with b
+its inertia point.  The callers (the index walk in ``crlab.indexing``,
+``kernel_vectors``, the gluing stability constant) choose the cuts.  A
+block's sigma_max certificate holds as on any block.  A certificate
+factors the same Gram matrix the block's values come from, so a certified
+floor and any values computed later for that block describe one matrix.
+The shared terms differ from a band summed over the block's own rows by
+rounding, of order eps max|G|, inside the certificates' relative room of
+1e-12.
 
 A row-window block that holds values the caller reads is still not
 decomposed when it is large: with at least _PARTIAL_FINITE_MIN_COLS
 columns under a finite cut (which asks for the one or two values below
 it) or _PARTIAL_MIN_COLS under an infinite cut (which asks for the
-``most`` smallest), and a bordered block at any size, since its Gram
-matrix is no band for eig_banded, ``values_below`` takes the partial
-route (``_lowest_gram``) and returns only its smallest values, the ones
-below the cut or the ``most`` smallest.  A block whose Gram matrix has no
-eigenvalue below the guard's 1e-8 lambda_top is factored there, G - sigma
-I by banded Cholesky, which certifies that floor, and its values are the
-square roots of the certified eigenvalues.  A bordered block with no such
-floor (wide, rank-deficient, or with a value below the guard) is factored
-at the negative shift -1e-8 lambda_top, which needs none; its values are the
-singular values of the thin product M X, X the Ritz vectors of the
+``most`` smallest), and a bordered block at any size, ``values_below``
+takes the partial route (``_lowest_gram``) and returns only its smallest
+values, the ones below the cut or the ``most`` smallest.  A block whose
+Gram matrix has no eigenvalue below the guard's 1e-8 lambda_top is
+factored there, G - sigma I by banded Cholesky, which certifies that
+floor, and its values are the square roots of the certified eigenvalues.
+A bordered block with no such floor (wide, rank-deficient, or with a
+value below the guard) takes the M X route (``_mx_values``): the factor
+at the negative shift -1e-8 lambda_top, which needs none, and as values
+the singular values of the thin product M X, X the Ritz vectors of the
 eigenvalues below the inertia point, read from the windows and border,
 less its structural zeros: by interlacing each is an upper bound on the
 value it stands for, accurate to about eps sigma_max as a dense SVD's.
@@ -139,11 +140,10 @@ included.  It costs O(n kd) per Lanczos step and O(n kd^2) per
 factorization, against eig_banded's O(n^2 kd), which only pays below those
 sizes; under a finite cut the route checks its Ritz values after every
 Krylov block, so it stops once the few values below the cut have
-converged.  A block that fails a check is decomposed; ``block_values``
-stays the full reference.  The kernel directions come from the same
-route: ``DiscreteOperator.kernel`` takes the right singular vectors of
-M X below the threshold, mapped back by X, the X the block's record
-keeps from its rank decision when it has one.
+converged.  A block that fails a check is decomposed.  The kernel
+directions come from the same route: ``DiscreteOperator.kernel`` takes
+the right singular vectors of M X below the threshold, mapped back by X,
+the X the block's record keeps when its values came from M X.
 
 No row-window block is decomposed for sigma_max either
 (``DiscreteOperator.sigma_max``).  A block's top Gram eigenvalue is settled
@@ -373,7 +373,8 @@ def _materialize(b):
     return M
 
 
-# Squaring blurs values below 1e-4 sigma_max, near the rank threshold: dense SVD there.
+# Squaring blurs values below 1e-4 sigma_max, near the rank threshold: the M X
+# route there (``_mx_values``).
 _GRAM_GUARD = 1e-8
 
 
@@ -423,32 +424,30 @@ def _gram_band(b):
     return ab
 
 
-def _banded_singular_values(b):
+def _banded_singular_values(b, ab):
     """Singular values of an unbordered row-window block, descending, from
-    the eigenvalues of its Gram matrix M^H M (``_gram_band``), by LAPACK's
-    banded eigensolver; a wide block's n_cols - n_rows smallest eigenvalues
-    are its structural zeros and are dropped.
+    the eigenvalues of its Gram band ``ab`` (``_gram_band``), by LAPACK's
+    banded eigensolver: (values, X), X the Ritz vectors its values below the
+    guard were read from or None; or None.  A wide block's n_cols - n_rows
+    smallest eigenvalues are its structural zeros and are dropped.
 
     When lambda_min < 1e-8 lambda_max among the rest (the guard), the
-    values below the square root of the inertia point y of the partial
-    route at a negative shift on the same band, asked for every Gram
-    eigenvalue below the guard (``_ritz_below``), are the singular values
-    of M X^T on its Ritz vectors X (``_thin_svd``), less the structural
-    zeros; above it they are the square roots of the banded eigenvalues.
-    Returns None when that route refuses; the caller then decomposes the
-    block densely.
+    values below the square root of the inertia point of the M X route on
+    the same band, asked for every Gram eigenvalue below the guard
+    (``_mx_values``), are the singular values of M X^T; above it they are
+    the square roots of the banded eigenvalues.  Returns None when that
+    route refuses; the caller then decomposes the block densely.
     """
-    ab = _gram_band(b)
     lam = scipy.linalg.eig_banded(ab, eigvals_only=True, check_finite=False)
     zeros = _structural_zeros(b)
     guard = _GRAM_GUARD * lam[-1]
     if lam[zeros] >= guard:
-        return np.sqrt(lam[zeros:][::-1])
-    found = _ritz_below(ab, b.shape[1], guard, _CERT_MARGIN * lam[-1], guard)
-    if not found:
+        return np.sqrt(lam[zeros:][::-1]), None
+    found = _mx_values(b, _Gram(ab), b.shape[1], guard, _CERT_MARGIN * lam[-1], guard)
+    if found is None:
         return None
-    low = _thin_svd(b, found[2])[0][zeros:]
-    return np.sort(np.concatenate([np.sqrt(lam[len(found[0]):]), low]))[::-1]
+    low, _, X = found
+    return np.sort(np.concatenate([np.sqrt(lam[len(X):]), low]))[::-1], X
 
 
 # Relative room a certificate leaves for the rounding of the Cholesky
@@ -509,20 +508,16 @@ class _Gram(NamedTuple):
     """The Gram matrix M^H M of a row-window block M = [W C], C its border
     of shift columns: ``band``, the upper band storage of W^H W, and the
     dense ``cross`` = W^H C and ``corner`` = C^H C, both None without a
-    border.  Every certified primitive takes it, or a band alone."""
+    border.  Every certified primitive takes it."""
 
     band: np.ndarray
     cross: np.ndarray = None
     corner: np.ndarray = None
 
 
-def _parts(g):
-    return g if isinstance(g, _Gram) else _Gram(g)
-
-
 def _size(g):
     """Order and dtype of the Hermitian matrix of ``g``."""
-    ab, cross, _ = _parts(g)
+    ab, cross, _ = g
     if cross is None:
         return ab.shape[1], ab.dtype
     return ab.shape[1] + cross.shape[1], np.result_type(ab, cross)
@@ -570,32 +565,26 @@ def _scale(ab, shift):
     return abs(shift) + (2 * len(ab) - 1) * float(np.abs(ab).max(initial=0.0))
 
 
-def _definite(g, shift, below):
-    """Whether shift I - G (``below``) or G - shift I is positive definite, up
-    to rounding, G the Hermitian matrix of ``g`` (a band or a ``_Gram``):
-    whether LAPACK's banded Cholesky factorization of its band succeeds (the
-    inertia argument), in O(n kd^2), and on a bordered G whether its Schur
-    complement is positive definite too (``_schur_factor``), in O(n kd a).
-    ``g`` is left as it was."""
-    ab, cross, corner = _parts(g)
+def _cholesky(g, shift, below=False):
+    """The Cholesky factors of G - shift I, or of shift I - G (``below``), G
+    the Hermitian matrix of the ``_Gram`` g, or None when it is not positive
+    definite, up to rounding: LAPACK's banded Cholesky factor of the band,
+    in O(n kd^2), and the factors of a bordered G's Schur complement
+    (``_schur_factor``), in O(n kd a), else None.  Factors certify that
+    every eigenvalue of G lies above (below) ``shift``.  ``g`` is kept."""
+    ab, cross, corner = g
     c = np.negative(ab) if below else ab.copy()
     c[-1] += shift if below else -shift
     pbtrf, = scipy.linalg.get_lapack_funcs(("pbtrf",), (c,))
     factor, info = pbtrf(c, lower=0, overwrite_ab=1)
-    if info or cross is None:
-        return info == 0
-    sign = -1.0 if below else 1.0
-    return _schur_factor(factor, sign * cross, sign * (corner - shift * np.eye(len(corner))),
-                         _scale(ab, shift)) is not None
-
-
-def _gram_certified(b, shift, below):
-    """Whether every eigenvalue of the Gram matrix G = M^H M of a row-window
-    block M lies below (``below``) or above ``shift`` (``_definite``), against
-    the eigensolver's O(n^2 kd).  It factors the Gram matrix the block's
-    values come from (``_gram``).
-    """
-    return _definite(_gram(b), shift, below)
+    if info:
+        return None
+    if cross is None:
+        return factor, None
+    tail = corner - shift * np.eye(len(corner))
+    schur = _schur_factor(factor, -cross if below else cross, -tail if below else tail,
+                          _scale(ab, shift))
+    return None if schur is None else (factor, schur)
 
 
 # Grid step of a settled top Gram eigenvalue relative to the block's norm
@@ -605,11 +594,11 @@ _LANCZOS_STEPS = 64
 
 
 def _band_matvec(g):
-    """x -> G x for the Hermitian G of ``g`` (a band or a ``_Gram``): one
-    product of the n x (2 kd + 1) rows of the band with the windows of x,
-    O(n kd) per vector, plus the border's products, O(n a); x is one vector
-    or a p x n block of them, one per row."""
-    ab, cross, corner = _parts(g)
+    """x -> G x for the Hermitian G of the ``_Gram`` g: one product of the
+    n x (2 kd + 1) rows of the band with the windows of x, O(n kd) per
+    vector, plus the border's products, O(n a); x is one vector or a p x n
+    block of them, one per row."""
+    ab, cross, corner = g
     kd, n = len(ab) - 1, ab.shape[1]
     rows = np.empty((n, 2 * kd + 1), dtype=ab.dtype)     # rows[i, kd + e] = G[i, i + e]
     rows[:, :kd + 1] = ab.conj().T
@@ -645,7 +634,7 @@ def _band_matvec(g):
 
 def _ritz_top(g, step):
     """Lanczos estimate of the largest eigenvalue of the Hermitian matrix of
-    ``g`` (a band or a ``_Gram``), from a seeded random start with full
+    the ``_Gram`` g, from a seeded random start with full
     reorthogonalization.  It stops when the Ritz residual bound, sharpened by
     the gap to the next Ritz value, is below ``step``, or after
     _LANCZOS_STEPS steps.  Only a proposal: ``_gram_top`` certifies it."""
@@ -676,7 +665,7 @@ def _gram_top(b, bound):
     M, settled without decomposing it.
 
     The value is the smallest point x of the grid h Z at which x I - G
-    factors (``_definite``), h the power of two with bound 2^-47 < h <=
+    factors (``_cholesky``), h the power of two with bound 2^-47 < h <=
     bound 2^-46, ``bound`` (``_norm_bound``) >= lambda_max; so it lies
     within h of lambda_max, up to rounding.  ``_ritz_top`` proposes the
     grid point; a galloping search from it, then bisection, finds the
@@ -695,17 +684,17 @@ def _gram_top(b, bound):
     lo, hi = int(diagonal // h), int(bound // h) + 2   # fails at lo h, factors at hi h
     untried = hi
     m = min(max(int(np.ceil(_ritz_top(g, h) / h)), lo + 1), hi - 1)
-    down = _definite(g, m * h, below=True)
+    down = _cholesky(g, m * h, below=True) is not None
     lo, hi = (lo, m) if down else (m, hi)
     step = 1
     while hi - lo > 1:
         m = hi - step if down else lo + step
         if not lo < m < hi:
             m = (lo + hi) // 2
-        ok = _definite(g, m * h, below=True)
+        ok = _cholesky(g, m * h, below=True) is not None
         step = 2 * step if ok == down else 0
         lo, hi = (lo, m) if ok else (m, hi)
-    if hi == untried and not _definite(g, hi * h, below=True):
+    if hi == untried and _cholesky(g, hi * h, below=True) is None:
         raise NumericalError(f"no Cholesky certificate above the norm bound of block {b.tag}")
     return float(hi * h)
 
@@ -763,9 +752,9 @@ def _pivot_inertia(lu, ipiv, room):
 
 
 def _count_below(g, y, room):
-    """How many eigenvalues of the Hermitian G of ``g`` (a band or a
-    ``_Gram``) lie below y, by Sylvester's law of inertia, or None when the
-    count cannot be trusted.
+    """How many eigenvalues of the Hermitian G of the ``_Gram`` g lie below
+    y, by Sylvester's law of inertia, or None when the count cannot be
+    trusted.
 
     G - y I is block tridiagonal in blocks of kd + 1 (padded with identity
     rows, which add positive eigenvalues only).  Its block LDL^H, unpivoted
@@ -777,7 +766,7 @@ def _count_below(g, y, room):
     complement adds its inertia last (Haynsworth, 1968), in O(n kd a).  A
     pivot within ``room`` of singular refuses the count.
     """
-    ab, cross, corner = _parts(g)
+    ab, cross, corner = g
     kd, n = len(ab) - 1, ab.shape[1]
     b = kd + 1
     nb = -(-n // b)
@@ -826,26 +815,19 @@ def _count_below(g, y, room):
 
 def _shift_solver(g, shift):
     """x -> (G - shift I)^-1 x on the columns of x, G the Hermitian matrix of
-    ``g`` (a band or a ``_Gram``), or None when G - shift I is not positive
-    definite: the banded Cholesky factor of its band and, on a bordered G,
-    the Cholesky factor of its Schur complement (``_schur_factor``), each
-    solve one pass through both by block elimination."""
-    ab, cross, corner = _parts(g)
-    factor = ab.copy()
-    factor[-1] -= shift
-    pbtrf, pbtrs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"), (factor,))
-    factor, info = pbtrf(factor, lower=0, overwrite_ab=1)
-    if info:
+    the ``_Gram`` g, or None when G - shift I is not positive definite: its
+    Cholesky factors (``_cholesky``), each solve one pass through the band's
+    and, on a bordered G, its Schur complement's by block elimination."""
+    factors = _cholesky(g, shift)
+    if factors is None:
         return None
-    if cross is None:
-        return lambda R: pbtrs(factor, R, lower=0)[0]
-    schur = _schur_factor(factor, cross, corner - shift * np.eye(len(corner)),
-                          _scale(ab, shift))
+    factor, schur = factors
+    pbtrs, = scipy.linalg.get_lapack_funcs(("pbtrs",), (factor,))
     if schur is None:
-        return None
+        return lambda R: pbtrs(factor, R, lower=0)[0]
     X, L = schur
     potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (L,))
-    n = ab.shape[1]
+    n, cross = g.band.shape[1], g.cross
 
     def solve(R):
         head = pbtrs(factor, R[:n], lower=0)[0]
@@ -855,12 +837,12 @@ def _shift_solver(g, shift):
     return solve
 
 
-def _lowest_gram(g, m, solve, room, top=np.inf, vectors=False, power=_LANCZOS_POWER):
-    """The smallest eigenvalues of the Hermitian G of ``g`` (a band or a
-    ``_Gram``), certified without decomposing G: (values, y), the values
-    ascending and every eigenvalue of G below y among them, and with
-    ``vectors`` their Ritz vectors, one per row; or None.  They are at least
-    the m smallest, or every eigenvalue below ``top`` when fewer lie there.
+def _lowest_gram(g, m, solve, room, top=np.inf, power=_LANCZOS_POWER):
+    """The smallest eigenvalues of the Hermitian G of the ``_Gram`` g,
+    certified without decomposing G: (values, y, X), the values ascending,
+    every eigenvalue of G below y among them, and X their Ritz vectors, one
+    per row; or None.  They are at least the m smallest, or every
+    eigenvalue below ``top`` when fewer lie there.
 
     ``solve`` applies (G - shift I)^-1 (``_shift_solver``).  At a shift
     below which G has no eigenvalue its factors certify that floor; a
@@ -885,7 +867,7 @@ def _lowest_gram(g, m, solve, room, top=np.inf, vectors=False, power=_LANCZOS_PO
     """
     n, dtype = _size(g)
     matvec = _band_matvec(g)
-    p = len(_parts(g).band) // _FD_STENCIL
+    p = len(g.band) // _FD_STENCIL
     dim = min(n, _LANCZOS_DIM) // p * p
     # the basis and G times it, one Krylov vector per row, and H = V^H G V
     V, GV = np.zeros((dim, n), dtype=dtype), np.zeros((dim, n), dtype=dtype)
@@ -905,33 +887,15 @@ def _lowest_gram(g, m, solve, room, top=np.inf, vectors=False, power=_LANCZOS_PO
                 j > m + p and (j // p % _LANCZOS_CHECK == 0 or j == dim)):
             found = _accepted_ritz_values(V[:j], GV[:j], H[:j, :j], m, p, room, top)
             if found is not None:
-                if _count_below(g, found[1], room) != len(found[0]):
+                values, y, Y = found
+                if _count_below(g, y, room) != len(values):
                     return None
-                if not vectors:
-                    return found
-                Y = _small_eigh(H[:j, :j])[1][:, :len(found[0])]
-                return found + (np.einsum("jc,jn->cn", Y, V[:j]),)
+                return values, y, np.einsum("jc,jn->cn", Y, V[:j])
         W = Q.T
         for _ in range(power):
             W = solve(W)
         W = W.T
     return None
-
-
-def _ritz_below(g, m, guard, room, top=np.inf):
-    """``_lowest_gram`` with its vectors, on the factor at the negative
-    shift -``guard``, which needs no floor: a Gram matrix with eigenvalues
-    at or near zero factors there.  Its Krylov blocks take one solve each,
-    not _LANCZOS_POWER: a cluster at zero grows by 1/``guard`` at every
-    solve, and within a few solves its rounding buries the next
-    eigenvectors: on 52 runs (the blocks with shift columns of
-    ``reproduce-all`` and of trivial cylinders and planes of every shift
-    pattern, and their kernel directions), two or three solves per block
-    refused up to 45 of them at shifts of 1 to 100 times the guard (two
-    solves at 100 times none, and no faster than one), one solve none.
-    """
-    solve = _shift_solver(g, -guard)
-    return solve and _lowest_gram(g, m, solve, room, top, vectors=True, power=1)
 
 
 def _small_eigh(H):
@@ -951,15 +915,17 @@ def _small_eigh(H):
 
 def _accepted_ritz_values(V, GV, H, m, p, room, top):
     """Rayleigh-Ritz on the orthonormal rows V, GV their products with G and
-    H = V^H G V: the c smallest Ritz values and a point y after them, or
-    None.
+    H = V^H G V: the c smallest Ritz values, a point y after them and
+    their coefficients in V, one Ritz vector per column; or None.
 
     c is the first count from m on, within one Krylov block, at which the
     Ritz values leave a gap wider than 2 ``room``, y the gap's midpoint; or,
     when fewer than m Ritz values lie below ``top``, c counts those and y is
-    at least ``top``; when every Ritz value lies below ``top`` there is no
-    gap to test, and the basis must grow.  The c Ritz vectors' residual must
-    be within ``room`` in Frobenius norm.
+    at least ``top``, once the next Ritz value's residual puts an eigenvalue
+    above ``top`` (Ritz values only fall as the basis grows); when every
+    Ritz value lies below ``top`` there is no gap to test, and the basis
+    must grow.  The c Ritz vectors' residual must be within ``room`` in
+    Frobenius norm.
     """
     theta, Y = _small_eigh(H)
     below = int(np.searchsorted(theta, top))
@@ -969,12 +935,13 @@ def _accepted_ritz_values(V, GV, H, m, p, room, top):
         splits = [below] if 0 < below < len(theta) else []
     for c in splits:
         if theta[c] - theta[c - 1] > 2.0 * room:
-            Yc = Y[:, :c]
-            R = np.einsum("jc,jn->cn", Yc, GV) - theta[:c, None] * np.einsum("jc,jn->cn", Yc, V)
-            if np.linalg.norm(R) > room:
+            Yc = Y[:, :c + (c < m)]
+            R = np.einsum("jc,jn->cn", Yc, GV) - theta[:Yc.shape[1], None] * np.einsum(
+                "jc,jn->cn", Yc, V)
+            if np.linalg.norm(R[:c]) > room or (c < m and np.linalg.norm(R[c]) > theta[c] - top):
                 return None
             y = 0.5 * (theta[c - 1] + theta[c])
-            return theta[:c], (y if c >= m else max(y, top))
+            return theta[:c], (y if c >= m else max(y, top)), Yc[:, :c]
     return None
 
 
@@ -1011,51 +978,60 @@ def _structural_zeros(b):
     return max(b.shape[1] - b.shape[0], 0)
 
 
-def _floor_certified(g, shift, zeros, room):
-    """Whether every eigenvalue of the Gram matrix g but its ``zeros``
-    structural ones lies above ``shift``: its Cholesky factorization
-    (``_definite``) or, with structural zeros, an inertia count that finds
-    exactly them below it (``_count_below``)."""
-    if not zeros:
-        return _definite(g, shift, below=False)
-    return _count_below(g, shift, room) == zeros
+def _mx_values(b, g, m, guard, room, top=np.inf):
+    """The M X route on row-window block M with Gram matrix g: (values, y,
+    X) or None.  The partial route (``_lowest_gram``) on the factor at the
+    negative shift -``guard``, which needs no floor, gives X, the Ritz
+    vectors of at least the m smallest Gram eigenvalues or every one below
+    ``top``, one per row, every eigenvalue below y among them; the values
+    are the singular values of M X^T, ascending (``_thin_svd``), less the
+    block's structural zeros, each by interlacing an upper bound on the
+    value it stands for, within rounding of it.
+
+    Its Krylov blocks take one solve each, not _LANCZOS_POWER: a cluster at
+    zero grows by 1/``guard`` at every solve, and within a few solves its
+    rounding buries the next eigenvectors: on 52 runs (the blocks with
+    shift columns of ``reproduce-all`` and of trivial cylinders and planes
+    of every shift pattern, and their kernel directions), two or three
+    solves per block refused up to 45 of them at shifts of 1 to 100 times
+    the guard (two solves at 100 times none, and no faster than one), one
+    solve none.
+    """
+    solve = _shift_solver(g, -guard)
+    found = solve and _lowest_gram(g, m, solve, room, top, power=1)
+    if not found:
+        return None
+    return _thin_svd(b, found[2])[0][_structural_zeros(b):], found[1], found[2]
 
 
 def _lowest_values(b, g, m, guard, room, top=np.inf):
     """Row-window block b's smallest singular values by the partial route
-    on its Gram matrix g (``_lowest_gram``): (values, y, X), the values
-    descending and every singular value below sqrt(y) among them, at least
-    the m smallest or every one below sqrt(top), and X the Ritz vectors
-    they were read from or None; or None.
+    on its Gram matrix g: (values, y, X), the values descending, every
+    singular value below sqrt(y) among them, at least the m smallest or
+    every one below sqrt(top), X the Ritz vectors of the M X route or None;
+    or None.
 
     A block whose Gram matrix factors at the guard's floor, ``guard`` (1 +
-    1e-12) + ``room``, takes that factor and the square roots of the
-    certified eigenvalues.  A bordered block that has no such floor (wide,
-    rank-deficient, or with a value below the floor) takes the factor at
-    the negative shift -``guard`` (``_ritz_below``) and asks for m more than
-    its structural zeros; its values are the singular values of M X^T, X
-    the Ritz vectors of the eigenvalues below y (``_thin_svd``), less their
-    structural zeros, the smallest, and X is returned with them.  By
-    interlacing each is an upper bound on the value it stands for, within
-    rounding of it.  An unbordered block without the floor is left to its
-    band eigensolver.
+    1e-12) + ``room``, takes that factor (``_lowest_gram``) and the square
+    roots of the certified eigenvalues; a bordered block with no such floor
+    (wide, rank-deficient, or with a value below it) the M X route
+    (``_mx_values``), asked for m more than its structural zeros; an
+    unbordered one neither.
     """
     zeros = _structural_zeros(b)
     solve = None if zeros else _shift_solver(g, guard * (1 + _CERT_MARGIN) + room)
     if solve is not None:
         found = _lowest_gram(g, m, solve, room, top)
         return None if found is None else (np.sqrt(found[0][::-1]), found[1], None)
-    found = b.border is not None and _ritz_below(g, m + zeros, guard, room, top)
-    if not found:
-        return None
-    return _thin_svd(b, found[2])[0][zeros:][::-1], found[1], found[2]
+    found = b.border is not None and _mx_values(b, g, m + zeros, guard, room, top)
+    return (found[0][::-1], found[1], found[2]) if found else None
 
 
 class Evidence(NamedTuple):
     """One block's record: ``values``, descending, are every singular value
     of the block below ``bound``, computed or certified by ``route``.
     ``ritz`` holds the Ritz vectors, one per row, whose M X^T gave the
-    values when the partial route at a negative shift did, else None."""
+    values below the guard when the M X route did, else None."""
 
     values: np.ndarray
     bound: float
@@ -1074,24 +1050,23 @@ class DiscreteOperator:
     transpose experiments.  cols - rows equals the analytic index candidate
     once the boundary rows are installed.
 
-    Each block is decomposed at most once per operator, in ``block_values``
-    (banded Gram eigenvalues for unbordered row-window blocks, with the
-    values below the guard from the partial route; dense SVD for the others
-    and for the blocks a route refuses).  The operator keeps one record of
-    evidence per block (``Evidence``): every singular value of the block
-    below a bound, with the route that found them.  ``sigma_max`` settles
-    the top of the spectrum without decomposing any row-window block, and
-    ``values_below`` answers with a block's values below a cut, from its
-    record or one new certificate, and, when none settles the question,
-    from the block's smallest values (the partial route) or all of them.
-    The rank decision, the kernel directions (``kernel``) and the gluing
-    stability constant all ask ``values_below``.  ``block_routes`` says
-    which route computed each block.  The evidence belongs to one operator:
-    it is allocated empty at construction, so a copy by
-    ``dataclasses.replace`` decides its blocks afresh.  Values from the
-    banded route agree with dense SVD to about eps (sigma_max / sigma)^2
-    relative, those from M X on the Ritz vectors X to about eps sigma_max
-    absolutely, not bit for bit.
+    Every question to a block is ``values_below``: its values below a cut,
+    from its record or one new certificate, and, when none settles the
+    question, from the block's smallest values (the partial route) or all
+    of them, a decomposition, at most once per operator (banded Gram
+    eigenvalues for unbordered row-window blocks, with the values below the
+    guard from the M X route; dense SVD for the others and for the blocks a
+    route refuses).  The operator keeps one record of evidence per block
+    (``Evidence``): every singular value of the block below a bound, with
+    the route that found them.  ``sigma_max`` settles the top of the
+    spectrum without decomposing any row-window block.  The rank decision,
+    the kernel directions (``kernel``) and the gluing stability constant
+    all ask ``values_below``.  ``block_routes`` says which route computed
+    each block.  The evidence belongs to one operator: it is allocated
+    empty at construction, so a copy by ``dataclasses.replace`` decides its
+    blocks afresh.  Values from the banded route agree with dense SVD to
+    about eps (sigma_max / sigma)^2 relative, those from M X on the Ritz
+    vectors X to about eps sigma_max absolutely, not bit for bit.
     """
 
     blocks: list
@@ -1118,34 +1093,6 @@ class DiscreteOperator:
     def matrix(self):
         return sp.block_diag([_realified_csr(b) for b in self.blocks], format="csr")
 
-    def block_values(self, i):
-        """Singular values of block i: all min(rows, cols), descending.
-
-        The full reference: computed when block i's record does not hold
-        all of them (no record, or a finite bound) and kept as its record,
-        so each block is decomposed at most once, whatever was certified
-        before.  An unbordered row-window block (``ModeBlock.windows``)
-        takes the banded route (``_banded_singular_values``), which reads
-        the values below its accuracy guard from the partial route at a
-        negative shift.  Every dense block, every bordered block (its Gram
-        matrix is no band) and every block the partial route refuses takes
-        the reference values-only ``np.linalg.svd`` of ``ModeBlock.matrix``.
-        """
-        ev = self._evidence[i]
-        if ev is None or ev.bound < np.inf:
-            b = self.blocks[i]
-            try:
-                sv = None
-                if b.windows is not None and b.border is None:
-                    sv = _banded_singular_values(b)
-                route = "direct_svd" if sv is None else "banded_gram"
-                if sv is None:
-                    sv = np.linalg.svd(b.matrix, compute_uv=False)
-            except np.linalg.LinAlgError as exc:  # pragma: no cover
-                raise NumericalError(f"SVD failed on block {b.tag}: {exc}") from exc
-            ev = self._evidence[i] = Evidence(sv, np.inf, route)
-        return ev.values
-
     def known_values(self, i):
         """The values block i's record holds: all of them once decomposed,
         its smallest ones after the partial route, else None."""
@@ -1168,7 +1115,7 @@ class DiscreteOperator:
         """
         if self._sigma_max is None:
             windowed = [i for i, b in enumerate(self.blocks) if b.windows is not None]
-            top = max((float(self.block_values(i)[0]) for i, b in enumerate(self.blocks)
+            top = max((float(self.values_below(i, np.inf)[0]) for i, b in enumerate(self.blocks)
                        if b.windows is None and min(b.shape)), default=0.0)
             bound = {i: _norm_bound(self.blocks[i]) for i in windowed}
 
@@ -1181,7 +1128,7 @@ class DiscreteOperator:
             for i in windowed:
                 ceiling = top ** 2 * (1 - _CERT_MARGIN)
                 if (i != first and bound[i] >= ceiling
-                        and not _gram_certified(self.blocks[i], ceiling, below=True)):
+                        and _cholesky(_gram(self.blocks[i]), ceiling, below=True) is None):
                     top = max(top, settled(i))
             self._sigma_max = top
         return self._sigma_max
@@ -1189,32 +1136,36 @@ class DiscreteOperator:
     def values_below(self, i, cut, most=None):
         """Block i's singular values below ``cut``, descending: all of them,
         or only its smallest ones, every one below ``cut`` or at least the
-        ``most`` smallest.  Empty when
-        every value is certified to exceed ``cut``: the block then has full
-        rank, and no value below ``cut`` reads it.
+        ``most`` smallest.  Empty when every value is certified to exceed
+        ``cut``: the block then has full rank, and no value below ``cut``
+        reads it.  ``values_below(i, np.inf)`` is all min(rows, cols) values.
 
         The block's record answers when its bound is at least ``cut`` or it
         holds ``most`` values.  Failing that, a row-window block tries one
         certificate of its Gram matrix at the shift max(cut^2, 1e-8
         lambda_top) (1 + 1e-12) + 1e-12 lambda_top, lambda_top =
-        sigma_max^2 (``_floor_certified``: a Cholesky factorization, or on a
-        wide block an inertia count that finds only its structural zeros
-        below the shift), and records no values below the square root of
-        max(cut^2, 1e-8 lambda_top).  When that fails, a bordered block of
-        any size with ``most`` given or under a finite cut (then asked for
-        every value below it), or an unbordered one with ``most`` given,
-        above the guard's 1e-8 lambda_top and with at least
-        _PARTIAL_FINITE_MIN_COLS columns under a finite cut or
-        _PARTIAL_MIN_COLS under an infinite one, takes the partial route
-        (``_lowest_values``): it finds the block's smallest values and
-        records them below the square root of its inertia point, with the
-        Ritz vectors they were read from; a block it refuses is
-        decomposed.  An unbordered wide block takes no partial route.  A
-        certified block so also passes the banded route's guard: its route
-        is ``banded_gram``.  A dense block and an infinite cut without
-        ``most`` are decomposed (``block_values``).  A new record replaces
-        the old one exactly: a floor is certified only above every recorded
-        value, so never after a partial answer.
+        sigma_max^2 (``_cholesky``, or on a wide block an inertia count that
+        finds only its structural zeros below the shift), and records no
+        values below the square root of max(cut^2, 1e-8 lambda_top).  When
+        that fails, a bordered block of any size with ``most`` given or
+        under a finite cut (then asked for every value below it), or an
+        unbordered one with ``most`` given, above the guard's 1e-8
+        lambda_top and with at least _PARTIAL_FINITE_MIN_COLS columns under
+        a finite cut or _PARTIAL_MIN_COLS under an infinite one, takes the
+        partial route (``_lowest_values``): it finds the block's smallest
+        values and records them below the square root of its inertia point,
+        with the Ritz vectors they were read from.  An unbordered wide block
+        takes no partial route.  A certified block so also passes the banded
+        route's guard: its route is ``banded_gram``.
+
+        Any other question decomposes the block, once per operator, and
+        records all its values: an unbordered row-window block by the banded
+        route on the Gram band just built (``_banded_singular_values``),
+        with the Ritz vectors of its guard step; a dense or bordered block
+        and a block a route refuses by the reference values-only
+        ``np.linalg.svd``.  A new record replaces the old one exactly: a
+        floor is certified only above every recorded value, so never after
+        a partial answer.
         """
         ev, b = self._evidence[i], self.blocks[i]
         if ev is not None and (cut <= ev.bound or len(ev.values) >= (most or np.inf)):
@@ -1223,9 +1174,10 @@ class DiscreteOperator:
             lam_top = self.sigma_max() ** 2
             guard, room = _GRAM_GUARD * lam_top, _CERT_MARGIN * lam_top
             lam = max(cut * cut, guard)
-            g = _gram(b)
-            if np.isfinite(cut) and _floor_certified(g, lam * (1 + _CERT_MARGIN) + room,
-                                                     _structural_zeros(b), room):
+            g, zeros = _gram(b), _structural_zeros(b)
+            shift = lam * (1 + _CERT_MARGIN) + room
+            if np.isfinite(cut) and (_count_below(g, shift, room) == zeros if zeros
+                                     else _cholesky(g, shift) is not None):
                 ev = self._evidence[i] = Evidence(np.zeros(0), float(np.sqrt(lam)), "banded_gram")
                 return ev.values
             # a bordered block has no band eigensolver to fall back on; under a
@@ -1240,20 +1192,26 @@ class DiscreteOperator:
                     ev = self._evidence[i] = Evidence(found[0], float(np.sqrt(found[1])),
                                                       "banded_gram", found[2])
                     return ev.values
-        return self.block_values(i)
+        try:
+            found = (_banded_singular_values(b, g.band)
+                     if b.windows is not None and b.border is None else None)
+            route = "direct_svd" if found is None else "banded_gram"
+            found = found or (np.linalg.svd(b.matrix, compute_uv=False), None)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover
+            raise NumericalError(f"SVD failed on block {b.tag}: {exc}") from exc
+        ev = self._evidence[i] = Evidence(found[0], np.inf, route, found[1])
+        return ev.values
 
     def kernel(self, i, threshold):
         """Orthonormal columns spanning block i's right singular vectors
         with singular value below ``threshold``, its structural kernel
         included: as many as its rank decision (``values_below``) counts.
 
-        A row-window block takes them from the Ritz vectors X of the
-        partial route at a negative shift: the right singular vectors of
-        M X^T below the threshold, mapped back by X.  X is the one its
-        record keeps when the rank decision read its values from M X^T,
-        else a new run of the route (``_ritz_below``).  A block whose M X^T
-        counts otherwise than its rank decision, one the route refuses, and
-        a dense block take the full dense SVD.
+        A row-window block takes them from the Ritz vectors X of the M X
+        route, the X its record keeps or a new run (``_mx_values``): the
+        right singular vectors of M X^T below the threshold, mapped back by
+        X.  A block whose M X^T counts otherwise than its rank decision, one
+        the route refuses, and a dense block take the full dense SVD.
         """
         b = self.blocks[i]
         d = b.shape[1] - min(b.shape) + int((self.values_below(i, threshold) < threshold).sum())
@@ -1262,7 +1220,7 @@ class DiscreteOperator:
         X = self._evidence[i].ritz
         if X is None and b.windows is not None:
             lam_top = self.sigma_max() ** 2
-            found = _ritz_below(_gram(b), d, _GRAM_GUARD * lam_top, _CERT_MARGIN * lam_top)
+            found = _mx_values(b, _gram(b), d, _GRAM_GUARD * lam_top, _CERT_MARGIN * lam_top)
             X = found[2] if found else None
         if X is not None:
             sv, W = _thin_svd(b, X)
@@ -1276,7 +1234,7 @@ class DiscreteOperator:
         it passes; a block with no evidence yet is decomposed."""
         for i, ev in enumerate(self._evidence):
             if ev is None:
-                self.block_values(i)
+                self.values_below(i, np.inf)
         return [ev.route for ev in self._evidence]
 
     def transposed(self):

@@ -7,36 +7,35 @@ are fixed constants, written into every report as its
 ``tolerance_policy``.  It reads sigma_max, the values below the threshold,
 the smallest kept value and the REPORTED_VALUES smallest values, and
 decomposes only the mode blocks that can hold one of them, each at most
-once (``DiscreteOperator.block_values``).  sigma_max is settled first, by
-banded Cholesky certificates alone on the row-window blocks, so its block
-is decomposed only when it also holds reported values; then one walk asks
-every block for its values below a running cut that every value the report
-reads lies at or below (``DiscreteOperator.values_below``), and a block
-certified by banded Cholesky to have all its values above the cut answers
-with none and is not decomposed.  A certified block has full rank, but for
-the structural kernel of a wide block, whose floor an inertia count
+once (``DiscreteOperator.values_below(i, inf)``).  sigma_max is settled
+first, by banded Cholesky certificates alone on the row-window blocks, so
+its block is decomposed only when it also holds reported values; then one
+walk asks every block for its values below a running cut that every value
+the report reads lies at or below (``DiscreteOperator.values_below``), and
+a block certified by banded Cholesky to have all its values above the cut
+answers with none and is not decomposed.  A certified block has full rank,
+but for the structural kernel of a wide block, whose floor an inertia count
 certifies.  Each block is asked for at most REPORTED_VALUES values: a large
 block that holds some of them (criterion 6's k=0 from 512 columns on, a
-block with shift columns at any size) gives only its smallest values, by the
-partial route of ``crlab.assemble``, shift-invert Lanczos certified by an
-inertia count, and is not decomposed.  A block's storage chooses its route:
-every row-window block of the decoupled backend, with its shift columns as
-a dense border, gets its singular values from its one Gram matrix M^H M,
-banded or band plus border: from its banded eigenvalues, its certified
-smallest eigenvalues, or, below the accuracy guard sigma < 1e-4 sigma_max
-and on a block with shift columns that has no floor there, as the singular
-values of M X on the Ritz vectors X of the partial route at a negative
-shift.  The coupled block and any block whose route refuses a check are
-decided by dense SVD.  So no other rank-deficient block of the decoupled
-backend needs dense SVD, nor do its kernel directions
-(``kernel_vectors``), which come from the same Ritz vectors, those of its
-rank decision when it read its values from them; a banded
-value carries a relative error of
-order 1e-8 at worst (below 1e-11 on the operators of ``reproduce-all``), a
-value of M X an absolute one of about eps sigma_max.  The report's
-``method`` names the routes that decided; a certified block passes the
-guard and counts as ``banded_gram``, as does a block the partial route
-took.
+block with shift columns at any size) gives only its smallest values, by
+the partial route of ``crlab.assemble``, shift-invert Lanczos certified by
+an inertia count, and is not decomposed.  A block's storage chooses its
+route: every row-window block of the decoupled backend, with its shift
+columns as a dense border, gets its singular values from its one Gram
+matrix M^H M, banded or band plus border: from its banded eigenvalues, its
+certified smallest eigenvalues, or, below the accuracy guard sigma < 1e-4
+sigma_max and on a block with shift columns that has no floor there, as the
+singular values of M X on the Ritz vectors X of the partial route at a
+negative shift.  The coupled block and any block whose route refuses a
+check are decided by dense SVD.  So no other rank-deficient block of the
+decoupled backend needs dense SVD, nor do its kernel directions
+(``kernel_vectors``), which come from the same Ritz vectors, those its
+record keeps when its values below the guard came from them; a banded
+value carries a relative error of order 1e-8 at worst (below 1e-11 on the operators of
+``reproduce-all``), a value of M X an absolute one of about eps sigma_max.
+The report's ``method`` names the routes that decided; a certified block
+passes the guard and counts as ``banded_gram``, as does a block the partial
+route took.
 
 The analytic route never assembles the two-dimensional operator: the index
 is decided by the ends alone.  With A_- the negative end's asymptotic

@@ -424,8 +424,8 @@ def test_block_given_a_dense_matrix_is_decided_from_it():
         dec = replace(op, blocks=[g])
         assert dec.known_values(0) is None
         assert dec.block_routes() == ["direct_svd"]
-        assert np.array_equal(dec.block_values(0), np.linalg.svd(M, compute_uv=False))
-        assert dec.sigma_max() == dec.block_values(0)[0]
+        assert np.array_equal(dec.values_below(0, np.inf), np.linalg.svd(M, compute_uv=False))
+        assert dec.sigma_max() == dec.values_below(0, np.inf)[0]
     assert b.windows is not None
 
 
@@ -449,8 +449,8 @@ def test_block_replaced_with_other_windows_is_decided_from_them():
     assert np.array_equal(g.matrix, 3.0 * b.matrix)
     dec = replace(op, blocks=[g])
     assert dec.block_routes() == ["banded_gram"]
-    np.testing.assert_allclose(dec.block_values(0), np.linalg.svd(g.matrix, compute_uv=False),
-                               rtol=1e-9)
+    np.testing.assert_allclose(dec.values_below(0, np.inf),
+                               np.linalg.svd(g.matrix, compute_uv=False), rtol=1e-9)
 
 
 def test_complex_line_coefficient_needs_coeff_st():
@@ -556,7 +556,7 @@ def test_transpose_swaps_dimensions():
     opt = op.transposed()
     assert (opt.rows, opt.cols) == (op.cols, op.rows)
     for i in range(len(op.blocks)):
-        assert np.allclose(op.block_values(i), opt.block_values(i))
+        assert np.allclose(op.values_below(i, np.inf), opt.values_below(i, np.inf))
 
 
 def test_matrix_market_export(tmp_path):
