@@ -29,16 +29,23 @@ function, ``_mode_block``, as row windows.  A mode is given by its
 t-derivative part ``base`` (the 1x1 [-2 pi k] of a scalar complex-line
 mode, the 2x2 zero of the realified complex-line mode 0 with its two real
 fields (a, theta), 2 pi i k J of a contact mode, the trig-basis derivative
-of the coupled block), B at the midpoints, and its end rows.
-``_stencil_rows`` computes the 8-node band of the collocated rows,
-node-major and field-minor; ``_end_rows`` the spectral projections at both
-ends of every mode of an operator, in the first or last window, from one
-stacked eigensolver call per end.  ``_shifted`` appends a block's shift
-columns as its ``border``, on both backends: so every block's unknowns are
-its fields node-major and field-minor, then the shift parameters.  The
-disk cap of a plane is one rule: the trace is constrained along the
-positive eigenspace of ``base``, the Fourier modes that do not extend
-holomorphically over the disk.
+of the coupled block) and its end rows.  The 8-node band of the collocated
+rows, node-major and field-minor, comes from one builder per operator
+(``_StencilRows``; the realified mode 0 of a shifted complex-line operator,
+on two fields, has its own), which holds what every mode shares: the rows'
+first columns, the interpolation band P, w'(mids) I, B at the midpoints
+(the builders' coefficient evaluated on the midpoint array in one call)
+and D (x) I.  Each mode only forms its coefficient C_k, writes P (x) C_k
+into one preallocated window array, adds D (x) I in place and copies its
+end rows below, byte for byte the per-mode einsum formula; the Gram terms
+read their rows from the same builder.  ``_end_rows`` computes the
+spectral projections at both ends of every mode of an operator, in the
+first or last window, from one stacked eigensolver call per end.
+``_shifted`` appends a block's shift columns as its ``border``, on both
+backends: so every block's unknowns are its fields node-major and
+field-minor, then the shift parameters.  The disk cap of a plane is one
+rule: the trace is constrained along the positive eigenspace of ``base``,
+the Fourier modes that do not extend holomorphically over the disk.
 
 Storage.  Every row of a mode lives in an 8-node window (8F columns on F
 fields), so a mode block is stored as row windows: the 8F values of each
@@ -446,7 +453,7 @@ def _banded_singular_values(b, ab):
     found = _mx_values(b, _Gram(ab), b.shape[1], guard, _CERT_MARGIN * lam[-1], guard)
     if found is None:
         return None
-    low, _, X = found
+    low, _, X, _ = found
     return np.sort(np.concatenate([np.sqrt(lam[len(X):]), low]))[::-1], X
 
 
@@ -465,20 +472,23 @@ class _GramTerms:
     of X alone, and their Gram band is G0 + k G1 + k^2 G2, with G0 = W0^H W0,
     G1 = W0^H WX + WX^H W0 and G2 = WX^H WX.  X is given as phase Y, Y real
     and |phase| = 1, so that every product is real on a real A: then G2 =
-    WY^T WY and G1 = phase W0^T WY + conj(phase) WY^T W0.  The three bands
-    are built on first use; their sum differs from the band summed over the
-    mode's own stencil rows by rounding, of order eps max|G|.
+    WY^T WY and G1 = phase W0^T WY + conj(phase) WY^T W0.  W0 and WY come
+    from the operator's stencil-row builder ``rows`` (``_StencilRows``), W0
+    as the rows of the mode with base 0.  The three bands are built on first
+    use; their sum differs from the band summed over the mode's own stencil
+    rows by rounding, of order eps max|G|.
     """
 
-    def __init__(self, stencil, A, Y, phase):
-        self._terms = (stencil, A, Y, phase)
+    def __init__(self, rows, Y, phase):
+        self._terms = (rows, Y, phase)
 
     @functools.cached_property
     def _rows(self):
-        stencil, A, Y, phase = self._terms
-        W0, starts = _stencil_rows(stencil, A)
-        WY, _ = _stencil_rows((None,) + stencil[1:], np.broadcast_to(Y, A.shape))
-        return W0, WY, starts, len(stencil[2]) * A.shape[1], phase
+        rows, Y, phase = self._terms
+        F = len(Y)
+        W0, starts = rows.windows(rows.coefficient(np.zeros((F, F))))
+        WY, _ = rows.windows(np.broadcast_to(Y, (len(starts) // F, F, F)), derivative=False)
+        return W0, WY, starts, rows.n_cols, phase
 
     @functools.cached_property
     def g0(self):
@@ -980,13 +990,14 @@ def _structural_zeros(b):
 
 def _mx_values(b, g, m, guard, room, top=np.inf):
     """The M X route on row-window block M with Gram matrix g: (values, y,
-    X) or None.  The partial route (``_lowest_gram``) on the factor at the
-    negative shift -``guard``, which needs no floor, gives X, the Ritz
+    X, svd) or None.  The partial route (``_lowest_gram``) on the factor at
+    the negative shift -``guard``, which needs no floor, gives X, the Ritz
     vectors of at least the m smallest Gram eigenvalues or every one below
-    ``top``, one per row, every eigenvalue below y among them; the values
-    are the singular values of M X^T, ascending (``_thin_svd``), less the
-    block's structural zeros, each by interlacing an upper bound on the
-    value it stands for, within rounding of it.
+    ``top``, one per row, every eigenvalue below y among them; ``svd`` is
+    the thin SVD of M X^T (``_thin_svd``), and the values are its singular
+    values, ascending, less the block's structural zeros, each by
+    interlacing an upper bound on the value it stands for, within rounding
+    of it.
 
     Its Krylov blocks take one solve each, not _LANCZOS_POWER: a cluster at
     zero grows by 1/``guard`` at every solve, and within a few solves its
@@ -1001,7 +1012,8 @@ def _mx_values(b, g, m, guard, room, top=np.inf):
     found = solve and _lowest_gram(g, m, solve, room, top, power=1)
     if not found:
         return None
-    return _thin_svd(b, found[2])[0][_structural_zeros(b):], found[1], found[2]
+    svd = _thin_svd(b, found[2])
+    return svd[0][_structural_zeros(b):], found[1], found[2], svd
 
 
 def _lowest_values(b, g, m, guard, room, top=np.inf):
@@ -1163,14 +1175,20 @@ class DiscreteOperator:
         route on the Gram band just built (``_banded_singular_values``),
         with the Ritz vectors of its guard step; a dense or bordered block
         and a block a route refuses by the reference values-only
-        ``np.linalg.svd``.  A new record replaces the old one exactly: a
+        ``np.linalg.svd``.  Asked with an infinite cut and no ``most``, it
+        goes to the decomposition directly, settling no sigma_max and
+        building no more of the Gram matrix than the band the banded route
+        reads.  A new record replaces the old one exactly: a
         floor is certified only above every recorded value, so never after
         a partial answer.
         """
         ev, b = self._evidence[i], self.blocks[i]
         if ev is not None and (cut <= ev.bound or len(ev.values) >= (most or np.inf)):
             return ev.values
-        if b.windows is not None:
+        g = None
+        # the full decomposition without ``most`` reads no certificate, and a
+        # dense SVD neither the Gram matrix nor sigma_max
+        if b.windows is not None and (np.isfinite(cut) or most is not None):
             lam_top = self.sigma_max() ** 2
             guard, room = _GRAM_GUARD * lam_top, _CERT_MARGIN * lam_top
             lam = max(cut * cut, guard)
@@ -1193,7 +1211,7 @@ class DiscreteOperator:
                                                       "banded_gram", found[2])
                     return ev.values
         try:
-            found = (_banded_singular_values(b, g.band)
+            found = (_banded_singular_values(b, _gram_band(b) if g is None else g.band)
                      if b.windows is not None and b.border is None else None)
             route = "direct_svd" if found is None else "banded_gram"
             found = found or (np.linalg.svd(b.matrix, compute_uv=False), None)
@@ -1217,13 +1235,13 @@ class DiscreteOperator:
         d = b.shape[1] - min(b.shape) + int((self.values_below(i, threshold) < threshold).sum())
         if not d:
             return np.zeros((b.shape[1], 0))
-        X = self._evidence[i].ritz
+        X, svd = self._evidence[i].ritz, None
         if X is None and b.windows is not None:
             lam_top = self.sigma_max() ** 2
             found = _mx_values(b, _gram(b), d, _GRAM_GUARD * lam_top, _CERT_MARGIN * lam_top)
-            X = found[2] if found else None
+            X, svd = found[2:] if found else (None, None)
         if X is not None:
-            sv, W = _thin_svd(b, X)
+            sv, W = svd or _thin_svd(b, X)
             if np.count_nonzero(sv < threshold) == d:
                 return np.einsum("cn,ck->nk", X, W[:, :d])
         return np.linalg.svd(b.matrix)[2][b.shape[1] - d:].conj().T
@@ -1299,21 +1317,55 @@ def _bc_scale(s):
 # rows shared by every mode block
 # ---------------------------------------------------------------------------
 
-def _stencil_rows(stencil, C):
-    """Row windows of the collocated rows of d/ds + C(s) on F = C.shape[1] fields.
+class _StencilRows:
+    """The collocated stencil rows of every mode of one operator.
 
-    ``stencil`` is ``fd_operators``' (D, P, s, mids).  Row block i is
-    sum_b D[i, b] I + P[i, b] C[i] on its 8 stencil nodes, node-major and
-    field-minor.  Returns the (n F, 8F) windows and the first column of each:
-    the same einsum products as the dense formula, so the bytes agree with
-    it, signed zeros included.  With D None the rows are those of C(s) alone.
+    Mode k's operator is d/ds + C_k(s) on F fields, C_k = (base_k + B(s)) -
+    w'(s) I at the midpoints, ``stencil`` being ``fd_operators``' (D, P, s,
+    mids) and ``B_mid`` B at the midpoints (0.0 for B = 0).  Row block i is
+    sum_b D[i, b] I + P[i, b] C_k[i] on its 8 stencil nodes, node-major and
+    field-minor.  What every mode shares is built once: the rows' first
+    columns (``starts``), P, w'(mids) I and D (x) I.  A mode's windows are
+    P (x) C_k written into one preallocated array, D (x) I added in place,
+    and its end rows copied below.
+
+    The bytes are those of ``np.einsum("ib,fg->ifbg", D, I).astype(C.dtype)
+    + np.einsum("ib,ifg->ifbg", P, C)``, signed zeros included: the einsum
+    computes 0 + P C, so the plain product differs from it only in the sign
+    of a zero, and D (x) I, +0.0 wherever it is zero, erases that sign when
+    added.  Added to complex rows, the real D (x) I is cast to complex
+    element by element, the same sums as a cast array.
     """
-    D, P, s, mids = stencil
-    n, F = C.shape[:2]
-    band = np.einsum("ib,ifg->ifbg", P, C)
-    if D is not None:
-        band = np.einsum("ib,fg->ifbg", D, np.eye(F)).astype(C.dtype) + band
-    return band.reshape(n * F, _FD_STENCIL * F), np.repeat(_stencil_starts(s, mids) * F, F)
+
+    def __init__(self, stencil, prof, F, B_mid=0.0):
+        D, P, s, mids = stencil
+        self.starts, self.n_cols = np.repeat(_stencil_starts(s, mids) * F, F), len(s) * F
+        self._P, self._B = P[:, None, :, None], B_mid
+        self._wI = prof.wprime(mids)[:, None, None] * np.eye(F)
+        self._DI = np.einsum("ib,fg->ifbg", D, np.eye(F))
+
+    def coefficient(self, base):
+        """C = (base + B) - w' I at the midpoints, for a mode's t-part ``base``."""
+        return base[None, :, :] + self._B - self._wI
+
+    def windows(self, C, ends=(), derivative=True):
+        """(windows, starts) of the stencil rows of d/ds + C, of C alone
+        without ``derivative``, then the negative- and positive-end rows
+        ``ends`` when given: the former's windows start at column 0, the
+        latter's where the last stencil row's does."""
+        n, F = C.shape[:2]
+        out = np.empty((n * F + sum(map(len, ends)), _FD_STENCIL * F),
+                       dtype=np.result_type(C, *ends))
+        rows = out[:n * F].reshape(n, F, _FD_STENCIL, F)
+        np.multiply(self._P, C[:, :, None, :], out=rows)
+        if derivative:
+            rows += self._DI
+        if not ends:
+            return out, self.starts
+        neg, pos = ends
+        out[n * F:n * F + len(neg)], out[n * F + len(neg):] = neg, pos
+        return out, np.concatenate([self.starts, np.zeros(len(neg), dtype=int),
+                                    np.full(len(pos), self.starts[-1])])
 
 
 def _end_rows(problem, bases, end_matrix, prof, gamma, tags):
@@ -1359,25 +1411,19 @@ def _end_rows(problem, bases, end_matrix, prof, gamma, tags):
     return [(neg[1], pos[1]) for neg, pos in zip(sides[0][1], sides[1][1])]
 
 
-def _mode_block(k, mult, tag, problem, base, B_mid, ends, stencil, prof, terms=None):
+def _mode_block(k, mult, tag, rows, base, ends, terms=None):
     """Row-window block of one mode.
 
     The mode's operator is d/ds + base + B(s) - w'(s) on F = len(base)
-    fields: ``base`` is its t-derivative part and ``B_mid`` holds B at the
-    collocation midpoints.  ``ends`` are its negative- and positive-end
-    rows (``_end_rows``).  ``terms`` are the Gram terms of the operator's
-    stencil rows (``_GramTerms``), with mode factor k.
+    fields: ``base`` is its t-derivative part, ``rows`` the operator's
+    stencil-row builder (``_StencilRows``).  ``ends`` are its negative- and
+    positive-end rows (``_end_rows``).  ``terms`` are the Gram terms of the
+    operator's stencil rows (``_GramTerms``), with mode factor k.
     """
-    s, mids = stencil[2:]
-    eye = np.eye(len(base))
-    C = base[None, :, :] + B_mid - prof.wprime(mids)[:, None, None] * eye[None, :, :]
-    pde, pde_starts = _stencil_rows(stencil, C)
-    neg, pos = ends
-    windows = np.vstack([pde, neg, pos])
+    windows, starts = rows.windows(rows.coefficient(base), ends)
     _finite_or_raise(windows, tag)
-    starts = np.concatenate([pde_starts, np.zeros(len(neg), dtype=int),
-                             np.full(len(pos), pde_starts[-1])])
-    b = ModeBlock(k=k, mult=mult, pde_rows=len(pde), tag=tag, windows=windows, starts=starts)
+    b = ModeBlock(k=k, mult=mult, pde_rows=len(rows.starts), tag=tag, windows=windows,
+                  starts=starts)
     b.gram_terms = terms
     return b
 
@@ -1444,41 +1490,44 @@ def _complex_line_blocks(problem, grid, stencil, prof):
     """
     K = grid.t_nodes // 2 - 1
     n_aug = problem.augmentation_dims
-    mids, gamma = stencil[3], _bc_scale(stencil[2])
-    terms = _GramTerms(stencil, -prof.wprime(mids)[:, None, None], np.array([[-2.0 * np.pi]]), 1.0)
+    gamma = _bc_scale(stencil[2])
+    rows = _StencilRows(stencil, prof, 1)
+    terms = _GramTerms(rows, np.array([[-2.0 * np.pi]]), 1.0)
     modes = [k for k in range(-K, K + 1) if k or not n_aug]
     bases = [np.array([[-2.0 * np.pi * k]]) for k in modes]
     tags = [f"scalar k={k}" for k in modes]
     ends = _end_rows(problem, bases, lambda end: 0.0, prof, gamma, tags)
-    blocks = [_mode_block(k, 2, tag, problem, base, 0.0, e, stencil, prof, terms)
+    blocks = [_mode_block(k, 2, tag, rows, base, e, terms)
               for k, base, tag, e in zip(modes, bases, tags, ends)]
     if n_aug:
         tag, base = "realified k=0 + shifts", np.zeros((2, 2))
         e, = _end_rows(problem, [base], lambda end: 0.0, prof, gamma, [tag])
         # mode 0 reads G0 alone, so its terms need no X
-        own = _GramTerms(stencil, -prof.wprime(mids)[:, None, None] * np.eye(2), np.zeros((2, 2)),
-                         1.0)
-        b = _mode_block(0, 1, tag, problem, base, 0.0, e, stencil, prof, own)
+        own = _StencilRows(stencil, prof, 2)
+        b = _mode_block(0, 1, tag, own, base, e, _GramTerms(own, np.zeros((2, 2)), 1.0))
         blocks.append(_shifted(b, problem, stencil[2], prof))
     return blocks
 
 
 def _contact_blocks(problem, grid, stencil, prof):
     """Complex modes d/ds + 2 pi i k J + B(s) - w'(s), k = 0..K; mode k >= 1
-    stands for the conjugate pair +-k."""
+    stands for the conjugate pair +-k.  The builders' coefficient is
+    evaluated on the midpoint array in one call, a ``coeff_s`` once per
+    midpoint."""
     F = problem.fiber_dim
     J = standard_j(F)
     mids = stencil[3]
-    B_mid = np.array([problem.coefficient(m) for m in mids])
-    terms = _GramTerms(stencil, B_mid - prof.wprime(mids)[:, None, None] * np.eye(F),
-                       2.0 * np.pi * J, 1j)
+    B_mid = (problem.coefficient(mids) if problem.coeff_s is None
+             else np.array([problem.coefficient(m) for m in mids]))
+    rows = _StencilRows(stencil, prof, F, B_mid)
+    terms = _GramTerms(rows, 2.0 * np.pi * J, 1j)
 
     modes = range(grid.t_nodes // 2)
     bases = [(2.0j * np.pi * k * J).astype(complex) if k else np.zeros((F, F)) for k in modes]
     tags = [f"contact k={k}" for k in modes]
     ends = _end_rows(problem, bases, lambda end: end.asymptotic.constant_matrix(), prof,
                      _bc_scale(stencil[2]), tags)
-    return [_mode_block(k, 1 if k == 0 else 2, tag, problem, base, B_mid, e, stencil, prof, terms)
+    return [_mode_block(k, 1 if k == 0 else 2, tag, rows, base, e, terms)
             for k, base, tag, e in zip(modes, bases, tags, ends)]
 
 
@@ -1533,8 +1582,8 @@ def _coupled_block(problem, grid, stencil, prof):
     base = _trig_derivative(K, problem.fiber_dim)
     e, = _end_rows(problem, [base], lambda end: _trig_coupling(end.asymptotic.sample(t), T), prof,
                    _bc_scale(s), ["coupled"])
-    b = _shifted(_mode_block(None, 1, "coupled", problem, base, B_mid, e, stencil, prof),
-                 problem, s, prof)
+    rows = _StencilRows(stencil, prof, nfield, B_mid)
+    b = _shifted(_mode_block(None, 1, "coupled", rows, base, e), problem, s, prof)
     return ModeBlock(k=b.k, mult=b.mult, pde_rows=b.pde_rows, aug_cols=b.aug_cols, tag=b.tag,
                      dense=_materialize(b))
 

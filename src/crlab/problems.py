@@ -274,7 +274,10 @@ class CRProblem:
         Without ``coeff_s`` or ``coeff_st``, B is the builders' coefficient:
         zero on the complex-line fiber, and on the contact fiber the
         componentwise quintic-smoothstep ramp from the negative end's matrix
-        to the positive end's across |s| <= n', constant outside it.
+        to the positive end's across |s| <= n', constant outside it.  The
+        builders' coefficient also takes an array of s and returns one matrix
+        per point, the bytes of one call per point; ``coeff_s`` and
+        ``coeff_st`` take one point.
         """
         if self.coeff_st is not None:
             if t is None:
@@ -283,12 +286,12 @@ class CRProblem:
         if self.coeff_s is not None:
             return np.asarray(self.coeff_s(s), dtype=float)
         if self.fiber == "complex_line":
-            return np.zeros((2, 2))
+            return np.zeros(np.shape(s) + (2, 2))
         S0 = self.negative_end.asymptotic.constant_matrix()
         S1 = self.positive_end.asymptotic.constant_matrix()
         npr = self.truncation.n_prime
-        u = profiles.smoothstep((np.asarray(s) + npr) / (2.0 * npr))
-        return np.asarray(S0 + u * (S1 - S0), dtype=float)
+        u = np.asarray(profiles.smoothstep((np.asarray(s) + npr) / (2.0 * npr)))
+        return np.asarray(S0 + u[..., None, None] * (S1 - S0), dtype=float)
 
     @property
     def t_dependent(self):

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from crlab.assemble import (
     ModeBlock,
     _fd_operators,
-    _stencil_rows,
     _stencil_starts,
+    _StencilRows,
     assemble,
     augmentation_layout,
     fd_operators,
@@ -39,7 +39,7 @@ from crlab.problems import (
     build_trivial_cylinder,
     default_grid_for,
 )
-from crlab.profiles import smoothstep
+from crlab.profiles import WeightProfile, smoothstep
 
 
 def test_fornberg_weights_differentiate_polynomials():
@@ -305,7 +305,7 @@ def test_stencil_rows_match_dense_formula(F, dtype):
     C[1::5] = -0.0
     dense = (np.einsum("ij,fg->ifjg", D, np.eye(F)).astype(dtype)
              + np.einsum("ij,ifg->ifjg", P, C)).reshape(23 * F, 24 * F)
-    windows, starts = _stencil_rows(stencil, C)
+    windows, starts = _StencilRows(stencil, WeightProfile(1.0, 1.0), F).windows(C)
     assert windows.dtype == dense.dtype and windows.shape == (23 * F, 8 * F)
     M = np.zeros_like(dense)
     M[np.arange(23 * F)[:, None], starts[:, None] + np.arange(8 * F)] = windows
@@ -753,3 +753,174 @@ def test_end_rows_of_every_mode_are_the_one_by_one_bytes(problems, t_nodes):
                 want.append(_end_rows_one_mode(A, end.sign == "negative", first, gamma))
             got = b.windows[b.pde_rows:]
             assert got.dtype == want[0].dtype and got.tobytes() == np.vstack(want).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# one stencil-row builder per operator: the bytes of the per-mode formula
+# ---------------------------------------------------------------------------
+
+def _per_mode_rows(stencil, C):
+    """Windows and first columns of the stencil rows of d/ds + C(s), C None
+    for the rows of ``Y`` alone, by the per-mode formula: both products by
+    einsum, D (x) I cast to C's dtype, then their sum."""
+    D, P, s, mids = stencil
+    n, F = C.shape[:2]
+    band = np.einsum("ib,ifg->ifbg", P, C)
+    if D is not None:
+        band = np.einsum("ib,fg->ifbg", D, np.eye(F)).astype(C.dtype) + band
+    return band.reshape(n * F, 8 * F), np.repeat(_stencil_starts(s, mids) * F, F)
+
+
+_DIM4_NEG = np.array([[-5.1, 0.4, -0.4, -4.6], [0.4, -4.4, 2.2, -3.6], [-0.4, 2.2, 0.4, 1.7],
+                      [-4.6, -3.6, 1.7, -3.4]])
+_DIM4_POS = np.array([[1.2, 0.8, 0.0, -0.6], [0.8, -1.9, 0.4, 0.0], [0.0, 0.4, 2.6, 0.9],
+                      [-0.6, 0.0, 0.9, 3.3]])
+
+_BLOCK_KINDS = {
+    "scalar": lambda: (build_trivial_cylinder((1.0, -0.5)), GridSpec(96, 16)),
+    "realified_shifts": lambda: (build_trivial_cylinder((1.0, 1.0), (2, 2)), GridSpec(96, 8)),
+    "contact_dim2": lambda: (build_contact_fiber_cylinder(
+        LoopOperatorSpec(dim=2, coeff=np.diag([-2.0, 3.0])), _S1, weights=(1.0, 0.5)),
+        GridSpec(64, 8)),
+    "contact_dim4": lambda: (build_contact_fiber_cylinder(
+        LoopOperatorSpec(dim=4, coeff=_DIM4_NEG), LoopOperatorSpec(dim=4, coeff=_DIM4_POS),
+        weights=(0.5, 0.5)), GridSpec(96, 16)),
+    "plane_cap": lambda: (build_plane(1.0, 2), GridSpec(96, 8)),
+    "glued": lambda: (_glued_contact(), GridSpec(144, 8)),
+    "coupled": lambda: (t_dependent_copy(build_contact_fiber_cylinder(
+        LoopOperatorSpec(dim=2, coeff=np.diag([-2.0, 3.0])), _S1, _SMALL, (1.0, 0.5))),
+        GridSpec(48, 8)),
+}
+
+
+def _per_mode_block(p, grid, b):
+    """Block b's windows and starts rebuilt from the formulas, one mode at a
+    time: base, B at the midpoints by one coefficient call per midpoint,
+    the per-mode stencil rows, then each end's rows by their own eigh; with
+    the mode's Gram-term rows W0 and WY, Y and phase."""
+    from crlab.assemble import _trig_basis, _trig_coupling, _trig_derivative
+    stencil = fd_operators(p.s_lo, p.truncation.s_max, grid.s_nodes)
+    s, mids = stencil[2:]
+    prof = p.weight_profile()
+    if p.t_dependent:
+        K = grid.t_nodes // 2 - 1
+        T, t = _trig_basis(grid.t_nodes, K)
+        base, Y, phase = _trig_derivative(K, p.fiber_dim), None, None
+        B_mid = np.array([_trig_coupling(np.stack([p.coefficient(m, tj) for tj in t]), T)
+                          for m in mids])
+
+        def B_end(end):
+            return _trig_coupling(end.asymptotic.sample(t), T)
+    elif p.fiber == "contact_fiber":
+        F, J = p.fiber_dim, standard_j(p.fiber_dim)
+        base = (2.0j * np.pi * b.k * J).astype(complex) if b.k else np.zeros((F, F))
+        Y, phase = 2.0 * np.pi * J, 1j
+        B_mid = np.array([p.coefficient(m) for m in mids])
+
+        def B_end(end):
+            return end.asymptotic.constant_matrix()
+    else:
+        realified = b.border is not None
+        base = np.zeros((2, 2)) if realified else np.array([[-2.0 * np.pi * b.k]])
+        Y, phase = (np.zeros((2, 2)), 1.0) if realified else (np.array([[-2.0 * np.pi]]), 1.0)
+        B_mid = 0.0
+
+        def B_end(end):
+            return 0.0
+    eye = np.eye(len(base))
+    wI = prof.wprime(mids)[:, None, None] * eye[None, :, :]
+    pde, starts = _per_mode_rows(stencil, base[None, :, :] + B_mid - wI)
+    ends = []
+    gamma = 1.0 / np.sqrt(s[1] - s[0])
+    for end, first, s_end in ((p.negative_end, True, p.s_lo),
+                              (p.positive_end, False, p.truncation.s_max)):
+        A = base if end is None else base + B_end(end) - float(prof.wprime(s_end)) * eye
+        ends.append(_end_rows_one_mode(A, end is None or end.sign == "negative", first, gamma))
+    windows = np.vstack([pde] + ends)
+    starts = np.concatenate([starts, np.zeros(len(ends[0]), dtype=int),
+                             np.full(len(ends[1]), starts[-1])])
+    terms = None
+    if Y is not None:
+        W0, _ = _per_mode_rows(stencil, B_mid - wI)
+        WY, _ = _per_mode_rows((None,) + stencil[1:], np.broadcast_to(Y, (len(mids),) + Y.shape))
+        terms = W0, WY, phase
+    return windows, starts, terms
+
+
+@pytest.mark.parametrize("kind", _BLOCK_KINDS.keys())
+def test_every_block_kind_has_the_per_mode_bytes(kind):
+    # the shared-part builder writes P (x) C by a plain product, whose zeros
+    # may carry another sign than einsum's 0 + P C; adding D (x) I erases it.
+    # Windows, starts, the coupled block's dense matrix and the shared Gram
+    # bands are the per-mode formula's byte for byte
+    from crlab.assemble import _window_band
+    p, grid = _BLOCK_KINDS[kind]()
+    op = assemble(p, grid)
+    for b in op.blocks:
+        windows, starts, terms = _per_mode_block(p, grid, b)
+        if b.windows is None:                   # the coupled block, stored dense
+            M = np.zeros(b.shape, dtype=windows.dtype)
+            M[np.arange(len(windows))[:, None], starts[:, None] + np.arange(windows.shape[1])] = \
+                windows
+            assert b.dense.dtype == M.dtype and b.dense.tobytes() == M.tobytes(), b.tag
+            continue
+        assert b.windows.dtype == windows.dtype and b.windows.tobytes() == windows.tobytes(), b.tag
+        assert b.starts.dtype == starts.dtype and np.array_equal(b.starts, starts), b.tag
+        W0, WY, phase = terms
+        n_cols = b.shape[1] - b.aug_cols
+        rows = b.gram_terms._rows
+        assert rows[0].tobytes() == W0.tobytes(), b.tag
+        g1 = _window_band(W0, WY, rows[2], n_cols) * phase
+        g1 += _window_band(WY, W0, rows[2], n_cols) * np.conj(phase)
+        want = (_window_band(W0, W0, rows[2], n_cols), g1, _window_band(WY, WY, rows[2], n_cols))
+        for got, ref in zip(b.gram_terms.bands, want):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), b.tag
+
+
+@pytest.mark.parametrize("ends", [
+    (np.diag([-2.0, 3.0]), np.eye(2)),
+    (np.array([[1.0, 0.3], [0.3, 2.0]]), np.diag([-1.0, 3.0])),
+    (_DIM4_NEG, _DIM4_POS),
+], ids=["diag", "symmetric", "dim4"])
+def test_builder_coefficient_on_an_array_is_the_per_node_bytes(ends):
+    # one call on the midpoint array, and at +-n' and +-s_max, where the
+    # ramp's clip meets its plateaus: the stacked bytes of one call per point
+    p = build_contact_fiber_cylinder(*(LoopOperatorSpec(dim=len(S), coeff=S) for S in ends))
+    npr, s_max = p.truncation.n_prime, p.truncation.s_max
+    s = np.concatenate([fd_operators(p.s_lo, s_max, 96)[3],
+                        [-s_max, -npr, npr, s_max, -npr - 1e-300, npr + 1e-15]])
+    got = p.coefficient(s)
+    want = np.stack([p.coefficient(x) for x in s])
+    assert got.dtype == want.dtype and got.shape == (len(s),) + ends[0].shape
+    assert got.tobytes() == want.tobytes()
+    assert np.allclose(got[-6:-2], [ends[0], ends[0], ends[1], ends[1]], rtol=0, atol=1e-14)
+    line = build_trivial_cylinder((1.0, 1.0))
+    assert line.coefficient(s).shape == (len(s), 2, 2) and not line.coefficient(s).any()
+
+
+def test_assembly_builds_the_shared_parts_once_per_operator(monkeypatch):
+    # one stencil-start rule, one D (x) I product for the real and the
+    # complex modes, no vstack and three
+    # coefficient calls (the midpoints and the two end checks) per contact
+    # operator, however many modes it has; a user coeff_s is called per node
+    assemble_module = importlib.import_module("crlab.assemble")
+    starts, eye, stacked, coeff = [], [], [], []
+    real_starts, real_einsum, real_vstack = (assemble_module._stencil_starts, np.einsum,
+                                             np.vstack)
+    real_coeff = CRProblem.coefficient
+    monkeypatch.setattr(assemble_module, "_stencil_starts",
+                        lambda *a: starts.append(a) or real_starts(*a))
+    monkeypatch.setattr(np, "einsum", lambda *a, **k: (eye.append(a) if a[0] == "ib,fg->ifbg"
+                                                      else None) or real_einsum(*a, **k))
+    monkeypatch.setattr(np, "vstack", lambda *a, **k: stacked.append(a) or real_vstack(*a, **k))
+    monkeypatch.setattr(CRProblem, "coefficient",
+                        lambda self, *a: coeff.append(a) or real_coeff(self, *a))
+    p = build_contact_fiber_cylinder(_S1, _S1)
+    op = assemble(p, GridSpec(96, 32))
+    assert len(op.blocks) == 16
+    assert (len(starts), len(eye), len(stacked), len(coeff)) == (1, 1, 0, 3)
+    del starts[:], eye[:], coeff[:]
+    own = replace(p, coeff_s=lambda s: real_coeff(p, s))
+    assert assemble(own, GridSpec(96, 32)).blocks[3].windows.tobytes() == \
+        op.blocks[3].windows.tobytes()
+    assert (len(starts), len(eye), len(stacked), len(coeff)) == (1, 1, 0, 95 + 2)

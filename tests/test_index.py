@@ -512,6 +512,54 @@ def test_rejected_block_takes_one_dense_svd(rejected, monkeypatch):
     assert rep.dim_ker == 2
 
 
+@pytest.mark.parametrize("case", [_bandwidth_rejected, _guard_rejected_windows,
+                                  lambda: (assemble(*banded_cases()["isomorphism"]), 1)],
+                         ids=["bordered", "guard_windows", "banded"])
+def test_full_decomposition_builds_only_what_it_reads(case, monkeypatch):
+    # values_below(i, inf) of a fresh operator: a bordered block's dense SVD
+    # reads no Gram matrix, an unbordered block's banded route one band, and
+    # neither settles sigma_max
+    op, i = case()
+    b, built = op.blocks[i], []
+    for name in ("_gram", "_gram_band"):
+        real = getattr(assemble_module, name)
+        monkeypatch.setattr(assemble_module, name,
+                            lambda blk, real=real, name=name: built.append(name) or real(blk))
+    sv = op.values_below(i, np.inf)
+    monkeypatch.undo()
+    assert op._sigma_max is None
+    assert built == ([] if b.border is not None else ["_gram_band"])
+    ref = np.linalg.svd(b.matrix, compute_uv=False)
+    # the guard's values below 1e-4 sigma_max come from M X: eps sigma_max absolutely
+    np.testing.assert_allclose(sv, ref, rtol=1e-9, atol=1e-12 * ref[0])
+
+
+def test_fresh_kernel_run_takes_one_thin_svd(monkeypatch):
+    # the wide mode-0 block of a flow component decides its rank from
+    # eig_banded, which keeps no Ritz vectors, so its kernel runs the M X
+    # route afresh; that run's one thin SVD of M X^T gives both the values
+    # and the kernel directions
+    from test_gluing import subspace_sine
+    op = assemble(*banded_cases()["flow_u"])
+    threshold = REL_THRESHOLD * op.sigma_max()
+    rep = numerical_index(op)
+    i = next(i for i, b in enumerate(op.blocks) if b.shape[1] > b.shape[0])
+    assert op._evidence[i].ritz is None and rep.dim_ker == 2
+    runs, thin = [], []
+    real, real_thin = assemble_module._mx_values, assemble_module._thin_svd
+    monkeypatch.setattr(assemble_module, "_mx_values",
+                        lambda *args: runs.append(args) or real(*args))
+    monkeypatch.setattr(assemble_module, "_thin_svd",
+                        lambda *args: thin.append(args) or real_thin(*args))
+    V = op.kernel(i, threshold)
+    monkeypatch.undo()
+    assert len(runs) == 1 and len(thin) == 1
+    _, sv, Vh = np.linalg.svd(op.blocks[i].matrix)
+    rank = int((sv >= threshold).sum())
+    assert V.shape[1] == op.blocks[i].shape[1] - rank == 2
+    assert subspace_sine(V, Vh[rank:].conj().T) <= 1e-8
+
+
 def test_guard_rejected_row_window_block_takes_no_dense_svd(monkeypatch):
     # the square block with a kernel: its banded values above the guard, and
     # below it the singular values of M X^T on the Ritz vectors of the

@@ -14,8 +14,10 @@ on the trivial cylinder and on the contact cylinder S = I with weights
 ``index`` on the blocks that carry shift columns: the trivial cylinder
 with weights (1, 1) and shifts (2, 2), at its default grid and at 1536x32,
 its reduced pattern (1, 2), and the plane with weight 1 and 2 shifts; ``index`` on the plane with weight -1,
-whose mode 0 is a wide row-window block; ``spectrum`` of a non-diagonal
-dim-4 constant loop operator by the Fourier method and by finite
+whose mode 0 is a wide row-window block; ``index`` at 96x16 on a dim-4
+contact cylinder between two non-diagonal constant ends with weights
+(0.5, 0.5), whose blocks have 4 fields per node; ``spectrum`` of the first
+of those ends' loop operator by the Fourier method and by finite
 differences (both by its mode blocks); and ``vdim`` at seed 3 on six
 configuration graphs, written out as literal JSON: two degenerations with
 their smooth families (codimension 1 each) and a spliced two-level splitting
@@ -50,17 +52,17 @@ from crlab.cli import EXPERIMENTS  # noqa: E402  (the sources next to this scrip
 KINDS = {command: kind for kind, (command, _, _) in EXPERIMENTS.items()}
 
 
-def _end(sign, weight, coeff, shift_dims=0):
-    end = {"sign": sign, "weight": weight, "asymptotic": {"dim": 2, "coeff": coeff}}
+def _end(sign, weight, coeff, shift_dims=0, dim=2):
+    end = {"sign": sign, "weight": weight, "asymptotic": {"dim": dim, "coeff": coeff}}
     if shift_dims:
         end["shift_dims"] = shift_dims
     return end
 
 
-def _cylinder(fiber, neg, pos, weights, n_prime=6.0, shift_dims=(0, 0)):
+def _cylinder(fiber, neg, pos, weights, n_prime=6.0, shift_dims=(0, 0), dim=2):
     return {"domain_kind": "cylinder", "fiber": fiber,
-            "ends": [_end("negative", weights[0], neg, shift_dims[0]),
-                     _end("positive", weights[1], pos, shift_dims[1])],
+            "ends": [_end("negative", weights[0], neg, shift_dims[0], dim),
+                     _end("positive", weights[1], pos, shift_dims[1], dim)],
             "truncation": {"s_max": 12.0, "n_prime": n_prime}}
 
 
@@ -137,9 +139,17 @@ def experiments():
                      {"problem": {"domain_kind": "plane", "fiber": "complex_line",
                                   "ends": [_end("positive", weight, zero, shift_dims)],
                                   "truncation": {"s_max": 12.0, "n_prime": 6.0}}}))
-    coupled = {"dim": 4, "coeff": {"kind": "constant", "matrix": [
+    dim4 = {"kind": "constant", "matrix": [
         [-5.1, 0.4, -0.4, -4.6], [0.4, -4.4, 2.2, -3.6], [-0.4, 2.2, 0.4, 1.7],
-        [-4.6, -3.6, 1.7, -3.4]]}}
+        [-4.6, -3.6, 1.7, -3.4]]}
+    runs.append(("contact_dim4", "index",
+                 {"problem": _cylinder("contact_fiber", dim4,
+                                       {"kind": "constant", "matrix": [
+                                           [1.2, 0.8, 0.0, -0.6], [0.8, -1.9, 0.4, 0.0],
+                                           [0.0, 0.4, 2.6, 0.9], [-0.6, 0.0, 0.9, 3.3]]},
+                                       (0.5, 0.5), dim=4),
+                  "grid": {"s_nodes": 96, "t_nodes": 16}}))
+    coupled = {"dim": 4, "coeff": dim4}
     for method in ("fourier", "finite_difference"):
         runs.append((f"spectrum_{method}", "spectrum", {"spec": coupled, "method": method}))
     # the splice pair reads codimension 3, the known tension: no expectation
